@@ -4,7 +4,7 @@ PYTHON ?= python
 # Scale of `make bench`: fig4 (default) or smoke (CI-fast).
 SCALE ?= fig4
 
-.PHONY: install test lint check bench bench-experiments bench-paper bench-quick bench-regression bench-shm-smoke check-parallel protocol-equivalence resilience-smoke replication-smoke swarm-smoke examples clean results
+.PHONY: install test lint check bench bench-experiments bench-paper bench-quick bench-regression bench-e2e-smoke bench-shm-smoke check-parallel protocol-equivalence resilience-smoke replication-smoke swarm-smoke examples clean results
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -56,6 +56,13 @@ bench-regression:
 		--fresh benchmarks/results/fresh/BENCH_micro.json \
 		--fresh-construction benchmarks/results/fresh/BENCH_construction.json \
 		--fresh-array-search benchmarks/results/fresh/BENCH_array_search.json
+
+# End-to-end benchmark gate (benchmarks/e2e, BENCHMARK.json): its own
+# self-tests, then all six workloads once at the tiny scale with every
+# answer verified — keeps the harness PRs are judged by runnable.
+bench-e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e/tests -q
+	$(PYTHON) benchmarks/e2e/run.py --seed 1 --scale tiny
 
 # Array-core scale point: gridless batched construction at the smoke
 # scale's 20k peers (fig4 scale runs 100k), reporting throughput, the

@@ -3,7 +3,10 @@
 The micro benchmark (``benchmarks/harness.py``) times each keyspace
 hot-path twice — a straightforward reference implementation ("baseline")
 and the shipped fast path ("current") — and records their ratio as
-``speedup``.  That ratio is a property of the *code*, not the machine:
+``speedup``; the same file carries ``PGrid.replicas_for_key`` /
+``seed_index`` on the path directory against the frozen per-call peer
+scan (``GRID_ROWS``, gated at the construction tolerance).  That ratio
+is a property of the *code*, not the machine:
 both sides run in the same process on the same hardware, so comparing
 the committed baseline's ratios against a fresh run's is meaningful on
 any CI runner, unlike raw ns/op numbers.
@@ -55,6 +58,13 @@ _ROOT = Path(__file__).resolve().parent.parent
 #: Ratios below this are timing noise, not a meaningful fast path; a
 #: hot-path whose committed speedup is ~1x cannot "regress by 10%".
 MIN_MEANINGFUL_SPEEDUP = 1.2
+
+#: Micro rows timed on a grid (PGrid's path directory vs the per-call
+#: peer scan) rather than on bare keys: the scan side walks N peer
+#: objects and both sides share the store writes, so the ratio wears
+#: cache and allocator noise the arithmetic rows do not.  Gated at the
+#: construction tolerance.
+GRID_ROWS = ("replicas_for_key", "seed_index")
 
 
 def load_speedups(path: Path) -> tuple[str, dict[str, float]]:
@@ -186,7 +196,10 @@ def main(argv: list[str] | None = None) -> int:
             f"scale mismatch: baseline is {baseline_scale!r}, "
             f"fresh run is {fresh_scale!r}"
         )
-    failures = check(baseline, fresh, args.tolerance)
+    grid_rows = {name: baseline[name] for name in GRID_ROWS if name in baseline}
+    key_rows = {name: baseline[name] for name in baseline if name not in grid_rows}
+    failures = check(key_rows, fresh, args.tolerance)
+    failures += check(grid_rows, fresh, args.construction_tolerance)
 
     for name in sorted(baseline):
         committed = baseline[name]

@@ -7,7 +7,9 @@ has a perf trajectory to compare against:
     Hot-path micro-operations (``key_value`` / ``interval_contains`` /
     ``common_prefix``), each timed against a *baseline* reference
     implementation preserving the pre-optimization code (per-call
-    validation, ``Fraction`` arithmetic, Python character loops).
+    validation, ``Fraction`` arithmetic, Python character loops); plus
+    ``PGrid.replicas_for_key`` / ``seed_index`` on the path directory
+    against the frozen per-call peer scan.
 
 ``BENCH_construction.json``
     Wall-clock of ``GridBuilder`` over a fixed meeting schedule with the
@@ -55,6 +57,7 @@ from repro.core import keys as keyspace  # noqa: E402
 from repro.core.config import PGridConfig  # noqa: E402
 from repro.core.grid import PGrid  # noqa: E402
 from repro.core.search import SearchEngine  # noqa: E402
+from repro.core.storage import DataItem, DataRef  # noqa: E402
 from repro.experiments.common import run_experiment_points  # noqa: E402
 from repro.perf.parallel import warm_pool  # noqa: E402
 from repro.experiments.table1_construction_scaling import (  # noqa: E402
@@ -174,6 +177,27 @@ def _common_prefix_baseline(a: str, b: str) -> str:
     return a[:i]
 
 
+def _replicas_for_key_baseline(grid: PGrid, query: str) -> list[int]:
+    """PR 11's ``PGrid.replicas_for_key``: sort + prefix test over all peers."""
+    keyspace.validate_key(query)
+    peers = grid._peers
+    return [
+        address for address in sorted(peers) if peers[address].responsible_for(query)
+    ]
+
+
+def _seed_index_baseline(grid: PGrid, items) -> int:
+    """PR 11's ``PGrid.seed_index``: one full scan per item."""
+    installed = 0
+    for item, holder in items:
+        grid.peer(holder).store.store_item(item)
+        ref = DataRef(key=item.key, holder=holder, version=0)
+        for address in _replicas_for_key_baseline(grid, item.key):
+            grid.peer(address).store.add_ref(ref)
+            installed += 1
+    return installed
+
+
 class NaiveDepthBuilder(GridBuilder):
     """The "before" builder: full O(N) peer rescan per meeting.
 
@@ -194,14 +218,6 @@ def _time(fn, *args) -> float:
     start = time.perf_counter()
     fn(*args)
     return time.perf_counter() - start
-
-
-def _best_of(fn, repeats: int = 5) -> float:
-    """Minimum over *repeats* timed passes — the noise-robust estimator
-    the regression gate (benchmarks/check_regression.py) depends on:
-    single-pass micro timings vary run-to-run by far more than the gate's
-    10% tolerance."""
-    return min(_time(fn) for _ in range(repeats))
 
 
 def bench_micro(scale: BenchScale) -> dict:
@@ -249,17 +265,59 @@ def bench_micro(scale: BenchScale) -> dict:
     for name, (baseline, current) in cases.items():
         for a, b in pairs:  # sanity: both paths agree before timing
             assert baseline(a, b) == current(a, b)
-        baseline_s = _best_of(loop(baseline))
-        current_s = _best_of(loop(current))
-        results[name] = {
-            "ops": ops,
-            "baseline_seconds": baseline_s,
-            "current_seconds": current_s,
-            "baseline_ns_per_op": baseline_s / ops * 1e9,
-            "current_ns_per_op": current_s / ops * 1e9,
-            "speedup": baseline_s / current_s if current_s else None,
-        }
+        results[name] = _micro_row(ops, loop(baseline), loop(current))
+    results.update(_bench_directory(scale, [key for pair in pairs for key in pair]))
     return results
+
+
+def _micro_row(ops: int, baseline_body, current_body) -> dict:
+    """Minimum over nine interleaved passes of each side — the
+    noise-robust estimator the regression gate
+    (benchmarks/check_regression.py) depends on: single-pass micro timings
+    vary run-to-run by far more than the gate's 10% tolerance, and timing
+    the sides back to back lets one slow spell hit only one of them."""
+    baseline_s = current_s = float("inf")
+    for _ in range(9):
+        baseline_s = min(baseline_s, _time(baseline_body))
+        current_s = min(current_s, _time(current_body))
+    return {
+        "ops": ops,
+        "baseline_seconds": baseline_s,
+        "current_seconds": current_s,
+        "baseline_ns_per_op": baseline_s / ops * 1e9,
+        "current_ns_per_op": current_s / ops * 1e9,
+        "speedup": baseline_s / current_s if current_s else None,
+    }
+
+
+def _bench_directory(scale: BenchScale, keys: list[str]) -> dict:
+    """``replicas_for_key`` / ``seed_index`` on the path directory vs the
+    frozen per-call scan, over an ideally balanced grid (every depth-maxl
+    path held by N / 2^maxl peers — the shape Fig. 4 converges to)."""
+    grid = PGrid(scale.config)
+    for peer in grid.add_peers(scale.n_peers):
+        peer.set_path(format(peer.address % 2 ** scale.maxl, f"0{scale.maxl}b"))
+    # Keys shorter than, equal to and longer than the paths.
+    keys = keys + [key + "01" for key in keys if len(key) == scale.maxl]
+    items = [
+        (DataItem(key=key, value=index), index % scale.n_peers)
+        for index, key in enumerate(keys[:256])
+    ]
+    for key in keys:
+        assert _replicas_for_key_baseline(grid, key) == grid.replicas_for_key(key)
+    assert _seed_index_baseline(grid, items) == grid.seed_index(items)
+    return {
+        "replicas_for_key": _micro_row(
+            len(keys),
+            lambda: [_replicas_for_key_baseline(grid, key) for key in keys],
+            lambda: [grid.replicas_for_key(key) for key in keys],
+        ),
+        "seed_index": _micro_row(
+            len(items),
+            lambda: _seed_index_baseline(grid, items),
+            lambda: grid.seed_index(items),
+        ),
+    }
 
 
 def _run_depth_variant(scale: BenchScale, builder_cls) -> tuple[float, float]:

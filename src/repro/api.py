@@ -135,7 +135,6 @@ class Grid:
             self.balancer: ReplicaBalancer | None = ReplicaBalancer(
                 pgrid, self.load_tracker, config=self.replication, probe=probe
             )
-            self.balancer.subscribe(self._path_resolver.invalidate)
             self.balancer.subscribe(self._drop_batch_engine)
             # Conversion listeners fire before the zero-arg listeners, so
             # the dense index map is still valid when shortcuts are dropped.

@@ -14,8 +14,10 @@ The container is deliberately passive — the algorithms live in
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
-from typing import Iterator, Protocol
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Protocol
 
 from repro.core import keys as keyspace
 from repro.core.config import PGridConfig
@@ -44,6 +46,22 @@ class AlwaysOnline:
         return True
 
 
+class PathDirectory(NamedTuple):
+    """Who holds which path: an immutable snapshot (DESIGN.md §6).
+
+    ``groups`` maps each held path to the address-sorted peers holding it
+    exactly, keyed in first-seen order of an address-ordered walk;
+    ``paths`` is the same keys sorted.  Valid while ``key`` equals the
+    grid's ``(membership_version, path_epoch)``.
+    """
+
+    key: tuple[int, int]
+    addresses: tuple[Address, ...]
+    groups: Mapping[str, tuple[Address, ...]]
+    paths: tuple[str, ...]
+    max_depth: int
+
+
 class PGrid:
     """A population of peers plus the shared P-Grid parameters."""
 
@@ -60,6 +78,8 @@ class PGrid:
         self._peers: dict[Address, Peer] = {}
         self._next_address = 0
         self._membership_version = 0
+        self._path_epoch = [0]  # bumped by every path change of our peers
+        self._directory = PathDirectory((-1, -1), (), MappingProxyType({}), (), 0)
 
     # -- membership -----------------------------------------------------------
 
@@ -83,7 +103,7 @@ class PGrid:
             address = self._next_address
         if address in self._peers:
             raise DuplicatePeerError(address)
-        peer = Peer(address, self.config.refmax)
+        peer = Peer(address, self.config.refmax, self._path_epoch)
         self._peers[address] = peer
         self._next_address = max(self._next_address, address + 1)
         self._membership_version += 1
@@ -122,12 +142,36 @@ class PGrid:
 
     def peers(self) -> Iterator[Peer]:
         """Iterate peers in address order (deterministic)."""
-        for address in sorted(self._peers):
+        for address in self.directory().addresses:
             yield self._peers[address]
 
     def addresses(self) -> list[Address]:
-        """Sorted list of all registered addresses."""
-        return sorted(self._peers)
+        """Sorted list of all registered addresses (a fresh copy)."""
+        return list(self.directory().addresses)
+
+    def directory(self) -> PathDirectory:
+        """The current :class:`PathDirectory`, rebuilt only when stale.
+
+        Joins and leaves bump ``membership_version``; every path change of
+        a peer this grid created bumps the path epoch.  Revalidation is
+        one tuple compare, a rebuild one O(N) pass (plus the address sort
+        when membership changed).
+        """
+        key = (self._membership_version, self._path_epoch[0])
+        old = self._directory
+        if old.key == key:
+            return old
+        membership_unchanged = old.key[0] == key[0]
+        addresses = old.addresses if membership_unchanged else tuple(sorted(self._peers))
+        members: dict[str, list[Address]] = {}
+        for address in addresses:
+            members.setdefault(self._peers[address].path, []).append(address)
+        groups = {path: tuple(group) for path, group in members.items()}
+        self._directory = PathDirectory(
+            key, addresses, MappingProxyType(groups), tuple(sorted(groups)),
+            max(map(len, groups), default=0),
+        )
+        return self._directory
 
     def __len__(self) -> int:
         return len(self._peers)
@@ -155,10 +199,8 @@ class PGrid:
 
     def replica_groups(self) -> dict[str, list[Address]]:
         """Map each held path to the sorted addresses holding it exactly."""
-        groups: dict[str, list[Address]] = {}
-        for peer in self.peers():
-            groups.setdefault(peer.path, []).append(peer.address)
-        return groups
+        groups = self.directory().groups
+        return {path: list(group) for path, group in groups.items()}
 
     def replication_histogram(self) -> Counter[int]:
         """Fig. 4's distribution: per peer, how many peers share its path.
@@ -166,12 +208,8 @@ class PGrid:
         The paper plots, for each replication factor r, the number of peers
         whose path is held by exactly r peers (including themselves).
         """
-        group_sizes = {
-            path: len(addresses) for path, addresses in self.replica_groups().items()
-        }
-        return Counter(
-            group_sizes[peer.path] for peer in self._peers.values()
-        )
+        groups = self.directory().groups
+        return Counter(len(groups[peer.path]) for peer in self._peers.values())
 
     def average_replication(self) -> float:
         """Mean replication factor over peers (paper reports 19.46)."""
@@ -181,16 +219,35 @@ class PGrid:
         total = sum(factor * count for factor, count in histogram.items())
         return total / len(self._peers)
 
+    def _responsible_groups(self, query: str) -> Iterator[tuple[Address, ...]]:
+        """The replica groups whose path is in prefix relation with *query*."""
+        keyspace.validate_key(query)
+        directory = self.directory()
+        groups = directory.groups
+        for depth in range(min(len(query), directory.max_depth) + 1):
+            group = groups.get(query[:depth])
+            if group is not None:
+                yield group
+        # Paths that properly extend the query sort directly after it.
+        paths = directory.paths
+        for index in range(bisect_right(paths, query), len(paths)):
+            if not paths[index].startswith(query):
+                break
+            yield groups[paths[index]]
+
     def replicas_for_key(self, query: str) -> list[Address]:
         """Every peer responsible for *query* (path in prefix relation).
 
         This is the ground-truth replica set the §5.2 update experiments
-        compare against.
+        compare against, address-sorted.
         """
-        keyspace.validate_key(query)
-        return [
-            peer.address for peer in self.peers() if peer.responsible_for(query)
-        ]
+        return sorted(
+            address for group in self._responsible_groups(query) for address in group
+        )
+
+    def replica_count(self, query: str) -> int:
+        """``len(replicas_for_key(query))`` without building the list."""
+        return sum(map(len, self._responsible_groups(query)))
 
     def total_routing_refs(self) -> int:
         """Sum of routing references over all peers (storage metric)."""

@@ -26,13 +26,20 @@ class Peer:
     decided by the active churn model (the paper models availability as a
     probability ``online: P -> [0, 1]``; engines consult the churn model
     rather than this flag when a probabilistic model is in force).
+
+    ``epoch`` is the owning grid's one-element path-change counter; every
+    path change bumps it, which is all that keeps
+    :meth:`PGrid.directory <repro.core.grid.PGrid.directory>` fresh.
     """
 
-    __slots__ = ("address", "_path", "routing", "store", "buddies", "online")
+    __slots__ = ("address", "_path", "_epoch", "routing", "store", "buddies", "online")
 
-    def __init__(self, address: Address, refmax: int) -> None:
+    def __init__(
+        self, address: Address, refmax: int, epoch: list[int] | None = None
+    ) -> None:
         self.address = address
         self._path = keyspace.EMPTY_PATH
+        self._epoch = [0] if epoch is None else epoch
         self.routing = RoutingTable(refmax)
         self.store = DataStore()
         self.buddies: set[Address] = set()
@@ -67,12 +74,14 @@ class Peer:
         if bit not in ("0", "1"):
             raise InvalidKeyError(bit)
         self._path += bit
+        self._epoch[0] += 1
         self.buddies.clear()
 
     def set_path(self, path: str) -> None:
         """Force the path (snapshot loading / tests); clears buddies."""
         keyspace.validate_key(path)
         self._path = path
+        self._epoch[0] += 1
         self.buddies.clear()
 
     def responsible_for(self, query: str) -> bool:

@@ -186,7 +186,7 @@ class UpdateEngine:
             reached=reached,
             messages=messages,
             failed_attempts=failed,
-            replica_count=len(self.grid.replicas_for_key(ref.key)),
+            replica_count=self.grid.replica_count(ref.key),
         )
 
     def retract(

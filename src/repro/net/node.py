@@ -582,7 +582,7 @@ class PGridNode:
             reached=set(trav.responders),
             messages=trav.stats.messages,
             failed_attempts=trav.stats.failed,
-            replica_count=len(self.grid.replicas_for_key(ref.key)),
+            replica_count=self.grid.replica_count(ref.key),
         )
 
     def _handle_update(self, message: Message) -> Message:

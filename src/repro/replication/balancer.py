@@ -55,7 +55,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.grid import PGrid
 from repro.core.peer import Address, Peer
@@ -153,8 +154,8 @@ class ReplicaBalancer:
 
     ``probe`` receives one ``on_replication`` hook per conversion;
     ``listeners`` registered via :meth:`subscribe` are called after every
-    structural change (the facade uses this to invalidate its path
-    resolver and batch-engine snapshot).
+    structural change (the facade uses this to drop its batch-engine
+    snapshot).
     """
 
     def __init__(
@@ -228,7 +229,7 @@ class ReplicaBalancer:
             return False
         if self.tracker.observed < config.min_observations:
             return False
-        groups = self.grid.replica_groups()
+        groups = self.grid.directory().groups
         if len(groups) < 2:
             return False
         if config.strategy == "adaptive":
@@ -236,18 +237,21 @@ class ReplicaBalancer:
         return self._sqrt_step(candidates, groups)
 
     def _per_replica(
-        self, path: str, groups: dict[str, list[Address]]
+        self, path: str, groups: Mapping[str, Sequence[Address]]
     ) -> float:
         return self.tracker.load(path) / len(groups[path])
 
     def _adaptive_step(
-        self, candidates: Sequence[Address], groups: dict[str, list[Address]]
+        self, candidates: Sequence[Address], groups: Mapping[str, Sequence[Address]]
     ) -> bool:
         config = self.config
+        # A group's per-replica load is at most its path's load, and the max
+        # below does not depend on the order candidates are visited in.
         hot_paths = [
             path
-            for path in groups
+            for path in self.tracker.paths(above=config.replicate_threshold)
             if path
+            and path in groups
             and self._per_replica(path, groups) > config.replicate_threshold
             and (
                 config.max_replicas is None
@@ -273,7 +277,7 @@ class ReplicaBalancer:
         return False
 
     def _sqrt_step(
-        self, candidates: Sequence[Address], groups: dict[str, list[Address]]
+        self, candidates: Sequence[Address], groups: Mapping[str, Sequence[Address]]
     ) -> bool:
         config = self.config
         targets = self._sqrt_targets(groups)
@@ -307,7 +311,7 @@ class ReplicaBalancer:
         return False
 
     def _sqrt_targets(
-        self, groups: dict[str, list[Address]]
+        self, groups: Mapping[str, Sequence[Address]]
     ) -> dict[str, int] | None:
         """Square-root replica targets, normalized to the population size."""
         config = self.config
@@ -385,17 +389,12 @@ class ReplicaBalancer:
                 target = buddy
                 break
         if target is None and donor.path:
-            exact: Address | None = None
-            responsible: Address | None = None
-            for address in grid.replicas_for_key(donor.path):
-                if address == donor.address:
-                    continue
-                if grid.peer(address).path == donor.path:
-                    exact = address
-                    break
-                if responsible is None:
-                    responsible = address
-            target = exact if exact is not None else responsible
+            # An exact co-replica first, else the first responsible peer.
+            survivors = chain(
+                grid.directory().groups[donor.path],
+                grid.replicas_for_key(donor.path),
+            )
+            target = next((a for a in survivors if a != donor.address), None)
         if target is None:
             self.stats.entries_lost += len(entries)
             return 0

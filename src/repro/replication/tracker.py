@@ -90,6 +90,14 @@ class LoadTracker:
             value *= self._decay ** (self._clock - last)
         return value
 
+    def paths(self, above: float = 0.0) -> list[str]:
+        """The credited paths whose load may exceed *above*.
+
+        Filters on the stored counter, which only decays between credits
+        and so bounds the current load — no ``pow`` per path.
+        """
+        return [path for path, (value, _) in self._loads.items() if value > above]
+
     def loads(self) -> dict[str, float]:
         """Decayed loads of every path ever credited (path-sorted)."""
         return {path: self.load(path) for path in sorted(self._loads)}
@@ -130,38 +138,22 @@ class LoadTracker:
 class PathResolver:
     """Maps a query key to the path of the replica group responsible for it.
 
-    Resolution walks the key's prefixes longest-first against the set of
-    paths currently held by peers; the set is cached and revalidated in
-    O(1) against ``grid.membership_version`` plus a local epoch the
-    balancer bumps after every conversion (conversions change paths
-    without changing membership).
+    Resolution walks the key's prefixes longest-first against the grid's
+    shared :class:`~repro.core.grid.PathDirectory`, which revalidates in
+    O(1) and is never stale: any join, leave or path change — a balancer
+    conversion as much as a plain exchange specialisation — is visible to
+    the very next resolve.
     """
 
     def __init__(self, grid) -> None:
         self._grid = grid
-        self._epoch = 0
-        self._cache_key: tuple[int, int] | None = None
-        self._paths: frozenset[str] = frozenset()
-        self._max_depth = 0
-
-    def invalidate(self) -> None:
-        """Force a re-read of the path population on the next resolve."""
-        self._epoch += 1
-
-    def _refresh(self) -> None:
-        key = (self._grid.membership_version, self._epoch)
-        if key == self._cache_key:
-            return
-        paths = frozenset(peer.path for peer in self._grid.peers())
-        self._paths = paths
-        self._max_depth = max((len(path) for path in paths), default=0)
-        self._cache_key = key
 
     def __call__(self, query: str) -> str | None:
-        self._refresh()
-        for depth in range(min(len(query), self._max_depth), -1, -1):
+        directory = self._grid.directory()
+        groups = directory.groups
+        for depth in range(min(len(query), directory.max_depth), -1, -1):
             prefix = query[:depth]
-            if prefix in self._paths:
+            if prefix in groups:
                 return prefix
         return None
 

@@ -215,7 +215,6 @@ def run_scenario(
         balancer = ReplicaBalancer(
             grid, tracker, config=replication_config, probe=probe
         )
-        balancer.subscribe(resolver.invalidate)
         exchange = ExchangeEngine(grid, probe=probe, balancer=balancer)
         # Balancing meetings draw from their own derived stream so the
         # operation mix below stays seed-for-seed comparable across

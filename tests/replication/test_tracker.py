@@ -1,9 +1,14 @@
-"""LoadTracker EWMA accounting and PathResolver caching."""
+"""LoadTracker EWMA accounting and PathResolver freshness."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.core.config import PGridConfig
+from repro.core.exchange import ExchangeEngine
+from repro.core.grid import PGrid
 from repro.replication import LoadProbe, LoadTracker, PathResolver
 from tests.conftest import build_grid
 
@@ -103,21 +108,33 @@ class TestPathResolver:
         for depth in range(len(resolved) + 1, len(query) + 1):
             assert query[:depth] not in paths
 
-    def test_cache_tracks_conversions_via_invalidate(self):
+    def test_path_changes_are_visible_to_the_next_resolve(self):
         grid = build_grid(32, maxl=3, refmax=2, seed=5)
         resolver = PathResolver(grid)
-        victim = grid.peer(grid.addresses()[0])
-        old_path = victim.path
+        groups = grid.replica_groups()
+        old_path = min(groups, key=lambda path: (len(groups[path]), path))
+        elsewhere = next(path for path in groups if path != old_path)
         query = old_path + "0" * 4
         assert resolver(query) == old_path
-        # A path change without a membership change is invisible until
-        # the balancer bumps the epoch...
-        others = {peer.path for peer in grid.peers() if peer is not victim}
-        victim.set_path(next(iter(others)))
-        if old_path not in others:
-            assert resolver(query) == old_path  # stale cache
-            resolver.invalidate()
-            assert resolver(query) != old_path
+        # Every holder leaves the path: membership is unchanged, no
+        # balancer is involved, and the very next resolve must see it.
+        for address in groups[old_path]:
+            grid.peer(address).set_path(elsewhere)
+        assert resolver(query) != old_path
+        grid.peer(groups[old_path][0]).set_path(old_path)
+        assert resolver(query) == old_path
+
+    def test_exchange_specialisation_is_visible_to_the_next_resolve(self):
+        # A plain Fig. 3 meeting — no balancer anywhere — extends both
+        # paths; load attribution must follow at once.
+        grid = PGrid(PGridConfig(maxl=3, refmax=2), rng=random.Random(1))
+        grid.add_peers(2)
+        resolver = PathResolver(grid)
+        assert resolver("0101") == ""
+        ExchangeEngine(grid).meet(0, 1)
+        assert {grid.peer(0).path, grid.peer(1).path} == {"0", "1"}
+        assert resolver("0101") == "0"
+        assert resolver("1101") == "1"
 
     def test_unresolvable_query_returns_none(self):
         grid = build_grid(32, maxl=3, refmax=2, seed=6)
