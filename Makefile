@@ -4,7 +4,7 @@ PYTHON ?= python
 # Scale of `make bench`: fig4 (default) or smoke (CI-fast).
 SCALE ?= fig4
 
-.PHONY: install test lint check bench bench-experiments bench-paper bench-quick bench-regression bench-e2e-smoke bench-shm-smoke check-parallel protocol-equivalence resilience-smoke replication-smoke swarm-smoke examples clean results
+.PHONY: install test lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-e2e-smoke bench-shm-smoke check-parallel protocol-equivalence resilience-smoke replication-smoke swarm-smoke examples clean results
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -25,6 +25,16 @@ lint:
 	else \
 		echo "mypy not installed - skipping"; \
 	fi
+
+# Tracked metric (ROADMAP aim 2): total and per-package line count of
+# src/repro/**/*.py.  Printed by the CI lint job.
+src-lines:
+	@printf '%8d %s\n' "$$(find src/repro -name '*.py' | xargs cat | wc -l)" total
+	@for package in src/repro/*/; do \
+		printf '%8d %s\n' \
+			"$$(find $$package -name '*.py' | xargs cat | wc -l)" $$package; \
+	done
+	@printf '%8d %s\n' "$$(cat src/repro/*.py | wc -l)" 'src/repro/*.py'
 
 check: test lint
 
@@ -86,6 +96,8 @@ check-parallel:
 # Tentpole gate: the in-process engines, the message-driven node and the
 # asyncio runtime run the same repro.protocol machines — identical
 # results, costs and RNG streams (tests/protocol/, tests/aio/).
+# tests/protocol/test_node_shells.py rides along: one contract for the
+# two node driver loops, the only node code still written per transport.
 protocol-equivalence:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/protocol tests/aio/test_async_equivalence.py -q
 

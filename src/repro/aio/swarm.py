@@ -128,11 +128,12 @@ class AsyncSwarm:
         clock=None,
     ) -> None:
         self.grid = grid
+        self.config = config or SearchConfig()
         self.transport = transport if transport is not None else AsyncTransport(
             grid, mailbox_size=mailbox_size, probe=probe, clock=clock
         )
         self.nodes: dict[Address, AsyncPGridNode] = attach_async_nodes(
-            grid, self.transport, retry=retry, healer=healer, config=config
+            grid, self.transport, retry=retry, healer=healer, config=self.config
         )
 
     async def start(self) -> None:

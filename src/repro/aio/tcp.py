@@ -20,10 +20,9 @@ from __future__ import annotations
 import asyncio
 
 from repro.core.peer import Address
-from repro.core.storage import DataRef
 from repro.errors import NoHandlerError, PeerOfflineError, TransportError
 from repro.net import wire
-from repro.net.message import Message, MessageKind, pong, query_message
+from repro.net.message import Message, MessageKind, pong, query_message, validate_request
 from repro.net.node import NodeSearchOutcome
 
 from repro.aio.swarm import AsyncSwarm
@@ -84,10 +83,18 @@ class SwarmServer:
     async def _dispatch(self, message: Message) -> Message:
         """Inject one remote message through the swarm's transport.
 
-        Delivery failures become PONG-framed error payloads rather than
-        dropped connections: the remote caller learns *why* (offline,
-        dropped, unknown peer) and can retry at its own policy.
+        This is the one place a message built by someone else enters the
+        swarm, so it is validated here (and its budget clamped to the
+        swarm's own limit); hop-to-hop messages come from our builders and
+        are not re-checked.  Bad requests and delivery failures become
+        PONG-framed error payloads rather than dropped connections: the
+        remote caller learns *why* (bad request, offline, dropped, unknown
+        peer) and can retry at its own policy.
         """
+        try:
+            message = validate_request(message, self.swarm.config.max_messages)
+        except ValueError:
+            return _error_reply(message, "bad-request")
         try:
             reply = await self.swarm.transport.request(message)
         except NoHandlerError:
@@ -143,17 +150,4 @@ async def remote_search(
         raise TransportError(
             f"remote search failed: {reply.payload.get('error', reply.kind.value)}"
         )
-    payload = reply.payload
-    refs = [
-        DataRef(key=r["key"], holder=r["holder"], version=r["version"])
-        for r in payload.get("refs", [])
-    ]
-    return NodeSearchOutcome(
-        query=key,
-        found=payload["found"],
-        responder=payload["responder"],
-        messages_sent=payload.get("messages", 0),
-        failed_attempts=payload.get("failed", 0),
-        retry_delay=payload.get("retry_delay", 0.0),
-        data_refs=refs,
-    )
+    return NodeSearchOutcome.from_payload(key, reply.payload)

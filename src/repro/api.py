@@ -619,8 +619,13 @@ class NodeService:
             self.transport.unregister(address)
         self.nodes.clear()
 
+    def _complete(self, outcome):
+        """Turn what a node method returned into its result: the sync
+        nodes return it directly (:class:`AsyncService` runs the awaitable)."""
+        return outcome
+
     def search(self, key: str, *, start: Address = 0) -> SearchResult:
-        outcome = self.nodes[start].search(key)
+        outcome = self._complete(self.nodes[start].search(key))
         self._grid._observe_search(key)
         return _outcome_to_result(key, start, outcome)
 
@@ -638,18 +643,20 @@ class NodeService:
             recbreadth = self._grid.update_config.recbreadth
         self._grid.pgrid.peer(holder).store.store_item(DataItem(key=key, value=value))
         ref = DataRef(key=key, holder=holder, version=version)
-        result = self.nodes[start].publish(ref, recbreadth=recbreadth)
+        result = self._complete(self.nodes[start].publish(ref, recbreadth=recbreadth))
         self._grid._observe_search(key)
         return result
 
 
-class AsyncService:
+class AsyncService(NodeService):
     """The ``"async"`` driver: an :class:`~repro.aio.AsyncSwarm` on a
     private event loop, driven synchronously per operation.
 
     For genuinely concurrent workloads use :class:`repro.aio.AsyncSwarm`
     directly; this service exists so the facade can expose all three
-    drivers behind one synchronous surface.
+    drivers behind one synchronous surface — :meth:`search` and
+    :meth:`update` are :class:`NodeService`'s, with each node call run
+    to completion on the loop.
     """
 
     driver = "async"
@@ -675,47 +682,20 @@ class AsyncService:
             probe=grid.probe,
             mailbox_size=mailbox_size,
         )
+        self.transport = self.swarm.transport
+        self.nodes = self.swarm.nodes
         self._loop.run_until_complete(self.swarm.start())
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def close(self) -> None:
         """Stop the swarm, release its mailboxes, close the loop."""
         if self._loop.is_closed():
             return
         self._loop.run_until_complete(self.swarm.stop())
-        for address in list(self.swarm.nodes):
-            self.swarm.transport.unregister(address)
-        self.swarm.nodes.clear()
+        super().close()
         self._loop.close()
 
     def run(self, coroutine):
         """Run one coroutine on the service's private loop."""
         return self._loop.run_until_complete(coroutine)
 
-    def search(self, key: str, *, start: Address = 0) -> SearchResult:
-        outcome = self.run(self.swarm.search(start, key))
-        self._grid._observe_search(key)
-        return _outcome_to_result(key, start, outcome)
-
-    def update(
-        self,
-        key: str,
-        holder: Address,
-        *,
-        start: Address = 0,
-        version: int = 0,
-        value=None,
-        recbreadth: int | None = None,
-    ) -> UpdateResult:
-        if recbreadth is None:
-            recbreadth = self._grid.update_config.recbreadth
-        self._grid.pgrid.peer(holder).store.store_item(DataItem(key=key, value=value))
-        ref = DataRef(key=key, holder=holder, version=version)
-        result = self.run(self.swarm.update(start, ref, recbreadth=recbreadth))
-        self._grid._observe_search(key)
-        return result
+    _complete = run

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
+from repro.core import keys as keyspace
 from repro.core.peer import Address
 
 _message_ids = itertools.count(1)
@@ -202,14 +203,27 @@ def breadth_response(
 
 
 def update_message(
-    source: Address, destination: Address, key: str, holder: Address, version: int
+    source: Address,
+    destination: Address,
+    key: str,
+    holder: Address,
+    version: int,
+    *,
+    deleted: bool = False,
 ) -> Message:
-    """Deliver a (possibly fresher) index entry to a responsible peer."""
+    """Deliver a (possibly fresher) index entry to a responsible peer.
+
+    ``deleted`` marks a tombstone; it rides along only when set, so the
+    frames of live entries are unchanged.
+    """
+    payload: dict[str, Any] = {"key": key, "holder": holder, "version": version}
+    if deleted:
+        payload["deleted"] = True
     return Message(
         kind=MessageKind.UPDATE,
         source=source,
         destination=destination,
-        payload={"key": key, "holder": holder, "version": version},
+        payload=payload,
     )
 
 
@@ -302,3 +316,78 @@ def pong(request: Message) -> Message:
         destination=request.source,
         in_reply_to=request.message_id,
     )
+
+
+# -- requests from outside the program ------------------------------------------
+
+_WALK_FIELDS = ("query", "level", "recbreadth")
+
+#: Request kinds a node serves -> the payload fields its handler reads
+#: unconditionally.
+_REQUIRED_FIELDS: dict[MessageKind, tuple[str, ...]] = {
+    MessageKind.QUERY: ("query", "level"),
+    MessageKind.BREADTH_QUERY: _WALK_FIELDS,
+    MessageKind.RANGE_QUERY: _WALK_FIELDS + ("collect",),
+    MessageKind.PROPAGATE: _WALK_FIELDS + ("key", "holder", "version", "deleted"),
+    MessageKind.UPDATE: ("key", "holder", "version"),
+    MessageKind.PING: (),
+}
+
+_FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
+    "query": str,
+    "key": str,
+    "collect": str,
+    "level": int,
+    "recbreadth": int,
+    "holder": int,
+    "version": int,
+    "budget": int,
+    "retry_spent": (int, float),
+    "deleted": bool,
+    "enumerate_subtree": bool,
+    "seen": list,
+}
+
+_FIELD_MINIMUM = {"level": 0, "recbreadth": 1, "version": 0, "retry_spent": 0}
+
+
+def validate_request(message: Message, max_budget: int) -> Message:
+    """Check a request that came from outside the program; return it.
+
+    The builders above are the only source of hop-to-hop messages, so the
+    nodes trust their payloads; a front door (:mod:`repro.aio.tcp`) calls
+    this once on what a remote client framed.  Raises :class:`ValueError`
+    (:class:`~repro.errors.InvalidKeyError` for a non-binary key) unless
+    *message* is a request kind the nodes serve, addressed between two
+    addresses, with every field its handler reads present and of the
+    right type and range.  A ``budget`` above *max_budget* — the
+    server's own limit — is clamped in the returned message.
+    """
+    required = _REQUIRED_FIELDS.get(message.kind)
+    if required is None:
+        raise ValueError(f"{message.kind.value} is not a request the nodes serve")
+    payload = message.payload
+    if type(message.source) is not int or type(message.destination) is not int:
+        raise ValueError("source and destination must be peer addresses")
+    if not isinstance(payload, dict):
+        raise ValueError(f"payload must be an object, got {payload!r}")
+    for name in required:
+        if name not in payload:
+            raise ValueError(f"{message.kind.value} request without {name!r}")
+    for name, value in payload.items():
+        expected = _FIELD_TYPES.get(name)
+        if expected is None:
+            continue  # the handlers read only the fields they know
+        if not isinstance(value, expected) or (
+            expected is not bool and isinstance(value, bool)
+        ):
+            raise ValueError(f"field {name!r} has the wrong type: {value!r}")
+        if expected is str:
+            keyspace.validate_key(value)
+        elif name in _FIELD_MINIMUM and value < _FIELD_MINIMUM[name]:
+            raise ValueError(f"field {name!r} must be >= {_FIELD_MINIMUM[name]}, got {value}")
+    if not all(type(address) is int for address in payload.get("seen", ())):
+        raise ValueError("'seen' must list peer addresses")
+    if payload.get("budget", 0) > max_budget:
+        message = replace(message, payload={**payload, "budget": max_budget})
+    return message

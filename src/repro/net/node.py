@@ -1,29 +1,39 @@
-"""Message-driven P-Grid node: the protocol machines' network driver.
+"""Message-driven P-Grid node, written once: prepare → drive → finish.
 
-:class:`PGridNode` wraps one :class:`~repro.core.peer.Peer` behind a message
-handler and executes the *same* sans-I/O machines as the in-process engines
-(:mod:`repro.protocol`) — but answers their effects over the transport
-instead of by direct calls:
+A networked peer runs the *same* sans-I/O machines as the in-process
+engines (:mod:`repro.protocol`) and turns their effects into messages.
+That job splits at the only place it touches a transport:
 
-* :class:`~repro.protocol.Contact` becomes one ``transport.send`` of a
-  ``QUERY`` / ``BREADTH_QUERY`` / ``RANGE_QUERY`` / ``PROPAGATE`` message
-  (a retry's simulated backoff is fed into the transport's clock first);
-  :class:`~repro.errors.NoHandlerError` answers ``GONE`` (dangling
-  reference — never retried), :class:`~repro.errors.PeerOfflineError` and
-  dropped messages answer ``OFFLINE``;
-* :class:`~repro.protocol.Resolve` reads the remote subtree's result off
-  the synchronous reply, merging its message/failure deltas, cumulative
-  retry backoff and remaining budget into the local operation state —
-  value-threading that is equivalent to the engines' shared objects
-  because delivery is synchronous.
+**prepare** — :class:`NodeCore`, uncoloured, shared by both transports.
+    Everything a node *decides*: request parsing and kind dispatch,
+    ``Budget`` / ``StepStats`` / ``Traversal`` set-up, store reads and
+    writes, reply and result assembly.  The outcome is an
+    ``Operation`` tuple: the machine, its budget, ``build`` (a
+    :class:`~repro.protocol.Contact` as its ``QUERY`` / ``BREADTH_QUERY``
+    / ``RANGE_QUERY`` / ``PROPAGATE`` / ``UPDATE`` message), ``resolve``
+    (fold the reply's message/failure deltas, cumulative retry backoff
+    and remaining budget into the local state; return the machine's
+    answer to its :class:`~repro.protocol.Resolve`) and ``finish``.
+**drive** — ``_run``, the only code written once per transport
+(:class:`PGridNode` here, :class:`repro.aio.node.AsyncPGridNode` awaited).
+    Answer ``Contact`` with one ``transport.send`` after accruing the
+    retry's backoff on the transport clock: :class:`NoHandlerError` is
+    ``GONE`` (dangling reference, never retried); offline, dropped or a
+    ``None`` reply is ``OFFLINE``.  On a spent budget answer locally,
+    without a message.  Answer ``Resolve`` from the reply held since the
+    contact.
+**finish** — ``return op.finish(result)``: the reply to a served request,
+or the typed result of an operation this node's user started.
 
 Routing decisions therefore live in exactly one place
-(:mod:`repro.protocol.search`), consume the grid RNG in exactly the same
-order as the engines, and honor the full :class:`~repro.faults.RetryPolicy`
-semantics (attempt bound, exponential backoff on the simulated clock, and
-the accumulated-delay deadline — threaded across hops via the messages'
-``retry_spent`` field).  The integration tests cross-validate this path
-against the engines message-for-message.
+(:mod:`repro.protocol.search`), consume the grid RNG in the engines'
+order, and honor the full :class:`~repro.faults.RetryPolicy` (attempt
+bound, backoff on the simulated clock, and the accumulated-delay deadline
+threaded across hops in ``retry_spent``) on either transport.  Threading
+values through replies is equivalent to the engines' shared objects
+because delivery is synchronous per operation; ``tests/protocol/``
+cross-validates both shells against the engines message-for-message and
+holds the two loops to one contract (``test_node_shells.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from repro.core.grid import PGrid
 from repro.core.peer import Address, Peer
 from repro.core.search import BreadthSearchResult, RangeSearchResult
 from repro.core.storage import DataRef
+from repro.core.updates import UpdateResult
 from repro.errors import NoHandlerError, PeerOfflineError, TransportError
 from repro.net.message import (
     Message,
@@ -49,8 +60,7 @@ from repro.net.message import (
     query_response,
     update_message,
 )
-from repro.net.transport import LocalTransport
-from repro.protocol.contact import Budget, Context, StepStats
+from repro.protocol.contact import Budget, Context, StepStats, contact_step
 from repro.protocol.effects import GONE, OFFLINE, OK, Contact, Resolve
 from repro.protocol.search import (
     Traversal,
@@ -61,6 +71,16 @@ from repro.protocol.search import (
 )
 
 __all__ = ["NodeSearchOutcome", "PGridNode", "attach_nodes"]
+
+
+def _ref_from_entry(entry: dict) -> DataRef:
+    """An index entry as it travels in payloads -> :class:`DataRef`."""
+    return DataRef(
+        key=entry["key"],
+        holder=entry["holder"],
+        version=entry["version"],
+        deleted=entry.get("deleted", False),
+    )
 
 
 @dataclass
@@ -80,25 +100,73 @@ class NodeSearchOutcome:
         """Alias of ``messages_sent`` (the shared result protocol's name)."""
         return self.messages_sent
 
+    @classmethod
+    def from_payload(cls, query: str, payload: dict) -> "NodeSearchOutcome":
+        """Decode a ``QUERY_RESPONSE`` payload (local or off the wire)."""
+        return cls(
+            query=query,
+            found=payload["found"],
+            responder=payload["responder"],
+            messages_sent=payload.get("messages", 0),
+            failed_attempts=payload.get("failed", 0),
+            retry_delay=payload.get("retry_delay", 0.0),
+            data_refs=[_ref_from_entry(entry) for entry in payload.get("refs", ())],
+        )
 
-class PGridNode:
-    """One networked peer: handles protocol messages for its local state.
 
-    ``transport`` is anything with the :class:`LocalTransport` interface —
-    in particular a :class:`repro.faults.FaultInjector` wrapping one.
-    ``retry`` / ``healer`` are the resilience collaborators (duck-typed
+#: One prepared protocol operation — all a driver loop needs to run it, as
+#: the plain tuple ``(machine, budget, build, resolve, finish)``:
+#:
+#: ``machine``  the sans-I/O machine (a generator of effects);
+#: ``budget``   the operation's message budget — once spent, contacts are
+#:              answered locally (the machine stops right after the check);
+#: ``build``    ``Contact`` effect -> the message to send;
+#: ``resolve``  the reply held since the contact -> the ``Resolve`` answer;
+#: ``finish``   the machine's return value -> reply message / typed result.
+#:
+#: (A tuple, not a class: one is built per hop.)
+Operation = tuple
+
+
+def _settled(reply: Message | None) -> Operation:
+    """The operation of a request answered without contacting anyone."""
+
+    def machine():
+        return reply
+        yield  # pragma: no cover - makes this an (effect-free) generator
+
+    return machine(), None, None, None, lambda settled: settled
+
+
+def _merge_costs(payload: dict, budget: Budget, stats: StepStats) -> None:
+    """Fold a reply's subtree deltas into the local operation state."""
+    stats.messages += payload.get("messages", 0)
+    stats.failed += payload.get("failed", 0)
+    stats.retry_delay = payload.get("retry_delay", stats.retry_delay)
+    budget.remaining = payload.get("budget", budget.remaining)
+
+
+class NodeCore:
+    """One networked peer minus its transport calls (see the module docs).
+
+    ``transport`` is anything with the
+    :class:`~repro.net.transport.LocalTransport` interface (or its
+    awaitable twin) — in particular a
+    :class:`repro.faults.FaultInjector` wrapping one.  ``retry`` /
+    ``healer`` are the resilience collaborators (duck-typed
     :class:`repro.faults.RetryPolicy` / :class:`repro.faults.RefHealer`),
     consulted by the shared contact machine exactly as the engines do;
     ``config`` supplies the message budget for operations this node
     initiates (forwarded hops inherit the initiator's remaining budget
-    from the message payload).
+    from the message payload).  Construction registers the subclass's
+    ``handle`` on the transport.
     """
 
     def __init__(
         self,
         peer: Peer,
         grid: PGrid,
-        transport: LocalTransport,
+        transport,
         *,
         retry=None,
         healer=None,
@@ -112,81 +180,68 @@ class PGridNode:
         self._ctx = Context(grid.rng, retry=retry, healer=healer)
         transport.register(peer.address, self.handle)
 
-    # -- effect execution ---------------------------------------------------------
+    @classmethod
+    def attach(cls, grid: PGrid, transport, *, retry=None, healer=None, config=None):
+        """Create one node per peer of *grid*, registered on *transport*.
 
-    def _drive(self, gen, budget: Budget, stats: StepStats, build, resolve):
-        """Run one machine, answering effects over the transport.
-
-        *build* turns a :class:`Contact` effect into the wire message;
-        *resolve* merges the pending reply into the operation state and
-        returns the machine's answer to the :class:`Resolve` effect.
+        *transport* may be a :class:`repro.faults.FaultInjector`; *retry* /
+        *healer* / *config* are forwarded to every node.
         """
-        response = None
-        pending: Message | None = None
-        while True:
-            try:
-                effect = gen.send(response)
-            except StopIteration as stop:
-                return stop.value
-            cls = type(effect)
-            if cls is Contact:
-                response, pending = self._contact(effect, budget, stats, build)
-            elif cls is Resolve:
-                response = resolve(pending)
-            else:
-                raise TypeError(
-                    f"unexpected effect for the message driver: {effect!r}"
-                )
+        return {
+            peer.address: cls(peer, grid, transport, retry=retry, healer=healer, config=config)
+            for peer in grid.peers()
+        }
 
-    def _contact(self, effect: Contact, budget: Budget, stats: StepStats, build):
-        """One contact attempt over the transport -> (status, reply)."""
-        if effect.delay:
-            # Retry backoff is simulated time spent waiting before this
-            # attempt; it accrues on the transport's clock.
-            self.transport.stats.simulated_time += effect.delay
-        if budget.remaining <= 0:
-            # The budget is spent: the machine will stop right after this
-            # liveness check, so answer it without paying for a message
-            # (mirrors the direct driver, which never sent one here).
-            if not self.grid.has_peer(effect.target):
-                return GONE, None
-            return (OK if self.grid.is_online(effect.target) else OFFLINE), None
-        message = build(effect)
-        try:
-            reply = self.transport.send(message)
-        except NoHandlerError:
-            return GONE, None
-        except PeerOfflineError:
-            return OFFLINE, None
-        except TransportError:  # dropped by the loss model / fault plan
-            return OFFLINE, None
-        if reply is None:
-            return OFFLINE, None
-        return OK, reply
+    def _liveness(self, target: Address):
+        """Answer a contact on a spent budget without paying for a message.
 
-    @staticmethod
-    def _merge_costs(payload: dict, budget: Budget, stats: StepStats) -> None:
-        """Fold a reply's subtree deltas into the local operation state."""
-        stats.messages += payload.get("messages", 0)
-        stats.failed += payload.get("failed", 0)
-        stats.retry_delay = payload.get("retry_delay", stats.retry_delay)
-        budget.remaining = payload.get("budget", budget.remaining)
-
-    # -- Fig. 2 depth-first search over messages -----------------------------------
-
-    def _run_dfs(self, query: str, level: int, budget: Budget, stats: StepStats):
-        """Drive the shared Fig. 2 machine; returns (found, responder, refs).
-
-        *refs* is the responder's reply payload (list of entry dicts) when
-        the answer came over the wire, ``None`` when this node itself is
-        the responder (the caller does the local lookup).
+        The machine stops right after this check; the direct driver never
+        sent a message here either.
         """
-        captured: dict[str, list[dict]] = {}
+        if not self.grid.has_peer(target):
+            return GONE
+        return OK if self.grid.is_online(target) else OFFLINE
+
+    # -- requests: the operation whose result is the reply ---------------------------
+
+    def _request_op(self, request: Message) -> Operation:
+        """Kind dispatch for one request (from a peer, or from :meth:`_local`)."""
+        kind = request.kind
+        if kind is MessageKind.QUERY:
+            return self._query_op(request.payload, request)
+        if (
+            kind is MessageKind.BREADTH_QUERY
+            or kind is MessageKind.RANGE_QUERY
+            or kind is MessageKind.PROPAGATE
+        ):
+            return self._walk_op(request)
+        if kind is MessageKind.UPDATE:
+            return _settled(self._install(request))
+        if kind is MessageKind.PING:
+            return _settled(pong(request))
+        return _settled(None)
+
+    def _query_op(self, payload: dict, request: Message | None = None) -> Operation:
+        """Fig. 2 depth-first search at this hop: a ``QUERY``'s *payload*.
+
+        The result is the reply to *request* — or, without one, the typed
+        outcome: a search this node's user starts is served straight from
+        the payload (the walks go through :meth:`_local`; for the ~100 µs
+        search, building a request and a reply message only to decode it
+        again measured ~6 % of the whole operation).
+        """
+        query, level = payload["query"], payload["level"]
+        budget = Budget(payload.get("budget", self.config.max_messages))
+        stats = StepStats()
+        stats.retry_delay = payload.get("retry_spent", 0.0)
+        peer = self.peer
+        me = peer.address
+        remote_refs: list[dict] | None = None
 
         def build(effect: Contact) -> Message:
             step = effect.payload
             return query_message(
-                self.peer.address,
+                me,
                 effect.target,
                 step.query,
                 step.level,
@@ -195,77 +250,83 @@ class PGridNode:
             )
 
         def resolve(reply: Message):
-            payload = reply.payload
-            self._merge_costs(payload, budget, stats)
-            found = payload["found"]
+            nonlocal remote_refs
+            answer = reply.payload
+            _merge_costs(answer, budget, stats)
+            found = answer["found"]
             if found:
-                captured["refs"] = payload.get("refs", [])
-            return found, payload["responder"]
+                remote_refs = answer.get("refs", [])
+            return found, answer["responder"]
 
-        found, responder = self._drive(
-            dfs_step(self.peer, query, level, self._ctx, budget, stats),
-            budget,
-            stats,
-            build,
-            resolve,
-        )
-        return found, responder, captured.get("refs")
+        def finish(result) -> Message:
+            found, responder = result
+            refs = remote_refs
+            if found and refs is None and responder == me:
+                # Routing consumed the first `level` bits of the original
+                # query; they equal this peer's path prefix (search
+                # invariant), so the full key for the leaf lookup is
+                # prefix + suffix.
+                refs = [
+                    {"key": ref.key, "holder": ref.holder, "version": ref.version}
+                    for ref in peer.store.lookup(peer.path[:level] + query)
+                ]
+            if request is None:
+                return NodeSearchOutcome.from_payload(
+                    query,
+                    {
+                        "found": found,
+                        "responder": responder,
+                        "refs": refs or (),
+                        "messages": stats.messages,
+                        "failed": stats.failed,
+                        "retry_delay": stats.retry_delay,
+                    },
+                )
+            return query_response(
+                request,
+                found=found,
+                responder=responder,
+                refs=refs or [],
+                messages=stats.messages,
+                failed=stats.failed,
+                retry_delay=stats.retry_delay,
+                budget=budget.remaining,
+            )
 
-    def _handle_query(self, message: Message) -> Message:
-        payload = message.payload
-        query = payload["query"]
-        level = payload["level"]
+        machine = dfs_step(peer, query, level, self._ctx, budget, stats)
+        return machine, budget, build, resolve, finish
+
+    def _walk_op(self, request: Message) -> Operation:
+        """§3 breadth-first walk at this hop.
+
+        A ``PROPAGATE`` carries an index entry: every responsible peer the
+        walk reaches (including this one) installs it.  A ``RANGE_QUERY``
+        names a *collect* prefix: responsible peers return their entries
+        under it.  A ``BREADTH_QUERY`` only reports the responders.
+        """
+        payload = request.payload
+        kind = request.kind
+        ref = _ref_from_entry(payload) if kind is MessageKind.PROPAGATE else None
+        collect = payload.get("collect")
         budget = Budget(payload.get("budget", self.config.max_messages))
         stats = StepStats()
         stats.retry_delay = payload.get("retry_spent", 0.0)
-        found, responder, refs = self._run_dfs(query, level, budget, stats)
-        if found and refs is None and responder == self.peer.address:
-            # Routing consumed the first `level` bits of the original query;
-            # they equal this peer's path prefix (search invariant), so the
-            # full key for the leaf lookup is prefix + suffix.
-            full_query = self.peer.path[:level] + query
-            refs = [
-                {"key": ref.key, "holder": ref.holder, "version": ref.version}
-                for ref in self.peer.store.lookup(full_query)
-            ]
-        return query_response(
-            message,
-            found=found,
-            responder=responder,
-            refs=refs or [],
-            messages=stats.messages,
-            failed=stats.failed,
-            retry_delay=stats.retry_delay,
-            budget=budget.remaining,
+        trav = Traversal(
+            budget,
+            stats,
+            payload["recbreadth"],
+            enumerate_subtree=payload.get("enumerate_subtree", False),
+            seen=set(payload.get("seen", ())),
         )
-
-    # -- breadth-first walks over messages (update / breadth / range) ---------------
-
-    def _run_breadth(
-        self,
-        query: str,
-        level: int,
-        trav: Traversal,
-        *,
-        collect: str | None = None,
-        ref: DataRef | None = None,
-    ) -> dict[Address, list[dict]]:
-        """Drive the shared breadth machine at this hop.
-
-        With *ref* the walk is an update propagation: every responsible
-        peer (including this one) installs the entry.  With *collect* it
-        is a range sweep: responsible peers return their entries under the
-        *collect* prefix.  Returns the entries gathered by this subtree.
-        """
-        budget, stats = trav.budget, trav.stats
+        peer = self.peer
+        me = peer.address
         entries: dict[Address, list[dict]] = {}
 
         def build(effect: Contact) -> Message:
             step = effect.payload
-            seen = sorted(trav.seen)
             if ref is not None:
                 return propagate_message(
-                    self.peer.address,
+                    me,
                     effect.target,
                     key=ref.key,
                     holder=ref.holder,
@@ -274,151 +335,272 @@ class PGridNode:
                     query=step.query,
                     level=step.level,
                     recbreadth=step.recbreadth,
-                    seen=seen,
+                    seen=sorted(trav.seen),
                     budget=budget.remaining - 1,
                     retry_spent=stats.retry_delay,
                 )
             return breadth_message(
-                self.peer.address,
+                me,
                 effect.target,
                 query=step.query,
                 level=step.level,
                 recbreadth=step.recbreadth,
                 enumerate_subtree=step.enumerate_subtree,
-                seen=seen,
+                seen=sorted(trav.seen),
                 budget=budget.remaining - 1,
                 retry_spent=stats.retry_delay,
                 collect=collect,
             )
 
         def resolve(reply: Message):
-            payload = reply.payload
-            self._merge_costs(payload, budget, stats)
-            trav.seen.update(payload.get("seen", ()))
-            trav.responders.extend(
-                payload.get("responders", payload.get("reached", []))
-            )
-            for responder, found in payload.get("entries", {}).items():
+            answer = reply.payload
+            _merge_costs(answer, budget, stats)
+            trav.seen.update(answer.get("seen", ()))
+            trav.responders.extend(answer.get("responders", answer.get("reached", [])))
+            for responder, found in answer.get("entries", {}).items():
                 entries.setdefault(responder, []).extend(found)
-            return None
 
-        self._drive(
-            breadth_step(self.peer, query, level, self._ctx, trav),
-            budget,
-            stats,
-            build,
-            resolve,
-        )
-        # The machine appends this hop's own address first iff responsible.
-        if trav.responders and trav.responders[0] == self.peer.address:
+        def finish(_) -> Message:
+            # The machine appends this hop's own address first iff responsible.
+            if trav.responders and trav.responders[0] == me:
+                if ref is not None:
+                    peer.store.add_ref(ref)
+                if collect is not None:
+                    entries[me] = [
+                        {
+                            "key": r.key,
+                            "holder": r.holder,
+                            "version": r.version,
+                            "deleted": r.deleted,
+                        }
+                        for r in peer.store.lookup(collect)
+                    ]
             if ref is not None:
-                self.peer.store.add_ref(ref)
-            if collect is not None:
-                entries[self.peer.address] = [
-                    {
-                        "key": r.key,
-                        "holder": r.holder,
-                        "version": r.version,
-                        "deleted": r.deleted,
-                    }
-                    for r in self.peer.store.lookup(collect)
-                ]
-        return entries
+                return propagate_ack(
+                    request,
+                    trav.responders,
+                    seen=sorted(trav.seen),
+                    messages=stats.messages,
+                    failed=stats.failed,
+                    retry_delay=stats.retry_delay,
+                    budget=budget.remaining,
+                )
+            return breadth_response(
+                request,
+                responders=list(trav.responders),
+                seen=sorted(trav.seen),
+                messages=stats.messages,
+                failed=stats.failed,
+                retry_delay=stats.retry_delay,
+                budget=budget.remaining,
+                entries=entries if kind is MessageKind.RANGE_QUERY else None,
+            )
 
-    def _traversal_from(self, payload: dict, *, enumerate_subtree: bool) -> Traversal:
-        """Reconstruct the walk state a breadth-family message carries."""
-        trav = Traversal(
-            Budget(payload.get("budget", self.config.max_messages)),
-            StepStats(),
-            payload["recbreadth"],
+        machine = breadth_step(peer, payload["query"], payload["level"], self._ctx, trav)
+        return machine, budget, build, resolve, finish
+
+    def _install(self, request: Message) -> Message:
+        """Serve an ``UPDATE``: install the pushed entry, acknowledge."""
+        self.peer.store.add_ref(_ref_from_entry(request.payload))
+        return Message(
+            kind=MessageKind.UPDATE_ACK,
+            source=self.peer.address,
+            destination=request.source,
+            in_reply_to=request.message_id,
+        )
+
+    # -- operations this node's user starts --------------------------------------------
+
+    def _local(self, request: Message, decode) -> Operation:
+        """The operation a user of this node starts.
+
+        It is *request* — what a peer would have sent this node to ask
+        for the same thing — served here without a message or a liveness
+        check, the budget the node's own; *decode* turns the reply's
+        payload into the typed result.
+        """
+        machine, budget, build, resolve, finish = self._request_op(request)
+        return machine, budget, build, resolve, lambda result: decode(finish(result).payload)
+
+    def _search_op(self, query: str) -> Operation:
+        keyspace.validate_key(query)
+        return self._query_op({"query": query, "level": 0})
+
+    def _breadth_request(
+        self, query: str, recbreadth: int, enumerate_subtree: bool, collect: str | None = None
+    ) -> Message:
+        if recbreadth < 1:
+            raise ValueError(f"recbreadth must be >= 1, got {recbreadth}")
+        keyspace.validate_key(query)
+        me = self.peer.address
+        return breadth_message(
+            me,
+            me,
+            query=query,
+            level=0,
+            recbreadth=recbreadth,
             enumerate_subtree=enumerate_subtree,
-            seen=set(payload.get("seen", ())),
-        )
-        trav.stats.retry_delay = payload.get("retry_spent", 0.0)
-        return trav
-
-    def _handle_breadth(self, message: Message) -> Message:
-        payload = message.payload
-        trav = self._traversal_from(
-            payload, enumerate_subtree=payload.get("enumerate_subtree", False)
-        )
-        entries = self._run_breadth(
-            payload["query"], payload["level"], trav, collect=payload.get("collect")
-        )
-        return breadth_response(
-            message,
-            responders=list(trav.responders),
-            seen=sorted(trav.seen),
-            messages=trav.stats.messages,
-            failed=trav.stats.failed,
-            retry_delay=trav.stats.retry_delay,
-            budget=trav.budget.remaining,
-            entries=entries if message.kind is MessageKind.RANGE_QUERY else None,
+            seen=[],
+            budget=self.config.max_messages,
+            collect=collect,
         )
 
-    def _handle_propagate(self, message: Message) -> Message:
-        payload = message.payload
-        ref = DataRef(
-            key=payload["key"],
-            holder=payload["holder"],
-            version=payload["version"],
-            deleted=payload["deleted"],
-        )
-        trav = self._traversal_from(payload, enumerate_subtree=False)
-        self._run_breadth(payload["query"], payload["level"], trav, ref=ref)
-        return propagate_ack(
-            message,
-            trav.responders,
-            seen=sorted(trav.seen),
-            messages=trav.stats.messages,
-            failed=trav.stats.failed,
-            retry_delay=trav.stats.retry_delay,
-            budget=trav.budget.remaining,
+    def _walk_result(self, query: str, answer: dict) -> BreadthSearchResult:
+        return BreadthSearchResult(
+            query=query,
+            start=self.peer.address,
+            responders=answer["responders"],
+            messages=answer["messages"],
+            failed_attempts=answer["failed"],
+            retry_delay=answer["retry_delay"],
         )
 
-    # -- message dispatch ---------------------------------------------------------
+    def _search_breadth_op(
+        self, query: str, recbreadth: int, enumerate_subtree: bool
+    ) -> Operation:
+        return self._local(
+            self._breadth_request(query, recbreadth, enumerate_subtree),
+            lambda answer: self._walk_result(query, answer),
+        )
+
+    def _sweep_op(self, prefix: str, recbreadth: int) -> Operation:
+        """One cover prefix of a range query -> (walk result, entries).
+
+        The responders' entries travel back in the replies instead of
+        being read off their stores directly.
+        """
+        return self._local(
+            self._breadth_request(prefix, recbreadth, True, collect=prefix),
+            lambda answer: (
+                self._walk_result(prefix, answer),
+                {
+                    responder: [_ref_from_entry(entry) for entry in found]
+                    for responder, found in answer["entries"].items()
+                },
+            ),
+        )
+
+    def _range_result(
+        self, low: str, high: str, cover: list[str], sweeps: list[tuple]
+    ) -> RangeSearchResult:
+        """Merge the per-prefix sweeps exactly as the engines' range scan."""
+        by_prefix = dict(zip(cover, sweeps))
+        responders, data_refs, messages, failed, retry_delay = run_range(
+            low,
+            high,
+            cover=cover,
+            search=lambda prefix: by_prefix[prefix][0],
+            fetch=lambda responder, prefix: by_prefix[prefix][1].get(responder, []),
+        )
+        return RangeSearchResult(
+            low=low,
+            high=high,
+            cover=cover,
+            responders=responders,
+            data_refs=data_refs,
+            messages=messages,
+            failed_attempts=failed,
+            retry_delay=retry_delay,
+        )
+
+    def _publish_op(self, ref: DataRef, recbreadth: int) -> Operation:
+        if recbreadth < 1:
+            raise ValueError(f"recbreadth must be >= 1, got {recbreadth}")
+        keyspace.validate_key(ref.key)
+        me = self.peer.address
+        request = propagate_message(
+            me,
+            me,
+            key=ref.key,
+            holder=ref.holder,
+            version=ref.version,
+            deleted=ref.deleted,
+            query=ref.key,
+            level=0,
+            recbreadth=recbreadth,
+        )
+        return self._local(
+            request,
+            lambda answer: UpdateResult(
+                key=ref.key,
+                version=ref.version,
+                reached=set(answer["reached"]),
+                messages=answer["messages"],
+                failed_attempts=answer["failed"],
+                replica_count=self.grid.replica_count(ref.key),
+            ),
+        )
+
+    def _push_op(self, destination: Address, ref: DataRef) -> Operation:
+        """One ``UPDATE`` to *destination* under the retry policy.
+
+        The machine is the shared :func:`contact_step` itself, so attempt
+        bound, backoff and deadline are the routing contacts' — minus the
+        healer: *destination* is not a routing reference of this peer.
+        """
+        me = self.peer.address
+        machine = contact_step(
+            Context(self.grid.rng, retry=self.retry), StepStats(), me, destination, 0, ref
+        )
+
+        def build(effect: Contact) -> Message:
+            return update_message(
+                me, destination, ref.key, ref.holder, ref.version, deleted=ref.deleted
+            )
+
+        # Budget(1) is never consumed (a push is one contact, not a walk);
+        # the machine never resolves; its result is already "delivered?".
+        return machine, Budget(1), build, None, bool
+
+
+class PGridNode(NodeCore):
+    """One networked peer over a synchronous transport.
+
+    The class is the sync driver loop plus the public surface; every
+    decision is inherited from :class:`NodeCore`.
+    """
+
+    def _run(self, op: Operation):
+        """Drive *op*'s machine, answering effects over the transport."""
+        machine, budget, build, resolve, finish = op
+        transport = self.transport
+        response = reply = None
+        while True:
+            try:
+                effect = machine.send(response)
+            except StopIteration as stop:
+                return finish(stop.value)
+            kind = type(effect)
+            if kind is Contact:
+                if effect.delay:
+                    # Retry backoff is simulated time spent waiting before
+                    # this attempt; it accrues on the transport's clock.
+                    transport.stats.simulated_time += effect.delay
+                if budget.remaining <= 0:
+                    response = self._liveness(effect.target)
+                    continue
+                try:
+                    reply = transport.send(build(effect))
+                except NoHandlerError:
+                    response = GONE
+                except (PeerOfflineError, TransportError):
+                    response = OFFLINE  # offline, or dropped by loss / fault plan
+                else:
+                    response = OFFLINE if reply is None else OK
+            elif kind is Resolve:
+                response = resolve(reply)
+            else:
+                raise TypeError(
+                    f"unexpected effect for the message driver: {effect!r}"
+                )
 
     def handle(self, message: Message) -> Message | None:
         """Transport entry point."""
-        kind = message.kind
-        if kind is MessageKind.QUERY:
-            return self._handle_query(message)
-        if kind is MessageKind.BREADTH_QUERY or kind is MessageKind.RANGE_QUERY:
-            return self._handle_breadth(message)
-        if kind is MessageKind.PROPAGATE:
-            return self._handle_propagate(message)
-        if kind is MessageKind.UPDATE:
-            return self._handle_update(message)
-        if kind is MessageKind.PING:
-            return pong(message)
-        return None
-
-    # -- local API (what the user of this node calls) -----------------------------------
+        return self._run(self._request_op(message))
 
     def search(self, query: str) -> NodeSearchOutcome:
         """Search issued by this node's user (starts locally, no message)."""
-        keyspace.validate_key(query)
-        budget = Budget(self.config.max_messages)
-        stats = StepStats()
-        found, responder, refs = self._run_dfs(query, 0, budget, stats)
-        if found and refs is None and responder == self.peer.address:
-            refs = [
-                {"key": ref.key, "holder": ref.holder, "version": ref.version}
-                for ref in self.peer.store.lookup(query)
-            ]
-        data_refs = [
-            DataRef(key=r["key"], holder=r["holder"], version=r["version"])
-            for r in (refs or [])
-        ]
-        return NodeSearchOutcome(
-            query=query,
-            found=found,
-            responder=responder,
-            messages_sent=stats.messages,
-            failed_attempts=stats.failed,
-            retry_delay=stats.retry_delay,
-            data_refs=data_refs,
-        )
+        return self._run(self._search_op(query))
 
     def search_repeated(
         self, query: str, times: int
@@ -435,24 +617,7 @@ class PGridNode:
         Same semantics (and same result type) as
         :meth:`repro.core.search.SearchEngine.query_breadth`.
         """
-        if recbreadth < 1:
-            raise ValueError(f"recbreadth must be >= 1, got {recbreadth}")
-        keyspace.validate_key(query)
-        trav = Traversal(
-            Budget(self.config.max_messages),
-            StepStats(),
-            recbreadth,
-            enumerate_subtree=enumerate_subtree,
-        )
-        self._run_breadth(query, 0, trav)
-        return BreadthSearchResult(
-            query=query,
-            start=self.peer.address,
-            responders=list(trav.responders),
-            messages=trav.stats.messages,
-            failed_attempts=trav.stats.failed,
-            retry_delay=trav.stats.retry_delay,
-        )
+        return self._run(self._search_breadth_op(query, recbreadth, enumerate_subtree))
 
     def range_search(
         self, low: str, high: str, *, recbreadth: int = 2
@@ -460,59 +625,11 @@ class PGridNode:
         """Range query over RANGE_QUERY messages.
 
         Same cover decomposition, deduplication and result type as
-        :meth:`repro.core.search.SearchEngine.query_range`; the
-        responders' entries travel back in the replies instead of being
-        read off their stores directly.
+        :meth:`repro.core.search.SearchEngine.query_range`.
         """
         cover = keyspace.range_cover(low, high)
-        collected: dict[str, dict[Address, list[DataRef]]] = {}
-
-        def search(prefix: str) -> BreadthSearchResult:
-            trav = Traversal(
-                Budget(self.config.max_messages),
-                StepStats(),
-                recbreadth,
-                enumerate_subtree=True,
-            )
-            entries = self._run_breadth(prefix, 0, trav, collect=prefix)
-            collected[prefix] = {
-                responder: [
-                    DataRef(
-                        key=e["key"],
-                        holder=e["holder"],
-                        version=e["version"],
-                        deleted=e.get("deleted", False),
-                    )
-                    for e in found
-                ]
-                for responder, found in entries.items()
-            }
-            return BreadthSearchResult(
-                query=prefix,
-                start=self.peer.address,
-                responders=list(trav.responders),
-                messages=trav.stats.messages,
-                failed_attempts=trav.stats.failed,
-                retry_delay=trav.stats.retry_delay,
-            )
-
-        responders, data_refs, messages, failed, retry_delay = run_range(
-            low,
-            high,
-            cover=cover,
-            search=search,
-            fetch=lambda responder, prefix: collected[prefix].get(responder, []),
-        )
-        return RangeSearchResult(
-            low=low,
-            high=high,
-            cover=cover,
-            responders=responders,
-            data_refs=data_refs,
-            messages=messages,
-            failed_attempts=failed,
-            retry_delay=retry_delay,
-        )
+        sweeps = [self._run(self._sweep_op(prefix, recbreadth)) for prefix in cover]
+        return self._range_result(low, high, cover, sweeps)
 
     def push_update(self, destination: Address, ref: DataRef) -> bool:
         """Send one index update to *destination*; True on delivery.
@@ -522,29 +639,7 @@ class PGridNode:
         accumulated-delay deadline.  A destination with no handler is
         gone for good and is never retried.
         """
-        message = update_message(
-            self.peer.address, destination, ref.key, ref.holder, ref.version
-        )
-        retry = self.retry
-        attempts = retry.attempts if retry is not None else 1
-        spent = 0.0
-        attempt = 1
-        while True:
-            try:
-                self.transport.send(message)
-                return True
-            except NoHandlerError:
-                return False
-            except (PeerOfflineError, TransportError):
-                pass
-            attempt += 1
-            if attempt > attempts:
-                return False
-            delay = retry.delay_before(attempt)
-            if retry.deadline is not None and spent + delay > retry.deadline:
-                return False
-            spent += delay
-            self.transport.stats.simulated_time += delay
+        return self._run(self._push_op(destination, ref))
 
     def propagate_update(
         self, ref: DataRef, *, recbreadth: int = 2
@@ -559,7 +654,7 @@ class PGridNode:
         """
         return self.publish(ref, recbreadth=recbreadth).reached
 
-    def publish(self, ref: DataRef, *, recbreadth: int = 2) -> "UpdateResult":
+    def publish(self, ref: DataRef, *, recbreadth: int = 2) -> UpdateResult:
         """:meth:`propagate_update` with the engines' full accounting.
 
         Returns the same :class:`~repro.core.updates.UpdateResult` shape
@@ -567,55 +662,9 @@ class PGridNode:
         strategy), so the driver facade can expose updates uniformly
         across drivers.
         """
-        if recbreadth < 1:
-            raise ValueError(f"recbreadth must be >= 1, got {recbreadth}")
-        keyspace.validate_key(ref.key)
-        trav = Traversal(
-            Budget(self.config.max_messages), StepStats(), recbreadth
-        )
-        self._run_breadth(ref.key, 0, trav, ref=ref)
-        from repro.core.updates import UpdateResult
-
-        return UpdateResult(
-            key=ref.key,
-            version=ref.version,
-            reached=set(trav.responders),
-            messages=trav.stats.messages,
-            failed_attempts=trav.stats.failed,
-            replica_count=self.grid.replica_count(ref.key),
-        )
-
-    def _handle_update(self, message: Message) -> Message:
-        ref = DataRef(
-            key=message.payload["key"],
-            holder=message.payload["holder"],
-            version=message.payload["version"],
-        )
-        self.peer.store.add_ref(ref)
-        return Message(
-            kind=MessageKind.UPDATE_ACK,
-            source=self.peer.address,
-            destination=message.source,
-            in_reply_to=message.message_id,
-        )
+        return self._run(self._publish_op(ref, recbreadth))
 
 
-def attach_nodes(
-    grid: PGrid,
-    transport: LocalTransport,
-    *,
-    retry=None,
-    healer=None,
-    config: SearchConfig | None = None,
-) -> dict[Address, PGridNode]:
-    """Create one node per peer of *grid*, registered on *transport*.
-
-    *transport* may be a :class:`repro.faults.FaultInjector`; *retry* /
-    *healer* / *config* are forwarded to every node.
-    """
-    return {
-        peer.address: PGridNode(
-            peer, grid, transport, retry=retry, healer=healer, config=config
-        )
-        for peer in grid.peers()
-    }
+#: ``attach_nodes(grid, transport, *, retry=, healer=, config=)`` -> one
+#: :class:`PGridNode` per peer, by address (see :meth:`NodeCore.attach`).
+attach_nodes = PGridNode.attach

@@ -4,24 +4,26 @@ The paper's algorithms (Fig. 2 search family, §3/§5.2 update strategies,
 Fig. 3 ``exchange``) are implemented exactly once, as pure, RNG-explicit
 generator machines that *yield* typed effects (:class:`Contact`,
 :class:`Resolve`, :class:`FetchBuddies`, :class:`Record`,
-:class:`Deliver`) instead of performing calls.  Two drivers execute the
+:class:`Deliver`) instead of performing calls.  Two kinds of driver execute the
 effect streams:
 
 * the **direct driver** (:mod:`repro.protocol.direct`) answers effects
   from an in-process :class:`repro.core.grid.PGrid` — this is what the
   classic ``SearchEngine`` / ``UpdateEngine`` / ``ReadEngine`` /
   ``ExchangeEngine`` now run on;
-* the **message driver** (:class:`repro.net.node.PGridNode`) maps the
-  same effects onto :mod:`repro.net.message` kinds over a transport,
-  giving the networked path the identical routing decisions, retry
-  semantics and RNG stream.
+* the **message driver** (:mod:`repro.net.node`, written once as
+  prepare → drive → finish) maps the same effects onto
+  :mod:`repro.net.message` kinds, giving the networked path — called
+  (:class:`repro.net.node.PGridNode`) or awaited
+  (:class:`repro.aio.node.AsyncPGridNode`) — the identical routing
+  decisions, retry semantics and RNG stream.
 
 See ``docs/paper_mapping.md`` for the effect-vocabulary → pseudo-code
 line mapping and ``docs/API.md`` for driver contracts.
 """
 
 from repro.protocol.contact import Budget, Context, StepStats, contact_step
-from repro.protocol.driver import drive, drive_async
+from repro.protocol.driver import drive
 from repro.protocol.effects import (
     BUDDY_PING,
     GONE,
@@ -88,7 +90,6 @@ __all__ = [
     "buddy_forward_step",
     # driver contract
     "drive",
-    "drive_async",
     # orchestration
     "key_in_range",
     "run_range",

@@ -2,35 +2,42 @@
 
 A *driver* runs one sans-I/O machine — a generator yielding
 :mod:`repro.protocol.effects` — to completion, answering every effect
-from its substrate and sending the outcome back in.  Three drivers ship
-with this repository, all running the very same machines:
+from its substrate and sending the outcome back in.  Two kinds ship with
+this repository, both running the very same machines:
 
-* the **direct driver** (:mod:`repro.protocol.direct`): answers effects
-  synchronously from an in-process :class:`repro.core.grid.PGrid`;
-* the **message driver** (:class:`repro.net.node.PGridNode`): maps
-  effects onto :mod:`repro.net.message` kinds over a synchronous
-  transport;
-* the **async driver** (:class:`repro.aio.node.AsyncPGridNode`):
-  executes each effect as an *awaitable* — one
-  :meth:`repro.aio.transport.AsyncTransport.request` per
-  :class:`~repro.protocol.effects.Contact`, retry backoff awaited on
-  the event-loop clock.
+* the **direct driver** (:mod:`repro.protocol.direct`) answers effects
+  synchronously from an in-process :class:`repro.core.grid.PGrid`,
+  through :func:`drive` below;
+* the **message driver** (:mod:`repro.net.node`) is split into *prepare*
+  (one uncoloured :class:`~repro.net.node.NodeCore` decides everything:
+  the machine, its budget, ``build(effect) -> Message``,
+  ``resolve(reply)`` and ``finish(result)``), *drive* (the effect loop,
+  the only code written per transport: :class:`repro.net.node.PGridNode`
+  answers a :class:`~repro.protocol.effects.Contact` with one
+  ``transport.send``, :class:`repro.aio.node.AsyncPGridNode` with one
+  awaited :meth:`repro.aio.transport.AsyncTransport.request`, retry
+  backoff slept on the event-loop clock) and *finish*.  Both loops are
+  :func:`drive` written out — inlined because a contact attempt is their
+  unit of cost (most attempts at the paper's 30 % availability find the
+  peer offline), and awaited in one of them.
 
-The contract is identical in all three: ``execute(effect)`` must return
-(or resolve to) exactly the value the machine expects for that effect
-kind — a :class:`~repro.protocol.effects.ContactStatus` for ``Contact``,
-the remote step's outcome for ``Resolve``, the sorted buddy list for
+The contract is the same everywhere: the answer to an effect must be
+exactly the value the machine expects for that effect kind — a
+:class:`~repro.protocol.effects.ContactStatus` for ``Contact``, the
+remote step's outcome for ``Resolve``, the sorted buddy list for
 ``FetchBuddies``, ``None`` for ``Record`` / ``Deliver``.  Machines never
-observe *how* an effect was executed, which is what makes the
+observe *how* an effect was executed (they stay synchronous generators
+even when the loop around them awaits: all protocol randomness happens
+inside them, in deterministic order), which is what makes the
 engine ≡ node ≡ async equivalence suite possible: on twin grids the
-three drivers consume the grid RNG bit-identically.
+drivers consume the grid RNG bit-identically.
 """
 
 from __future__ import annotations
 
-from typing import Any, Awaitable, Callable, Generator
+from typing import Any, Callable, Generator
 
-__all__ = ["drive", "drive_async"]
+__all__ = ["drive"]
 
 #: A protocol machine: yields effects, receives their outcomes, returns
 #: the operation result via ``StopIteration.value``.
@@ -46,23 +53,3 @@ def drive(gen: Machine, execute: Callable[[Any], Any]) -> Any:
         except StopIteration as stop:
             return stop.value
         response = execute(effect)
-
-
-async def drive_async(
-    gen: Machine, execute: Callable[[Any], Awaitable[Any]]
-) -> Any:
-    """Awaitable twin of :func:`drive`: each effect's execution is awaited.
-
-    The machine itself stays a synchronous generator (all protocol
-    randomness happens inside it, in deterministic order); only the
-    *execution* of its effects suspends.  While one machine awaits a
-    contact, the event loop is free to run other machines — concurrency
-    lives entirely in the driver, never in the protocol.
-    """
-    response = None
-    while True:
-        try:
-            effect = gen.send(response)
-        except StopIteration as stop:
-            return stop.value
-        response = await execute(effect)
