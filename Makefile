@@ -4,13 +4,25 @@ PYTHON ?= python
 # Scale of `make bench`: fig4 (default) or smoke (CI-fast).
 SCALE ?= fig4
 
-.PHONY: install test lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-e2e-smoke bench-shm-smoke check-parallel protocol-equivalence resilience-smoke replication-smoke swarm-smoke examples clean results
+.PHONY: install test aio-leakcheck lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-e2e-smoke bench-shm-smoke check-parallel protocol-equivalence resilience-smoke replication-smoke swarm-smoke examples clean results
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Leak gate for the asyncio runtime (the persistent TCP client and
+# SwarmServer.stop() are what it watches): development mode, with an
+# unclosed transport or socket (ResourceWarning), a never-awaited coroutine
+# (RuntimeWarning) and anything raised in a finaliser failing the test that
+# left it behind.  The filters are pytest's own -W: the interpreter's
+# cannot name pytest's warning class, and without it a ResourceWarning
+# raised inside __del__ is only reported.
+aio-leakcheck:
+	PYTHONPATH=src $(PYTHON) -X dev -m pytest -W error::ResourceWarning \
+		-W error::RuntimeWarning -W error::pytest.PytestUnraisableExceptionWarning \
+		tests/aio -q
 
 # Lint degrades gracefully: offline environments may lack ruff/mypy
 # (CI always installs them — see .github/workflows/ci.yml).
