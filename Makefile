@@ -4,7 +4,7 @@ PYTHON ?= python
 # Scale of `make bench`: fig4 (default) or smoke (CI-fast).
 SCALE ?= fig4
 
-.PHONY: install test aio-leakcheck lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-e2e-smoke bench-shm-smoke check-parallel protocol-equivalence resilience-smoke replication-smoke swarm-smoke examples clean results
+.PHONY: install test aio-leakcheck lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-e2e-smoke bench-pairs bench-shm-smoke check-parallel protocol-equivalence resilience-smoke replication-smoke swarm-smoke examples clean results
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -85,6 +85,21 @@ bench-regression:
 bench-e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e/tests -q
 	$(PYTHON) benchmarks/e2e/run.py --seed 1 --scale tiny
+
+# The measurement protocol of a PR that claims a gain: alternating
+# parent/change pairs of one e2e workload, run.py unchanged on both sides.
+#   git archive <parent-commit> | tar -x -C /tmp/parent
+#   make bench-pairs PARENT=/tmp/parent [CHANGE=.] [WORKLOAD=tcp_search] [SEED=1] [PAIRS=10]
+# Prints every run, q1 / median / q3 per side, pairs won and whether the
+# median gap exceeds the parent's IQR; checks msgs_per_op / found_rate /
+# failed equal; writes benchmarks/results/pairs/*.json.
+CHANGE ?= .
+WORKLOAD ?= tcp_search
+SEED ?= 1
+PAIRS ?= 10
+bench-pairs:
+	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --change $(CHANGE) \
+		--workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
 
 # Array-core scale point: gridless batched construction at the smoke
 # scale's 20k peers (fig4 scale runs 100k), reporting throughput, the

@@ -2,7 +2,7 @@
 
 The third driver of the protocol machines (after the in-process engines
 and the synchronous message node): many
-:class:`~repro.aio.node.AsyncPGridNode`\\ s run as concurrent tasks over
+:class:`~repro.aio.node.AsyncPGridNode`\\ s serve concurrent callers over
 an :class:`~repro.aio.transport.AsyncTransport` with per-node bounded
 mailboxes.  Because *all* protocol randomness stays inside the
 RNG-explicit machines, a sequential workload over this runtime is

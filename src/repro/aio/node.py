@@ -6,10 +6,10 @@ prepared by the shared :class:`~repro.net.node.NodeCore` (the prepare →
 drive → finish contract is in :mod:`repro.net.node`); this module holds
 only the **drive** step as asyncio makes it: each
 :class:`~repro.protocol.Contact` becomes one ``await
-transport.request(...)`` — an enqueue into the destination's bounded
-mailbox plus an awaited reply future — with the sync loop's status
-mapping, and a retry's backoff is both accrued on the transport clock and
-slept on the transport's :mod:`~repro.aio.clock`, so
+transport.request(...)`` — a slot in the destination's bounded mailbox,
+then the destination's :meth:`~AsyncPGridNode.handle` awaited in this
+very task — with the sync loop's status mapping, and a retry's backoff
+is both accrued on the transport clock and slept on the transport's :mod:`~repro.aio.clock`, so
 :class:`~repro.faults.RetryPolicy` deadlines mean the same thing here.
 The machine stays a synchronous generator (all protocol randomness
 happens inside it): concurrency lives in this loop, never in the protocol.
@@ -40,7 +40,7 @@ __all__ = ["AsyncPGridNode", "attach_async_nodes"]
 
 
 class AsyncPGridNode(NodeCore):
-    """One networked peer served as asyncio tasks over an async transport.
+    """One networked peer served on an event loop over an async transport.
 
     Construction registers the node's async :meth:`handle` (and thereby
     its mailbox) on *transport*; ``retry`` / ``healer`` / ``config`` have
@@ -85,7 +85,7 @@ class AsyncPGridNode(NodeCore):
                 raise TypeError(f"unexpected effect for the async driver: {effect!r}")
 
     async def handle(self, message: Message) -> Message | None:
-        """Transport entry point (runs as its own task per message)."""
+        """Transport entry point (awaited in the requester's task, one call per message)."""
         return await self._run(self._request_op(message))
 
     async def search(self, query: str) -> NodeSearchOutcome:

@@ -112,7 +112,9 @@ class AsyncSwarm:
     """One event loop serving every peer of *grid* as an async node.
 
     Use as an async context manager (or call :meth:`start` / :meth:`stop`
-    explicitly); operations may be issued concurrently once started.
+    explicitly); operations may be issued concurrently once started.  No
+    task is created per peer or per message: an operation is one await
+    chain in its caller's task, so cancelling the caller cancels all of it.
     """
 
     def __init__(

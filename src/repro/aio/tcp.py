@@ -48,6 +48,7 @@ class SwarmServer:
         self._server: asyncio.AbstractServer | None = None
         self.accepted = 0
         self._connections: set[asyncio.StreamWriter] = set()
+        self._idle: set[asyncio.Task] = set()  # connection handlers not inside a request
 
     @property
     def open_connections(self) -> int:
@@ -64,13 +65,18 @@ class SwarmServer:
     async def stop(self) -> None:
         """Stop listening and close every open connection: clients hold
         theirs open, and from Python 3.12.1 ``wait_closed`` waits for them.
-        A request in flight completes against the swarm, its reply discarded."""
+        Handlers between frames end with their connection and are waited for
+        (before 3.12.1 ``wait_closed`` returns ahead of them); a request in
+        flight is not: it completes against the swarm, its reply discarded."""
         if self._server is not None:
             self._server.close()
             for writer in self._connections:
                 writer.close()
+            idle = list(self._idle)
             await self._server.wait_closed()
             self._server = None
+            if idle:
+                await asyncio.wait(idle)
 
     async def __aenter__(self) -> "SwarmServer":
         await self.start()
@@ -87,6 +93,9 @@ class SwarmServer:
             return
         self.accepted += 1
         self._connections.add(writer)
+        handler = asyncio.current_task()
+        self._idle.add(handler)
+        handler.add_done_callback(self._idle.discard)
         try:
             while True:  # one frame at a time: replies leave in request order
                 try:
@@ -95,7 +104,9 @@ class SwarmServer:
                     break  # protocol violation or reset: drop the connection
                 if message is None:  # clean EOF
                     break
+                self._idle.remove(handler)
                 reply = await self._dispatch(message)
+                self._idle.add(handler)
                 try:
                     await wire.write_message(writer, reply)
                 except OSError:

@@ -1,19 +1,29 @@
-"""Async transport: bounded per-node mailboxes over an event loop.
+"""Async transport: bounded per-node mailboxes, delivered in the caller's task.
 
 :class:`AsyncTransport` is the asyncio counterpart of
 :class:`~repro.net.transport.LocalTransport`.  Delivery semantics are
 identical — the same failure order (missing handler, offline oracle,
 loss coin, latency sample), the same :class:`TrafficStats` counters, the
-same dedicated transport RNG stream — but delivery is a real enqueue:
+same dedicated transport RNG stream — and a hop is one awaited call:
 
-* every registered address owns one bounded :class:`asyncio.Queue`
-  (its *mailbox*); a full mailbox makes ``await request(...)`` block,
-  which is the backpressure that keeps a hot node from being buried;
-* one worker task per mailbox dequeues messages and spawns a handler
-  task per message, so a node can serve many requests concurrently —
-  in particular the re-entrant chains the recursive protocol produces
-  (node A queries B, whose subtree queries A back) cannot deadlock;
-* mailbox depth and queue latency are tallied per node
+* every registered address owns a *mailbox*: a waiting room of
+  ``mailbox_size`` slots.  An accepted message holds a slot until it is
+  dispatched; with every slot taken ``await request(...)`` blocks, which
+  is the backpressure that keeps a node from being buried;
+* one transport-wide gate, opened by :meth:`AsyncTransport.start` and
+  closed by :meth:`AsyncTransport.stop`, decides when accepted messages
+  are dispatched.  While it is open a message passes straight through
+  (depth 1, no wait, no yield to the event loop); while it is closed the
+  senders park in the waiting room, in arrival order;
+* the slot is released *before* the handler runs, and the handler runs in
+  the requester's own task.  ``mailbox_size`` therefore bounds the
+  messages waiting at a node, never the handlers in progress — the
+  re-entrant chains the recursive protocol produces (node A queries B,
+  whose subtree queries A back) would deadlock on such a bound;
+* cancelling (or timing out) a ``request`` unwinds the whole remote
+  subtree it was waiting on; a sender cancelled while parked gives its
+  slot back;
+* mailbox depth and waiting time are tallied per node
   (:class:`MailboxStats`) and streamed to the observability layer via
   :meth:`repro.obs.probe.Probe.on_mailbox`.
 
@@ -73,6 +83,18 @@ class MailboxStats:
         }
 
 
+class _Mailbox:
+    """One node's waiting room: handler, free slots, tallies, current depth."""
+
+    __slots__ = ("handler", "slots", "stats", "depth")
+
+    def __init__(self, handler: AsyncHandler, size: int) -> None:
+        self.handler = handler
+        self.slots = asyncio.Semaphore(size)
+        self.stats = MailboxStats()
+        self.depth = 0
+
+
 class AsyncTransport:
     """Mailbox-based asyncio transport over a :class:`PGrid` population."""
 
@@ -115,14 +137,9 @@ class AsyncTransport:
         self.clock = clock if clock is not None else VirtualClock()
         self.stats = TrafficStats()
         self.mailbox_stats: dict[Address, MailboxStats] = {}
-        self._handlers: dict[Address, AsyncHandler] = {}
-        self._mailboxes: dict[
-            Address, asyncio.Queue[tuple[Message, asyncio.Future, float]]
-        ] = {}
-        self._workers: dict[Address, asyncio.Task] = {}
-        self._tasks: set[asyncio.Task] = set()
+        self._mailboxes: dict[Address, _Mailbox] = {}
+        self._gate = asyncio.Event()  # set while started
         self._faults = None
-        self._started = False
 
     # -- registration / lifecycle ---------------------------------------------------
 
@@ -133,44 +150,32 @@ class AsyncTransport:
                 f"cannot register a handler for {address!r}: "
                 "no such peer in the grid"
             )
-        if address in self._handlers:
+        if address in self._mailboxes:
             raise TransportError(f"handler already registered for {address}")
-        self._handlers[address] = handler
-        self._mailboxes[address] = asyncio.Queue(maxsize=self.mailbox_size)
-        self.mailbox_stats[address] = MailboxStats()
-        if self._started:
-            self._workers[address] = asyncio.ensure_future(self._serve(address))
+        box = self._mailboxes[address] = _Mailbox(handler, self.mailbox_size)
+        self.mailbox_stats[address] = box.stats
 
     def unregister(self, address: Address) -> None:
-        """Detach the handler for *address* (peer leaves the network)."""
-        self._handlers.pop(address, None)
+        """Detach the handler for *address* (peer leaves the network).
+
+        Senders parked in its mailbox get :class:`NoHandlerError` when
+        the gate next opens.
+        """
         self._mailboxes.pop(address, None)
-        worker = self._workers.pop(address, None)
-        if worker is not None:
-            worker.cancel()
 
     def is_reachable(self, address: Address) -> bool:
         """Registered and currently online."""
-        return address in self._handlers and self.grid.is_online(address)
+        return address in self._mailboxes and self.grid.is_online(address)
 
     async def start(self) -> None:
-        """Spawn one worker task per registered mailbox."""
-        if self._started:
-            return
-        self._started = True
-        for address in self._handlers:
-            self._workers[address] = asyncio.ensure_future(self._serve(address))
+        """Open the gate: parked and future messages are dispatched."""
+        self._gate.set()
 
     async def stop(self) -> None:
-        """Cancel workers and in-flight handler tasks."""
-        self._started = False
-        pending = list(self._workers.values()) + list(self._tasks)
-        self._workers.clear()
-        self._tasks.clear()
-        for task in pending:
-            task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        """Close the gate: messages accepted from now on park until the
+        next :meth:`start`.  Requests already being handled run on in
+        their callers' tasks; cancel those to abandon them."""
+        self._gate.clear()
 
     def install_faults(self, plan, *, probe: Probe | None = None):
         """Wire a :class:`~repro.faults.FaultPlan` into this transport.
@@ -197,36 +202,38 @@ class AsyncTransport:
     # -- delivery -------------------------------------------------------------------
 
     async def request(self, message: Message) -> Message | None:
-        """Deliver *message* to its destination's mailbox; await the reply.
+        """Deliver *message* to its destination's handler; return the reply.
 
         Failure order matches :meth:`LocalTransport.send` exactly
         (missing handler, offline oracle, loss coin, latency sample), so
         protocol machines observe the same ``ContactStatus`` either way.
         A full destination mailbox blocks here — backpressure on the
-        caller, not silent loss.
+        caller, not silent loss — and so does a stopped transport; the
+        handler then runs in this task, after the slot is given back.
         """
         faults = self._faults
         if faults is not None:
             faults.precheck(message)
         probe = self.probe
-        queue = self._mailboxes.get(message.destination)
-        if queue is None:
-            raise NoHandlerError(message.destination)
-        if not self.grid.is_online(message.destination):
+        destination = message.destination
+        box = self._mailboxes.get(destination)
+        if box is None:
+            raise NoHandlerError(destination)
+        if not self.grid.is_online(destination):
             self.stats.offline_failures += 1
             if probe is not None:
                 probe.on_transport(
-                    message.kind.value, message.source, message.destination, "offline"
+                    message.kind.value, message.source, destination, "offline"
                 )
-            raise PeerOfflineError(message.destination)
+            raise PeerOfflineError(destination)
         if self.loss_probability and self._rng.random() < self.loss_probability:
             self.stats.dropped += 1
             if probe is not None:
                 probe.on_transport(
-                    message.kind.value, message.source, message.destination, "dropped"
+                    message.kind.value, message.source, destination, "dropped"
                 )
             raise TransportError(
-                f"message {message.message_id} to {message.destination} lost"
+                f"message {message.message_id} to {destination} lost"
             )
         if self.latency is not None:
             delay = self.latency.sample(message)
@@ -235,19 +242,36 @@ class AsyncTransport:
         self.stats.delivered[message.kind] += 1
         if probe is not None:
             probe.on_transport(
-                message.kind.value, message.source, message.destination, "delivered"
+                message.kind.value, message.source, destination, "delivered"
             )
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        await queue.put((message, future, loop.time()))
-        box = self.mailbox_stats[message.destination]
-        box.enqueued += 1
-        depth = queue.qsize()
-        if depth > box.max_depth:
-            box.max_depth = depth
+        stats, gate, wait = box.stats, self._gate, 0.0
+        await box.slots.acquire()
+        try:
+            stats.enqueued += 1
+            box.depth = depth = box.depth + 1
+            if depth > stats.max_depth:
+                stats.max_depth = depth
+            if probe is not None:
+                probe.on_mailbox("enqueue", destination, depth=depth)
+            if not gate.is_set():
+                now = asyncio.get_running_loop().time
+                parked_at = now()
+                while not gate.is_set():  # closed again before we ran: stay parked
+                    await gate.wait()
+                wait = now() - parked_at
+        finally:
+            box.depth -= 1
+            box.slots.release()
+        if self._mailboxes.get(destination) is not box:
+            raise NoHandlerError(destination)  # the peer left while we waited
+        stats.handled += 1
+        if wait:
+            stats.total_wait += wait
+            if wait > stats.max_wait:
+                stats.max_wait = wait
         if probe is not None:
-            probe.on_mailbox("enqueue", message.destination, depth=depth)
-        reply = await future
+            probe.on_mailbox("dequeue", destination, depth=box.depth, wait=wait)
+        reply = await box.handler(message)
         if faults is not None:
             extra = faults.postcheck(message)
             if extra:
@@ -260,47 +284,6 @@ class AsyncTransport:
             return await self.request(message)
         except (PeerOfflineError, TransportError):
             return None
-
-    async def _serve(self, address: Address) -> None:
-        """Mailbox worker: dequeue and spawn one handler task per message.
-
-        Spawning (rather than handling inline) is load-bearing: the
-        recursive protocol produces re-entrant chains — while node A
-        awaits B's reply, B's subtree may contact A — and a
-        one-at-a-time worker would deadlock on them.
-        """
-        queue = self._mailboxes[address]
-        box = self.mailbox_stats[address]
-        handler = self._handlers[address]
-        probe = self.probe
-        loop = asyncio.get_running_loop()
-        while True:
-            message, future, enqueued_at = await queue.get()
-            wait = loop.time() - enqueued_at
-            box.handled += 1
-            box.total_wait += wait
-            if wait > box.max_wait:
-                box.max_wait = wait
-            if probe is not None:
-                probe.on_mailbox("dequeue", address, depth=queue.qsize(), wait=wait)
-            task = asyncio.ensure_future(self._handle(handler, message, future))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-
-    @staticmethod
-    async def _handle(handler: AsyncHandler, message: Message, future: asyncio.Future) -> None:
-        try:
-            reply = await handler(message)
-        except asyncio.CancelledError:
-            if not future.done():
-                future.cancel()
-            raise
-        except Exception as exc:  # propagate to the awaiting requester
-            if not future.done():
-                future.set_exception(exc)
-        else:
-            if not future.done():
-                future.set_result(reply)
 
     # -- reporting ------------------------------------------------------------------
 

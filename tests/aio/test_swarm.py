@@ -154,3 +154,79 @@ class TestWorkload:
         assert report.operations == 120
         # some operations failed outright (crashed start node) or missed
         assert report.errors or report.found < report.searches
+
+
+def multi_hop_search(grid, keys):
+    """A ``(start, key)`` whose search needs at least two messages whatever
+    the RNG picks: no reference of *start* at the first level is a replica."""
+    for key in keys:
+        replicas = set(grid.replicas_for_key(key))
+        for peer in grid.peers():
+            refs = peer.routing.refs(1)
+            if peer.path[:1] != key[:1] and refs and not replicas & set(refs):
+                return peer.address, key
+    raise AssertionError("no multi-hop search in this grid")
+
+
+class TestInlineHops:
+    """No task per peer, no task per message: an operation is one await
+    chain in its caller's task (see docs/ASYNC.md, "Delivery model")."""
+
+    def test_multi_hop_search_returns_without_yielding_to_the_loop(self):
+        grid, swarm = make_swarm()
+        start, key = multi_hop_search(grid, seed_items(grid, seed=1))
+
+        async def scenario():
+            async with swarm:
+                ticked = []
+                asyncio.get_running_loop().call_soon(ticked.append, True)
+                outcome = await swarm.search(start, key)
+                assert ticked == []  # every hop ran inside this one step
+                return outcome
+
+        outcome = asyncio.run(scenario())
+        assert outcome.found and outcome.messages >= 2
+        box = swarm.transport.mailbox_snapshot()
+        assert box["enqueued"] == box["handled"] == outcome.messages
+        assert (box["max_depth"], box["mean_wait"], box["max_wait"]) == (1, 0.0, 0.0)
+
+    def test_start_creates_no_per_peer_task(self):
+        async def tasks_while_serving(n, maxl):
+            grid, swarm = make_swarm(n=n, maxl=maxl)
+            keys = seed_items(grid, seed=1)
+            async with swarm:
+                assert (await swarm.search(0, keys[0])).found
+                return len(asyncio.all_tasks())
+
+        assert asyncio.run(tasks_while_serving(16, 3)) == 1
+        assert asyncio.run(tasks_while_serving(256, 5)) == 1
+
+    def test_timed_out_search_leaves_no_task_behind(self):
+        """Cancellation is structured: the timeout lands in the second hop's
+        latency sleep and unwinds the first hop's handler with it."""
+        from repro.net.transport import ConstantLatency
+
+        from repro.aio.clock import RealtimeClock
+        from repro.aio.transport import AsyncTransport
+
+        grid = build_grid(64, maxl=4, refmax=2, seed=7)
+        start, key = multi_hop_search(grid, seed_items(grid, seed=1))
+        transport = AsyncTransport(
+            grid, latency=ConstantLatency(0.05), clock=RealtimeClock()
+        )
+        swarm = AsyncSwarm(grid, transport=transport)
+
+        async def scenario():
+            async with swarm:
+                before = len(asyncio.all_tasks())
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(swarm.search(start, key), 0.075)
+                return before, len(asyncio.all_tasks())
+
+        before, after = asyncio.run(scenario())
+        assert before == after == 1
+        # One hop delivered, the second cut short inside its latency sleep.
+        assert transport.stats.total_delivered() == 1
+        assert transport.stats.simulated_time == pytest.approx(0.10)
+        box = transport.mailbox_snapshot()
+        assert box["handled"] <= box["enqueued"]

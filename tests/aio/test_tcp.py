@@ -315,6 +315,30 @@ def test_stop_returns_with_an_idle_client_attached():
     asyncio.run(scenario())
 
 
+def test_stop_waits_for_the_handlers_between_frames():
+    """Before Python 3.12.1 ``Server.wait_closed()`` returns while idle
+    connection handlers are still unwinding; ``stop()`` sees them out, so
+    none is left for ``asyncio.run`` to cancel."""
+    grid, swarm, keys = make_served_swarm(n=16, maxl=3)
+
+    async def scenario():
+        async with swarm:
+            server = SwarmServer(swarm)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            await wire.write_message(writer, ping(-1, 0))
+            assert (await wire.read_message(reader)).kind is MessageKind.PONG
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            assert len(handlers) == 1
+            await server.stop()
+            done = [handler.done() for handler in handlers]
+            writer.close()
+            await writer.wait_closed()
+            return done, server.open_connections
+
+    assert asyncio.run(scenario()) == ([True], 0)
+
+
 def test_connection_accepted_while_stopping_is_closed_not_served():
     """``stop()`` cannot close a connection the loop has accepted but whose
     handler has yet to take its first step; from Python 3.12.1 ``wait_closed``
