@@ -92,14 +92,17 @@ bench-e2e-smoke:
 #   make bench-pairs PARENT=/tmp/parent [CHANGE=.] [WORKLOAD=tcp_search] [SEED=1] [PAIRS=10]
 # Prints every run, q1 / median / q3 per side, pairs won and whether the
 # median gap exceeds the parent's IQR; checks msgs_per_op / found_rate /
-# failed equal; writes benchmarks/results/pairs/*.json.
+# failed equal; writes benchmarks/results/pairs/*.json.  EXPECT=unchanged
+# turns the verdict round for a workload the PR must not move: green iff
+# the counts are equal and the median is ahead, or behind by < parent IQR.
 CHANGE ?= .
 WORKLOAD ?= tcp_search
 SEED ?= 1
 PAIRS ?= 10
+EXPECT ?= improved
 bench-pairs:
 	$(PYTHON) benchmarks/pairs.py --parent $(PARENT) --change $(CHANGE) \
-		--workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
+		--workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS) --expect $(EXPECT)
 
 # Array-core scale point: gridless batched construction at the smoke
 # scale's 20k peers (fig4 scale runs 100k), reporting throughput, the

@@ -2,6 +2,7 @@
 """Alternating parent/change pairs of one end-to-end workload.
 
     python3 benchmarks/pairs.py --parent DIR --change DIR --workload W --seed S --pairs N
+                                [--expect improved|unchanged]
 
 The measurement protocol of a PR that claims a gain (ROADMAP aim 1,
 ``/opt/skills/guides/choosing-metrics`` section 8).  *DIR* are two
@@ -18,8 +19,11 @@ pairs won, the ratio of the medians and whether their gap exceeds the
 parent's own quartile distance.  The exact-per-seed counts
 (``msgs_per_op``, ``found_rate``, ``failed``) must agree across all runs
 of both sides.  Result files and ``<W>-seed<S>-summary.json`` go to
-``--out-dir``.  Exit code 0 when the claim rule holds (≥ 9/10 of the
-pairs won, gap > parent IQR, counts equal), else 1.
+``--out-dir``.  Exit code 0 when the expected verdict holds, else 1:
+``--expect improved`` (the default) is the claim rule — ≥ 9/10 of the
+pairs won, gap > parent IQR, counts equal; ``--expect unchanged`` is for
+the workloads a perf PR must *not* move — counts equal and the change's
+median ahead of the parent's, or behind it by less than the parent's IQR.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=benchmark["run_seconds"])
     parser.add_argument("--metric", default="ops_s", choices=sorted(better))
+    parser.add_argument("--expect", default="improved", choices=("improved", "unchanged"))
     parser.add_argument("--out-dir", type=Path, default=ROOT / "benchmarks/results/pairs")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -81,7 +86,8 @@ def main(argv: list[str] | None = None) -> int:
               f"  ({'parent' if pair % 2 == 0 else 'change'} first)", flush=True)
 
     summary: dict = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                     "pairs": args.pairs, "metric": args.metric, "end_to_end": {}}
+                     "pairs": args.pairs, "metric": args.metric, "expect": args.expect,
+                     "end_to_end": {}}
     print(f"\n{'metric':<16}{'parent q1 / med / q3':>38}{'change q1 / med / q3':>38}")
     for name in runs["parent"][0]["end_to_end"]:
         row = summary["end_to_end"][name] = {}
@@ -108,8 +114,13 @@ def main(argv: list[str] | None = None) -> int:
     summary.update(wins=wins, ties=ties, median_gap=gap, parent_iqr=iqr,
                    ratio=change_median / parent_median if parent_median else None,
                    counts=counts, unclean_runs=unclean)
-    claim = (wins >= 0.9 * (args.pairs - ties) and gap > iqr
-             and all(len(values) == 1 for values in counts.values()) and not unclean)
+    clean = all(len(values) == 1 for values in counts.values()) and not unclean
+    if args.expect == "improved":
+        rule = "claim rule (>= 9/10 pairs, gap > parent IQR, counts equal)"
+        claim = wins >= 0.9 * (args.pairs - ties) and gap > iqr and clean
+    else:
+        rule = "unchanged rule (median ahead, or behind by < parent IQR; counts equal)"
+        claim = gap > -iqr and clean
     summary["claim_holds"] = claim
     print(f"\n{args.metric} ({better[args.metric]} is better): change ahead in {wins}/{args.pairs}"
           f" pairs ({ties} ties); medians {parent_median:.6g} -> {change_median:.6g}"
@@ -118,8 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name}: {'equal on both sides' if len(values) == 1 else 'DIFFERS'} {values}")
     if unclean:
         print(f"runs with violations or errors: {unclean}")
-    print(f"claim rule (>= 9/10 pairs, gap > parent IQR, counts equal): "
-          f"{'holds' if claim else 'NOT met'}")
+    print(f"{rule}: {'holds' if claim else 'NOT met'}")
     (args.out_dir / f"{stem}-summary.json").write_text(json.dumps(summary, indent=1) + "\n")
     return 0 if claim else 1
 

@@ -5,8 +5,9 @@ transport hop awaited instead of called.  Everything a node decides is
 prepared by the shared :class:`~repro.net.node.NodeCore` (the prepare →
 drive → finish contract is in :mod:`repro.net.node`); this module holds
 only the **drive** step as asyncio makes it: each
-:class:`~repro.protocol.Contact` becomes one ``await
-transport.request(...)`` — a slot in the destination's bounded mailbox,
+:class:`~repro.protocol.Contact` is put to ``transport.admit`` (synchronous:
+a refused contact builds no message) and, admitted, becomes one ``await
+transport.deliver(...)`` — a slot in the destination's bounded mailbox,
 then the destination's :meth:`~AsyncPGridNode.handle` awaited in this
 very task — with the sync loop's status mapping, and a retry's backoff
 is both accrued on the transport clock and slept on the transport's :mod:`~repro.aio.clock`, so
@@ -30,7 +31,7 @@ from repro.core.peer import Address
 from repro.core.search import BreadthSearchResult, RangeSearchResult
 from repro.core.storage import DataRef
 from repro.core.updates import UpdateResult
-from repro.errors import NoHandlerError, PeerOfflineError, TransportError
+from repro.errors import NoHandlerError
 from repro.net.message import Message
 from repro.net.node import NodeCore, NodeSearchOutcome, Operation
 from repro.protocol.effects import GONE, OFFLINE, OK, Contact, Resolve
@@ -51,16 +52,17 @@ class AsyncPGridNode(NodeCore):
 
     async def _run(self, op: Operation):
         """Drive *op*'s machine, answering effects over the async transport."""
-        machine, budget, build, resolve, finish = op
+        machine, budget, kind, build, resolve, finish = op
         transport = self.transport
+        me = self.peer.address
         response = reply = None
         while True:
             try:
                 effect = machine.send(response)
             except StopIteration as stop:
                 return finish(stop.value)
-            kind = type(effect)
-            if kind is Contact:
+            cls = type(effect)
+            if cls is Contact:
                 if effect.delay:
                     # Retry backoff: accrue simulated time (as the sync
                     # loop does) AND spend it on the event-loop clock, so a
@@ -71,15 +73,19 @@ class AsyncPGridNode(NodeCore):
                 if budget.remaining <= 0:
                     response = self._liveness(effect.target)
                     continue
-                try:
-                    reply = await transport.request(build(effect))
-                except NoHandlerError:
-                    response = GONE
-                except (PeerOfflineError, TransportError):
+                # The gate first: a message exists only once it is admitted.
+                response = transport.admit(kind, me, effect.target)
+                if response is OK:
+                    try:
+                        reply = await transport.deliver(build(effect))
+                    except NoHandlerError:
+                        response = GONE  # it left while the message was parked
+                    else:
+                        if reply is None:
+                            response = OFFLINE
+                elif response is not GONE:
                     response = OFFLINE  # offline, or dropped by loss / fault plan
-                else:
-                    response = OFFLINE if reply is None else OK
-            elif kind is Resolve:
+            elif cls is Resolve:
                 response = resolve(reply)
             else:
                 raise TypeError(f"unexpected effect for the async driver: {effect!r}")

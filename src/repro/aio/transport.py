@@ -2,9 +2,12 @@
 
 :class:`AsyncTransport` is the asyncio counterpart of
 :class:`~repro.net.transport.LocalTransport`.  Delivery semantics are
-identical — the same failure order (missing handler, offline oracle,
-loss coin, latency sample), the same :class:`TrafficStats` counters, the
-same dedicated transport RNG stream — and a hop is one awaited call:
+identical — the very same synchronous pre-delivery gate, inherited
+(:meth:`repro.net.transport.Gated.admit`: fault plan, missing handler,
+offline oracle, loss coin), the same :class:`TrafficStats` counters and
+transport RNG stream; ``await deliver(message)`` carries an admitted message
+to its handler and ``request`` is the two in order, raising for a refusal.
+A delivered hop is one awaited call:
 
 * every registered address owns a *mailbox*: a waiting room of
   ``mailbox_size`` slots.  An accepted message holds a slot until it is
@@ -27,33 +30,27 @@ same dedicated transport RNG stream — and a hop is one awaited call:
   (:class:`MailboxStats`) and streamed to the observability layer via
   :meth:`repro.obs.probe.Probe.on_mailbox`.
 
-Fault plans plug in through :meth:`install_faults`: the same
-:class:`~repro.faults.FaultInjector` used by the sync stack runs its
-pre-delivery gate (crash, drop coin) and post-delivery faults (latency,
-crash coin, stale refs) around each request, drawing from the same
-derived streams in the same order — a plan behaves identically on
-either substrate.
+Fault plans plug in through :meth:`install_faults`: the sync stack's
+:class:`~repro.faults.FaultInjector` goes first through ``admit`` (crash,
+drop coin) and runs its post-delivery faults (latency, crash coin, stale
+refs) after each handler, from the same derived streams in the same order
+— a plan behaves identically on either substrate.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Awaitable, Callable
 
 from repro.core.grid import PGrid
 from repro.core.peer import Address
-from repro.errors import (
-    InvalidConfigError,
-    NoHandlerError,
-    PeerOfflineError,
-    TransportError,
-)
-from repro.net.message import Message, MessageKind
-from repro.net.transport import LatencyModel, TrafficStats
+from repro.errors import NoHandlerError, PeerOfflineError, TransportError
+from repro.net.message import Message
+from repro.net.transport import Gated, LatencyModel, refusal
 from repro.obs.probe import Probe
-from repro.sim import rng as rngmod
+from repro.protocol.effects import OK
 
 from repro.aio.clock import VirtualClock
 
@@ -95,7 +92,7 @@ class _Mailbox:
         self.depth = 0
 
 
-class AsyncTransport:
+class AsyncTransport(Gated):
     """Mailbox-based asyncio transport over a :class:`PGrid` population."""
 
     def __init__(
@@ -112,60 +109,22 @@ class AsyncTransport:
     ) -> None:
         if mailbox_size < 1:
             raise ValueError(f"mailbox_size must be >= 1, got {mailbox_size}")
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError(
-                f"loss_probability must be in [0, 1), got {loss_probability}"
-            )
-        self.grid = grid
+        super().__init__(grid, loss_probability=loss_probability, latency=latency,
+                         rng=rng, seed=seed, probe=probe)
         self.mailbox_size = mailbox_size
-        self.loss_probability = loss_probability
-        self.latency = latency
-        # Same stance as LocalTransport: transport noise draws from its own
-        # stream, never the grid's protocol RNG.
-        if rng is not None:
-            self._rng: random.Random | None = rng
-        elif seed is not None:
-            self._rng = rngmod.derive(seed, "transport")
-        else:
-            self._rng = None
-        if loss_probability > 0.0 and self._rng is None:
-            raise InvalidConfigError(
-                "loss_probability > 0 requires an explicit rng= or seed= "
-                "(the transport never draws from the grid's protocol RNG)"
-            )
-        self.probe = probe
         self.clock = clock if clock is not None else VirtualClock()
-        self.stats = TrafficStats()
         self.mailbox_stats: dict[Address, MailboxStats] = {}
-        self._mailboxes: dict[Address, _Mailbox] = {}
         self._gate = asyncio.Event()  # set while started
-        self._faults = None
 
     # -- registration / lifecycle ---------------------------------------------------
 
     def register(self, address: Address, handler: AsyncHandler) -> None:
-        """Attach the async message handler (and mailbox) for *address*."""
-        if not self.grid.has_peer(address):
-            raise InvalidConfigError(
-                f"cannot register a handler for {address!r}: "
-                "no such peer in the grid"
-            )
-        if address in self._mailboxes:
-            raise TransportError(f"handler already registered for {address}")
-        box = self._mailboxes[address] = _Mailbox(handler, self.mailbox_size)
+        """Attach the async message handler (and mailbox) for *address*.
+        (Unregistered again, senders parked in its mailbox get
+        :class:`NoHandlerError` when the gate next opens.)"""
+        box = _Mailbox(handler, self.mailbox_size)
+        self._register(address, box)
         self.mailbox_stats[address] = box.stats
-
-    def unregister(self, address: Address) -> None:
-        """Detach the handler for *address* (peer leaves the network).
-
-        Senders parked in its mailbox get :class:`NoHandlerError` when
-        the gate next opens.
-        """
-        self._mailboxes.pop(address, None)
-
-    def is_reachable(self, address: Address) -> bool:
-        """Registered and currently online."""
-        return address in self._mailboxes and self.grid.is_online(address)
 
     async def start(self) -> None:
         """Open the gate: parked and future messages are dispatched."""
@@ -182,10 +141,10 @@ class AsyncTransport:
 
         Builds the standard :class:`~repro.faults.FaultInjector` over this
         transport (it only needs ``grid``/``stats``), installs its
-        composed availability oracle on the grid, and runs its
-        pre/post-delivery gates around every :meth:`request`.  Returns
-        the injector so callers can crash/restart peers or read
-        ``fault_stats``.
+        composed availability oracle on the grid; from then on its plan
+        goes first through :meth:`admit` and its post-delivery faults end
+        every :meth:`deliver`.  Returns the injector so callers can
+        crash/restart peers or read ``fault_stats``.
         """
         from repro.faults.inject import FaultInjector
 
@@ -201,40 +160,20 @@ class AsyncTransport:
 
     # -- delivery -------------------------------------------------------------------
 
-    async def request(self, message: Message) -> Message | None:
-        """Deliver *message* to its destination's handler; return the reply.
+    async def deliver(self, message: Message) -> Message | None:
+        """Carry an admitted *message* to its handler; return the reply.
 
-        Failure order matches :meth:`LocalTransport.send` exactly
-        (missing handler, offline oracle, loss coin, latency sample), so
-        protocol machines observe the same ``ContactStatus`` either way.
+        Latency sample (slept on the clock), ``delivered`` tally, mailbox.
         A full destination mailbox blocks here — backpressure on the
         caller, not silent loss — and so does a stopped transport; the
-        handler then runs in this task, after the slot is given back.
+        handler then runs in this task, after the slot is given back,
+        and the fault plan's post-delivery faults after it.
         """
-        faults = self._faults
-        if faults is not None:
-            faults.precheck(message)
-        probe = self.probe
         destination = message.destination
-        box = self._mailboxes.get(destination)
+        box: _Mailbox | None = self._handlers.get(destination)
         if box is None:
             raise NoHandlerError(destination)
-        if not self.grid.is_online(destination):
-            self.stats.offline_failures += 1
-            if probe is not None:
-                probe.on_transport(
-                    message.kind.value, message.source, destination, "offline"
-                )
-            raise PeerOfflineError(destination)
-        if self.loss_probability and self._rng.random() < self.loss_probability:
-            self.stats.dropped += 1
-            if probe is not None:
-                probe.on_transport(
-                    message.kind.value, message.source, destination, "dropped"
-                )
-            raise TransportError(
-                f"message {message.message_id} to {destination} lost"
-            )
+        probe = self.probe
         if self.latency is not None:
             delay = self.latency.sample(message)
             self.stats.simulated_time += delay
@@ -244,8 +183,12 @@ class AsyncTransport:
             probe.on_transport(
                 message.kind.value, message.source, destination, "delivered"
             )
-        stats, gate, wait = box.stats, self._gate, 0.0
-        await box.slots.acquire()
+        stats, gate, slots, wait = box.stats, self._gate, box.slots, 0.0
+        # Open gate, free slot: straight through — the slot would be taken
+        # and given back with no yield in between.
+        held = not gate.is_set() or slots.locked()
+        if held:
+            await slots.acquire()
         try:
             stats.enqueued += 1
             box.depth = depth = box.depth + 1
@@ -253,7 +196,7 @@ class AsyncTransport:
                 stats.max_depth = depth
             if probe is not None:
                 probe.on_mailbox("enqueue", destination, depth=depth)
-            if not gate.is_set():
+            if held and not gate.is_set():
                 now = asyncio.get_running_loop().time
                 parked_at = now()
                 while not gate.is_set():  # closed again before we ran: stay parked
@@ -261,8 +204,9 @@ class AsyncTransport:
                 wait = now() - parked_at
         finally:
             box.depth -= 1
-            box.slots.release()
-        if self._mailboxes.get(destination) is not box:
+            if held:
+                slots.release()
+        if self._handlers.get(destination) is not box:
             raise NoHandlerError(destination)  # the peer left while we waited
         stats.handled += 1
         if wait:
@@ -272,11 +216,20 @@ class AsyncTransport:
         if probe is not None:
             probe.on_mailbox("dequeue", destination, depth=box.depth, wait=wait)
         reply = await box.handler(message)
+        faults = self._faults
         if faults is not None:
             extra = faults.postcheck(message)
             if extra:
                 await self.clock.sleep(extra)
         return reply
+
+    async def request(self, message: Message) -> Message | None:
+        """:meth:`admit`, then :meth:`deliver`; raises as
+        :meth:`LocalTransport.send` does (no handler, offline, dropped)."""
+        status = self.admit(message.kind, message.source, message.destination)
+        if status is not OK:
+            raise refusal(status, message)
+        return await self.deliver(message)
 
     async def try_request(self, message: Message) -> Message | None:
         """Like :meth:`request` but returns ``None`` on offline/lost."""
@@ -286,10 +239,6 @@ class AsyncTransport:
             return None
 
     # -- reporting ------------------------------------------------------------------
-
-    def count(self, kind: MessageKind) -> int:
-        """Delivered messages of one kind."""
-        return self.stats.delivered[kind]
 
     def max_mailbox_depth(self) -> int:
         """Largest mailbox depth observed across all nodes."""

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import PeerOfflineError, UnknownPeerError
+from repro.errors import InvalidConfigError, UnknownPeerError
 from repro.faults.plan import FaultPlan
+from repro.net.transport import LocalTransport
 from repro.obs.probe import Probe
 from repro.sim import rng as rngmod
 
@@ -67,8 +68,8 @@ class FaultInjector:
     """Transport wrapper + availability oracle executing one fault plan.
 
     Implements the :class:`~repro.net.transport.LocalTransport` interface
-    (``send`` / ``try_send`` / ``register`` / ``unregister`` /
-    ``is_reachable`` / ``count`` / ``stats``), so message-driven nodes can
+    (``admit`` / ``deliver`` / ``send`` / ``try_send`` / ``register`` /
+    ``unregister`` / ``is_reachable`` / ``count`` / ``stats``), so message-driven nodes can
     be attached to the injector exactly as they would to the bare
     transport.
     """
@@ -120,52 +121,27 @@ class FaultInjector:
     def count(self, kind) -> int:
         return self.transport.count(kind)
 
-    def send(self, message):
-        """Deliver *message* through the fault plan, then the transport.
+    def admit(self, kind, source, destination):
+        """The wrapped transport's pre-delivery gate with this plan in front:
+        crash check (the destination is simply gone), then the plan's drop
+        coin, then the transport's own checks.  One method
+        (:meth:`repro.net.transport.Gated.admit`) for this wrapper and for a
+        plan installed on an :class:`~repro.aio.transport.AsyncTransport`, so
+        a plan behaves identically — same derived streams, same draw order —
+        whichever substrate delivers the message."""
+        return self.transport.admit(kind, source, destination, self)
 
-        Fault order: crash check (the destination is simply gone), then the
-        plan's drop coin, then real delivery; on successful delivery the
-        plan may add latency, crash the destination, or go back and corrupt
-        one of the *source's* routing references (a stale ref the sender
-        will trip over later).
-        """
-        self.precheck(message)
-        reply = self.transport.send(message)
+    def deliver(self, message):
+        """Deliver an admitted *message*; then the plan may add latency,
+        crash the destination, or go back and corrupt one of the *source's*
+        routing references (a stale ref the sender will trip over later)."""
+        reply = self.transport.deliver(message)
         self.postcheck(message)
         return reply
 
-    def precheck(self, message) -> None:
-        """Pre-delivery fault gate for one message (crash, then drop coin).
-
-        Shared by :meth:`send` and the async transport
-        (:class:`repro.aio.transport.AsyncTransport`), so a fault plan
-        behaves identically — same derived streams, same draw order —
-        whichever substrate delivers the message.  Raises
-        :class:`PeerOfflineError` / :class:`~repro.errors.TransportError`
-        exactly as :meth:`send` would.
-        """
-        plan = self.plan
-        if self._contact_crashed(message.destination):
-            self.fault_stats.crashed_contacts += 1
-            self.transport.stats.offline_failures += 1
-            if self.probe is not None:
-                self.probe.on_transport(
-                    message.kind.value, message.source, message.destination, "crashed"
-                )
-            raise PeerOfflineError(message.destination)
-        if plan.drop_probability and self._drop_rng.random() < plan.drop_probability:
-            self.fault_stats.injected_drops += 1
-            self.transport.stats.dropped += 1
-            if self.probe is not None:
-                self.probe.on_transport(
-                    message.kind.value, message.source, message.destination, "dropped"
-                )
-            from repro.errors import TransportError
-
-            raise TransportError(
-                f"message {message.message_id} to {message.destination} "
-                "dropped by fault plan"
-            )
+    # ``admit`` then ``deliver``, raising (or not) exactly as the bare transport.
+    send = LocalTransport.send
+    try_send = LocalTransport.try_send
 
     def postcheck(self, message) -> float:
         """Post-delivery faults; returns the latency injected (if any).
@@ -187,15 +163,6 @@ class FaultInjector:
         ):
             self._inject_stale_ref(message.source)
         return latency
-
-    def try_send(self, message):
-        """Like :meth:`send` but returns ``None`` on any failure."""
-        from repro.errors import TransportError
-
-        try:
-            return self.send(message)
-        except (PeerOfflineError, TransportError):
-            return None
 
     # -- crash / restart ----------------------------------------------------------
 
@@ -233,8 +200,6 @@ class FaultInjector:
 
     def _require_peer(self, address: Address, action: str) -> None:
         if not self.grid.has_peer(address):
-            from repro.errors import InvalidConfigError
-
             raise InvalidConfigError(
                 f"fault plan cannot {action} peer {address!r}: "
                 "no such peer in the grid"
@@ -335,11 +300,7 @@ class FaultInjector:
         return composed
 
 
-class _Missing:
-    __slots__ = ()
-
-
-_MISSING = _Missing()
+_MISSING = object()
 
 
 class FaultOracle:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import InvalidConfigError, PeerOfflineError, TransportError
+from repro.errors import InvalidConfigError, NoHandlerError, PeerOfflineError, TransportError
 
 __all__ = ["RetryPolicy", "RetryOutcome", "NO_RETRY", "send_with_retry"]
 
@@ -117,7 +117,8 @@ def send_with_retry(transport, message, policy: RetryPolicy | None = None) -> Re
     :class:`~repro.net.transport.LocalTransport` or a
     :class:`~repro.faults.inject.FaultInjector` wrapping one).  Returns a
     :class:`RetryOutcome` instead of raising: exhausting the policy is
-    graceful degradation, not an error.
+    graceful degradation, not an error.  A :class:`NoHandlerError` gives
+    up at once (``contact_step``'s ``GONE`` rule: the peer left for good).
     """
     policy = policy or NO_RETRY
     backoff = 0.0
@@ -131,6 +132,8 @@ def send_with_retry(transport, message, policy: RetryPolicy | None = None) -> Re
         attempt += 1
         try:
             reply = transport.send(message)
+        except NoHandlerError:
+            break
         except (PeerOfflineError, TransportError):
             continue
         return RetryOutcome(reply=reply, attempts=attempt, backoff=backoff, gave_up=False)

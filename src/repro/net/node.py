@@ -8,20 +8,23 @@ That job splits at the only place it touches a transport:
     Everything a node *decides*: request parsing and kind dispatch,
     ``Budget`` / ``StepStats`` / ``Traversal`` set-up, store reads and
     writes, reply and result assembly.  The outcome is an
-    ``Operation`` tuple: the machine, its budget, ``build`` (a
-    :class:`~repro.protocol.Contact` as its ``QUERY`` / ``BREADTH_QUERY``
-    / ``RANGE_QUERY`` / ``PROPAGATE`` / ``UPDATE`` message), ``resolve``
-    (fold the reply's message/failure deltas, cumulative retry backoff
-    and remaining budget into the local state; return the machine's
-    answer to its :class:`~repro.protocol.Resolve`) and ``finish``.
+    ``Operation`` tuple: the machine, its budget, the ``kind`` of message
+    its contacts send, ``build`` (a :class:`~repro.protocol.Contact` as
+    that ``QUERY`` / ``BREADTH_QUERY`` / ``RANGE_QUERY`` / ``PROPAGATE``
+    / ``UPDATE`` message), ``resolve`` (fold the reply's message/failure
+    deltas, cumulative retry backoff and remaining budget into the local
+    state; return the machine's answer to its
+    :class:`~repro.protocol.Resolve`) and ``finish``.
 **drive** — ``_run``, the only code written once per transport
 (:class:`PGridNode` here, :class:`repro.aio.node.AsyncPGridNode` awaited).
-    Answer ``Contact`` with one ``transport.send`` after accruing the
-    retry's backoff on the transport clock: :class:`NoHandlerError` is
-    ``GONE`` (dangling reference, never retried); offline, dropped or a
-    ``None`` reply is ``OFFLINE``.  On a spent budget answer locally,
-    without a message.  Answer ``Resolve`` from the reply held since the
-    contact.
+    Answer ``Contact``, after accruing the retry's backoff on the
+    transport clock, with ``transport.admit(kind, me, target)`` — Fig. 2's
+    ``IF online(peer(r))`` — and only on ``OK`` build the message and
+    ``transport.deliver`` it: a refused contact (most, at the paper's 30 %
+    availability) constructs nothing and raises nothing.  ``GONE`` is a
+    dangling reference (never retried); offline, dropped or a ``None``
+    reply is ``OFFLINE``.  On a spent budget answer locally, without a
+    message.  Answer ``Resolve`` from the reply held since the contact.
 **finish** — ``return op.finish(result)``: the reply to a served request,
 or the typed result of an operation this node's user started.
 
@@ -47,7 +50,6 @@ from repro.core.peer import Address, Peer
 from repro.core.search import BreadthSearchResult, RangeSearchResult
 from repro.core.storage import DataRef
 from repro.core.updates import UpdateResult
-from repro.errors import NoHandlerError, PeerOfflineError, TransportError
 from repro.net.message import (
     Message,
     MessageKind,
@@ -115,12 +117,13 @@ class NodeSearchOutcome:
 
 
 #: One prepared protocol operation — all a driver loop needs to run it, as
-#: the plain tuple ``(machine, budget, build, resolve, finish)``:
+#: the plain tuple ``(machine, budget, kind, build, resolve, finish)``:
 #:
 #: ``machine``  the sans-I/O machine (a generator of effects);
 #: ``budget``   the operation's message budget — once spent, contacts are
 #:              answered locally (the machine stops right after the check);
-#: ``build``    ``Contact`` effect -> the message to send;
+#: ``kind``     the :class:`MessageKind` ``build`` makes (all the gate needs);
+#: ``build``    ``Contact`` effect -> the message to send, once admitted;
 #: ``resolve``  the reply held since the contact -> the ``Resolve`` answer;
 #: ``finish``   the machine's return value -> reply message / typed result.
 #:
@@ -135,7 +138,7 @@ def _settled(reply: Message | None) -> Operation:
         return reply
         yield  # pragma: no cover - makes this an (effect-free) generator
 
-    return machine(), None, None, None, lambda settled: settled
+    return machine(), None, None, None, None, lambda settled: settled
 
 
 def _merge_costs(payload: dict, budget: Budget, stats: StepStats) -> None:
@@ -294,7 +297,7 @@ class NodeCore:
             )
 
         machine = dfs_step(peer, query, level, self._ctx, budget, stats)
-        return machine, budget, build, resolve, finish
+        return machine, budget, MessageKind.QUERY, build, resolve, finish
 
     def _walk_op(self, request: Message) -> Operation:
         """§3 breadth-first walk at this hop.
@@ -397,7 +400,7 @@ class NodeCore:
             )
 
         machine = breadth_step(peer, payload["query"], payload["level"], self._ctx, trav)
-        return machine, budget, build, resolve, finish
+        return machine, budget, kind, build, resolve, finish  # a walk forwards its own kind
 
     def _install(self, request: Message) -> Message:
         """Serve an ``UPDATE``: install the pushed entry, acknowledge."""
@@ -419,8 +422,8 @@ class NodeCore:
         check, the budget the node's own; *decode* turns the reply's
         payload into the typed result.
         """
-        machine, budget, build, resolve, finish = self._request_op(request)
-        return machine, budget, build, resolve, lambda result: decode(finish(result).payload)
+        machine, budget, kind, build, resolve, finish = self._request_op(request)
+        return machine, budget, kind, build, resolve, lambda result: decode(finish(result).payload)
 
     def _search_op(self, query: str) -> Operation:
         keyspace.validate_key(query)
@@ -550,7 +553,7 @@ class NodeCore:
 
         # Budget(1) is never consumed (a push is one contact, not a walk);
         # the machine never resolves; its result is already "delivered?".
-        return machine, Budget(1), build, None, bool
+        return machine, Budget(1), MessageKind.UPDATE, build, None, bool
 
 
 class PGridNode(NodeCore):
@@ -562,16 +565,17 @@ class PGridNode(NodeCore):
 
     def _run(self, op: Operation):
         """Drive *op*'s machine, answering effects over the transport."""
-        machine, budget, build, resolve, finish = op
+        machine, budget, kind, build, resolve, finish = op
         transport = self.transport
+        me = self.peer.address
         response = reply = None
         while True:
             try:
                 effect = machine.send(response)
             except StopIteration as stop:
                 return finish(stop.value)
-            kind = type(effect)
-            if kind is Contact:
+            cls = type(effect)
+            if cls is Contact:
                 if effect.delay:
                     # Retry backoff is simulated time spent waiting before
                     # this attempt; it accrues on the transport's clock.
@@ -579,15 +583,15 @@ class PGridNode(NodeCore):
                 if budget.remaining <= 0:
                     response = self._liveness(effect.target)
                     continue
-                try:
-                    reply = transport.send(build(effect))
-                except NoHandlerError:
-                    response = GONE
-                except (PeerOfflineError, TransportError):
+                # The gate first: a message exists only once it is admitted.
+                response = transport.admit(kind, me, effect.target)
+                if response is OK:
+                    reply = transport.deliver(build(effect))
+                    if reply is None:
+                        response = OFFLINE
+                elif response is not GONE:
                     response = OFFLINE  # offline, or dropped by loss / fault plan
-                else:
-                    response = OFFLINE if reply is None else OK
-            elif kind is Resolve:
+            elif cls is Resolve:
                 response = resolve(reply)
             else:
                 raise TypeError(

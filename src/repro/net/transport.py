@@ -3,13 +3,23 @@
 ``LocalTransport`` delivers messages to registered handlers in-process while
 modelling the failure characteristics that matter to the paper's claims:
 
-* *offline peers* — delivery consults the grid's online oracle; contacting
-  an offline peer raises :class:`~repro.errors.PeerOfflineError` (the caller
-  treats it like the paper's ``IF online(peer(r))`` guard);
+* *offline peers* — the gate consults the grid's online oracle; an offline
+  peer is the paper's ``IF online(peer(r))`` guard answering "no";
 * *message loss* — an optional independent drop probability;
 * *latency* — an optional per-message latency model feeding a simulated
   clock, so experiments can report end-to-end response times, not only
   message counts.
+
+Delivery has two halves.  :meth:`Gated.admit` — the pre-delivery gate,
+written once for this transport, :class:`repro.aio.transport.AsyncTransport`
+and :class:`repro.faults.FaultInjector` — takes ``(kind, source,
+destination)``, needs no message, tallies and reports every refusal and
+answers with a :class:`~repro.protocol.effects.ContactStatus` instead of
+raising.  ``deliver(message)`` is the rest, for an admitted contact: latency
+sample, ``delivered`` tally, handler.  The node drivers build the message in
+between, so a refused contact (seven in ten at the paper's 30 %
+availability) costs a liveness check; ``send`` is the two in order for a
+caller that already holds a message, raising :func:`refusal`'s error.
 
 All traffic is counted per :class:`~repro.net.message.MessageKind` in a
 :class:`TrafficStats`, which is what the networked examples report.
@@ -20,7 +30,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Any, Callable, Protocol
 
 from repro.core.grid import PGrid
 from repro.core.peer import Address
@@ -32,6 +42,7 @@ from repro.errors import (
 )
 from repro.net.message import Message, MessageKind
 from repro.obs.probe import Probe
+from repro.protocol.effects import DROPPED, GONE, OFFLINE, OK, ContactStatus
 from repro.sim import rng as rngmod
 
 Handler = Callable[[Message], Message | None]
@@ -95,8 +106,16 @@ class UniformLatency:
         return self._rng.uniform(self.low, self.high)
 
 
-class LocalTransport:
-    """In-process synchronous transport over a :class:`PGrid` population."""
+class Gated:
+    """What every message plane shares, written once: configuration, the
+    registry of who can be reached, and the pre-delivery gate (:meth:`admit`).
+    Base of :class:`LocalTransport` and :class:`~repro.aio.transport.AsyncTransport`;
+    a :class:`repro.faults.FaultInjector` asks the same gate with itself as *faults*.
+    """
+
+    #: A fault injector installed on the transport itself
+    #: (:meth:`AsyncTransport.install_faults`); its plan goes first.
+    _faults = None
 
     def __init__(
         self,
@@ -109,9 +128,7 @@ class LocalTransport:
         probe: Probe | None = None,
     ) -> None:
         if not 0.0 <= loss_probability < 1.0:
-            raise ValueError(
-                f"loss_probability must be in [0, 1), got {loss_probability}"
-            )
+            raise ValueError(f"loss_probability must be in [0, 1), got {loss_probability}")
         self.grid = grid
         self.loss_probability = loss_probability
         self.latency = latency
@@ -119,40 +136,32 @@ class LocalTransport:
         # protocol RNG: transport noise must not perturb the algorithms'
         # randomness (the engine/node equivalence suite depends on this).
         # An explicit ``rng`` wins; otherwise ``seed`` derives a dedicated
-        # "transport" stream.  A lossy transport with neither is a
-        # configuration error — silently borrowing the grid RNG (the old
-        # behavior) made message loss change routing decisions.
-        if rng is not None:
-            self._rng: random.Random | None = rng
-        elif seed is not None:
-            self._rng = rngmod.derive(seed, "transport")
-        else:
-            self._rng = None
-        if loss_probability > 0.0 and self._rng is None:
+        # "transport" stream; a lossy transport with neither is an error.
+        if rng is None and seed is not None:
+            rng = rngmod.derive(seed, "transport")
+        if loss_probability > 0.0 and rng is None:
             raise InvalidConfigError(
                 "loss_probability > 0 requires an explicit rng= or seed= "
                 "(the transport never draws from the grid's protocol RNG)"
             )
-        self._handlers: dict[Address, Handler] = {}
+        self._rng = rng
+        #: address -> what the plane keeps per registered peer (its handler,
+        #: or the mailbox holding it).
+        self._handlers: dict[Address, Any] = {}
         self.probe = probe
         self.stats = TrafficStats()
 
-    def register(self, address: Address, handler: Handler) -> None:
-        """Attach the message handler for *address* (one per peer).
-
-        *address* must name a peer of the grid: a handler for a
-        nonexistent peer can never be reached by the protocol (routing
-        only targets grid references), so registering one is a
-        configuration error, not a useful state.
-        """
+    def _register(self, address: Address, entry: Any) -> None:
+        """Record *entry* for *address*, which must name a peer of the grid:
+        the protocol could never reach a handler for a nonexistent peer
+        (routing only targets grid references) — a configuration error."""
         if not self.grid.has_peer(address):
             raise InvalidConfigError(
-                f"cannot register a handler for {address!r}: "
-                "no such peer in the grid"
+                f"cannot register a handler for {address!r}: no such peer in the grid"
             )
         if address in self._handlers:
             raise TransportError(f"handler already registered for {address}")
-        self._handlers[address] = handler
+        self._handlers[address] = entry
 
     def unregister(self, address: Address) -> None:
         """Detach the handler for *address* (peer leaves the network)."""
@@ -162,42 +171,103 @@ class LocalTransport:
         """Registered and currently online."""
         return address in self._handlers and self.grid.is_online(address)
 
+    def count(self, kind: MessageKind) -> int:
+        """Delivered messages of one kind."""
+        return self.stats.delivered[kind]
+
+    def admit(
+        self, kind: MessageKind, source: Address, destination: Address, faults=None
+    ) -> ContactStatus:
+        """May a *kind* message from *source* reach *destination*?
+
+        Checks run in a fixed order, each refusal tallied and reported to
+        the probe where it is decided, each coin drawn from its own stream:
+
+        1. the fault plan (*faults*, else the installed injector, if any):
+           the destination is crashed (ticks its downtime) -> ``OFFLINE``;
+           the plan's drop coin -> ``DROPPED``;
+        2. no handler registered -> ``GONE`` (no tally: nothing was tried);
+        3. the grid's online oracle (one availability draw) -> ``OFFLINE``;
+        4. the transport's loss coin -> ``DROPPED``;
+
+        otherwise ``OK``: the caller builds the message and hands it to
+        ``deliver``.  Nothing is raised and no message is needed.
+        """
+        if faults is None:
+            faults = self._faults
+        stats = self.stats
+        if faults is not None:
+            plan = faults.plan
+            if faults._contact_crashed(destination):
+                faults.fault_stats.crashed_contacts += 1
+                stats.offline_failures += 1
+                if faults.probe is not None:
+                    faults.probe.on_transport(kind.value, source, destination, "crashed")
+                return OFFLINE
+            if plan.drop_probability and faults._drop_rng.random() < plan.drop_probability:
+                faults.fault_stats.injected_drops += 1
+                stats.dropped += 1
+                if faults.probe is not None:
+                    faults.probe.on_transport(kind.value, source, destination, "dropped")
+                return DROPPED
+        if destination not in self._handlers:
+            return GONE
+        if not self.grid.is_online(destination):
+            stats.offline_failures += 1
+            if self.probe is not None:
+                self.probe.on_transport(kind.value, source, destination, "offline")
+            return OFFLINE
+        if self.loss_probability and self._rng.random() < self.loss_probability:
+            stats.dropped += 1
+            if self.probe is not None:
+                self.probe.on_transport(kind.value, source, destination, "dropped")
+            return DROPPED
+        return OK
+
+
+def refusal(status: ContactStatus, message: Message) -> TransportError | PeerOfflineError:
+    """The error ``send`` / ``request`` raise when the gate answered *status*."""
+    if status is GONE:
+        return NoHandlerError(message.destination)
+    if status is OFFLINE:
+        return PeerOfflineError(message.destination)
+    return TransportError(f"message {message.message_id} to {message.destination} lost")
+
+
+class LocalTransport(Gated):
+    """In-process synchronous transport over a :class:`PGrid` population."""
+
+    def register(self, address: Address, handler: Handler) -> None:
+        """Attach the message handler for *address* (one per peer of the grid)."""
+        self._register(address, handler)
+
+    def deliver(self, message: Message) -> Message | None:
+        """Hand an admitted *message* to its handler; return the reply
+        (latency sample, ``delivered`` tally and probe event on the way)."""
+        handler = self._handlers.get(message.destination)
+        if handler is None:
+            raise NoHandlerError(message.destination)
+        if self.latency is not None:
+            self.stats.simulated_time += self.latency.sample(message)
+        self.stats.delivered[message.kind] += 1
+        if self.probe is not None:
+            self.probe.on_transport(
+                message.kind.value, message.source, message.destination, "delivered"
+            )
+        return handler(message)
+
     def send(self, message: Message) -> Message | None:
-        """Deliver *message*; return the handler's synchronous reply.
+        """:meth:`admit`, then :meth:`deliver`; the handler's synchronous reply.
 
         Raises :class:`PeerOfflineError` if the destination is offline,
         :class:`NoHandlerError` (a :class:`TransportError`) if it has no
         handler, and :class:`TransportError` if the message is dropped by
         the loss model.
         """
-        probe = self.probe
-        handler = self._handlers.get(message.destination)
-        if handler is None:
-            raise NoHandlerError(message.destination)
-        if not self.grid.is_online(message.destination):
-            self.stats.offline_failures += 1
-            if probe is not None:
-                probe.on_transport(
-                    message.kind.value, message.source, message.destination, "offline"
-                )
-            raise PeerOfflineError(message.destination)
-        if self.loss_probability and self._rng.random() < self.loss_probability:
-            self.stats.dropped += 1
-            if probe is not None:
-                probe.on_transport(
-                    message.kind.value, message.source, message.destination, "dropped"
-                )
-            raise TransportError(
-                f"message {message.message_id} to {message.destination} lost"
-            )
-        if self.latency is not None:
-            self.stats.simulated_time += self.latency.sample(message)
-        self.stats.delivered[message.kind] += 1
-        if probe is not None:
-            probe.on_transport(
-                message.kind.value, message.source, message.destination, "delivered"
-            )
-        return handler(message)
+        status = self.admit(message.kind, message.source, message.destination)
+        if status is not OK:
+            raise refusal(status, message)
+        return self.deliver(message)
 
     def try_send(self, message: Message) -> Message | None:
         """Like :meth:`send` but returns ``None`` on offline/lost instead of
@@ -206,7 +276,3 @@ class LocalTransport:
             return self.send(message)
         except (PeerOfflineError, TransportError):
             return None
-
-    def count(self, kind: MessageKind) -> int:
-        """Delivered messages of one kind."""
-        return self.stats.delivered[kind]

@@ -12,14 +12,15 @@ this repository, both running the very same machines:
   (one uncoloured :class:`~repro.net.node.NodeCore` decides everything:
   the machine, its budget, ``build(effect) -> Message``,
   ``resolve(reply)`` and ``finish(result)``), *drive* (the effect loop,
-  the only code written per transport: :class:`repro.net.node.PGridNode`
-  answers a :class:`~repro.protocol.effects.Contact` with one
-  ``transport.send``, :class:`repro.aio.node.AsyncPGridNode` with one
-  awaited :meth:`repro.aio.transport.AsyncTransport.request`, retry
-  backoff slept on the event-loop clock) and *finish*.  Both loops are
-  :func:`drive` written out — inlined because a contact attempt is their
-  unit of cost (most attempts at the paper's 30 % availability find the
-  peer offline), and awaited in one of them.
+  the only code written per transport: both loops answer a
+  :class:`~repro.protocol.effects.Contact` by asking the transport's gate
+  — ``transport.admit(kind, me, target)``, no message yet — and only on
+  ``OK`` build the message and ``transport.deliver`` it;
+  :class:`repro.net.node.PGridNode` calls, :class:`repro.aio.node.AsyncPGridNode`
+  awaits, retry backoff slept on the event-loop clock) and *finish*.
+  Both loops are :func:`drive` written out — inlined because a contact
+  attempt is their unit of cost (most attempts at the paper's 30 %
+  availability find the peer offline, and cost a liveness check).
 
 The contract is the same everywhere: the answer to an effect must be
 exactly the value the machine expects for that effect kind — a

@@ -60,6 +60,7 @@ __all__ = [
     "OK",
     "OFFLINE",
     "GONE",
+    "DROPPED",
     "Contact",
     "Resolve",
     "FetchBuddies",
@@ -80,16 +81,20 @@ Address = int
 
 
 class ContactStatus(enum.Enum):
-    """Driver's answer to a :class:`Contact` effect."""
+    """Driver's answer to a :class:`Contact` effect.  ``DROPPED`` is only a
+    transport gate's word to its caller (so ``send`` can raise the right
+    error); drivers answer a machine ``OFFLINE`` for it."""
 
     OK = "ok"
     OFFLINE = "offline"
     GONE = "gone"
+    DROPPED = "dropped"
 
 
 OK = ContactStatus.OK
 OFFLINE = ContactStatus.OFFLINE
 GONE = ContactStatus.GONE
+DROPPED = ContactStatus.DROPPED
 
 
 @dataclass(frozen=True, slots=True)

@@ -390,8 +390,8 @@ class TestInlineDelivery:
 
         transport.register(1, handler)
         injector = transport.install_faults(FaultPlan(seed=3, extra_latency=0.5))
-        precheck, postcheck = injector.precheck, injector.postcheck
-        injector.precheck = lambda m: (order.append("pre"), precheck(m))[1]
+        admit, postcheck = transport.admit, injector.postcheck
+        transport.admit = lambda *contact: (order.append("pre"), admit(*contact))[1]
         injector.postcheck = lambda m: (order.append("post"), postcheck(m))[1]
 
         async def scenario():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import InvalidConfigError, PeerOfflineError, TransportError
+from repro.errors import InvalidConfigError, NoHandlerError, PeerOfflineError, TransportError
 from repro.faults import NO_RETRY, RetryPolicy, send_with_retry
 
 
@@ -112,6 +112,28 @@ class TestSendWithRetry:
         assert outcome.backoff == 2.0
         assert outcome.attempts == 2
         assert outcome.gave_up
+
+    def test_a_departed_destination_is_never_retried(self):
+        """``NoHandlerError`` is a ``TransportError``, but it means GONE."""
+        transport = _FlakyTransport(10, error=NoHandlerError(7))
+        policy = RetryPolicy(attempts=5, base_delay=1.0)
+        outcome = send_with_retry(transport, "msg", policy)
+        assert transport.sends == 1
+        assert (outcome.reply, outcome.attempts, outcome.backoff) == (None, 1, 0.0)
+        assert outcome.gave_up
+
+    def test_a_destination_that_leaves_mid_retry_ends_the_retries(self):
+        class Leaving(_FlakyTransport):
+            def send(self, message):
+                self.error = NoHandlerError(7) if self.sends else PeerOfflineError(7)
+                return super().send(message)
+
+        transport = Leaving(10)
+        outcome = send_with_retry(transport, "msg", RetryPolicy(attempts=5, base_delay=1.0))
+        # Offline once (retryable), then gone: the backoff before the second
+        # look is spent, the remaining three attempts are not.
+        assert transport.sends == 2
+        assert (outcome.attempts, outcome.backoff, outcome.gave_up) == (2, 1.0, True)
 
     def test_default_policy_is_no_retry(self):
         transport = _FlakyTransport(1)

@@ -6,8 +6,9 @@ still owns is its driver loop (``_run``) and the thin public wrappers.
 These tests run the *same bodies* against both — a shell is a transport,
 its nodes and a ``call()`` that completes whatever a node method returned
 — and pin what the loops alone decide: the ``Contact`` status mapping,
-the spent-budget short-circuit, where retry backoff is accrued (and
-slept), and that a push retries exactly like :func:`contact_step`.
+that the transport's gate is asked before a message is built, the
+spent-budget short-circuit, where retry backoff is accrued (and slept),
+and that a push retries exactly like :func:`contact_step`.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import pytest
 from repro.aio.node import AsyncPGridNode, attach_async_nodes
 from repro.aio.transport import AsyncTransport
 from repro.core.storage import DataRef
-from repro.faults import RetryPolicy
-from repro.net.message import MessageKind, ping, update_message
+from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.net.message import Message, MessageKind, ping, pong, update_message
 from repro.net.node import NodeCore, PGridNode, attach_nodes
 from repro.net.transport import LocalTransport
 from repro.net.wire import decode_message, encode_message
@@ -42,17 +43,22 @@ class _AlwaysDrop:
 class SyncShell:
     sleeps = False
 
-    def __init__(self, grid, *, retry=None, **transport_options):
+    def __init__(self, grid, *, retry=None, faults=None, **transport_options):
         self.grid = grid
         self.transport = LocalTransport(grid, **transport_options)
-        self.nodes = attach_nodes(grid, self.transport, retry=retry)
+        self.injector = None
+        if faults is not None:  # the sync stack wraps the transport
+            self.injector = FaultInjector(self.transport, faults)
+            self.injector.install_oracle()
+        self.nodes = attach_nodes(grid, self.injector or self.transport, retry=retry)
 
     def call(self, result):
         return result
 
-    def serve_none(self, address):
+    def serve(self, address, respond):
+        """Replace *address*'s node by the plain function *respond*."""
         self.transport.unregister(address)
-        self.transport.register(address, lambda message: None)
+        self.transport.register(address, respond)
 
     def slept(self):
         return 0.0  # a synchronous transport has no loop clock to sleep on
@@ -64,19 +70,22 @@ class SyncShell:
 class AsyncShell:
     sleeps = True  # retry backoff is also spent on the transport's loop clock
 
-    def __init__(self, grid, *, retry=None, **transport_options):
+    def __init__(self, grid, *, retry=None, faults=None, **transport_options):
         self.grid = grid
         self.loop = asyncio.new_event_loop()
         self.transport = AsyncTransport(grid, **transport_options)
+        self.injector = None
+        if faults is not None:  # the async stack installs the plan on it
+            self.injector = self.transport.install_faults(faults)
         self.nodes = attach_async_nodes(grid, self.transport, retry=retry)
         self.loop.run_until_complete(self.transport.start())
 
     def call(self, result):
         return self.loop.run_until_complete(result)
 
-    def serve_none(self, address):
+    def serve(self, address, respond):
         async def handler(message):
-            return None
+            return respond(message)
 
         async def swap():  # on the loop: registering spawns the mailbox worker
             self.transport.unregister(address)
@@ -107,8 +116,11 @@ def make_shell(request):
         shell.close()
 
 
-def contact_statuses(shell, targets, *, budget=5, delay=0.0):
-    """What node 0's loop answers to one scripted ``Contact`` per target."""
+def contact_statuses(shell, targets, *, budget=5, delay=0.0, builds=None):
+    """What node 0's loop answers to one scripted ``Contact`` per target.
+
+    *builds* (a list) collects the targets ``build`` was called for.
+    """
     node = shell.nodes[0]
 
     def machine():
@@ -117,7 +129,12 @@ def contact_statuses(shell, targets, *, budget=5, delay=0.0):
             statuses.append((yield Contact(target, 1, None, delay)))
         return statuses
 
-    op = (machine(), Budget(budget), lambda effect: ping(0, effect.target), None, list)
+    def build(effect):
+        if builds is not None:
+            builds.append(effect.target)
+        return ping(0, effect.target)
+
+    op = (machine(), Budget(budget), MessageKind.PING, build, None, list)
     return shell.call(node._run(op))
 
 
@@ -161,7 +178,7 @@ def test_offline_on_a_transport_drop(make_shell):
 
 def test_offline_on_a_none_reply(make_shell):
     shell = make_shell()
-    shell.serve_none(1)
+    shell.serve(1, lambda message: None)
     assert contact_statuses(shell, [1]) == [OFFLINE]
     assert traffic(shell) == (1, 0, 0)  # delivered, but nobody answered
 
@@ -181,9 +198,109 @@ def test_type_error_on_a_foreign_effect(make_shell):
     def machine():
         yield FetchBuddies(1)
 
-    op = (machine(), Budget(1), None, None, list)
+    op = (machine(), Budget(1), None, None, None, list)
     with pytest.raises(TypeError, match="unexpected effect"):
         shell.call(shell.nodes[0]._run(op))
+
+
+# -- admit before you build ----------------------------------------------------------------
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """The kinds of every :class:`Message` constructed during the test."""
+    kinds = []
+    init = Message.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        kinds.append(self.kind)
+
+    monkeypatch.setattr(Message, "__init__", counting)
+    return kinds
+
+
+def _offline(shell):
+    shell.grid.online_oracle = FixedOnlineSet({0})
+
+
+def _departed(shell):
+    shell.transport.unregister(1)
+
+
+def _crashed(shell):
+    shell.injector.crash(1)
+
+
+def _plan_drops(shell):
+    shell.injector._drop_rng = _AlwaysDrop()
+
+
+#: refusal -> (shell options, how to arrange it, status, (delivered, offline, dropped))
+REFUSALS = {
+    "offline": ({}, _offline, OFFLINE, (0, 1, 0)),
+    "gone": ({}, _departed, GONE, (0, 0, 0)),
+    "lost": ({"loss_probability": 0.5, "rng": _AlwaysDrop()}, None, OFFLINE, (0, 0, 1)),
+    "crashed": ({"faults": FaultPlan(seed=1)}, _crashed, OFFLINE, (0, 1, 0)),
+    "plan-drop": ({"faults": FaultPlan(seed=1, drop_probability=0.5)}, _plan_drops,
+                  OFFLINE, (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("refusal", REFUSALS)
+def test_a_refused_contact_builds_nothing(make_shell, constructed, refusal):
+    options, arrange, status, tallies = REFUSALS[refusal]
+    shell = make_shell(**options)
+    if arrange is not None:
+        arrange(shell)
+    builds = []
+    assert contact_statuses(shell, [1], builds=builds) == [status]
+    assert builds == [] and constructed == []
+    assert traffic(shell) == tallies  # refused by the gate, tallied as ever
+
+
+def test_an_admitted_contact_builds_exactly_one_message(make_shell, constructed):
+    grid = make_fig1_grid()
+    grid.online_oracle = FixedOnlineSet({0, 2})
+    shell = make_shell(grid)
+    builds = []
+    assert contact_statuses(shell, [1, 2, 1, 99], builds=builds) == [OFFLINE, OK, OFFLINE, GONE]
+    assert builds == [2]
+    assert constructed == [MessageKind.PING, MessageKind.PONG]  # the request, its reply
+
+
+def test_a_refused_search_hop_costs_no_message_id(make_shell, constructed):
+    """End to end: with everyone else offline a search tries its
+    references and builds nothing — refused contacts consume no ids."""
+    grid = make_fig1_grid()
+    grid.online_oracle = FixedOnlineSet({0})
+    shell = make_shell(grid)
+    outcome = shell.call(shell.nodes[0].search("11"))
+    assert not outcome.found and outcome.failed_attempts > 0
+    assert shell.transport.stats.offline_failures == outcome.failed_attempts
+    assert constructed == []
+
+
+def test_fault_gates_run_in_order_around_a_delivered_message(make_shell):
+    shell = make_shell(faults=FaultPlan(seed=3, extra_latency=0.5))
+    order = []
+    gate = shell.injector if isinstance(shell, SyncShell) else shell.transport
+    admit, postcheck = gate.admit, shell.injector.postcheck
+    gate.admit = lambda *contact: (order.append("pre"), admit(*contact))[1]
+    shell.injector.postcheck = lambda m: (order.append("post"), postcheck(m))[1]
+
+    def build(effect):
+        order.append("build")
+        return ping(0, effect.target)
+
+    def machine():
+        return [(yield Contact(1, 1, None))]
+
+    shell.serve(1, lambda message: (order.append("handle"), pong(message))[1])
+    op = (machine(), Budget(1), MessageKind.PING, build, None, list)
+    assert shell.call(shell.nodes[0]._run(op)) == [OK]
+    assert order == ["pre", "build", "handle", "post"]
+    assert shell.transport.stats.simulated_time == 0.5
 
 
 # -- retry backoff: where it is accrued, when it stops ---------------------------------
