@@ -152,10 +152,12 @@ swarm-smoke:
 		--operations 2000 --update-fraction 0.1 --concurrency 64 \
 		--seed 0 --min-found-rate 1.0 --time-budget 120
 
+# Every shipped example, from the source tree, with a DeprecationWarning
+# an error (an example must use the current import paths).
 examples:
 	@for script in examples/*.py; do \
 		echo "=== $$script ==="; \
-		$(PYTHON) $$script || exit 1; \
+		PYTHONPATH=src $(PYTHON) -W error::DeprecationWarning $$script || exit 1; \
 	done
 
 results:

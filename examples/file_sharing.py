@@ -18,17 +18,11 @@ from __future__ import annotations
 
 import random
 
-from repro import (
-    DataItem,
-    GridBuilder,
-    PGrid,
-    PGridConfig,
-    UpdateEngine,
-    UpdateStrategy,
-)
 from repro.baselines.flooding import GnutellaNetwork
+from repro.core import DataItem, PGrid, PGridConfig, UpdateEngine, UpdateStrategy
 from repro.net.node import attach_nodes
 from repro.net.transport import LocalTransport
+from repro.sim import GridBuilder
 from repro.sim.churn import BernoulliChurn
 from repro.sim.workload import UniformKeyWorkload
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from repro import DataItem, GridBuilder, PGrid, PGridConfig, SearchEngine
+from repro.core import DataItem, PGrid, PGridConfig, SearchEngine
 from repro.kary import (
     KaryExchangeEngine,
     KaryGrid,
@@ -28,6 +28,7 @@ from repro.kary import (
     KeySpace,
     build_kary_grid,
 )
+from repro.sim import GridBuilder
 from repro.text.encoding import TextEncoder
 
 WORDS = [

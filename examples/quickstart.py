@@ -8,15 +8,15 @@ from __future__ import annotations
 
 import random
 
-from repro import (
+from repro.core import (
     DataItem,
-    GridBuilder,
     PGrid,
     PGridConfig,
     SearchEngine,
     UpdateEngine,
     UpdateStrategy,
 )
+from repro.sim import GridBuilder
 
 
 def main() -> None:

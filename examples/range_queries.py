@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import random
 
-from repro import DataItem, GridBuilder, PGrid, PGridConfig, SearchEngine
+from repro.core import DataItem, PGrid, PGridConfig, SearchEngine
 from repro.core import keys as keyspace
+from repro.sim import GridBuilder
 
 KEY_BITS = 10
 MIN_TEMP, MAX_TEMP = -30.0, 50.0

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import random
 
-from repro import GridBuilder, MembershipEngine, PGrid, PGridConfig, SearchEngine
+from repro.core import MembershipEngine, PGrid, PGridConfig, SearchEngine
+from repro.sim import GridBuilder
 from repro.sim.workload import UniformKeyWorkload
 
 N_PEERS = 512

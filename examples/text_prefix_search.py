@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import random
 
-from repro import GridBuilder, PGrid, PGridConfig
+from repro.core import PGrid, PGridConfig
+from repro.sim import GridBuilder
 from repro.text import PrefixTextIndex
 
 CORPUS = {

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import random
 
-from repro import (
+from repro.core import (
     DataItem,
     DataRef,
-    GridBuilder,
     PGrid,
     PGridConfig,
     ReadEngine,
     UpdateEngine,
     UpdateStrategy,
 )
+from repro.sim import GridBuilder
 from repro.sim.churn import BernoulliChurn
 
 N_PEERS = 512

@@ -13,10 +13,9 @@ True
 
 :class:`Grid` (see :mod:`repro.api`) is the facade over construction,
 search, update and the three interchangeable drivers of the sans-I/O
-protocol core.  The legacy constructors (``GridBuilder``,
-``SearchEngine``, ``UpdateEngine``, ``ReadEngine``) keep working but
-importing them from the top level is deprecated — import them from
-their home modules (``repro.sim``, ``repro.core``) or use the facade.
+protocol core.  The engine-level constructors (``GridBuilder``,
+``SearchEngine``, ``UpdateEngine``, ``ReadEngine``) live in their home
+modules (``repro.sim``, ``repro.core``).
 
 Package layout
 --------------
@@ -105,40 +104,6 @@ from repro.sim import (
 
 __version__ = "1.0.0"
 
-# Legacy constructors: still fully supported at their home modules, but
-# top-level imports now go through the Grid facade.  PEP 562 module
-# __getattr__ keeps `from repro import SearchEngine` working (with a
-# DeprecationWarning) without the engines paying an eager-import cost —
-# and without the warning firing for in-package imports, which all use
-# the home modules directly.
-_DEPRECATED_TOP_LEVEL = {
-    "GridBuilder": ("repro.sim", "Grid.build(...)"),
-    "SearchEngine": ("repro.core", "Grid.search(...) / grid.serve(...)"),
-    "UpdateEngine": ("repro.core", "Grid.update(...) / grid.serve(...)"),
-    "ReadEngine": ("repro.core", "Grid.reads"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, replacement = _DEPRECATED_TOP_LEVEL[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-    import warnings
-
-    warnings.warn(
-        f"importing {name} from the top-level 'repro' package is deprecated; "
-        f"use {replacement} (repro.api.Grid) or import it from {module_name}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_DEPRECATED_TOP_LEVEL))
-
 __all__ = [
     "Address",
     "AlwaysOnline",
@@ -154,7 +119,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "Grid",
-    "GridBuilder",
     "GridPlan",
     "InvalidConfigError",
     "InvalidKeyError",
@@ -171,7 +135,6 @@ __all__ = [
     "Peer",
     "PeerOfflineError",
     "RangeSearchResult",
-    "ReadEngine",
     "ReadResult",
     "RefHealer",
     "RepairReport",
@@ -179,7 +142,6 @@ __all__ = [
     "RoutingInvariantError",
     "RoutingTable",
     "SearchConfig",
-    "SearchEngine",
     "SearchResult",
     "SessionChurn",
     "ShortcutCache",
@@ -190,7 +152,6 @@ __all__ = [
     "UniformMeetings",
     "UnknownPeerError",
     "UpdateConfig",
-    "UpdateEngine",
     "UpdateResult",
     "UpdateStrategy",
     "min_peers_for_replication",

@@ -30,11 +30,11 @@ A delivered hop is one awaited call:
   (:class:`MailboxStats`) and streamed to the observability layer via
   :meth:`repro.obs.probe.Probe.on_mailbox`.
 
-Fault plans plug in through :meth:`install_faults`: the sync stack's
-:class:`~repro.faults.FaultInjector` goes first through ``admit`` (crash,
-drop coin) and runs its post-delivery faults (latency, crash coin, stale
-refs) after each handler, from the same derived streams in the same order
-— a plan behaves identically on either substrate.
+Fault plans plug in through the inherited
+:meth:`~repro.net.transport.Gated.install_faults`: the plan goes first
+through ``admit`` (crash, drop coin) and its post-delivery faults (latency,
+crash coin, stale refs) run after each handler, from the same derived
+streams in the same order — a plan behaves identically on either substrate.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Awaitable, Callable
 
 from repro.core.grid import PGrid
 from repro.core.peer import Address
-from repro.errors import NoHandlerError, PeerOfflineError, TransportError
+from repro.errors import NoHandlerError
 from repro.net.message import Message
 from repro.net.transport import Gated, LatencyModel, refusal
 from repro.obs.probe import Probe
@@ -136,28 +136,6 @@ class AsyncTransport(Gated):
         their callers' tasks; cancel those to abandon them."""
         self._gate.clear()
 
-    def install_faults(self, plan, *, probe: Probe | None = None):
-        """Wire a :class:`~repro.faults.FaultPlan` into this transport.
-
-        Builds the standard :class:`~repro.faults.FaultInjector` over this
-        transport (it only needs ``grid``/``stats``), installs its
-        composed availability oracle on the grid; from then on its plan
-        goes first through :meth:`admit` and its post-delivery faults end
-        every :meth:`deliver`.  Returns the injector so callers can
-        crash/restart peers or read ``fault_stats``.
-        """
-        from repro.faults.inject import FaultInjector
-
-        injector = FaultInjector(self, plan, probe=probe)
-        injector.install_oracle()
-        self._faults = injector
-        return injector
-
-    @property
-    def faults(self):
-        """The installed :class:`~repro.faults.FaultInjector`, if any."""
-        return self._faults
-
     # -- delivery -------------------------------------------------------------------
 
     async def deliver(self, message: Message) -> Message | None:
@@ -216,10 +194,10 @@ class AsyncTransport(Gated):
         if probe is not None:
             probe.on_mailbox("dequeue", destination, depth=box.depth, wait=wait)
         reply = await box.handler(message)
-        faults = self._faults
-        if faults is not None:
-            extra = faults.postcheck(message)
+        if self.faults is not None:
+            extra = self.faults.postcheck(message)
             if extra:
+                self.stats.simulated_time += extra
                 await self.clock.sleep(extra)
         return reply
 
@@ -230,13 +208,6 @@ class AsyncTransport(Gated):
         if status is not OK:
             raise refusal(status, message)
         return await self.deliver(message)
-
-    async def try_request(self, message: Message) -> Message | None:
-        """Like :meth:`request` but returns ``None`` on offline/lost."""
-        try:
-            return await self.request(message)
-        except (PeerOfflineError, TransportError):
-            return None
 
     # -- reporting ------------------------------------------------------------------
 

@@ -517,13 +517,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
             f"failed_attempts={int(batch.failed_attempts[0])}"
         )
         return 0 if found else 1
-    injector = None
     if args.crash_fraction > 0.0 or args.stale_fraction > 0.0:
         from repro.faults import FaultInjector, FaultPlan
-        from repro.net.transport import LocalTransport
 
         fault_seed = args.fault_seed if args.fault_seed is not None else args.seed
-        injector = FaultInjector(LocalTransport(grid), FaultPlan(seed=fault_seed))
+        injector = FaultInjector(grid, FaultPlan(seed=fault_seed))
         if args.crash_fraction > 0.0:
             victims = injector.crash_random(args.crash_fraction)
             print(f"crashed {len(victims)} peers: {victims[:10]}"

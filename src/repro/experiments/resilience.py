@@ -49,7 +49,6 @@ from repro.experiments.common import ExperimentResult, run_experiment_points
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.repair import RefHealer
-from repro.net.transport import LocalTransport
 from repro.sim import rng as rngmod
 from repro.sim.builder import GridBuilder
 from repro.sim.churn import BernoulliChurn
@@ -217,8 +216,7 @@ def _measure_level_model(
     crashed: frozenset[int] = frozenset()
     if crash_fraction > 0.0:
         injector = FaultInjector(
-            LocalTransport(grid),
-            FaultPlan(seed=rngmod.derive_seed(seed, f"{stream}-faults")),
+            grid, FaultPlan(seed=rngmod.derive_seed(seed, f"{stream}-faults"))
         )
         injector.crash_random(crash_fraction)
         injector.install_oracle(churn)

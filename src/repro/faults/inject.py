@@ -1,10 +1,13 @@
-"""Deterministic fault injection over the simulated transport and oracle.
+"""Deterministic fault injection over a grid's oracle and message planes.
 
-:class:`FaultInjector` wraps a :class:`~repro.net.transport.LocalTransport`
-(or anything with its interface) and executes a
-:class:`~repro.faults.plan.FaultPlan`: extra message drops, added latency,
-peer crashes with bounded downtime, and stale-routing-reference corruption.
-It also exposes the crash state (plus the plan's per-contact availability)
+:class:`FaultInjector` executes one :class:`~repro.faults.plan.FaultPlan`
+over a grid: extra message drops, added latency, peer crashes with bounded
+downtime, and stale-routing-reference corruption.  It is not a transport.
+A message plane takes a plan through
+:meth:`repro.net.transport.Gated.install_faults`, which builds the
+injector: the transport's gate asks it first (crash check, drop coin) and
+its :meth:`FaultInjector.postcheck` ends every delivery.  The injector
+also exposes the crash state (plus the plan's per-contact availability)
 as an :class:`~repro.core.grid.OnlineOracle` via :meth:`oracle` /
 :meth:`install_oracle`, so the engine-level algorithms — which consult
 ``grid.is_online`` rather than the transport — see exactly the same fault
@@ -25,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import InvalidConfigError, UnknownPeerError
 from repro.faults.plan import FaultPlan
-from repro.net.transport import LocalTransport
 from repro.obs.probe import Probe
 from repro.sim import rng as rngmod
 
@@ -65,23 +67,23 @@ class FaultStats:
 
 
 class FaultInjector:
-    """Transport wrapper + availability oracle executing one fault plan.
+    """The executor of one fault plan over *grid*.
 
-    Implements the :class:`~repro.net.transport.LocalTransport` interface
-    (``admit`` / ``deliver`` / ``send`` / ``try_send`` / ``register`` /
-    ``unregister`` / ``is_reachable`` / ``count`` / ``stats``), so message-driven nodes can
-    be attached to the injector exactly as they would to the bare
-    transport.
+    Holds the crash state, the plan's four derived streams (drop, crash,
+    stale, select), the post-delivery faults (:meth:`postcheck`) and the
+    composed availability oracle (:meth:`oracle`).  A transport gets one
+    from :meth:`~repro.net.transport.Gated.install_faults`; the CLI and
+    the resilience experiment build one directly and use its oracle only.
     """
 
     def __init__(
         self,
-        transport,
+        grid,
         plan: FaultPlan | None = None,
         *,
         probe: Probe | None = None,
     ) -> None:
-        self.transport = transport
+        self.grid = grid
         self.plan = plan or FaultPlan()
         self.probe = probe
         self.fault_stats = FaultStats()
@@ -94,67 +96,18 @@ class FaultInjector:
         self._stale_rng = rngmod.derive(seed, "faults-stale")
         self._select_rng = rngmod.derive(seed, "faults-select")
 
-    # -- LocalTransport interface -------------------------------------------------
-
-    @property
-    def grid(self):
-        """The wrapped transport's grid."""
-        return self.transport.grid
-
-    @property
-    def stats(self):
-        """The wrapped transport's traffic counters (shared object)."""
-        return self.transport.stats
-
-    def register(self, address: Address, handler) -> None:
-        self.transport.register(address, handler)
-
-    def unregister(self, address: Address) -> None:
-        self.transport.unregister(address)
-
-    def is_reachable(self, address: Address) -> bool:
-        """Registered, online, and not currently crashed (no downtime tick)."""
-        if address in self._crashed:
-            return False
-        return self.transport.is_reachable(address)
-
-    def count(self, kind) -> int:
-        return self.transport.count(kind)
-
-    def admit(self, kind, source, destination):
-        """The wrapped transport's pre-delivery gate with this plan in front:
-        crash check (the destination is simply gone), then the plan's drop
-        coin, then the transport's own checks.  One method
-        (:meth:`repro.net.transport.Gated.admit`) for this wrapper and for a
-        plan installed on an :class:`~repro.aio.transport.AsyncTransport`, so
-        a plan behaves identically — same derived streams, same draw order —
-        whichever substrate delivers the message."""
-        return self.transport.admit(kind, source, destination, self)
-
-    def deliver(self, message):
-        """Deliver an admitted *message*; then the plan may add latency,
-        crash the destination, or go back and corrupt one of the *source's*
-        routing references (a stale ref the sender will trip over later)."""
-        reply = self.transport.deliver(message)
-        self.postcheck(message)
-        return reply
-
-    # ``admit`` then ``deliver``, raising (or not) exactly as the bare transport.
-    send = LocalTransport.send
-    try_send = LocalTransport.try_send
-
     def postcheck(self, message) -> float:
-        """Post-delivery faults; returns the latency injected (if any).
+        """Faults after a delivered *message*: the plan may add latency,
+        crash the destination, or go back and corrupt one of the *source's*
+        routing references (a stale ref the sender will trip over later).
 
-        The latency is already accrued on the transport's simulated clock;
-        the async transport additionally awaits it on its event-loop clock.
+        Returns the latency injected (the plan's ``extra_latency``); the
+        transport adds it to its simulated clock (and the async one awaits
+        it on its loop clock).
         """
         plan = self.plan
-        latency = 0.0
         if plan.extra_latency:
-            self.transport.stats.simulated_time += plan.extra_latency
             self.fault_stats.injected_latency += plan.extra_latency
-            latency = plan.extra_latency
         if plan.crash_probability and self._crash_rng.random() < plan.crash_probability:
             self.crash(message.destination, downtime=plan.crash_downtime)
         if (
@@ -162,7 +115,7 @@ class FaultInjector:
             and self._stale_rng.random() < plan.stale_ref_probability
         ):
             self._inject_stale_ref(message.source)
-        return latency
+        return plan.extra_latency
 
     # -- crash / restart ----------------------------------------------------------
 

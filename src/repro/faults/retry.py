@@ -9,19 +9,20 @@ success from ``p`` to ``1 - (1 - p)^attempts`` and eq. (3) becomes
 ``(1 - (1 - p)^(attempts * refmax))^k`` — validated empirically by
 ``experiments/resilience.py``.
 
-The policy is pure data: engines consult :meth:`delay_before` /
-``deadline`` themselves (see :class:`repro.core.search.SearchEngine`), and
-:func:`send_with_retry` wraps the transport path for message-driven nodes.
-Backoff delays are *simulated* time — they are accounted, never slept.
+The policy is pure data, consulted in one place: the shared contact
+machine (:func:`repro.protocol.contact.contact_step`) reads
+:meth:`delay_before` / ``deadline`` for the engines and for both node
+drivers alike.  Backoff delays are *simulated* time — accounted on the
+transport's clock, and slept only by the async driver's virtual clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import InvalidConfigError, NoHandlerError, PeerOfflineError, TransportError
+from repro.errors import InvalidConfigError
 
-__all__ = ["RetryPolicy", "RetryOutcome", "NO_RETRY", "send_with_retry"]
+__all__ = ["RetryPolicy", "NO_RETRY"]
 
 
 @dataclass(frozen=True)
@@ -97,44 +98,3 @@ class RetryPolicy:
 
 #: The bare protocol: one attempt, no backoff (used as an explicit default).
 NO_RETRY = RetryPolicy(attempts=1, base_delay=0.0, backoff_factor=1.0, max_delay=0.0)
-
-
-@dataclass
-class RetryOutcome:
-    """What one retried send cost and whether it got through."""
-
-    reply: object | None
-    attempts: int
-    backoff: float
-    gave_up: bool
-
-
-def send_with_retry(transport, message, policy: RetryPolicy | None = None) -> RetryOutcome:
-    """Send *message* over *transport*, retrying per *policy*.
-
-    *transport* is anything with a ``send(message)`` raising
-    :class:`PeerOfflineError` / :class:`TransportError` on failure (a
-    :class:`~repro.net.transport.LocalTransport` or a
-    :class:`~repro.faults.inject.FaultInjector` wrapping one).  Returns a
-    :class:`RetryOutcome` instead of raising: exhausting the policy is
-    graceful degradation, not an error.  A :class:`NoHandlerError` gives
-    up at once (``contact_step``'s ``GONE`` rule: the peer left for good).
-    """
-    policy = policy or NO_RETRY
-    backoff = 0.0
-    attempt = 0
-    while attempt < policy.attempts:
-        if attempt > 0:
-            delay = policy.delay_before(attempt + 1)
-            if policy.deadline is not None and backoff + delay > policy.deadline:
-                break
-            backoff += delay
-        attempt += 1
-        try:
-            reply = transport.send(message)
-        except NoHandlerError:
-            break
-        except (PeerOfflineError, TransportError):
-            continue
-        return RetryOutcome(reply=reply, attempts=attempt, backoff=backoff, gave_up=False)
-    return RetryOutcome(reply=None, attempts=attempt, backoff=backoff, gave_up=True)

@@ -152,10 +152,9 @@ def _merge_costs(payload: dict, budget: Budget, stats: StepStats) -> None:
 class NodeCore:
     """One networked peer minus its transport calls (see the module docs).
 
-    ``transport`` is anything with the
-    :class:`~repro.net.transport.LocalTransport` interface (or its
-    awaitable twin) — in particular a
-    :class:`repro.faults.FaultInjector` wrapping one.  ``retry`` /
+    ``transport`` is a :class:`~repro.net.transport.LocalTransport` (or
+    its awaitable twin), with or without a fault plan installed
+    (:meth:`~repro.net.transport.Gated.install_faults`).  ``retry`` /
     ``healer`` are the resilience collaborators (duck-typed
     :class:`repro.faults.RetryPolicy` / :class:`repro.faults.RefHealer`),
     consulted by the shared contact machine exactly as the engines do;
@@ -187,8 +186,7 @@ class NodeCore:
     def attach(cls, grid: PGrid, transport, *, retry=None, healer=None, config=None):
         """Create one node per peer of *grid*, registered on *transport*.
 
-        *transport* may be a :class:`repro.faults.FaultInjector`; *retry* /
-        *healer* / *config* are forwarded to every node.
+        *retry* / *healer* / *config* are forwarded to every node.
         """
         return {
             peer.address: cls(peer, grid, transport, retry=retry, healer=healer, config=config)

@@ -11,15 +11,19 @@ modelling the failure characteristics that matter to the paper's claims:
   message counts.
 
 Delivery has two halves.  :meth:`Gated.admit` — the pre-delivery gate,
-written once for this transport, :class:`repro.aio.transport.AsyncTransport`
-and :class:`repro.faults.FaultInjector` — takes ``(kind, source,
+written once for this transport and
+:class:`repro.aio.transport.AsyncTransport` — takes ``(kind, source,
 destination)``, needs no message, tallies and reports every refusal and
 answers with a :class:`~repro.protocol.effects.ContactStatus` instead of
 raising.  ``deliver(message)`` is the rest, for an admitted contact: latency
-sample, ``delivered`` tally, handler.  The node drivers build the message in
-between, so a refused contact (seven in ten at the paper's 30 %
-availability) costs a liveness check; ``send`` is the two in order for a
-caller that already holds a message, raising :func:`refusal`'s error.
+sample, ``delivered`` tally, handler, then the installed fault plan's
+post-delivery faults.  The node drivers build the message in between, so a
+refused contact (seven in ten at the paper's 30 % availability) costs a
+liveness check; ``send`` is the two in order for a caller that already
+holds a message, raising :func:`refusal`'s error.
+
+A :class:`~repro.faults.FaultPlan` reaches either plane one way:
+:meth:`Gated.install_faults`.
 
 All traffic is counted per :class:`~repro.net.message.MessageKind` in a
 :class:`TrafficStats`, which is what the networked examples report.
@@ -108,14 +112,10 @@ class UniformLatency:
 
 class Gated:
     """What every message plane shares, written once: configuration, the
-    registry of who can be reached, and the pre-delivery gate (:meth:`admit`).
-    Base of :class:`LocalTransport` and :class:`~repro.aio.transport.AsyncTransport`;
-    a :class:`repro.faults.FaultInjector` asks the same gate with itself as *faults*.
+    registry of who can be reached, the fault plan in front of it
+    (:meth:`install_faults`) and the pre-delivery gate (:meth:`admit`).
+    Base of :class:`LocalTransport` and :class:`~repro.aio.transport.AsyncTransport`.
     """
-
-    #: A fault injector installed on the transport itself
-    #: (:meth:`AsyncTransport.install_faults`); its plan goes first.
-    _faults = None
 
     def __init__(
         self,
@@ -150,6 +150,29 @@ class Gated:
         self._handlers: dict[Address, Any] = {}
         self.probe = probe
         self.stats = TrafficStats()
+        #: The installed plan's :class:`~repro.faults.FaultInjector`, if any.
+        self.faults = None
+
+    def install_faults(self, plan, *, probe: Probe | None = None):
+        """Put a :class:`~repro.faults.FaultPlan` in front of this transport.
+
+        Builds the plan's :class:`~repro.faults.FaultInjector` over the
+        grid and installs its composed availability oracle there; from
+        then on the plan goes first through :meth:`admit` (crash check,
+        drop coin) and its post-delivery faults (extra latency, crash
+        coin, stale refs) end every ``deliver``.  Returns the injector, to
+        crash / restart peers or read ``fault_stats``.  A transport takes
+        one plan: a second raises :class:`InvalidConfigError` (it would
+        compose over the first, which would keep crashing and drawing).
+        """
+        if self.faults is not None:
+            raise InvalidConfigError("a fault plan is already installed on this transport")
+        from repro.faults.inject import FaultInjector
+
+        injector = FaultInjector(self.grid, plan, probe=probe)
+        injector.install_oracle()
+        self.faults = injector
+        return injector
 
     def _register(self, address: Address, entry: Any) -> None:
         """Record *entry* for *address*, which must name a peer of the grid:
@@ -167,25 +190,19 @@ class Gated:
         """Detach the handler for *address* (peer leaves the network)."""
         self._handlers.pop(address, None)
 
-    def is_reachable(self, address: Address) -> bool:
-        """Registered and currently online."""
-        return address in self._handlers and self.grid.is_online(address)
-
     def count(self, kind: MessageKind) -> int:
         """Delivered messages of one kind."""
         return self.stats.delivered[kind]
 
-    def admit(
-        self, kind: MessageKind, source: Address, destination: Address, faults=None
-    ) -> ContactStatus:
+    def admit(self, kind: MessageKind, source: Address, destination: Address) -> ContactStatus:
         """May a *kind* message from *source* reach *destination*?
 
         Checks run in a fixed order, each refusal tallied and reported to
         the probe where it is decided, each coin drawn from its own stream:
 
-        1. the fault plan (*faults*, else the installed injector, if any):
-           the destination is crashed (ticks its downtime) -> ``OFFLINE``;
-           the plan's drop coin -> ``DROPPED``;
+        1. the installed fault plan, if any: the destination is crashed
+           (ticks its downtime) -> ``OFFLINE``; the plan's drop coin ->
+           ``DROPPED``;
         2. no handler registered -> ``GONE`` (no tally: nothing was tried);
         3. the grid's online oracle (one availability draw) -> ``OFFLINE``;
         4. the transport's loss coin -> ``DROPPED``;
@@ -193,9 +210,7 @@ class Gated:
         otherwise ``OK``: the caller builds the message and hands it to
         ``deliver``.  Nothing is raised and no message is needed.
         """
-        if faults is None:
-            faults = self._faults
-        stats = self.stats
+        stats, faults = self.stats, self.faults
         if faults is not None:
             plan = faults.plan
             if faults._contact_crashed(destination):
@@ -243,7 +258,8 @@ class LocalTransport(Gated):
 
     def deliver(self, message: Message) -> Message | None:
         """Hand an admitted *message* to its handler; return the reply
-        (latency sample, ``delivered`` tally and probe event on the way)."""
+        (latency sample, ``delivered`` tally and probe event on the way,
+        the fault plan's post-delivery faults after the handler)."""
         handler = self._handlers.get(message.destination)
         if handler is None:
             raise NoHandlerError(message.destination)
@@ -254,7 +270,12 @@ class LocalTransport(Gated):
             self.probe.on_transport(
                 message.kind.value, message.source, message.destination, "delivered"
             )
-        return handler(message)
+        reply = handler(message)
+        if self.faults is not None:
+            extra = self.faults.postcheck(message)
+            if extra:
+                self.stats.simulated_time += extra
+        return reply
 
     def send(self, message: Message) -> Message | None:
         """:meth:`admit`, then :meth:`deliver`; the handler's synchronous reply.
@@ -268,11 +289,3 @@ class LocalTransport(Gated):
         if status is not OK:
             raise refusal(status, message)
         return self.deliver(message)
-
-    def try_send(self, message: Message) -> Message | None:
-        """Like :meth:`send` but returns ``None`` on offline/lost instead of
-        raising (the common pattern in the randomized algorithms)."""
-        try:
-            return self.send(message)
-        except (PeerOfflineError, TransportError):
-            return None

@@ -166,10 +166,11 @@ class Probe:
     ) -> None:
         """A mailbox event on the async transport.
 
-        *event* is ``enqueue`` (a message entered *address*'s mailbox;
-        *depth* is the queue depth right after the put) or ``dequeue``
-        (the node's worker picked a message up; *depth* is the depth
-        after the get and *wait* the message's queue latency in wall
+        *event* is ``enqueue`` (a message took a slot in *address*'s
+        mailbox; *depth* is the number of messages waiting there, this
+        one included) or ``dequeue`` (the message left the mailbox for its
+        handler, which runs in the sender's task; *depth* is what is
+        still waiting and *wait* how long it was parked, in wall
         seconds).  Depth growth and rising waits are the backpressure
         signals of an overloaded node.
         """

@@ -113,9 +113,9 @@ def contact_step(
 ):
     """Try to reach *target* once per the retry policy; returns success.
 
-    A ``GONE`` answer (dangling reference — the peer departed for good)
-    fails immediately without retry: re-contacting a peer that no longer
-    exists cannot help.  ``OFFLINE`` answers are re-tried up to
+    A ``GONE`` answer (dangling reference — the peer departed for good),
+    first or mid-retry, ends the loop: re-contacting a peer that no
+    longer exists cannot help.  ``OFFLINE`` answers are re-tried up to
     ``retry.attempts`` times — each an independent availability coin
     under the §2 model — accruing the backoff schedule in
     ``stats.retry_delay`` and respecting the policy's deadline.  Every
@@ -123,13 +123,6 @@ def contact_step(
     mid-retry (the loop then stops — the slot no longer exists).
     """
     status = yield Contact(target, ref_level, payload)
-    if status is GONE:
-        stats.failed += 1
-        if ctx.observed:
-            yield Record("offline_miss", (owner, target, ref_level))
-        if ctx.healer is not None:
-            ctx.healer.record_failure(owner, ref_level, target)
-        return False
     retry = ctx.retry
     attempts = retry.attempts if retry is not None else 1
     attempt = 1
@@ -144,6 +137,8 @@ def contact_step(
         if ctx.healer is not None and ctx.healer.record_failure(
             owner, ref_level, target
         ):
+            return False
+        if status is GONE:
             return False
         attempt += 1
         if attempt > attempts:

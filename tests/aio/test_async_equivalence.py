@@ -44,9 +44,7 @@ def populate(grid, items):
 
 def install_faults(grid, seed: int, *, availability=0.85):
     """Same fault world on any substrate, expressed through the oracle."""
-    injector = FaultInjector(
-        LocalTransport(grid), FaultPlan(seed=seed, availability=availability)
-    )
+    injector = FaultInjector(grid, FaultPlan(seed=seed, availability=availability))
     injector.crash_random(0.10, downtime=4)
     injector.inject_stale_refs(0.15)
     injector.install_oracle()
@@ -265,17 +263,16 @@ def test_update_publish_three_way():
 
 
 def test_fault_plan_through_async_transport_matches_sync():
-    """The same FaultPlan wired through install_faults (async) and a
-    FaultInjector-wrapped LocalTransport (sync) injects identical extra
-    latency and drop decisions for a sequential workload."""
+    """The same FaultPlan installed on an AsyncTransport and on a
+    LocalTransport injects identical extra latency and drop decisions for
+    a sequential workload."""
     a = build_grid(48, maxl=4, refmax=2, seed=51)
     b = build_grid(48, maxl=4, refmax=2, seed=51)
     plan = FaultPlan(seed=23, extra_latency=0.25)
 
     sync_transport = LocalTransport(a)
-    sync_injector = FaultInjector(sync_transport, plan)
-    sync_injector.install_oracle()
-    sync_nodes = attach_nodes(a, sync_injector)
+    sync_injector = sync_transport.install_faults(plan)
+    sync_nodes = attach_nodes(a, sync_transport)
 
     async_transport = AsyncTransport(b)
     async_injector = async_transport.install_faults(plan)
@@ -299,6 +296,7 @@ def test_fault_plan_through_async_transport_matches_sync():
             == sync_injector.fault_stats.injected_latency
         )
         assert async_injector.fault_stats.injected_latency > 0
+        assert async_transport.stats.simulated_time == sync_transport.stats.simulated_time
     finally:
         loop.run_until_complete(async_transport.stop())
         loop.close()

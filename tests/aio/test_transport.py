@@ -64,16 +64,7 @@ class TestRegistration:
         with pytest.raises(InvalidConfigError):
             AsyncTransport(make_grid(), loss_probability=0.5)
 
-    def test_is_reachable(self):
-        grid = make_grid()
-        transport = AsyncTransport(grid)
-        transport.register(1, async_pong)
-        assert transport.is_reachable(1)
-        assert not transport.is_reachable(0)
-        grid.online_oracle = FixedOnlineSet(set())
-        assert not transport.is_reachable(1)
-
-    def test_register_after_start_spawns_worker(self):
+    def test_register_after_start_is_served(self):
         grid = make_grid()
         transport = AsyncTransport(grid)
 
@@ -152,7 +143,7 @@ class TestDeliveryOrder:
         assert transport.stats.simulated_time == pytest.approx(5.0)
         assert transport.clock.elapsed == pytest.approx(5.0)
 
-    def test_delivery_counts_and_try_request(self):
+    def test_delivery_counts_only_delivered_requests(self):
         grid = make_grid()
         transport = AsyncTransport(grid)
         transport.register(1, async_pong)
@@ -163,7 +154,8 @@ class TestDeliveryOrder:
                 reply = await transport.request(ping(0, 1))
                 assert reply.kind is MessageKind.PONG
                 grid.online_oracle = FixedOnlineSet({0})
-                assert await transport.try_request(ping(0, 1)) is None
+                with pytest.raises(PeerOfflineError):
+                    await transport.request(ping(0, 1))
             finally:
                 await transport.stop()
 

@@ -2,15 +2,13 @@
 
 Covers the facade's construction and direct-operation paths, the
 driver-equality guarantee of :meth:`Grid.serve` (field-for-field equal
-results and cost counters on equal grids), service lifecycle (close
-releases the transport so a grid can be re-served), and the deprecation
-story for the legacy top-level constructor imports.
+results and cost counters on equal grids) and service lifecycle (close
+releases the transport so a grid can be re-served).
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 
@@ -174,41 +172,3 @@ class TestServe:
         with grid.serve(driver="async") as svc:
             outcome = svc.run(svc.swarm.search(0, "101"))
             assert outcome.query == "101"
-
-
-class TestDeprecatedTopLevelImports:
-    @pytest.mark.parametrize(
-        "name", ["GridBuilder", "SearchEngine", "UpdateEngine", "ReadEngine"]
-    )
-    def test_top_level_import_warns_but_works(self, name):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match=name):
-            cls = getattr(repro, name)
-        assert cls.__name__ == name
-
-    def test_home_module_import_stays_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.core.search import SearchEngine  # noqa: F401
-            from repro.sim.builder import GridBuilder  # noqa: F401
-
-    def test_facade_import_is_canonical(self):
-        import repro
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert repro.Grid is Grid
-
-    def test_dir_still_lists_legacy_names(self):
-        import repro
-
-        names = dir(repro)
-        for name in ("Grid", "GridBuilder", "SearchEngine", "UpdateEngine"):
-            assert name in names
-
-    def test_unknown_attribute_still_raises(self):
-        import repro
-
-        with pytest.raises(AttributeError):
-            repro.NoSuchThing

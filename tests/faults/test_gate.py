@@ -1,4 +1,5 @@
-"""``FaultInjector.send`` is ``admit`` then ``deliver`` — differentially."""
+"""``LocalTransport.send`` with a fault plan installed is ``admit`` then
+``deliver`` — differentially."""
 
 from __future__ import annotations
 
@@ -11,5 +12,5 @@ def test_send_is_admit_then_deliver_under_a_fault_plan(seed, p_online, loss, pla
     on top of churn and loss: same outcomes, ``TrafficStats`` /
     ``FaultStats``, probe events, crash set and stream states."""
     twins.assert_send_is_admit_then_deliver(
-        "injector", pairs, seed=seed, p_online=p_online, loss=loss, plan=plan
+        "local", pairs, seed=seed, p_online=p_online, loss=loss, plan=plan
     )

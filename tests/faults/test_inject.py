@@ -1,4 +1,5 @@
-"""FaultPlan validation and FaultInjector semantics (drops, crashes, stale refs)."""
+"""FaultPlan validation and FaultInjector semantics (drops, crashes, stale
+refs), and how a plan is installed on a transport."""
 
 from __future__ import annotations
 
@@ -6,24 +7,38 @@ import random
 
 import pytest
 
+from repro.aio.transport import AsyncTransport
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.errors import InvalidConfigError, PeerOfflineError, TransportError
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultInjector, FaultOracle, FaultPlan
 from repro.net.message import MessageKind, ping, pong
 from repro.net.transport import LocalTransport
 from repro.sim.churn import FixedOnlineSet
 from tests.conftest import build_grid
 
 
-def make_injector(plan: FaultPlan | None = None, n_peers: int = 4):
+def make_grid(n_peers: int = 4) -> PGrid:
     grid = PGrid(PGridConfig(), rng=random.Random(0))
     grid.add_peers(n_peers)
+    return grid
+
+
+def make_injector(plan: FaultPlan | None = None, n_peers: int = 4):
+    """A grid, a transport answering PINGs everywhere, *plan* installed."""
+    grid = make_grid(n_peers)
     transport = LocalTransport(grid)
-    injector = FaultInjector(transport, plan)
     for address in grid.addresses():
-        injector.register(address, pong)
-    return grid, transport, injector
+        transport.register(address, pong)
+    return grid, transport, transport.install_faults(plan)
+
+
+def delivered(transport, message) -> bool:
+    try:
+        transport.send(message)
+    except (PeerOfflineError, TransportError):
+        return False
+    return True
 
 
 class TestFaultPlan:
@@ -57,50 +72,58 @@ class TestFaultPlan:
             FaultPlan(**kwargs)
 
 
-class TestDelegation:
-    def test_transport_interface_passthrough(self):
+class TestInstallation:
+    def test_install_builds_the_injector_over_the_grid(self):
         grid, transport, injector = make_injector()
+        assert transport.faults is injector
         assert injector.grid is grid
-        assert injector.stats is transport.stats
-        reply = injector.send(ping(0, 1))
-        assert reply.kind is MessageKind.PONG
-        assert injector.count(MessageKind.PING) == 1
-        assert injector.is_reachable(1)
-        injector.unregister(1)
-        assert not injector.is_reachable(1)
+        assert isinstance(grid.online_oracle, FaultOracle)
+        assert transport.send(ping(0, 1)).kind is MessageKind.PONG
+
+    @pytest.mark.parametrize("plane", [LocalTransport, AsyncTransport], ids=["sync", "async"])
+    def test_a_second_plan_is_refused(self, plane):
+        """A second plan used to compose over the first: the first kept
+        crashing peers through the oracle and drawing its coins, and its
+        contacts were tallied on the discarded injector."""
+        grid = make_grid()
+        transport = plane(grid)
+        first = transport.install_faults(FaultPlan(seed=1))
+        oracle = grid.online_oracle
+        with pytest.raises(InvalidConfigError, match="already installed"):
+            transport.install_faults(FaultPlan(seed=2))
+        assert transport.faults is first
+        assert grid.online_oracle is oracle
 
 
 class TestDrops:
     def test_drops_raise_and_count(self):
         _, transport, injector = make_injector(FaultPlan(drop_probability=0.5))
-        dropped = delivered = 0
+        dropped = sent = 0
         for _ in range(200):
             try:
-                injector.send(ping(0, 1))
-                delivered += 1
+                transport.send(ping(0, 1))
+                sent += 1
             except TransportError:
                 dropped += 1
         assert dropped == injector.fault_stats.injected_drops
         assert dropped == transport.stats.dropped
-        assert delivered == transport.count(MessageKind.PING)
+        assert sent == transport.count(MessageKind.PING)
         # With p=0.5 over 200 sends both outcomes must occur.
-        assert dropped > 0 and delivered > 0
+        assert dropped > 0 and sent > 0
 
     def test_same_seed_same_drops(self):
         outcomes = []
         for _ in range(2):
-            _, _, injector = make_injector(FaultPlan(seed=3, drop_probability=0.3))
-            outcomes.append(
-                [injector.try_send(ping(0, 1)) is None for _ in range(50)]
-            )
+            _, transport, _ = make_injector(FaultPlan(seed=3, drop_probability=0.3))
+            outcomes.append([delivered(transport, ping(0, 1)) for _ in range(50)])
         assert outcomes[0] == outcomes[1]
 
 
 class TestLatency:
     def test_extra_latency_accrues_on_delivery_only(self):
         _, transport, injector = make_injector(FaultPlan(extra_latency=2.5))
-        injector.send(ping(0, 1))
-        injector.send(ping(0, 2))
+        transport.send(ping(0, 1))
+        transport.send(ping(0, 2))
         assert transport.stats.simulated_time == pytest.approx(5.0)
         assert injector.fault_stats.injected_latency == pytest.approx(5.0)
 
@@ -109,22 +132,21 @@ class TestCrashes:
     def test_crash_blocks_contact_until_restart(self):
         _, transport, injector = make_injector()
         injector.crash(1)
-        assert not injector.is_reachable(1)
         with pytest.raises(PeerOfflineError):
-            injector.send(ping(0, 1))
+            transport.send(ping(0, 1))
         assert injector.fault_stats.crashed_contacts == 1
         assert transport.stats.offline_failures == 1
         injector.restart(1)
         assert injector.fault_stats.restarts == 1
-        assert injector.send(ping(0, 1)).kind is MessageKind.PONG
+        assert transport.send(ping(0, 1)).kind is MessageKind.PONG
 
     def test_downtime_ticks_then_auto_restart(self):
-        _, _, injector = make_injector()
+        _, transport, injector = make_injector()
         injector.crash(1, downtime=2)
         for _ in range(2):
-            assert injector.try_send(ping(0, 1)) is None
+            assert not delivered(transport, ping(0, 1))
         # Third contact succeeds: downtime expired, peer auto-restarted.
-        assert injector.try_send(ping(0, 1)) is not None
+        assert delivered(transport, ping(0, 1))
         assert injector.fault_stats.restarts == 1
         assert 1 not in injector.crashed
 
@@ -163,7 +185,7 @@ class TestCrashes:
 class TestStaleRefs:
     def test_inject_stale_refs_creates_dangling_audit_findings(self):
         grid = build_grid(32, maxl=4, refmax=2, seed=5)
-        injector = FaultInjector(LocalTransport(grid), FaultPlan(seed=7))
+        injector = FaultInjector(grid, FaultPlan(seed=7))
         assert grid.audit_routing() == []
         corrupted = injector.inject_stale_refs(0.5)
         assert corrupted == injector.fault_stats.stale_refs_injected
@@ -175,7 +197,7 @@ class TestStaleRefs:
 
     def test_stale_addresses_never_collide_with_peers(self):
         grid = build_grid(16, maxl=3, refmax=2, seed=5)
-        injector = FaultInjector(LocalTransport(grid), FaultPlan(seed=7))
+        injector = FaultInjector(grid, FaultPlan(seed=7))
         injector.inject_stale_refs(1.0)
         live = set(grid.addresses())
         fabricated = [
@@ -191,7 +213,8 @@ class TestStaleRefs:
 
 class TestFaultOracle:
     def test_crashed_peers_report_offline(self):
-        grid, _, injector = make_injector()
+        grid = make_grid()
+        injector = FaultInjector(grid)
         oracle = injector.install_oracle()
         assert grid.online_oracle is oracle
         injector.crash(2)
@@ -199,7 +222,8 @@ class TestFaultOracle:
         assert grid.is_online(1)
 
     def test_availability_coin_composes_over_inner(self):
-        grid, _, injector = make_injector(FaultPlan(seed=1, availability=0.5))
+        grid = make_grid()
+        injector = FaultInjector(grid, FaultPlan(seed=1, availability=0.5))
         inner = FixedOnlineSet(grid.addresses())
         injector.install_oracle(inner)
         results = [grid.is_online(1) for _ in range(200)]
@@ -211,7 +235,8 @@ class TestFaultOracle:
         assert not any(grid.is_online(1) for _ in range(50))
 
     def test_empty_plan_oracle_is_passthrough(self):
-        grid, _, injector = make_injector(FaultPlan())
+        grid = make_grid()
+        injector = FaultInjector(grid, FaultPlan())
         inner = FixedOnlineSet([1, 2])
         injector.install_oracle(inner)
         assert grid.is_online(1)

@@ -1,9 +1,10 @@
 """Fault machinery must be a strict no-op when disabled.
 
-Mirrors the PR 1 probe-transparency suite: a `FaultInjector` driving an
-empty `FaultPlan`, a `RetryPolicy` of one attempt, or a healer whose
-threshold is never reached must leave results, traffic accounting, and —
-the strong form — the RNG streams bit-identical to runs without them.
+Mirrors the probe-transparency suite: an empty `FaultPlan` installed on a
+transport or over the grid's oracle, a `RetryPolicy` of one attempt, or a
+healer whose threshold is never reached must leave results, traffic
+accounting, and — the strong form — the RNG streams bit-identical to runs
+without them.
 This is what lets experiments attach the fault stack unconditionally and
 trust that the baseline column really is the baseline.
 """
@@ -43,18 +44,20 @@ def _grid_pair(seed: int, churn_seed: int | None = None, p_online: float = 0.7):
 )
 @given(seed=st.integers(0, 10**6), churn_seed=st.integers(0, 10**6))
 def test_empty_plan_injector_is_transport_transparent(seed, churn_seed):
-    """Networked searches through an empty-plan injector are bit-identical."""
+    """Networked searches over a transport with an empty plan installed
+    are bit-identical."""
     plain_grid, faulty_grid = _grid_pair(seed, churn_seed)
     plain_transport = LocalTransport(plain_grid)
-    injector = FaultInjector(LocalTransport(faulty_grid), FaultPlan(seed=seed))
+    faulty_transport = LocalTransport(faulty_grid)
+    injector = faulty_transport.install_faults(FaultPlan(seed=seed))
     plain_nodes = attach_nodes(plain_grid, plain_transport)
-    faulty_nodes = attach_nodes(faulty_grid, injector)
+    faulty_nodes = attach_nodes(faulty_grid, faulty_transport)
     for start in STARTS:
         for query in QUERIES:
             assert plain_nodes[start].search(query) == faulty_nodes[start].search(
                 query
             )
-    assert plain_transport.stats.snapshot() == injector.stats.snapshot()
+    assert plain_transport.stats.snapshot() == faulty_transport.stats.snapshot()
     assert injector.fault_stats.snapshot() == {
         "injected_drops": 0,
         "injected_latency": 0.0,
@@ -76,7 +79,7 @@ def test_empty_plan_injector_is_transport_transparent(seed, churn_seed):
 def test_empty_plan_oracle_is_churn_transparent(seed, churn_seed):
     """Composing the fault oracle over churn must not shift the churn stream."""
     plain_grid, faulty_grid = _grid_pair(seed, churn_seed, p_online=0.5)
-    injector = FaultInjector(LocalTransport(faulty_grid), FaultPlan(seed=seed))
+    injector = FaultInjector(faulty_grid, FaultPlan(seed=seed))
     injector.install_oracle()
     plain = SearchEngine(plain_grid)
     faulty = SearchEngine(faulty_grid)
@@ -125,7 +128,7 @@ def test_unreachable_threshold_healer_is_engine_transparent(seed, churn_seed):
 def test_random_queries_with_full_disabled_stack():
     """All three disabled pieces together, over a random workload."""
     plain_grid, stacked_grid = _grid_pair(404, churn_seed=405)
-    injector = FaultInjector(LocalTransport(stacked_grid), FaultPlan())
+    injector = FaultInjector(stacked_grid, FaultPlan())
     injector.install_oracle()
     healer = RefHealer(stacked_grid, evict_after=10**9)
     plain = SearchEngine(plain_grid)

@@ -1,12 +1,12 @@
 """Twin worlds for the ``send ≡ admit ∘ deliver`` differential tests.
 
 One :class:`World` is a Fig. 1 grid under seeded churn with a lossy,
-latent transport of the chosen *plane* in front of it — a bare
-:class:`LocalTransport` (``"local"``), a :class:`FaultInjector` wrapping
-one (``"injector"``) or an :class:`AsyncTransport` with the plan
-installed (``"async"``) — plus a probe that records every transport
-event.  Two worlds built from the same arguments are twins: whatever
-differs after driving them came from *how* they were driven.  Used by
+latent transport of the chosen *plane* in front of it — a
+:class:`LocalTransport` (``"local"``) or an :class:`AsyncTransport`
+(``"async"``), with the fault plan installed if one is given — plus a
+probe that records every transport event.  Two worlds built from the
+same arguments are twins: whatever differs after driving them came from
+*how* they were driven.  Used by
 ``tests/net``, ``tests/faults`` and ``tests/aio`` (``test_gate.py`` each).
 """
 
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.aio.transport import AsyncTransport
 from repro.errors import NoHandlerError, PeerOfflineError, TransportError
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.net.message import MessageKind, ping, pong
 from repro.net.transport import ConstantLatency, LocalTransport
 from repro.obs.probe import Probe
@@ -97,29 +97,25 @@ class World:
             if address != DEPARTED:
                 self.transport.register(address, handler)
         self.injector = None
-        self.front = self.transport
-        if plane == "async" and plan is not None:
+        if plan is not None:
             self.injector = self.transport.install_faults(plan, probe=self.probe)
-        elif plane == "injector":
-            self.injector = self.front = FaultInjector(self.transport, plan, probe=self.probe)
-            self.injector.install_oracle()
 
     async def drive(self, pairs, *, halves: bool) -> list:
         """One PING per pair: whole (``send`` / ``request``) or as
         ``admit`` then ``deliver``.  Outcome per contact: the reply's kind
         for a delivered message, else the gate's status (for the whole
         call, the status its exception stands for)."""
-        front, outcomes = self.front, []
-        whole = front.request if self.plane == "async" else front.send
+        transport, outcomes = self.transport, []
+        whole = transport.request if self.plane == "async" else transport.send
         if self.plane == "async":
-            await front.start()
+            await transport.start()
         for source, destination in pairs:
             if halves:
-                status = front.admit(MessageKind.PING, source, destination)
+                status = transport.admit(MessageKind.PING, source, destination)
                 if status is not OK:
                     outcomes.append(status)
                     continue
-                reply = await _settled(front.deliver(ping(source, destination)))
+                reply = await _settled(transport.deliver(ping(source, destination)))
             else:
                 try:
                     reply = await _settled(whole(ping(source, destination)))

@@ -10,6 +10,7 @@ from repro.core.storage import DataRef
 from repro.net.message import MessageKind, ping
 from repro.net.node import attach_nodes
 from repro.net.transport import LocalTransport
+from repro.protocol.effects import OK
 from repro.sim.churn import FixedOnlineSet
 from tests.conftest import build_grid, make_fig1_grid
 
@@ -119,7 +120,7 @@ class TestMisc:
         nodes = attach_nodes(grid, transport)
         assert set(nodes) == set(grid.addresses())
         for address in grid.addresses():
-            assert transport.is_reachable(address)
+            assert transport.admit(MessageKind.PING, 0, address) is OK
 
 
 class TestMessagePropagation:

@@ -59,14 +59,6 @@ class TestRegistration:
         with pytest.raises(TransportError):
             transport.send(ping(0, 1))
 
-    def test_is_reachable(self):
-        grid, transport = make_transport()
-        transport.register(1, pong)
-        assert transport.is_reachable(1)
-        assert not transport.is_reachable(0)  # no handler
-        grid.online_oracle = FixedOnlineSet(set())
-        assert not transport.is_reachable(1)
-
 
 class TestFailureModes:
     def test_offline_destination_raises(self):
@@ -110,18 +102,14 @@ class TestFailureModes:
         grid, transport = make_transport(loss_probability=0.5, seed=9)
         transport.register(1, pong)
         protocol_state = grid.rng.getstate()
-        for _ in range(50):
-            transport.try_send(ping(0, 1))
+        statuses = [transport.admit(MessageKind.PING, 0, 1) for _ in range(50)]
         assert transport.stats.dropped > 0
         # the loss coins never touched the grid's protocol RNG
         assert grid.rng.getstate() == protocol_state
         # and the stream is a pure function of the seed
         grid2, transport2 = make_transport(loss_probability=0.5, seed=9)
         transport2.register(1, pong)
-        drops = sum(
-            1 for _ in range(50) if transport2.try_send(ping(0, 1)) is None
-        )
-        assert drops == transport.stats.dropped
+        assert [transport2.admit(MessageKind.PING, 0, 1) for _ in range(50)] == statuses
 
     def test_no_handler_error_is_specific(self):
         from repro.errors import NoHandlerError
@@ -129,13 +117,6 @@ class TestFailureModes:
         _, transport = make_transport()
         with pytest.raises(NoHandlerError):
             transport.send(ping(0, 1))
-
-    def test_try_send_swallow_failures(self):
-        grid, transport = make_transport()
-        transport.register(1, pong)
-        grid.online_oracle = FixedOnlineSet(set())
-        assert transport.try_send(ping(0, 1)) is None
-        assert transport.try_send(ping(0, 9)) is None  # no handler
 
 
 class TestLatency:

@@ -52,13 +52,11 @@ def populate(grid, items):
 def install_faults(grid, seed: int, *, availability=0.85):
     """One fault world, expressed purely through the grid's oracle.
 
-    Returns the injector (whose transport is never used — the node runs
+    Returns the injector.  No transport carries the plan — the node runs
     over a bare one, so both drivers see the fault plan only through
-    ``grid.is_online`` and the corrupted routing tables).
+    ``grid.is_online`` and the corrupted routing tables.
     """
-    injector = FaultInjector(
-        LocalTransport(grid), FaultPlan(seed=seed, availability=availability)
-    )
+    injector = FaultInjector(grid, FaultPlan(seed=seed, availability=availability))
     injector.crash_random(0.10, downtime=4)
     injector.inject_stale_refs(0.15)
     injector.install_oracle()
@@ -211,12 +209,8 @@ def test_property_networked_search_matches_engine(seed):
     """Property form: any build seed, fault world and workload agree."""
     a = build_grid(32, maxl=4, refmax=2, seed=seed % 97)
     b = build_grid(32, maxl=4, refmax=2, seed=seed % 97)
-    FaultInjector(
-        LocalTransport(a), FaultPlan(seed=seed, availability=0.9)
-    ).install_oracle()
-    FaultInjector(
-        LocalTransport(b), FaultPlan(seed=seed, availability=0.9)
-    ).install_oracle()
+    FaultInjector(a, FaultPlan(seed=seed, availability=0.9)).install_oracle()
+    FaultInjector(b, FaultPlan(seed=seed, availability=0.9)).install_oracle()
     retry = RetryPolicy(attempts=2, base_delay=0.5, deadline=3.0)
     engine = SearchEngine(a, retry=retry)
     nodes = attach_nodes(b, LocalTransport(b), retry=retry)

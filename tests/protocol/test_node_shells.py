@@ -22,7 +22,7 @@ import pytest
 from repro.aio.node import AsyncPGridNode, attach_async_nodes
 from repro.aio.transport import AsyncTransport
 from repro.core.storage import DataRef
-from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+from repro.faults import NO_RETRY, FaultPlan, RetryPolicy
 from repro.net.message import Message, MessageKind, ping, pong, update_message
 from repro.net.node import NodeCore, PGridNode, attach_nodes
 from repro.net.transport import LocalTransport
@@ -46,11 +46,8 @@ class SyncShell:
     def __init__(self, grid, *, retry=None, faults=None, **transport_options):
         self.grid = grid
         self.transport = LocalTransport(grid, **transport_options)
-        self.injector = None
-        if faults is not None:  # the sync stack wraps the transport
-            self.injector = FaultInjector(self.transport, faults)
-            self.injector.install_oracle()
-        self.nodes = attach_nodes(grid, self.injector or self.transport, retry=retry)
+        self.injector = None if faults is None else self.transport.install_faults(faults)
+        self.nodes = attach_nodes(grid, self.transport, retry=retry)
 
     def call(self, result):
         return result
@@ -74,9 +71,7 @@ class AsyncShell:
         self.grid = grid
         self.loop = asyncio.new_event_loop()
         self.transport = AsyncTransport(grid, **transport_options)
-        self.injector = None
-        if faults is not None:  # the async stack installs the plan on it
-            self.injector = self.transport.install_faults(faults)
+        self.injector = None if faults is None else self.transport.install_faults(faults)
         self.nodes = attach_async_nodes(grid, self.transport, retry=retry)
         self.loop.run_until_complete(self.transport.start())
 
@@ -87,7 +82,7 @@ class AsyncShell:
         async def handler(message):
             return respond(message)
 
-        async def swap():  # on the loop: registering spawns the mailbox worker
+        async def swap():  # on the loop, as a running node would
             self.transport.unregister(address)
             self.transport.register(address, handler)
 
@@ -284,9 +279,8 @@ def test_a_refused_search_hop_costs_no_message_id(make_shell, constructed):
 def test_fault_gates_run_in_order_around_a_delivered_message(make_shell):
     shell = make_shell(faults=FaultPlan(seed=3, extra_latency=0.5))
     order = []
-    gate = shell.injector if isinstance(shell, SyncShell) else shell.transport
-    admit, postcheck = gate.admit, shell.injector.postcheck
-    gate.admit = lambda *contact: (order.append("pre"), admit(*contact))[1]
+    admit, postcheck = shell.transport.admit, shell.injector.postcheck
+    shell.transport.admit = lambda *contact: (order.append("pre"), admit(*contact))[1]
     shell.injector.postcheck = lambda m: (order.append("post"), postcheck(m))[1]
 
     def build(effect):
@@ -358,6 +352,48 @@ def test_push_update_attempts_equal_contact_step(make_shell, retry):
     shell = make_shell(grid, retry=retry)
     assert shell.call(shell.nodes[0].push_update(1, DataRef("0", 1))) is False
     assert shell.transport.stats.offline_failures == len(contacts)
+
+
+class _Flaky:
+    """Online oracle: peer 1 is offline for its first *offline* looks
+    (``None``: always), online after; with *leave* it also leaves the
+    network at its first look.  Everyone else is online."""
+
+    def __init__(self, transport, offline, leave):
+        self.transport, self.offline, self.leave, self.looks = transport, offline, leave, 0
+
+    def is_online(self, address):
+        if address != 1:
+            return True
+        self.looks += 1
+        if self.leave:
+            self.transport.unregister(1)
+        return self.offline is not None and self.looks > self.offline
+
+
+#: The retry loop lives in ``contact_step`` only; what it decides, through
+#: either loop.  behaviour -> (retry, offline looks, leaves, pushed,
+#: (offline failures, backoff)).  Giving up after ``attempts``, the
+#: deadline and a departed target are pinned by the tests above.
+RETRIES = {
+    "first-try-is-free": (RetryPolicy(attempts=3), 0, False, True, (0, 0.0)),
+    "backoff-then-success": (RetryPolicy(attempts=4, base_delay=1.0), 2, False, True,
+                             (2, 1.0 + 2.0)),
+    "leaves-mid-retry": (RetryPolicy(attempts=5, base_delay=1.0), None, True, False, (1, 1.0)),
+    "default-is-no-retry": (None, None, False, False, (1, 0.0)),
+    "no-retry": (NO_RETRY, None, False, False, (1, 0.0)),
+}
+
+
+@pytest.mark.parametrize("behaviour", RETRIES)
+def test_push_update_retries_as_contact_step_decides(make_shell, behaviour):
+    retry, offline, leave, pushed, (failures, backoff) = RETRIES[behaviour]
+    shell = make_shell(retry=retry)
+    shell.grid.online_oracle = _Flaky(shell.transport, offline, leave)
+    assert shell.call(shell.nodes[0].push_update(1, DataRef("0", 1))) is pushed
+    assert shell.transport.stats.offline_failures == failures
+    assert shell.transport.stats.simulated_time == backoff
+    assert shell.slept() == (backoff if shell.sleeps else 0.0)
 
 
 def test_push_update_does_not_touch_the_grid_rng(make_shell):
