@@ -3,7 +3,7 @@
 The whole grid lives in a handful of contiguous Python lists (numpy is
 deliberately *not* used for the mutable hot state — boxing every element
 access costs more than list indexing for the branchy exchange logic; it
-is used for bulk RNG generation and the read-only CSR snapshots):
+is used for bulk RNG generation and the exported read-only layouts):
 
 ``path_bits[i]`` / ``path_len[i]``
     Peer *i*'s path as a packed MSB-first integer plus its bit length
@@ -21,8 +21,8 @@ is used for bulk RNG generation and the read-only CSR snapshots):
 ``buddies``
     Sparse ``{peer index: set of peer indices}`` — replica/buddy sets
     only exist once paths complete, so a dense array would waste the
-    whole construction phase.  :meth:`ArrayGrid.buddies_csr` exports the
-    CSR (offsets + values) form for analytics.
+    whole construction phase.  :func:`buddy_csr` exports the CSR
+    (offsets + values) form the snapshot and the batch query plane read.
 ``store_refs`` / ``store_items`` / ``store_counts``
     Sparse leaf-index sidecars keyed by packed ``(bits, length)`` keys.
     Pure construction runs carry no data, so every store operation
@@ -39,6 +39,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from itertools import chain
 from typing import TYPE_CHECKING, Any
 
 from repro.core.config import PGridConfig
@@ -67,6 +68,29 @@ def _pack_key(key: str) -> tuple[int, int]:
 def _unpack_key(bits: int, length: int) -> str:
     """``(packed bits, length)`` → binary-string key."""
     return format(bits, f"0{length}b") if length else ""
+
+
+def buddy_csr(buddies: dict[int, set[int]] | None, n: int):
+    """Sparse ``{peer: set of peers}`` → CSR ``(offsets, values)`` int64
+    arrays with sorted rows: peer *p*'s buddies are
+    ``values[offsets[p]:offsets[p + 1]]`` (the snapshot's
+    ``buddy_offsets`` / ``buddy_values``)."""
+    buddies = buddies or {}
+    sizes = _np.fromiter(map(len, buddies.values()), dtype=_np.int64, count=len(buddies))
+    owner = _np.repeat(_np.fromiter(buddies, dtype=_np.int64, count=len(buddies)), sizes)
+    values = _np.fromiter(
+        chain.from_iterable(buddies.values()), dtype=_np.int64, count=int(sizes.sum())
+    )
+    offsets = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(owner, minlength=n), out=offsets[1:])
+    return offsets, values[_np.lexsort((values, owner))]
+
+
+def store_order(rows):
+    """Permutation sorting ``store`` rows by ``(peer, key bits, key len,
+    holder)``: the order the snapshot exports and the batch query plane's
+    side store keeps, so one binary search per peer finds a slot."""
+    return _np.lexsort(rows[:, 3::-1].T)
 
 
 class ArrayGrid:
@@ -358,46 +382,32 @@ class ArrayGrid:
         """Sum of routing references over all peers."""
         return sum(self.ref_len)
 
-    # -- CSR snapshots ---------------------------------------------------------------
+    # -- exported layouts (snapshot segment / batch query plane) ---------------------
 
-    def routing_csr(self):
-        """Routing tables as CSR ``(offsets, values)`` over peer-level rows.
+    def routing_slab(self):
+        """Routing tables as the ``(n * maxl, refmax)`` int32 slab the
+        snapshot and the batch query plane read: row ``i*maxl + l - 1``
+        holds peer *i*'s level-``l`` references, ``-1`` past ``ref_len``."""
+        counts = _np.asarray(self.ref_len, dtype=_np.int64)
+        if not counts.any():  # a fresh grid (construction input): nothing to convert
+            return _np.full((len(counts), self.refmax), -1, dtype=_np.int32)
+        slab = _np.asarray(self.refs, dtype=_np.int32).reshape(len(counts), self.refmax)
+        return _np.where(_np.arange(self.refmax) < counts[:, None], slab, _np.int32(-1))
 
-        Row ``i*maxl + l - 1`` holds peer *i*'s level-``l`` references.
-        numpy arrays when available, plain lists otherwise.
-        """
-        offsets = [0] * (len(self.ref_len) + 1)
-        total = 0
-        for row, count in enumerate(self.ref_len):
-            total += count
-            offsets[row + 1] = total
-        values = [0] * total
-        refmax = self.refmax
-        out = 0
-        for row, count in enumerate(self.ref_len):
-            base = row * refmax
-            values[out : out + count] = self.refs[base : base + count]
-            out += count
-        if _np is not None:
-            return _np.asarray(offsets, dtype=_np.int64), _np.asarray(
-                values, dtype=_np.int64
-            )
-        return offsets, values
-
-    def buddies_csr(self):
-        """Buddy sets as CSR ``(offsets, values)`` with sorted rows."""
-        offsets = [0] * (self.n + 1)
-        values: list[int] = []
-        for i in range(self.n):
-            row = self.buddies.get(i)
-            if row:
-                values.extend(sorted(row))
-            offsets[i + 1] = len(values)
-        if _np is not None:
-            return _np.asarray(offsets, dtype=_np.int64), _np.asarray(
-                values, dtype=_np.int64
-            )
-        return offsets, values
+    def store_rows(self):
+        """Leaf-store refs as ``(entries, 6)`` int64 rows ``(peer, key bits,
+        key len, holder, version, deleted)`` in :func:`store_order` — the
+        snapshot's ``store`` layout, tombstones included."""
+        rows = _np.array(
+            [
+                (peer, bits, length, holder, version, deleted)
+                for peer, entries in self.store_refs.items()
+                for (bits, length), holders in entries.items()
+                for holder, (version, deleted) in holders.items()
+            ],
+            dtype=_np.int64,
+        ).reshape(-1, 6)
+        return rows[store_order(rows)]
 
     # -- memory accounting -----------------------------------------------------------
 

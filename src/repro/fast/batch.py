@@ -154,13 +154,7 @@ class BatchGridBuilder:
             self._pl = np.asarray(grid.path_len, dtype=np.int64)
             self._td = np.asarray(grid.table_depth, dtype=np.int64)
             self._rl = np.asarray(grid.ref_len, dtype=np.int16)
-            refs = np.full((n * maxl, refmax), -1, dtype=np.int32)
-            flat = grid.refs
-            for row, count in enumerate(grid.ref_len):
-                if count:
-                    base = row * refmax
-                    refs[row, :count] = flat[base : base + count]
-            self._refs = refs
+            self._refs = grid.routing_slab()
             self._buddies = {i: set(b) for i, b in grid.buddies.items()}
         else:
             self._pb = np.zeros(n, dtype=np.int64)

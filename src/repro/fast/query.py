@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro.core import keys as keyspace
 from repro.core.config import PGridConfig, SearchConfig
 from repro.core.storage import DataRef
-from repro.protocol.search import key_in_range
+from repro.fast.arraygrid import buddy_csr, store_order
 from repro.protocol.update import UpdateStrategy
 
 try:
@@ -240,6 +240,12 @@ class BatchQueryEngine:
     :meth:`from_batch_builder` (gridless 100k–1M peer state).  All peer
     identifiers are dense indices ``0..n-1``; ``addresses`` maps them
     back when the source grid used sparse addressing.
+
+    ``buddies`` is the buddy CSR ``(offsets, values)`` with sorted rows
+    (peer *p*'s buddies are ``values[offsets[p]:offsets[p + 1]]``, the
+    snapshot's ``buddy_offsets`` / ``buddy_values``); ``None`` means no
+    buddies.  Like the path and routing arrays it is read, never copied
+    or written, so an engine over a snapshot shares the segment's pages.
     """
 
     def __init__(
@@ -251,7 +257,7 @@ class BatchQueryEngine:
         rl,
         n: int,
         config: PGridConfig,
-        buddies: dict[int, set[int]] | None = None,
+        buddies: tuple[Any, Any] | None = None,
         addresses: list[int] | None = None,
         seed: int,
         p_online: float = 1.0,
@@ -280,7 +286,9 @@ class BatchQueryEngine:
         self._pl = np.ascontiguousarray(pl, dtype=np.int64)
         self._refs = refs  # (n * maxl, refmax) int32, -1 beyond each row's count
         self._rl = rl  # (n * maxl,) per-row counts
-        self._buddies = buddies or {}
+        offsets, values = buddy_csr(None, n) if buddies is None else buddies
+        self._buddy_off = np.asarray(offsets, dtype=np.int64)
+        self._buddy_val = np.asarray(values, dtype=np.int64)
         self._probe = probe
         self._rng = np.random.Generator(np.random.MT19937(seed))
         self._pyrng = random.Random(seed ^ 0x9E3779B97F4A7C15)
@@ -289,9 +297,9 @@ class BatchQueryEngine:
         self._vbits = max((n - 1).bit_length(), 1)
         self._vmask = (1 << self._vbits) - 1
         self._key_mod = 1 << min(62 - self._vbits, 31)
-        # Side store for the §5.2 update/read experiments:
-        # (peer, key bits, key len, holder) -> version.
-        self._store: dict[tuple[int, int, int, int], int] = {}
+        # Side store for the §5.2 update/read experiments, in the
+        # snapshot's ``store`` row layout (see _set_store).
+        self._set_store(np.empty((0, 6), dtype=np.int64))
         #: Optional ArrayShortcutCache consulted by :meth:`search_many`
         #: (attach via :meth:`attach_shortcuts` or assign directly).
         self.shortcuts: Any = None
@@ -323,24 +331,14 @@ class BatchQueryEngine:
             p_online = _oracle_p_online(grid.online_oracle)
         if seed is None:
             seed = grid.rng.getrandbits(64)
-        n = grid.n
-        maxl = grid.maxl
-        refmax = grid.refmax
-        refs = np.full((n * maxl, refmax), -1, dtype=np.int32)
-        flat = grid.refs
-        for row, count in enumerate(grid.ref_len):
-            if count:
-                base = row * refmax
-                refs[row, :count] = flat[base : base + count]
-        rl = np.asarray(grid.ref_len, dtype=np.int16)
         engine = cls(
             pb=grid.path_bits,
             pl=grid.path_len,
-            refs=refs,
-            rl=rl,
-            n=n,
+            refs=grid.routing_slab(),
+            rl=np.asarray(grid.ref_len, dtype=np.int16),
+            n=grid.n,
             config=grid.config,
-            buddies={i: set(b) for i, b in grid.buddies.items()},
+            buddies=buddy_csr(grid.buddies, grid.n),
             addresses=list(grid.addresses),
             seed=seed,
             p_online=p_online,
@@ -348,11 +346,7 @@ class BatchQueryEngine:
             chunk=chunk,
             probe=probe,
         )
-        for peer, entries in grid.store_refs.items():
-            for (bits, length), holders in entries.items():
-                for holder, (version, deleted) in holders.items():
-                    if not deleted:
-                        engine._store[(peer, bits, length, holder)] = version
+        engine._set_store(grid.store_rows())
         return engine
 
     @classmethod
@@ -379,13 +373,59 @@ class BatchQueryEngine:
             rl=rl,
             n=builder.n,
             config=builder.config,
-            buddies=buddies,
+            buddies=buddy_csr(buddies, builder.n),
             seed=seed,
             p_online=p_online,
             max_messages=max_messages,
             chunk=chunk,
             probe=probe,
         )
+
+    # -- side store ---------------------------------------------------------------
+
+    def _set_store(self, rows) -> None:
+        """Adopt side-store rows in the snapshot's ``store`` layout,
+        ``(peer, key bits, key len, holder, version, deleted)`` sorted by
+        :func:`~repro.fast.arraygrid.store_order`, and index them by peer.
+
+        Tombstones are dropped (the engine keeps live rows only); without
+        any, *rows* is kept as given, so a snapshot's read-only segment view
+        stays shared until :meth:`publish_many` first has to write.
+        """
+        if rows[:, 5].any():
+            rows = rows[rows[:, 5] == 0]
+        self._store = rows
+        self._store_off = np.searchsorted(rows[:, 0], np.arange(self.n + 1))
+
+    def _locate(self, peer, bits, length, holder):
+        """Find ``(peer, key bits, key len, holder)`` slots in the side store.
+
+        Returns each slot's row — its insertion point when absent — and
+        whether it is present: one vectorized binary search inside each
+        peer's rows, which are sorted by ``(key bits, key len, holder)``.
+        """
+        store = self._store
+        lo = self._store_off[peer]
+        end = hi = self._store_off[peer + 1]
+        while True:
+            live = lo < hi
+            if not live.any():
+                break
+            mid = np.where(live, (lo + hi) >> 1, 0)
+            b, ln, h = store[mid, 1], store[mid, 2], store[mid, 3]
+            less = (b < bits) | (
+                (b == bits) & ((ln < length) | ((ln == length) & (h < holder)))
+            )
+            lo = np.where(live & less, mid + 1, lo)
+            hi = np.where(live & ~less, mid, hi)
+        found = lo < end
+        at = lo[found]
+        found[found] = (
+            (store[at, 1] == bits[found])
+            & (store[at, 2] == length[found])
+            & (store[at, 3] == holder[found])
+        )
+        return lo, found
 
     # -- shared bit math ----------------------------------------------------------
 
@@ -863,7 +903,6 @@ class BatchQueryEngine:
         covers = [keyspace.range_cover(low, high) for low, high in zip(lows, highs)]
         # Flatten to independent (query, cover prefix) sub-searches;
         # each query's subs are contiguous, in cover (left-to-right) order.
-        sub_base = np.zeros(q + 1, dtype=np.int64)
         owner_l: list[int] = []
         bits_l: list[int] = []
         len_l: list[int] = []
@@ -874,7 +913,6 @@ class BatchQueryEngine:
                 bits_l.append(int(prefix, 2) if prefix else 0)
                 len_l.append(len(prefix))
                 start_l.append(int(starts[i]))
-            sub_base[i + 1] = len(owner_l)
         owner = np.asarray(owner_l, dtype=np.int64)
         skb = np.asarray(bits_l, dtype=np.int64)
         skl = np.asarray(len_l, dtype=np.int64)
@@ -902,58 +940,80 @@ class BatchQueryEngine:
         if s:
             np.add.at(messages, owner, sub_msgs)
             np.add.at(failed, owner, sub_fail)
-        # Store fold: index live entries by responding peer once per call
-        # (the side store mutates freely between calls).
-        by_peer: dict[int, list[tuple[int, int, int, int]]] = {}
-        if with_refs and self._store:
-            for (peer, bits, length, holder), version in self._store.items():
-                by_peer.setdefault(peer, []).append((bits, length, holder, version))
+        # Responders: deduplicated first-seen across each query's subs.
+        sub_of = np.repeat(np.arange(s, dtype=np.int64), np.diff(sub_off))
+        pair_owner = owner[sub_of]
+        _, first = np.unique(pair_owner * self.n + sub_vals, return_index=True)
+        first.sort()
         offsets = np.zeros(q + 1, dtype=np.int64)
-        values: list[int] = []
-        data_refs: list[list[DataRef]] = []
-        for i in range(q):
-            seen_r: set[int] = set()
-            best: dict[tuple[str, int], int] = {}
-            for sub in range(int(sub_base[i]), int(sub_base[i + 1])):
-                pbits = int(skb[sub])
-                plen = int(skl[sub])
-                for rp in sub_vals[sub_off[sub] : sub_off[sub + 1]].tolist():
-                    if rp not in seen_r:
-                        seen_r.add(rp)
-                        values.append(rp)
-                    if not with_refs:
-                        continue
-                    for bits, length, holder, version in by_peer.get(rp, ()):
-                        # in-prefix relation with the cover prefix, then
-                        # the [low, high] interval filter (run_range).
-                        mm = plen if plen < length else length
-                        if (bits >> (length - mm)) != (pbits >> (plen - mm)):
-                            continue
-                        key = format(bits, f"0{length}b") if length else ""
-                        if not key_in_range(key, lows[i], highs[i]):
-                            continue
-                        slot = (key, holder)
-                        if version > best.get(slot, -1):
-                            best[slot] = version
-            offsets[i + 1] = len(values)
-            data_refs.append(
-                [
-                    DataRef(key=key, holder=holder, version=version)
-                    for (key, holder), version in sorted(best.items())
-                ]
-            )
+        np.cumsum(np.bincount(pair_owner[first], minlength=q), out=offsets[1:])
+        data_refs = (
+            self._range_refs(lows, highs, owner, skb, skl, sub_of, sub_vals)
+            if with_refs
+            else [[] for _ in range(q)]
+        )
         found = int(np.count_nonzero(offsets[1:] > offsets[:-1]))
         self._emit_batch(
             "batch_range", found, q, int(messages.sum()), int(failed.sum())
         )
         return BatchRangeResult(
             offsets,
-            np.asarray(values, dtype=np.int64),
+            sub_vals[first],
             messages,
             failed,
             covers,
             data_refs,
         )
+
+    def _range_refs(self, lows, highs, owner, skb, skl, sub_of, sub_vals):
+        """``data_refs`` of :meth:`search_range_many`, as one join.
+
+        Every (sub-search, responder) pair meets the responder's store
+        rows; a row survives when its key is in prefix relation with the
+        sub-search's cover prefix and its interval meets ``[low, high]``
+        (:func:`repro.protocol.search.key_in_range`, on integers).  Python
+        only builds the :class:`DataRef` of each surviving ``(key,
+        holder)``, at its highest version, in ``(key, holder)`` order.
+        """
+        data_refs: list[list[DataRef]] = [[] for _ in range(len(lows))]
+        store, off = self._store, self._store_off
+        lo = off[sub_vals]
+        cnt = off[sub_vals + 1] - lo
+        total = int(cnt.sum())
+        if not total:
+            return data_refs
+        row = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt) + np.arange(total)
+        sub = np.repeat(sub_of, cnt)
+        bits, length = store[row, 1], store[row, 2]
+        pbits, plen = skb[sub], skl[sub]
+        m = np.minimum(plen, length)
+        keep = (bits >> (length - m)) == (pbits >> (plen - m))
+        # key_in_range: truncate a key to the bound width, or widen it to
+        # its first and last leaf, then compare with the bounds.
+        who = owner[sub]
+        shift = length - np.array([len(low) for low in lows], dtype=np.int64)[who]
+        pad = np.maximum(-shift, 0)
+        first = (bits >> np.maximum(shift, 0)) << pad
+        last = first + (1 << pad) - 1
+        low_bits = np.array([int(low or "0", 2) for low in lows], dtype=np.int64)
+        high_bits = np.array([int(high or "0", 2) for high in highs], dtype=np.int64)
+        keep &= (last >= low_bits[who]) & (first <= high_bits[who])
+        if not keep.any():
+            return data_refs
+        row, who, bits, length = row[keep], who[keep], bits[keep], length[keep]
+        # A binary string sorts as its bits left-aligned to the longest
+        # key, a shorter key (a prefix) first.
+        aligned = bits << (length.max() - length)
+        holder = store[row, 3]
+        order = np.lexsort((holder, length, aligned, who))
+        starts = _run_starts(np.column_stack((who, aligned, length, holder))[order])
+        best = np.maximum.reduceat(store[row[order], 4], starts)
+        pick = order[starts]
+        columns = (who[pick], bits[pick], length[pick], holder[pick], best)
+        for i, b, ln, h, v in zip(*(column.tolist() for column in columns)):
+            key = format(b, f"0{ln}b") if ln else ""
+            data_refs[i].append(DataRef(key=key, holder=h, version=v))
+        return data_refs
 
     def _range_chunk(self, kb, kl, starts, recbreadth, max_messages):
         """One chunk of subtree-enumerating breadth searches.
@@ -1167,7 +1227,8 @@ class BatchQueryEngine:
         """Strategy 2's second hop: each reached replica forwards to its
         buddy list; offline buddies count one failed attempt (no retry,
         matching the engines' historical §3 semantics)."""
-        buddies = self._buddies
+        buddy_off = self._buddy_off
+        buddy_val = self._buddy_val
         pyrng = self._pyrng
         p = self.p_online
         offsets = reach.offsets
@@ -1181,7 +1242,7 @@ class BatchQueryEngine:
             extended = list(reached)
             in_set = set(reached)
             for peer in reached:
-                for buddy in sorted(buddies.get(peer, ())):
+                for buddy in buddy_val[buddy_off[peer] : buddy_off[peer + 1]].tolist():
                     if buddy in in_set:
                         continue
                     if p >= 1.0 or pyrng.random() < p:
@@ -1222,18 +1283,27 @@ class BatchQueryEngine:
             repetition=repetition,
             recbreadth=recbreadth,
         )
+        # One write per (query, reached replica); a slot is raised only
+        # when the new version is higher, a missing slot counting as -1.
+        each = np.repeat(np.arange(len(reach)), np.diff(reach.offsets))
+        peer, version = reach.values, versions[each]
+        bits, length, holder = kb[each], kl[each], holders[each]
+        pos, found = self._locate(peer, bits, length, holder)
         store = self._store
-        offsets = reach.offsets
-        values = reach.values
-        for i in range(len(reach)):
-            bits = int(kb[i])
-            length = int(kl[i])
-            holder = int(holders[i])
-            version = int(versions[i])
-            for peer in values[offsets[i] : offsets[i + 1]].tolist():
-                slot = (peer, bits, length, holder)
-                if store.get(slot, -1) < version:
-                    store[slot] = version
+        if found.any():
+            if not store.flags.writeable:  # a snapshot's pages: copy, never write
+                store = self._store = store.copy()
+            np.maximum.at(store[:, 4], pos[found], version[found])
+        new = ~found & (version > -1)
+        if new.any():
+            rows = np.column_stack(
+                (peer, bits, length, holder, version, np.zeros_like(version))
+            )[new]
+            order = store_order(rows)
+            rows, pos = rows[order], pos[new][order]
+            starts = _run_starts(rows[:, :4])
+            rows[starts, 4] = np.maximum.reduceat(rows[:, 4], starts)
+            self._set_store(np.insert(store, pos[starts], rows[starts], axis=0))
         return reach
 
     # -- §5.2 read disciplines -------------------------------------------------------
@@ -1287,17 +1357,12 @@ class BatchQueryEngine:
     def _fresh_mask(self, result: BatchSearchResult, kb, kl, holders, versions):
         """Which answered searches hit a replica already at the target
         version (``ReadEngine._responder_is_fresh`` semantics)."""
-        store = self._store
         out = np.zeros(len(kb), dtype=bool)
-        responder = result.responder
-        found = result.found
-        for i in range(len(kb)):
-            if not found[i]:
-                continue
-            version = store.get(
-                (int(responder[i]), int(kb[i]), int(kl[i]), int(holders[i])), -1
-            )
-            out[i] = version >= versions[i]
+        hit = np.flatnonzero(result.found)
+        pos, there = self._locate(result.responder[hit], kb[hit], kl[hit], holders[hit])
+        version = np.full(hit.size, -1, dtype=np.int64)
+        version[there] = self._store[pos[there], 4]
+        out[hit] = version >= versions[hit]
         return out
 
     # -- ground truth ----------------------------------------------------------------
@@ -1327,6 +1392,13 @@ class BatchQueryEngine:
             np.zeros(q, dtype=np.int64),
             np.zeros(q, dtype=np.int64),
         )
+
+
+def _run_starts(rows):
+    """Indices where a run of equal rows begins in sorted 2-D *rows*."""
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return np.flatnonzero(head)
 
 
 def _union_tiled_search(result: BatchSearchResult, q: int, repetition: int):

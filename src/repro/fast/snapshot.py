@@ -18,7 +18,8 @@ Segment layout
 --------------
 All arrays live back-to-back in one segment, 16-byte aligned, in the
 query-plane layout (so :meth:`GridSnapshot.batch_query_engine` is
-zero-copy):
+zero-copy: the engine reads these very arrays, buddies and store
+included):
 
 ========================  =========  =======================================
 field                     dtype      shape
@@ -33,7 +34,8 @@ field                     dtype      shape
 ``buddy_values``          int64      sorted buddy CSR values
 ``store``                 int64      ``(entries, 6)`` rows of
                                      ``(peer, key bits, key len, holder,
-                                     version, deleted)``
+                                     version, deleted)``, sorted by the
+                                     first four columns
 ========================  =========  =======================================
 
 ``store_items`` (full payload objects) are **not** captured — snapshots
@@ -65,6 +67,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.config import PGridConfig
+from repro.fast.arraygrid import buddy_csr, store_order
 
 try:
     import numpy as np
@@ -285,7 +288,8 @@ class GridSnapshot:
         """Copy the packed state into a fresh named segment (the owner).
 
         ``arrays`` must provide every field in the module-docstring
-        layout table; dtypes are coerced to the layout's.
+        layout table; dtypes are coerced to the layout's and the store
+        rows are sorted into the layout's order.
         """
         _require_numpy()
         dtypes = {
@@ -306,6 +310,8 @@ class GridSnapshot:
             field: np.ascontiguousarray(arrays[field], dtype=dtypes[field])
             for field in _FIELDS
         }
+        store = packed["store"].reshape(-1, 6)
+        packed["store"] = store[store_order(store)]
         fields: list[tuple[str, str, tuple[int, ...], int]] = []
         offset = 0
         for field in _FIELDS:
@@ -360,41 +366,20 @@ class GridSnapshot:
 
         if p_online is None:
             p_online = _oracle_p_online(grid.online_oracle)
-        n = grid.n
-        maxl = grid.maxl
-        refmax = grid.refmax
-        refs = np.full((n * maxl, refmax), -1, dtype=np.int32)
-        flat = grid.refs
-        for row, count in enumerate(grid.ref_len):
-            if count:
-                base = row * refmax
-                refs[row, :count] = flat[base : base + count]
-        buddy_offsets, buddy_values = grid.buddies_csr()
-        store_rows: list[tuple[int, int, int, int, int, int]] = []
-        for peer, entries in sorted(grid.store_refs.items()):
-            for (bits, length), holders in sorted(entries.items()):
-                for holder, (version, deleted) in sorted(holders.items()):
-                    store_rows.append(
-                        (peer, bits, length, holder, version, int(deleted))
-                    )
-        store = (
-            np.asarray(store_rows, dtype=np.int64)
-            if store_rows
-            else np.empty((0, 6), dtype=np.int64)
-        )
+        buddy_offsets, buddy_values = buddy_csr(grid.buddies, grid.n)
         return cls.from_arrays(
             {
                 "path_bits": grid.path_bits,
                 "path_len": grid.path_len,
-                "refs": refs,
+                "refs": grid.routing_slab(),
                 "ref_len": grid.ref_len,
                 "table_depth": grid.table_depth,
                 "addresses": grid.addresses,
                 "buddy_offsets": buddy_offsets,
                 "buddy_values": buddy_values,
-                "store": store,
+                "store": grid.store_rows(),
             },
-            n=n,
+            n=grid.n,
             config=grid.config,
             p_online=p_online,
         )
@@ -424,13 +409,7 @@ class GridSnapshot:
             maxl - np.argmax(nonempty[:, ::-1], axis=1),
             0,
         )
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        values: list[int] = []
-        for i in range(n):
-            row = buddies.get(i) if buddies else None
-            if row:
-                values.extend(sorted(row))
-            offsets[i + 1] = len(values)
+        offsets, values = buddy_csr(buddies, n)
         return cls.from_arrays(
             {
                 "path_bits": pb,
@@ -440,7 +419,7 @@ class GridSnapshot:
                 "table_depth": depth,
                 "addresses": np.arange(n, dtype=np.int64),
                 "buddy_offsets": offsets,
-                "buddy_values": np.asarray(values, dtype=np.int64),
+                "buddy_values": values,
                 "store": np.empty((0, 6), dtype=np.int64),
             },
             n=n,
@@ -498,7 +477,7 @@ class GridSnapshot:
         return self._views[field]
 
     def buddies_dict(self) -> dict[int, set[int]]:
-        """Buddy CSR → the sparse ``{peer: set}`` form the engines use."""
+        """Buddy CSR → :class:`ArrayGrid`'s sparse ``{peer: set}`` form."""
         offsets = self.view("buddy_offsets")
         values = self.view("buddy_values")
         out: dict[int, set[int]] = {}
@@ -506,16 +485,6 @@ class GridSnapshot:
             lo, hi = int(offsets[i]), int(offsets[i + 1])
             if hi > lo:
                 out[i] = set(values[lo:hi].tolist())
-        return out
-
-    def store_dict(self) -> dict[tuple[int, int, int, int], int]:
-        """Live store rows in the query engine's side-store form
-        (``(peer, key bits, key len, holder) -> version``, tombstones
-        dropped)."""
-        out: dict[tuple[int, int, int, int], int] = {}
-        for peer, bits, length, holder, version, deleted in self.view("store").tolist():
-            if not deleted:
-                out[(peer, bits, length, holder)] = version
         return out
 
     def store_refs_dict(
@@ -569,9 +538,12 @@ class GridSnapshot:
     ) -> "BatchQueryEngine":
         """A :class:`BatchQueryEngine` directly over the shared buffers.
 
-        The path and routing arrays are the segment's pages (zero copy);
-        only the sparse buddy/store dictionaries are materialized on the
-        heap.  ``p_online`` defaults to the value recorded at export.
+        Paths, routing slab, buddy CSR and store rows are the segment's
+        pages (zero copy); only the address list is built on the heap.
+        The store is filtered only when it holds tombstones;
+        :meth:`~BatchQueryEngine.publish_many` copies it before its first
+        write and never writes through to the segment.
+        ``p_online`` defaults to the value recorded at export.
         """
         from repro.fast.query import BatchQueryEngine
 
@@ -582,7 +554,7 @@ class GridSnapshot:
             rl=self.view("ref_len"),
             n=self.n,
             config=self.config,
-            buddies=self.buddies_dict(),
+            buddies=(self.view("buddy_offsets"), self.view("buddy_values")),
             addresses=self.view("addresses").tolist(),
             seed=seed,
             p_online=self.p_online if p_online is None else p_online,
@@ -590,7 +562,7 @@ class GridSnapshot:
             chunk=chunk,
             probe=probe,
         )
-        engine._store = self.store_dict()
+        engine._set_store(self.view("store"))
         return engine
 
     # -- lifecycle ------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.core.config import PGridConfig
@@ -27,6 +26,9 @@ from repro.sim.builder import GridBuilder
 from repro.sim.churn import BernoulliChurn
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="requires numpy")
+
+if HAVE_NUMPY:
+    import numpy as np
 
 
 def build_grid(seed: int, n: int = 60, maxl: int = 5, refmax: int = 3) -> PGrid:

@@ -91,7 +91,10 @@ class TestRoundTrip:
         try:
             engine = snap.batch_query_engine(seed=99)
             twin = BatchQueryEngine.from_arraygrid(agrid, seed=99)
-            assert engine._store == twin._store
+            assert np.array_equal(engine._store, twin._store)
+            assert np.array_equal(engine._store_off, twin._store_off)
+            assert np.array_equal(engine._buddy_off, twin._buddy_off)
+            assert np.array_equal(engine._buddy_val, twin._buddy_val)
             from_snap = engine.search_many(queries, starts)
             from_grid = twin.search_many(queries, starts)
             assert np.array_equal(from_snap.found, from_grid.found)
@@ -99,6 +102,65 @@ class TestRoundTrip:
             assert np.array_equal(from_snap.messages, from_grid.messages)
             del engine
         finally:
+            _release(snap)
+
+    def test_engine_shares_the_segment_and_never_writes_it(self, built_grid):
+        agrid = ArrayGrid.from_pgrid(built_grid)
+        snap = GridSnapshot.from_arraygrid(agrid)
+        try:
+            engine = snap.batch_query_engine(seed=3)
+            for attr, field in (
+                ("_pb", "path_bits"), ("_pl", "path_len"), ("_refs", "refs"),
+                ("_rl", "ref_len"), ("_buddy_off", "buddy_offsets"),
+                ("_buddy_val", "buddy_values"), ("_store", "store"),
+            ):
+                assert np.shares_memory(getattr(engine, attr), snap.view(field)), field
+            fields = [field for field, *_ in snap.handle.fields]
+            before = [snap.view(field).tobytes() for field in fields]
+            # Raise a stored slot at its own peer, and add a new holder.
+            peer, bits, length, holder, version, _ = snap.view("store")[0].tolist()
+            key = format(bits, f"0{length}b")
+            engine.publish_many(
+                [key, key], [holder, holder + 1000], [version + 5, 1], [peer, peer]
+            )
+            assert not np.shares_memory(engine._store, snap.view("store"))
+            row = engine._store[engine._store_off[peer]].tolist()
+            assert row == [peer, bits, length, holder, version + 5, 0]
+            assert [snap.view(field).tobytes() for field in fields] == before
+            del engine
+        finally:
+            _release(snap)
+
+    def test_unsorted_store_export_answers_the_same(self, built_grid):
+        agrid = ArrayGrid.from_pgrid(built_grid)
+        snap = GridSnapshot.from_arraygrid(agrid)
+        arrays = {field: snap.view(field) for field, *_ in snap.handle.fields}
+        arrays["store"] = arrays["store"][::-1]
+        reversed_snap = GridSnapshot.from_arrays(arrays, n=snap.n, config=snap.config)
+        try:
+            assert np.array_equal(reversed_snap.view("store"), snap.view("store"))
+            ordered = snap.batch_query_engine(seed=4)
+            other = reversed_snap.batch_query_engine(seed=4)
+            rows = snap.view("store").tolist()
+            keys = [format(bits, f"0{length}b") for _, bits, length, *_ in rows]
+            holders = [holder for *_, holder, _, _ in rows]
+            starts = [peer for peer, *_ in rows]
+            reads = [
+                engine.read_many(keys, holders, [0] * len(rows), starts, repetitive=True)
+                for engine in (ordered, other)
+            ]
+            assert reads[0].success.all()
+            assert np.array_equal(reads[0].success, reads[1].success)
+            assert np.array_equal(reads[0].repetitions, reads[1].repetitions)
+            ranges = [
+                engine.search_range_many(["00000"], ["11111"], [0])
+                for engine in (ordered, other)
+            ]
+            assert ranges[0].data_refs[0]
+            assert ranges[0].data_refs == ranges[1].data_refs
+            del ordered, other
+        finally:
+            _release(reversed_snap)
             _release(snap)
 
     def test_from_batch_builder_gridless_path(self):
