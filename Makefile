@@ -93,8 +93,9 @@ bench-e2e-smoke:
 # Prints every run, q1 / median / q3 per side, pairs won and whether the
 # median gap exceeds the parent's IQR; checks msgs_per_op / found_rate /
 # failed equal; writes benchmarks/results/pairs/*.json.  EXPECT=unchanged
-# turns the verdict round for a workload the PR must not move: green iff
-# the counts are equal and the median is ahead, or behind by < parent IQR.
+# judges a workload the change must not move: green iff the counts are
+# equal and no end-to-end metric's median is worse than its BENCHMARK.json
+# bound; a metric whose parent spread exceeds its bound prints unresolved.
 CHANGE ?= .
 WORKLOAD ?= tcp_search
 SEED ?= 1

@@ -22,8 +22,10 @@ of both sides.  Result files and ``<W>-seed<S>-summary.json`` go to
 ``--out-dir``.  Exit code 0 when the expected verdict holds, else 1:
 ``--expect improved`` (the default) is the claim rule — ≥ 9/10 of the
 pairs won, gap > parent IQR, counts equal; ``--expect unchanged`` is for
-the workloads a perf PR must *not* move — counts equal and the change's
-median ahead of the parent's, or behind it by less than the parent's IQR.
+the workloads a change must *not* move and judges every end-to-end metric
+of ``BENCHMARK.json`` against its own ``bound`` (:func:`judge_unchanged`):
+counts equal and no metric ``regressed``.  A metric whose parent runs
+spread wider than its bound is reported ``unresolved``, not unchanged.
 """
 
 from __future__ import annotations
@@ -55,6 +57,38 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+
+
+def judge_unchanged(end_to_end: dict, metrics: list[dict]) -> dict[str, str]:
+    """Verdict per end-to-end metric for a change that must not move it.
+
+    *end_to_end* maps a metric name to ``{"parent": side, "change": side}``
+    with each side's ``runs`` and ``quartiles``; *metrics* are
+    ``BENCHMARK.json``'s ``end_to_end`` entries.  ``regressed``: the
+    change's median is worse than the parent's by more than
+    ``bound x |parent median|``.  Otherwise ``unresolved`` when the
+    parent's own quartile distance exceeds that allowance, unless every
+    change run reads better than every parent run; else ``unchanged``.
+    Metrics a workload does not report are skipped.
+    """
+    verdicts = {}
+    for metric in metrics:
+        row = end_to_end.get(metric["name"])
+        if row is None:
+            continue
+        sign = 1 if metric["better"] == "higher" else -1
+        q1, parent_median, q3 = row["parent"]["quartiles"]
+        change_median = row["change"]["quartiles"][1]
+        allowed = metric["bound"] * abs(parent_median)
+        all_better = (min(sign * value for value in row["change"]["runs"])
+                      > max(sign * value for value in row["parent"]["runs"]))
+        if sign * (parent_median - change_median) > allowed:
+            verdicts[metric["name"]] = "regressed"
+        elif q3 - q1 > allowed and not all_better:
+            verdicts[metric["name"]] = "unresolved"
+        else:
+            verdicts[metric["name"]] = "unchanged"
+    return verdicts
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,14 +153,18 @@ def main(argv: list[str] | None = None) -> int:
         rule = "claim rule (>= 9/10 pairs, gap > parent IQR, counts equal)"
         claim = wins >= 0.9 * (args.pairs - ties) and gap > iqr and clean
     else:
-        rule = "unchanged rule (median ahead, or behind by < parent IQR; counts equal)"
-        claim = gap > -iqr and clean
+        verdicts = summary["verdicts"] = judge_unchanged(
+            summary["end_to_end"], benchmark["end_to_end"])
+        rule = "unchanged rule (no end-to-end metric worse than its bound; counts equal)"
+        claim = clean and "regressed" not in verdicts.values()
     summary["claim_holds"] = claim
     print(f"\n{args.metric} ({better[args.metric]} is better): change ahead in {wins}/{args.pairs}"
           f" pairs ({ties} ties); medians {parent_median:.6g} -> {change_median:.6g}"
           f" ({summary['ratio']:.3f}x of parent); gap {gap:.6g} vs parent IQR {iqr:.6g}")
     for name, values in counts.items():
         print(f"{name}: {'equal on both sides' if len(values) == 1 else 'DIFFERS'} {values}")
+    for name, verdict in summary.get("verdicts", {}).items():
+        print(f"{name}: {verdict}")
     if unclean:
         print(f"runs with violations or errors: {unclean}")
     print(f"{rule}: {'holds' if claim else 'NOT met'}")

@@ -62,16 +62,10 @@ from repro.replication import (
 )
 from repro.sim.builder import ConstructionReport, construct_grid
 
-__all__ = ["Grid", "DRIVERS", "QUERY_CORES"]
+__all__ = ["Grid", "DRIVERS"]
 
 #: The interchangeable driver names :meth:`Grid.serve` accepts.
 DRIVERS = ("engine", "node", "async")
-
-#: The query-plane cores :meth:`Grid.search` / :meth:`Grid.search_many`
-#: accept: ``"object"`` walks the reference engines peer-by-peer,
-#: ``"array"`` resolves whole batches per numpy pass (see
-#: ``repro.fast.query``).
-QUERY_CORES = ("object", "array")
 
 
 class Grid:
@@ -371,25 +365,16 @@ class Grid:
             ArrayGrid.from_pgrid(self.pgrid), p_online=p_online
         )
 
-    def search_many(
-        self, keys: list[str], starts: list[Address], *, core: str = "array"
-    ):
-        """Resolve one search per ``(key, start)`` pair.
+    def search_many(self, keys: list[str], starts: list[Address]):
+        """Resolve one search per ``(key, start)`` pair on the batch plane.
 
-        ``core="array"`` runs all pairs through the batch query plane in
-        vectorized waves and returns a
+        All pairs run through :meth:`batch_query_engine` in vectorized
+        waves (requires numpy) and come back as one
         :class:`~repro.fast.BatchSearchResult` (dense peer indices; map
-        responders through ``batch_query_engine().addresses``);
-        ``core="object"`` loops the reference engine and returns a
-        ``list[SearchResult]`` — same costs, one result object per pair.
+        responders through ``batch_query_engine().addresses``).  A single
+        query belongs to :meth:`search`: a batch of one costs about ten
+        times the object engine's walk.
         """
-        if core == "object":
-            return [self.engine.query_from(start, key)
-                    for key, start in zip(keys, starts)]
-        if core != "array":
-            raise InvalidConfigError(
-                f"unknown core {core!r}: expected one of {', '.join(QUERY_CORES)}"
-            )
         engine = self.batch_query_engine()
         index = self._batch_index
         result = engine.search_many(keys, [index[start] for start in starts])
@@ -400,79 +385,25 @@ class Grid:
 
     # -- direct operations (engine driver, no service needed) --------------------------
 
-    def search(
-        self, key: str, *, start: Address = 0, core: str = "object"
-    ) -> SearchResult:
-        """One Fig. 2 depth-first search from *start*.
+    def search(self, key: str, *, start: Address = 0) -> SearchResult:
+        """One Fig. 2 depth-first search from *start* on the object engine.
 
-        ``core="array"`` resolves it through the batch query plane
-        instead of the object engine — useful to spot-check the bridged
-        snapshot; for throughput use :meth:`search_many`, which is where
-        the vectorization pays.  With ``shortcut_capacity`` set, both
-        cores consult their per-initiator shortcut cache first.
+        With ``shortcut_capacity`` set, the per-initiator shortcut cache
+        is consulted first.  Batches belong to :meth:`search_many`.
         """
-        if core == "object":
-            if self.shortcut_engine is not None:
-                return self.shortcut_engine.query_from(start, key)
-            return self.engine.query_from(start, key)
-        if core != "array":
-            raise InvalidConfigError(
-                f"unknown core {core!r}: expected one of {', '.join(QUERY_CORES)}"
-            )
-        engine = self.batch_query_engine()
-        batch = engine.search_many([key], [self._batch_index[start]])
-        self._observe_search(key)
-        found = bool(batch.found[0])
-        responder = (
-            engine.addresses[int(batch.responder[0])] if found else None
-        )
-        return SearchResult(
-            query=key,
-            start=start,
-            found=found,
-            responder=responder,
-            messages=int(batch.messages[0]),
-            failed_attempts=int(batch.failed_attempts[0]),
-        )
+        if self.shortcut_engine is not None:
+            return self.shortcut_engine.query_from(start, key)
+        return self.engine.query_from(start, key)
 
     def search_range(
-        self,
-        low: str,
-        high: str,
-        *,
-        start: Address = 0,
-        recbreadth: int = 2,
-        core: str = "object",
+        self, low: str, high: str, *, start: Address = 0, recbreadth: int = 2
     ) -> RangeSearchResult:
-        """Range query over ``[low, high]`` from *start*.
+        """Range query over ``[low, high]`` from *start* on the object engine.
 
-        ``core="array"`` resolves the canonical cover through the batch
-        query plane's vectorized range kernel instead of the object
-        engine — same cover prefixes and accounting scheme, statistically
-        equivalent reach (both cores' enumeration walks are RNG-order
-        dependent; see ``repro.fast.query.search_range_many``).
+        Batched range queries run on the array plane through
+        ``batch_query_engine().search_range_many``.
         """
-        if core == "object":
-            return self.engine.query_range(start, low, high, recbreadth=recbreadth)
-        if core != "array":
-            raise InvalidConfigError(
-                f"unknown core {core!r}: expected one of {', '.join(QUERY_CORES)}"
-            )
-        engine = self.batch_query_engine()
-        batch = engine.search_range_many(
-            [low], [high], [self._batch_index[start]], recbreadth=recbreadth
-        )
-        self._observe_search(low)
-        responders = [engine.addresses[int(i)] for i in batch.responders(0)]
-        return RangeSearchResult(
-            low=low,
-            high=high,
-            cover=list(batch.covers[0]),
-            responders=responders,
-            data_refs=list(batch.data_refs[0]),
-            messages=int(batch.messages[0]),
-            failed_attempts=int(batch.failed_attempts[0]),
-        )
+        return self.engine.query_range(start, low, high, recbreadth=recbreadth)
 
     def update(
         self,

@@ -6,8 +6,9 @@ Subcommands
     Construct a P-Grid and print the construction report; optionally save a
     JSON snapshot.
 ``search``
-    Load a snapshot and run one search (optionally under churn), via any
-    of the three drivers (``--driver engine|node|async``).
+    Load a snapshot and run one search (optionally under churn and
+    faults) through ``Grid.serve`` on any of the three drivers
+    (``--driver engine|node|async``), or one range query (``--high``).
 ``swarm``
     Build a grid, run every peer as an asyncio task and drive a mixed
     query/update workload against it (the 1k-node smoke gate).
@@ -37,10 +38,13 @@ import sys
 import time
 from typing import Any, Callable, Sequence
 
+from repro.api import DRIVERS, Grid
+from repro.core import keys as keyspace
 from repro.core.analysis import plan_grid
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.core.search import SearchEngine
+from repro.errors import UnknownPeerError
 from repro.experiments import (
     ablations,
     analysis_example,
@@ -94,6 +98,46 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
 }
 
 
+def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    """The workload flags ``scenario`` and ``stats`` share (see
+    :func:`_scenario_spec`)."""
+    parser.add_argument("--peers", type=int, default=512)
+    parser.add_argument("--maxl", type=int, default=6)
+    parser.add_argument("--refmax", type=int, default=5)
+    parser.add_argument("--items-per-peer", type=int, default=4)
+    parser.add_argument("--key-length", type=int, default=8)
+    parser.add_argument("--zipf", type=float, default=0.0,
+                        help="Zipf exponent for keys (0 = uniform)")
+    parser.add_argument("--p-online", type=float, default=1.0)
+    parser.add_argument("--operations", type=int, default=2000)
+    parser.add_argument("--update-fraction", type=float, default=0.1)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _scenario_spec(args: argparse.Namespace, **extra: Any):
+    """The :class:`~repro.sim.scenario.ScenarioSpec` of the shared
+    workload flags; *extra* sets the remaining spec fields."""
+    from repro.sim.scenario import KeyDistribution, ScenarioSpec
+
+    return ScenarioSpec(
+        n_peers=args.peers,
+        config=PGridConfig(
+            maxl=args.maxl, refmax=args.refmax, recmax=2, recursion_fanout=2
+        ),
+        items_per_peer=args.items_per_peer,
+        key_length=args.key_length,
+        key_distribution=(
+            KeyDistribution.ZIPF if args.zipf > 0 else KeyDistribution.UNIFORM
+        ),
+        zipf_exponent=args.zipf if args.zipf > 0 else 1.0,
+        p_online=args.p_online,
+        operations=args.operations,
+        update_fraction=args.update_fraction,
+        seed=args.seed,
+        **extra,
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgrid",
@@ -135,27 +179,19 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--high", type=str, default=None,
                         help="upper bound: range query over [KEY, HIGH] "
                              "via the canonical trie cover (equal key "
-                             "widths; engine driver, both cores)")
+                             "widths; engine driver only)")
     search.add_argument("--recbreadth", type=int, default=2,
                         help="fan-out per divergence level for --high "
                              "range queries")
     search.add_argument("--p-online", type=float, default=1.0)
     search.add_argument("--seed", type=int, default=0)
-    search.add_argument("--core", choices=("object", "array"),
-                        default="object",
-                        help="query plane: 'object' walks the reference "
-                             "engine, 'array' resolves through the "
-                             "vectorized batch plane (numpy; engine "
-                             "driver only, no trace/retry/faults)")
-    search.add_argument("--driver", choices=("engine", "node", "async"),
-                        default="engine",
-                        help="execution path: in-process engine, the "
+    search.add_argument("--driver", choices=DRIVERS, default="engine",
+                        help="Grid.serve driver: in-process engine, the "
                              "message-driven node over the simulated "
                              "transport, or the asyncio mailbox runtime "
                              "(same protocol machines either way)")
     search.add_argument("--trace", action="store_true",
-                        help="dump the hop-level trace of the search "
-                             "(engine driver only)")
+                        help="dump the trace events of the search")
     faults = search.add_argument_group(
         "fault injection & resilience (see docs/RESILIENCE.md)"
     )
@@ -218,17 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario = sub.add_parser(
         "scenario", help="run a declarative end-to-end scenario"
     )
-    scenario.add_argument("--peers", type=int, default=512)
-    scenario.add_argument("--maxl", type=int, default=6)
-    scenario.add_argument("--refmax", type=int, default=5)
-    scenario.add_argument("--items-per-peer", type=int, default=4)
-    scenario.add_argument("--key-length", type=int, default=8)
-    scenario.add_argument("--zipf", type=float, default=0.0,
-                          help="Zipf exponent for keys (0 = uniform)")
-    scenario.add_argument("--p-online", type=float, default=1.0)
-    scenario.add_argument("--operations", type=int, default=2000)
-    scenario.add_argument("--update-fraction", type=float, default=0.1)
-    scenario.add_argument("--seed", type=int, default=0)
+    _add_scenario_arguments(scenario)
     scenario.add_argument("--replication",
                           choices=("static", "sqrt", "adaptive"), default=None,
                           help="attach the query-load replica balancer "
@@ -248,17 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser(
         "stats", help="run an instrumented scenario and print the metrics registry"
     )
-    stats.add_argument("--peers", type=int, default=512)
-    stats.add_argument("--maxl", type=int, default=6)
-    stats.add_argument("--refmax", type=int, default=5)
-    stats.add_argument("--items-per-peer", type=int, default=4)
-    stats.add_argument("--key-length", type=int, default=8)
-    stats.add_argument("--zipf", type=float, default=0.0,
-                       help="Zipf exponent for keys (0 = uniform)")
-    stats.add_argument("--p-online", type=float, default=1.0)
-    stats.add_argument("--operations", type=int, default=2000)
-    stats.add_argument("--update-fraction", type=float, default=0.1)
-    stats.add_argument("--seed", type=int, default=0)
+    _add_scenario_arguments(stats)
     stats.add_argument("--json", type=str, default=None,
                        help="write the metrics snapshot to this JSON file")
     stats.add_argument("--csv", type=str, default=None,
@@ -308,30 +324,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_trial(
-    *,
-    peers: int,
-    maxl: int,
-    refmax: int,
-    recmax: int,
-    fanout: int,
-    threshold: float,
-    max_exchanges: int,
-    seed: int,
-    core: str = "object",
-) -> dict[str, Any]:
-    """One full construction (module-level so --jobs can pickle it)."""
+def _construct(args: argparse.Namespace, seed: int, probe=None):
+    """Create ``--peers`` peers and build them to convergence with
+    ``--core`` or, given an exchange *probe*, with the object core's
+    probed exchange engine.  Returns ``(grid, report)``."""
     config = PGridConfig(
-        maxl=maxl,
-        refmax=refmax,
-        recmax=recmax,
-        recursion_fanout=fanout if fanout > 0 else None,
+        maxl=args.maxl,
+        refmax=args.refmax,
+        recmax=args.recmax,
+        recursion_fanout=args.fanout if args.fanout > 0 else None,
     )
     grid = PGrid(config, rng=random.Random(seed))
-    grid.add_peers(peers)
-    report = construct_grid(
-        grid, engine=core, threshold_fraction=threshold, max_exchanges=max_exchanges
-    )
+    grid.add_peers(args.peers)
+    budget = {"threshold_fraction": args.threshold, "max_exchanges": args.max_exchanges}
+    if probe is None:
+        return grid, construct_grid(grid, engine=args.core, **budget)
+    from repro.core.exchange import ExchangeEngine
+
+    builder = GridBuilder(grid, engine=ExchangeEngine(grid, probe=probe))
+    return grid, builder.build(**budget)
+
+
+def _build_trial(args: argparse.Namespace, seed: int) -> dict[str, Any]:
+    """One ``--trials`` construction (module-level so --jobs can pickle it)."""
+    grid, report = _construct(args, seed)
     return {
         "seed": seed,
         "converged": report.converged,
@@ -355,17 +371,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             )
             return 2
         trial_kwargs = [
-            {
-                "peers": args.peers,
-                "maxl": args.maxl,
-                "refmax": args.refmax,
-                "recmax": args.recmax,
-                "fanout": args.fanout,
-                "threshold": args.threshold,
-                "max_exchanges": args.max_exchanges,
-                "seed": rngmod.derive_seed(args.seed, f"build-trial-{index}"),
-                "core": args.core,
-            }
+            {"args": args, "seed": rngmod.derive_seed(args.seed, f"build-trial-{index}")}
             for index in range(args.trials)
         ]
         reports = parallel_starmap(_build_trial, trial_kwargs, jobs=args.jobs)
@@ -385,35 +391,16 @@ def _cmd_build(args: argparse.Namespace) -> int:
             f"converged={sum(r['converged'] for r in reports)}/{args.trials}"
         )
         return 0
-    config = PGridConfig(
-        maxl=args.maxl,
-        refmax=args.refmax,
-        recmax=args.recmax,
-        recursion_fanout=args.fanout if args.fanout > 0 else None,
-    )
-    grid = PGrid(config, rng=random.Random(args.seed))
-    grid.add_peers(args.peers)
     trace = None
     if args.trace:
         if args.core != "object":
             print("--trace needs the object core (per-exchange probes)",
                   file=sys.stderr)
             return 2
-        from repro.core.exchange import ExchangeEngine
         from repro.obs import TraceRecorder
 
         trace = TraceRecorder(limit=100_000)
-        engine = ExchangeEngine(grid, probe=trace)
-        report = GridBuilder(grid, engine=engine).build(
-            threshold_fraction=args.threshold, max_exchanges=args.max_exchanges
-        )
-    else:
-        report = construct_grid(
-            grid,
-            engine=args.core,
-            threshold_fraction=args.threshold,
-            max_exchanges=args.max_exchanges,
-        )
+    grid, report = _construct(args, args.seed, probe=trace)
     print(
         f"converged={report.converged} exchanges={report.exchanges} "
         f"meetings={report.meetings} avg_depth={report.average_depth:.3f} "
@@ -429,94 +416,26 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_range_search(args: argparse.Namespace, grid: PGrid) -> int:
-    """``pgrid search KEY --high HIGH``: one range query, either core."""
-    unsupported = (
-        args.driver != "engine"
-        or args.trace
-        or args.retry_attempts > 1
-        or args.self_repair
-        or args.crash_fraction > 0.0
-        or args.stale_fraction > 0.0
-    )
-    if unsupported:
+def _cmd_search(args: argparse.Namespace) -> int:
+    """One query through :meth:`Grid.serve` (``--high``: :meth:`Grid.search_range`)."""
+    if args.high is not None and args.driver != "engine":
         print(
-            "--high range queries support only the plain engine driver "
-            "(no --trace, retries, self-repair or fault injection)",
+            "--high range queries need --driver engine "
+            "(the node and async services have no range call)",
             file=sys.stderr,
         )
         return 2
-    if args.core == "array":
-        from repro.fast import ArrayGrid, BatchQueryEngine
-
-        engine = BatchQueryEngine.from_arraygrid(ArrayGrid.from_pgrid(grid))
-        dense = {address: i for i, address in enumerate(engine.addresses)}
-        batch = engine.search_range_many(
-            [args.key], [args.high], [dense[args.start]],
-            recbreadth=args.recbreadth,
-        )
-        cover = list(batch.covers[0])
-        responders = [engine.addresses[int(i)] for i in batch.responders(0)]
-        refs = list(batch.data_refs[0])
-        messages = int(batch.messages[0])
-        failed = int(batch.failed_attempts[0])
-    else:
-        result = SearchEngine(grid).query_range(
-            args.start, args.key, args.high, recbreadth=args.recbreadth
-        )
-        cover = list(result.cover)
-        responders = list(result.responders)
-        refs = list(result.data_refs)
-        messages = result.messages
-        failed = result.failed_attempts
-    cover_text = ",".join(prefix or "''" for prefix in cover)
-    print(
-        f"range=[{args.key}, {args.high}] cover={cover_text} "
-        f"responders={len(responders)} messages={messages} "
-        f"failed_attempts={failed}"
-    )
-    for ref in refs:
-        print(f"  data: key={ref.key} holder={ref.holder} version={ref.version}")
-    return 0 if responders else 1
-
-
-def _cmd_search(args: argparse.Namespace) -> int:
-    rng = random.Random(args.seed)
-    grid = load_grid(args.snapshot, rng=rng)
+    grid = load_grid(args.snapshot, rng=random.Random(args.seed))
+    try:
+        keyspace.validate_key(args.key)
+        if args.high is not None:
+            keyspace.range_cover(args.key, args.high)
+        grid.peer(args.start)
+    except (ValueError, UnknownPeerError) as exc:
+        print(f"pgrid search: {exc.args[0]}", file=sys.stderr)
+        return 2
     if args.p_online < 1.0:
         grid.online_oracle = BernoulliChurn(args.p_online, random.Random(args.seed + 1))
-    if args.high is not None:
-        return _run_range_search(args, grid)
-    if args.core == "array":
-        unsupported = (
-            args.driver != "engine"
-            or args.trace
-            or args.retry_attempts > 1
-            or args.self_repair
-            or args.crash_fraction > 0.0
-            or args.stale_fraction > 0.0
-        )
-        if unsupported:
-            print(
-                "--core array supports only the plain engine driver "
-                "(no --trace, retries, self-repair or fault injection); "
-                "use --core object for those",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.fast import ArrayGrid, BatchQueryEngine
-
-        engine = BatchQueryEngine.from_arraygrid(ArrayGrid.from_pgrid(grid))
-        dense = {address: i for i, address in enumerate(engine.addresses)}
-        batch = engine.search_many([args.key], [dense[args.start]])
-        found = bool(batch.found[0])
-        responder = engine.addresses[int(batch.responder[0])] if found else None
-        print(
-            f"found={found} responder={responder} "
-            f"messages={int(batch.messages[0])} "
-            f"failed_attempts={int(batch.failed_attempts[0])}"
-        )
-        return 0 if found else 1
     if args.crash_fraction > 0.0 or args.stale_fraction > 0.0:
         from repro.faults import FaultInjector, FaultPlan
 
@@ -546,57 +465,31 @@ def _cmd_search(args: argparse.Namespace) -> int:
         from repro.faults import RefHealer
 
         healer = RefHealer(grid, evict_after=args.evict_after)
-    if args.driver in ("node", "async"):
-        if args.driver == "async":
-            import asyncio
-
-            from repro.aio import AsyncTransport, attach_async_nodes
-
-            transport = AsyncTransport(grid)
-            nodes = attach_async_nodes(grid, transport, retry=retry, healer=healer)
-
-            async def _run_search():
-                await transport.start()
-                try:
-                    return await nodes[args.start].search(args.key)
-                finally:
-                    await transport.stop()
-
-            outcome = asyncio.run(_run_search())
-        else:
-            from repro.net.node import attach_nodes
-            from repro.net.transport import LocalTransport
-
-            transport = LocalTransport(grid)
-            nodes = attach_nodes(grid, transport, retry=retry, healer=healer)
-            outcome = nodes[args.start].search(args.key)
-        print(
-            f"found={outcome.found} responder={outcome.responder} "
-            f"messages={outcome.messages_sent} "
-            f"failed_attempts={outcome.failed_attempts}"
-        )
-        if retry is not None:
-            print(f"retry backoff accrued: {outcome.retry_delay:.2f} time units")
-        for ref in outcome.data_refs:
-            print(f"  data: key={ref.key} holder={ref.holder} version={ref.version}")
-        stats = transport.stats
-        print(
-            f"transport: delivered={stats.total_delivered()} "
-            f"offline_failures={stats.offline_failures} "
-            f"simulated_time={stats.simulated_time:.2f}"
-        )
-        return 0 if outcome.found else 1
     trace = None
     if args.trace:
         from repro.obs import TraceRecorder
 
         trace = TraceRecorder()
-    engine = SearchEngine(grid, probe=trace, retry=retry, healer=healer)
-    result = engine.query_from(args.start, args.key)
-    print(
-        f"found={result.found} responder={result.responder} "
-        f"messages={result.messages} failed_attempts={result.failed_attempts}"
-    )
+    facade = Grid(grid, probe=trace, retry=retry, healer=healer)
+    transport = None
+    if args.high is not None:
+        result = facade.search_range(
+            args.key, args.high, start=args.start, recbreadth=args.recbreadth
+        )
+        cover_text = ",".join(prefix or "''" for prefix in result.cover)
+        print(
+            f"range=[{args.key}, {args.high}] cover={cover_text} "
+            f"responders={len(result.responders)} messages={result.messages} "
+            f"failed_attempts={result.failed_attempts}"
+        )
+    else:
+        with facade.serve(args.driver) as service:
+            result = service.search(args.key, start=args.start)
+        transport = getattr(service, "transport", None)
+        print(
+            f"found={result.found} responder={result.responder} "
+            f"messages={result.messages} failed_attempts={result.failed_attempts}"
+        )
     if retry is not None:
         print(f"retry backoff accrued: {result.retry_delay:.2f} time units")
     if healer is not None:
@@ -607,6 +500,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
         )
     for ref in result.data_refs:
         print(f"  data: key={ref.key} holder={ref.holder} version={ref.version}")
+    if transport is not None:
+        stats = transport.stats
+        print(
+            f"transport: delivered={stats.total_delivered()} "
+            f"offline_failures={stats.offline_failures} "
+            f"simulated_time={stats.simulated_time:.2f}"
+        )
     if trace is not None:
         print("trace:")
         for line in trace.replay():
@@ -730,24 +630,9 @@ def _print_query_throughput(grid: PGrid, agrid, seed: int) -> None:
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs import MetricsProbe
     from repro.report.tables import render_table
-    from repro.sim.scenario import KeyDistribution, ScenarioSpec, run_scenario
+    from repro.sim.scenario import run_scenario
 
-    spec = ScenarioSpec(
-        n_peers=args.peers,
-        config=PGridConfig(
-            maxl=args.maxl, refmax=args.refmax, recmax=2, recursion_fanout=2
-        ),
-        items_per_peer=args.items_per_peer,
-        key_length=args.key_length,
-        key_distribution=(
-            KeyDistribution.ZIPF if args.zipf > 0 else KeyDistribution.UNIFORM
-        ),
-        zipf_exponent=args.zipf if args.zipf > 0 else 1.0,
-        p_online=args.p_online,
-        operations=args.operations,
-        update_fraction=args.update_fraction,
-        seed=args.seed,
-    )
+    spec = _scenario_spec(args)
     if args.trials < 1:
         print("--trials must be >= 1", file=sys.stderr)
         return 2
@@ -798,7 +683,6 @@ def _cmd_swarm(args: argparse.Namespace) -> int:
     import json as jsonmod
 
     from repro.aio import AsyncSwarm, seed_items
-    from repro.api import Grid
 
     grid = Grid.build(
         args.peers,
@@ -918,23 +802,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.sim.scenario import KeyDistribution, ScenarioSpec, run_scenario
+    from repro.sim.scenario import run_scenario
 
-    spec = ScenarioSpec(
-        n_peers=args.peers,
-        config=PGridConfig(
-            maxl=args.maxl, refmax=args.refmax, recmax=2, recursion_fanout=2
-        ),
-        items_per_peer=args.items_per_peer,
-        key_length=args.key_length,
-        key_distribution=(
-            KeyDistribution.ZIPF if args.zipf > 0 else KeyDistribution.UNIFORM
-        ),
-        zipf_exponent=args.zipf if args.zipf > 0 else 1.0,
-        p_online=args.p_online,
-        operations=args.operations,
-        update_fraction=args.update_fraction,
-        seed=args.seed,
+    spec = _scenario_spec(
+        args,
         replication=args.replication,
         replicate_threshold=args.replicate_threshold,
         retract_floor=args.retract_floor,

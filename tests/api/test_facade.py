@@ -8,10 +8,13 @@ releases the transport so a grid can be re-served).
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
 
+import repro.api
+import repro.cli
 from repro.api import DRIVERS, Grid
 from repro.core import keys as keyspace
 from repro.core.config import PGridConfig
@@ -73,9 +76,9 @@ class TestDirectOperations:
 
 
 class TestArrayQueryPlane:
-    """``Grid.search(core=...)``/``search_many`` route through the
-    cached batch engine; all-online success is structural, so the found
-    sets must match the object core exactly."""
+    """``search_many`` routes through the cached batch engine; all-online
+    success is structural, so its found set must match a loop of
+    ``Grid.search`` on the object engine exactly."""
 
     @pytest.fixture(scope="class")
     def grid(self):
@@ -86,31 +89,37 @@ class TestArrayQueryPlane:
         rng = random.Random(5)
         keys = [format(rng.getrandbits(3), "03b") for _ in range(100)]
         starts = [rng.choice(grid.addresses()) for _ in range(100)]
-        object_results = grid.search_many(keys, starts, core="object")
-        batch = grid.search_many(keys, starts, core="array")
+        object_results = [grid.search(key, start=start)
+                          for key, start in zip(keys, starts)]
+        batch = grid.search_many(keys, starts)
         assert len(batch) == 100
         assert batch.found.tolist() == [r.found for r in object_results]
-
-    def test_single_search_array_core(self, grid):
-        mirrored = grid.search("010", start=3, core="array")
-        reference = grid.search("010", start=3)
-        assert mirrored.found == reference.found
-        assert mirrored.query == "010"
-        assert mirrored.start == 3
-        if mirrored.found:
-            path = grid.pgrid.peer(mirrored.responder).path
-            assert "010".startswith(path) or path.startswith("010")
+        addresses = grid.batch_query_engine().addresses
+        for i, key in enumerate(keys):
+            assert object_results[i].query == key
+            if batch.found[i]:
+                path = grid.pgrid.peer(addresses[int(batch.responder[i])]).path
+                assert key.startswith(path) or path.startswith(key)
 
     def test_engine_cached_until_refresh(self, grid):
         engine = grid.batch_query_engine()
         assert grid.batch_query_engine() is engine
         assert grid.batch_query_engine(refresh=True) is not engine
 
-    def test_unknown_core_rejected(self, grid):
-        with pytest.raises(InvalidConfigError, match="unknown core"):
-            grid.search("010", core="simd")
-        with pytest.raises(InvalidConfigError, match="unknown core"):
-            grid.search_many(["010"], [0], core="simd")
+
+class TestOneFrontDoor:
+    """Single queries have one plane and the CLI one way in."""
+
+    def test_query_calls_take_no_core(self):
+        for name in ("search", "search_range", "search_many"):
+            assert "core" not in inspect.signature(getattr(Grid, name)).parameters
+        assert not hasattr(repro.api, "QUERY_CORES")
+
+    def test_cli_builds_no_driver_by_hand(self):
+        source = inspect.getsource(repro.cli)
+        for name in ("attach_nodes", "attach_async_nodes",
+                     "LocalTransport(", "AsyncTransport("):
+            assert name not in source
 
 
 class TestServe:

@@ -21,7 +21,6 @@ from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.core.search import SearchEngine
 from repro.core.storage import DataItem
-from repro.errors import InvalidConfigError
 from repro.fast import HAVE_NUMPY, ArrayGrid
 from repro.protocol.search import key_in_range
 from repro.sim.builder import GridBuilder
@@ -193,21 +192,18 @@ class TestValidation:
 
 
 class TestFacade:
-    def test_array_core_returns_object_shaped_result(self, built_grid):
+    def test_batch_range_matches_search_range(self, built_grid):
         grid = Grid(built_grid)
-        obj = grid.search_range("001", "110", start=0, core="object")
-        arr = grid.search_range("001", "110", start=0, core="array")
-        assert arr.cover == obj.cover == keyspace.range_cover("001", "110")
-        assert arr.low == "001" and arr.high == "110"
-        assert arr.found and obj.found
-        assert {(r.key, r.holder, r.version) for r in arr.data_refs} == {
+        obj = grid.search_range("001", "110", start=0)
+        engine = grid.batch_query_engine()
+        batch = engine.search_range_many(["001"], ["110"], [0])
+        assert list(batch.covers[0]) == obj.cover == keyspace.range_cover("001", "110")
+        assert obj.low == "001" and obj.high == "110"
+        assert obj.found and len(batch.responders(0)) > 0
+        assert {(r.key, r.holder, r.version) for r in batch.data_refs[0]} == {
             (r.key, r.holder, r.version) for r in obj.data_refs
         }
-        assert arr.messages > 0
-        # Array-core responders are mapped back to sparse addresses.
-        assert set(arr.responders) <= set(built_grid.addresses())
-
-    def test_unknown_core_rejected(self, built_grid):
-        grid = Grid(built_grid)
-        with pytest.raises(InvalidConfigError, match="unknown core"):
-            grid.search_range("001", "110", core="simd")
+        assert int(batch.messages[0]) > 0
+        # Dense responder indices map back to the grid's addresses.
+        responders = {engine.addresses[int(i)] for i in batch.responders(0)}
+        assert responders <= set(built_grid.addresses())

@@ -82,6 +82,147 @@ class TestSearch:
         assert "found=" in capsys.readouterr().out
 
 
+DRIVERS = ("engine", "node", "async")
+#: The fault / retry / repair line of docs/RESILIENCE.md's CLI reference.
+FAULTS = ["--p-online", "0.4", "--crash-fraction", "0.2", "--stale-fraction",
+          "0.1", "--retry-attempts", "3", "--self-repair", "--evict-after", "2"]
+CONDITIONS = {"plain": [], "churn": ["--p-online", "0.4"], "faults": FAULTS}
+#: ``(condition, key) -> (result line, data lines)`` every driver prints
+#: from ``--start 3`` on the seeded snapshot below.
+EXPECTED = {
+    ("plain", "0010"): (
+        "found=True responder=61 messages=2 failed_attempts=0",
+        ["  data: key=0010 holder=11 version=0"],
+    ),
+    ("plain", "1100"): (
+        "found=True responder=46 messages=2 failed_attempts=0",
+        ["  data: key=1100 holder=9 version=0"],
+    ),
+    ("churn", "0010"): (
+        "found=False responder=None messages=2 failed_attempts=4", [],
+    ),
+    ("churn", "1100"): (
+        "found=False responder=None messages=2 failed_attempts=4", [],
+    ),
+    ("faults", "0010"): (
+        "found=True responder=16 messages=3 failed_attempts=4",
+        ["  data: key=0010 holder=11 version=0"],
+    ),
+    ("faults", "1100"): (
+        "found=False responder=None messages=2 failed_attempts=8", [],
+    ),
+}
+RANGE_EXPECTED = (
+    "range=[0001, 0110] cover=0001,001,010,0110 responders=16 messages=19 "
+    "failed_attempts=0",
+    [
+        "  data: key=0010 holder=11 version=0",
+        "  data: key=0100 holder=13 version=0",
+        "  data: key=0101 holder=7 version=0",
+    ],
+)
+
+
+@pytest.fixture(scope="module")
+def seeded_snapshot(tmp_path_factory):
+    """A 64-peer snapshot whose index holds four keys."""
+    from repro.core.storage import DataItem
+    from repro.sim.persistence import load_grid, save_grid
+
+    path = tmp_path_factory.mktemp("cli") / "grid.json"
+    main(["build", "--peers", "64", "--maxl", "4", "--refmax", "2",
+          "--seed", "2", "--snapshot", str(path)])
+    grid = load_grid(path)
+    grid.seed_index([
+        (DataItem(key, key), holder)
+        for key, holder in (("0101", 7), ("1100", 9), ("0010", 11), ("0100", 13))
+    ])
+    save_grid(grid, path)
+    return path
+
+
+def _result_block(out: str) -> tuple[str, list[str]]:
+    """The result line and the ``data:`` lines of one search."""
+    lines = out.splitlines()
+    (result,) = [line for line in lines if line.startswith(("found=", "range="))]
+    return result, [line for line in lines if line.startswith("  data:")]
+
+
+class TestSearchServing:
+    """Every driver prints the same answer for the same search."""
+
+    @pytest.mark.parametrize("key", ["0010", "1100"])
+    @pytest.mark.parametrize("condition", sorted(CONDITIONS))
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_drivers_print_the_same_answer(
+        self, seeded_snapshot, capsys, driver, condition, key
+    ):
+        code = main(["search", str(seeded_snapshot), key, "--start", "3",
+                     "--driver", driver, *CONDITIONS[condition]])
+        result, data = _result_block(capsys.readouterr().out)
+        assert (result, data) == EXPECTED[condition, key]
+        assert code == (0 if result.startswith("found=True") else 1)
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_retry_backoff_printed_on_every_driver(
+        self, seeded_snapshot, capsys, driver
+    ):
+        main(["search", str(seeded_snapshot), "0010", "--start", "3",
+              "--driver", driver, *FAULTS])
+        out = capsys.readouterr().out
+        assert "retry backoff accrued: 2.00 time units" in out
+        assert "crashed 13 peers" in out
+        assert "corrupted 6 routing references" in out
+
+    def test_range_query(self, seeded_snapshot, capsys):
+        code = main(["search", str(seeded_snapshot), "0001", "--high", "0110",
+                     "--start", "3"])
+        assert _result_block(capsys.readouterr().out) == RANGE_EXPECTED
+        assert code == 0
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_repair_line_on_every_driver(self, seeded_snapshot, capsys, driver):
+        main(["search", str(seeded_snapshot), "0010", "--start", "3",
+              "--driver", driver, *FAULTS])
+        assert "repair: evictions=2 refills=2 probes=3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    def test_trace_dump_on_every_driver(self, seeded_snapshot, capsys, driver):
+        main(["search", str(seeded_snapshot), "1100", "--start", "3",
+              "--driver", driver, "--trace"])
+        out = capsys.readouterr().out
+        dump = out[out.index("trace:\n"):].splitlines()[1:]
+        assert dump and all(line.startswith("  ") for line in dump)
+
+    def test_range_query_takes_fault_and_trace_flags(self, seeded_snapshot, capsys):
+        code = main(["search", str(seeded_snapshot), "0001", "--high", "0110",
+                     "--start", "3", "--trace", *FAULTS])
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        assert "crashed 13 peers" in out
+        for line in ("range=[0001, 0110]", "retry backoff accrued:",
+                     "repair: evictions=", "trace:\n"):
+            assert line in out
+
+    @pytest.mark.parametrize("driver", DRIVERS)
+    @pytest.mark.parametrize("argv, message", [
+        (["0101", "--start", "999"], "no peer registered under address 999"),
+        (["01x1"], "invalid binary key: '01x1'"),
+        (["01", "--high", "0110"], "equal length"),
+        (["0001", "--high", "01x0"], "invalid binary key: '01x0'"),
+    ], ids=["unknown-start", "malformed-key", "unequal-range", "malformed-high"])
+    def test_bad_input_exits_2_with_one_line(
+        self, seeded_snapshot, capsys, driver, argv, message
+    ):
+        code = main(["search", str(seeded_snapshot), *argv, "--driver", driver])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        if "--high" in argv and driver != "engine":
+            message = "--high range queries need --driver engine"
+        assert message in err
+
+
 class TestAnalyze:
     def test_paper_example(self, capsys):
         code = main(
