@@ -49,7 +49,7 @@ from repro.core.peer import Address
 from repro.core.search import RangeSearchResult, SearchEngine, SearchResult
 from repro.core.storage import DataItem, DataRef
 from repro.core.updates import ReadEngine, UpdateEngine, UpdateResult, UpdateStrategy
-from repro.errors import InvalidConfigError
+from repro.errors import InvalidConfigError, UnknownPeerError
 from repro.net.node import NodeSearchOutcome, PGridNode, attach_nodes
 from repro.net.transport import LocalTransport
 from repro.obs.probe import CompositeProbe, Probe
@@ -129,9 +129,6 @@ class Grid:
             self.balancer: ReplicaBalancer | None = ReplicaBalancer(
                 pgrid, self.load_tracker, config=self.replication, probe=probe
             )
-            self.balancer.subscribe(self._drop_batch_engine)
-            # Conversion listeners fire before the zero-arg listeners, so
-            # the dense index map is still valid when shortcuts are dropped.
             self.balancer.subscribe_conversion(self._on_replica_conversion)
         else:
             self.load_tracker = None
@@ -147,24 +144,16 @@ class Grid:
             healer=healer,
         )
         self._batch_engine = None
-        self._batch_index: dict[Address, int] = {}
         self._rebalance_engine = None
         if shortcut_capacity is not None:
             from repro.core.shortcuts import ShortcutSearchEngine
-            from repro.fast.shortcuts import ArrayShortcutCache
 
+            #: Its ``cache`` is the one shortcut cache of both query planes.
             self.shortcut_engine: ShortcutSearchEngine | None = ShortcutSearchEngine(
                 pgrid, search=self.engine, capacity=shortcut_capacity, probe=probe
             )
-            #: Array-core twin of the object shortcut layer; re-attached to
-            #: the batch engine on every rebuild (dense indices survive
-            #: conversion-triggered rebuilds — membership is unchanged).
-            self._array_shortcuts: ArrayShortcutCache | None = ArrayShortcutCache(
-                shortcut_capacity
-            )
         else:
             self.shortcut_engine = None
-            self._array_shortcuts = None
         self.updates = UpdateEngine(
             pgrid,
             search=self.engine,
@@ -255,24 +244,16 @@ class Grid:
 
     # -- replication (query-load-driven balancing) --------------------------------------
 
-    def _drop_batch_engine(self) -> None:
-        """Invalidate the cached batch-plane snapshot (balancer listener)."""
-        self._batch_engine = None
-        self._batch_index = {}
-
     def _on_replica_conversion(self, address: Address, old_path: str, new_path: str) -> None:
-        """Drop shortcuts pointing at a converted peer (balancer listener).
+        """Forget grid state a conversion made stale (balancer listener).
 
-        The peer stays online but answers for a different replica group,
-        so every cached shortcut naming it — object core and array core —
-        is stale at once.
+        The converted peer's routing changed, so the batch-plane snapshot
+        goes; the peer stays online but answers for a different replica
+        group, so every shortcut naming it goes too.
         """
+        self._batch_engine = None
         if self.shortcut_engine is not None:
-            self.shortcut_engine.invalidate_responder(address)
-        if self._array_shortcuts is not None:
-            index = self._batch_index.get(address)
-            if index is not None:
-                self._array_shortcuts.invalidate_responder(index)
+            self.shortcut_engine.cache.invalidate_responder(address)
 
     def _observe_search(self, key: str) -> None:
         """Credit one query against *key*'s replica group.
@@ -342,12 +323,8 @@ class Grid:
                 chunk=chunk,
                 probe=self.probe,
             )
-            self._batch_index = {
-                address: index
-                for index, address in enumerate(self._batch_engine.addresses)
-            }
-            if self._array_shortcuts is not None:
-                self._batch_engine.shortcuts = self._array_shortcuts
+            if self.shortcut_engine is not None:
+                self._batch_engine.shortcuts = self.shortcut_engine.cache
         return self._batch_engine
 
     def snapshot(self, *, p_online: float = 1.0):
@@ -371,13 +348,24 @@ class Grid:
         All pairs run through :meth:`batch_query_engine` in vectorized
         waves (requires numpy) and come back as one
         :class:`~repro.fast.BatchSearchResult` (dense peer indices; map
-        responders through ``batch_query_engine().addresses``).  A single
-        query belongs to :meth:`search`: a batch of one costs about ten
-        times the object engine's walk.
+        responders through ``batch_query_engine().addresses``).  With
+        ``shortcut_capacity`` set, the batch shares :meth:`search`'s
+        shortcut cache.  A start the snapshot does not hold raises
+        :class:`~repro.errors.UnknownPeerError`.  A single query belongs
+        to :meth:`search`: a batch of one costs about ten times the object
+        engine's walk.
         """
-        engine = self.batch_query_engine()
-        index = self._batch_index
-        result = engine.search_many(keys, [index[start] for start in starts])
+        engine = self.batch_query_engine()  # raises first without numpy
+        import numpy as np
+
+        addresses = np.asarray(engine.addresses, dtype=np.int64)
+        wanted = np.fromiter(starts, dtype=np.int64, count=len(starts))
+        dense = np.searchsorted(addresses, wanted)
+        known = dense < len(addresses)
+        known[known] = addresses[dense[known]] == wanted[known]
+        if not known.all():
+            raise UnknownPeerError(int(wanted[np.argmin(known)]))
+        result = engine.search_many(keys, dense)
         if self.load_tracker is not None:
             for key in keys:
                 self._observe_search(key)

@@ -16,9 +16,10 @@ deployed P-Grid cannot live without:
     failure just disappears.  Either way, references held by other peers
     dangle until repaired.
 :meth:`MembershipEngine.repair`
-    Lazy reference repair: probe the references of a peer, drop dead ones,
-    and refill each level by *searching* for the complement prefix the
-    level must cover — reusing Fig. 2 as the discovery mechanism.
+    Lazy reference repair: probe the references and buddies of a peer,
+    drop dead ones, and refill each level by *searching* for the
+    complement prefix the level must cover — reusing Fig. 2 as the
+    discovery mechanism.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ class MembershipEngine:
     # -- repair ------------------------------------------------------------------
 
     def repair(self, address: Address, *, refill: bool = True) -> RepairReport:
-        """Drop dead references of *address* and refill depleted levels.
+        """Drop dead references and buddies of *address*, refill depleted levels.
 
         Refill uses the search algorithm itself: level ``i`` must reference
         peers under ``prefix(i-1) + complement(bit i)``; a Fig. 2 search
@@ -236,6 +237,9 @@ class MembershipEngine:
         """
         peer = self.grid.peer(address)
         report = RepairReport(address=address, dead_refs_dropped=0, refs_added=0)
+        peer.buddies.difference_update(
+            [buddy for buddy in peer.buddies if not self.grid.has_peer(buddy)]
+        )
         for level in range(1, peer.depth + 1):
             for ref in peer.routing.refs(level):
                 if not self.grid.has_peer(ref):

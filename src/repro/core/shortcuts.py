@@ -7,15 +7,22 @@ peer answered a recent query and jump straight there next time.  This is
 the standard result-caching optimization (Gnutella-era "query caching",
 later formalized in DHT literature as shortcut/fingers-by-demand).
 
-:class:`ShortcutSearchEngine` wraps a :class:`~repro.core.search.SearchEngine`
-with a per-initiator LRU cache:
+:class:`ShortcutCache` is the one such cache, whichever query plane runs
+the search: a bounded LRU per initiating *address*, keyed by the query
+string, holding responder addresses.  :class:`ShortcutSearchEngine` wraps
+a :class:`~repro.core.search.SearchEngine` with one, and the batch plane
+(:attr:`repro.fast.query.BatchQueryEngine.shortcuts`) consults the same
+object when the facade wires both:
 
 * on a hit, the cached responder is contacted directly (1 message); if it
-  is offline or no longer responsible (paths only ever extend, so this
-  only happens after membership churn), the entry is dropped and the
-  normal search runs;
+  is gone, offline or no longer responsible (after churn or a replica
+  conversion), the entry is dropped and the normal search runs;
 * on a miss, the Fig. 2 search runs and its responder is cached under the
   query key.
+
+Entries are checked on use, so they need no flush when membership or
+paths change; a replica conversion, which retargets a peer wholesale, is
+announced through :meth:`ShortcutCache.invalidate_responder`.
 
 Consistency note: a shortcut only short-circuits *routing*; the answer is
 still served from the responsible peer's current store, so staleness
@@ -52,54 +59,75 @@ class ShortcutStats:
 
 
 class ShortcutCache:
-    """A bounded LRU map from query key to last-known responder."""
+    """Per-origin bounded LRU maps from query key to last-known responder.
+
+    Origins and responders are peer addresses, so an entry means the same
+    thing to every query plane and survives membership changes elsewhere
+    in the grid; whether it is still usable is decided when it is used.
+    Each origin holds at most ``capacity`` entries (a deployed node caches
+    locally; a shared cache would be a different system), allocated on its
+    first :meth:`put`.  ``stats`` counts the decisions the engines take
+    over this cache, plus the entries :meth:`invalidate_responder` drops.
+    """
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[str, Address] = OrderedDict()
+        self.stats = ShortcutStats()
+        self._origins: dict[Address, OrderedDict[str, Address]] = {}
 
-    def get(self, key: str) -> Address | None:
-        """Look up *key*, refreshing its LRU position."""
-        if key not in self._entries:
+    def get(self, origin: Address, key: str) -> Address | None:
+        """*origin*'s cached responder for *key*, refreshing its LRU position."""
+        entries = self._origins.get(origin)
+        if entries is None:
             return None
-        self._entries.move_to_end(key)
-        return self._entries[key]
+        responder = entries.get(key)
+        if responder is not None:
+            entries.move_to_end(key)
+        return responder
 
-    def put(self, key: str, responder: Address) -> None:
-        """Remember *responder* for *key*, evicting the LRU entry if full."""
-        self._entries[key] = responder
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+    def put(self, origin: Address, key: str, responder: Address) -> None:
+        """Remember *responder* for *key*, evicting *origin*'s LRU entry if full."""
+        entries = self._origins.get(origin)
+        if entries is None:
+            entries = self._origins[origin] = OrderedDict()
+        entries[key] = responder
+        entries.move_to_end(key)
+        if len(entries) > self.capacity:
+            entries.popitem(last=False)
 
-    def invalidate(self, key: str) -> None:
-        """Drop the entry for *key* if present."""
-        self._entries.pop(key, None)
+    def invalidate(self, origin: Address, key: str) -> None:
+        """Drop *origin*'s entry for *key* if present."""
+        entries = self._origins.get(origin)
+        if entries is not None:
+            entries.pop(key, None)
 
     def invalidate_responder(self, responder: Address) -> int:
-        """Drop every entry pointing at *responder*; returns the count.
+        """Drop every entry, of any origin, naming *responder*.
 
-        Used when a peer's responsibility changes wholesale (replica
-        conversion) rather than one query going stale.
+        Used when a peer's responsibility changes wholesale (a replica
+        conversion) rather than one query going stale.  Returns the number
+        of dropped entries, counted as invalidations.
         """
-        stale = [key for key, value in self._entries.items() if value == responder]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
+        removed = 0
+        for entries in self._origins.values():
+            stale = [key for key, value in entries.items() if value == responder]
+            for key in stale:
+                del entries[key]
+            removed += len(stale)
+        self.stats.invalidations += removed
+        return removed
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(entries) for entries in self._origins.values())
 
 
 class ShortcutSearchEngine:
     """A caching layer over the Fig. 2 search.
 
-    One cache per initiating peer (a deployed node caches locally; a
-    shared cache would be a different system).  Caches are created lazily.
-
-    ``probe`` sees one ``on_shortcut`` event per cache decision
+    Holds one :class:`ShortcutCache` (``cache``; ``stats`` is the
+    cache's).  ``probe`` sees one ``on_shortcut`` event per cache decision
     (``hit``/``miss``/``invalidate``) plus the direct contact of a hit as
     an ``on_forward``; cache misses fall through to the wrapped engine,
     which reports its own hop events when it shares the probe (the
@@ -116,41 +144,16 @@ class ShortcutSearchEngine:
     ) -> None:
         self.grid = grid
         self.search = search or SearchEngine(grid, probe=probe)
-        self.capacity = capacity
         self.probe = probe
-        self.stats = ShortcutStats()
-        self._caches: dict[Address, ShortcutCache] = {}
-
-    def cache_for(self, address: Address) -> ShortcutCache:
-        """The initiator-local cache for *address*."""
-        cache = self._caches.get(address)
-        if cache is None:
-            cache = ShortcutCache(self.capacity)
-            self._caches[address] = cache
-        return cache
-
-    def invalidate_responder(self, responder: Address) -> int:
-        """Drop *responder* from every initiator's cache.
-
-        The :class:`~repro.replication.balancer.ReplicaBalancer` calls
-        this (via its conversion listeners) when it converts a peer to a
-        different replica group: the peer still exists and is online,
-        but it is no longer responsible for the keys cached against it.
-        Returns the number of dropped entries, counted as invalidations.
-        """
-        removed = 0
-        for cache in self._caches.values():
-            removed += cache.invalidate_responder(responder)
-        if removed:
-            self.stats.invalidations += removed
-        return removed
+        self.cache = ShortcutCache(capacity)
+        self.stats = self.cache.stats
 
     def query_from(self, start: Address, query: str) -> SearchResult:
         """Search with shortcut attempt first, Fig. 2 fallback."""
         keyspace.validate_key(query)
         probe = self.probe
-        cache = self.cache_for(start)
-        cached = cache.get(query)
+        cache = self.cache
+        cached = cache.get(start, query)
         if cached is not None:
             result = self._try_shortcut(start, query, cached)
             if result is not None:
@@ -160,7 +163,7 @@ class ShortcutSearchEngine:
                     if result.messages:
                         probe.on_forward(start, cached, 0)
                 return result
-            cache.invalidate(query)
+            cache.invalidate(start, query)
             self.stats.invalidations += 1
             if probe is not None:
                 probe.on_shortcut("invalidate", start, query)
@@ -169,7 +172,7 @@ class ShortcutSearchEngine:
             probe.on_shortcut("miss", start, query)
         result = self.search.query_from(start, query)
         if result.found and result.responder is not None:
-            cache.put(query, result.responder)
+            cache.put(start, query, result.responder)
         return result
 
     def _try_shortcut(

@@ -38,14 +38,12 @@ from repro.fast.query import (
     BatchSearchResult,
 )
 from repro.fast.rngbuf import HAVE_NUMPY, BufferedReader, DirectReader, reader_for
-from repro.fast.shortcuts import ArrayShortcutCache
 from repro.fast.snapshot import GridSnapshot, SnapshotHandle, SnapshotRef
 
 __all__ = [
     "ArrayGrid",
     "ArrayGridBuilder",
     "ArrayExchangeEngine",
-    "ArrayShortcutCache",
     "BatchGridBuilder",
     "BatchQueryEngine",
     "BatchRangeResult",

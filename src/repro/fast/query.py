@@ -36,6 +36,12 @@ Semantics relative to the object core (``SearchEngine`` /
   marking peers visited at forward time.  Reached sets and message
   costs agree statistically (the equivalence tests pin the tolerance).
 
+Shortcuts: :meth:`BatchQueryEngine.search_many` consults the object
+core's :class:`~repro.core.shortcuts.ShortcutCache` (address-keyed) when
+:attr:`BatchQueryEngine.shortcuts` is set, translating only the cached
+entries between dense index and address — the facade wires its one cache
+here, so both planes share it.
+
 Observability fidelity note: the batch plane reports **aggregate
 counters per wave** via :meth:`repro.obs.Probe.on_batch_wave` and one
 batch summary via :meth:`repro.obs.Probe.on_batch_search` — not the
@@ -48,6 +54,7 @@ traces matter.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core import keys as keyspace
@@ -62,6 +69,7 @@ except ImportError:  # pragma: no cover - exercised on numpy-less installs
     np = None
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.shortcuts import ShortcutCache
     from repro.fast.arraygrid import ArrayGrid
     from repro.fast.batch import BatchGridBuilder
 
@@ -238,8 +246,8 @@ class BatchQueryEngine:
 
     Construct via :meth:`from_arraygrid` (bridged object grids) or
     :meth:`from_batch_builder` (gridless 100k–1M peer state).  All peer
-    identifiers are dense indices ``0..n-1``; ``addresses`` maps them
-    back when the source grid used sparse addressing.
+    identifiers are dense indices ``0..n-1``; ``addresses`` (ascending)
+    maps them back when the source grid used sparse addressing.
 
     ``buddies`` is the buddy CSR ``(offsets, values)`` with sorted rows
     (peer *p*'s buddies are ``values[offsets[p]:offsets[p + 1]]``, the
@@ -300,9 +308,9 @@ class BatchQueryEngine:
         # Side store for the §5.2 update/read experiments, in the
         # snapshot's ``store`` row layout (see _set_store).
         self._set_store(np.empty((0, 6), dtype=np.int64))
-        #: Optional ArrayShortcutCache consulted by :meth:`search_many`
-        #: (attach via :meth:`attach_shortcuts` or assign directly).
-        self.shortcuts: Any = None
+        #: The :class:`~repro.core.shortcuts.ShortcutCache` :meth:`search_many`
+        #: consults, or ``None``; keyed by address like the object plane's.
+        self.shortcuts: ShortcutCache | None = None
 
     # -- constructors --------------------------------------------------------------
 
@@ -477,23 +485,12 @@ class BatchQueryEngine:
 
     # -- depth-first search (Fig. 2) -----------------------------------------------
 
-    def attach_shortcuts(self, capacity: int = 128):
-        """Create and attach an :class:`~repro.fast.shortcuts.ArrayShortcutCache`
-        consulted by every subsequent :meth:`search_many`; returns it.
-        Attach an existing cache by assigning :attr:`shortcuts` (dense
-        indices stay stable across engine rebuilds)."""
-        from repro.fast.shortcuts import ArrayShortcutCache
-
-        self.shortcuts = ArrayShortcutCache(capacity)
-        return self.shortcuts
-
     def search_many(
         self,
         queries: Sequence[str],
         starts,
         *,
         max_messages: int | None = None,
-        shortcuts: Any = None,
     ) -> BatchSearchResult:
         """Resolve one Fig. 2 depth-first search per (query, start) pair.
 
@@ -501,9 +498,8 @@ class BatchQueryEngine:
         array pair); ``starts`` dense peer indices.  Queries advance in
         waves of at most ``chunk`` concurrent searches.
 
-        With a shortcut cache (the ``shortcuts`` argument, falling back
-        to the attached :attr:`shortcuts`), each query first tries its
-        origin's cached responder — object-core semantics
+        With a :attr:`shortcuts` cache, each query first tries its origin's
+        cached responder — object-core semantics
         (:class:`repro.core.shortcuts.ShortcutSearchEngine`): a cached
         peer that is online and still responsible answers for 0 messages
         (itself) or 1; an unusable entry is invalidated and the query
@@ -517,16 +513,20 @@ class BatchQueryEngine:
         starts = np.asarray(starts, dtype=np.int64)
         if len(starts) != len(kb):
             raise ValueError(f"{len(kb)} queries but {len(starts)} starts")
-        budget = max_messages if max_messages is not None else self.max_messages
         q = len(kb)
-        cache = shortcuts if shortcuts is not None else self.shortcuts
+        if q and (starts.min() < 0 or starts.max() >= self.n):
+            raise ValueError("start indices out of range")
+        budget = max_messages if max_messages is not None else self.max_messages
+        cache = self.shortcuts
         found = np.zeros(q, dtype=bool)
         responder = np.full(q, -1, dtype=np.int64)
         messages = np.zeros(q, dtype=np.int64)
         failed = np.zeros(q, dtype=np.int64)
         if cache is not None and q:
+            if isinstance(queries, tuple):
+                queries = [format(b, f"0{ln}b") for b, ln in zip(kb.tolist(), kl.tolist())]
             todo = self._shortcut_pass(
-                cache, kb, kl, starts, found, responder, messages
+                cache, queries, kb, kl, starts, found, responder, messages
             )
         else:
             todo = np.arange(q, dtype=np.int64)
@@ -538,38 +538,52 @@ class BatchQueryEngine:
             messages[sl] = m
             failed[sl] = fa
         if cache is not None and len(todo):
+            addresses = self.addresses
             for i in todo.tolist():
                 if found[i]:
                     cache.put(
-                        int(starts[i]), int(kb[i]), int(kl[i]), int(responder[i])
+                        addresses[starts[i]], queries[i], addresses[responder[i]]
                     )
         self._emit_batch(
             "batch_dfs", int(found.sum()), q, int(messages.sum()), int(failed.sum())
         )
         return BatchSearchResult(found, responder, messages, failed)
 
-    def _shortcut_pass(self, cache, kb, kl, starts, found, responder, messages):
+    def _shortcut_pass(self, cache, queries, kb, kl, starts, found, responder, messages):
         """Resolve cached queries in place; returns indices still to DFS.
 
-        Usability is the object core's check, vectorized: the cached
-        responder must be online (one Bernoulli draw) and still in
-        prefix relation with the query.  Hits cost 0 messages when the
-        responder is the origin itself, else 1; unusable entries are
-        invalidated; both outcomes update ``cache.stats``.
+        The cache speaks addresses: each origin is looked up under its
+        address, and each cached responder is mapped back to its dense
+        index by a binary search over the ascending ``addresses`` — a
+        responder no longer in this engine is unusable.  The rest is the
+        object core's check, vectorized: the responder must be online (one
+        Bernoulli draw) and still in prefix relation with the query.  Hits
+        cost 0 messages when the responder is the origin itself, else 1;
+        unusable entries are invalidated; both outcomes update
+        ``cache.stats``.
         """
-        q = len(kb)
-        cand = np.full(q, -1, dtype=np.int64)
-        for i in range(q):
-            hit = cache.get(int(starts[i]), int(kb[i]), int(kl[i]))
+        addresses = self.addresses
+        n = self.n
+        origins = [addresses[start] for start in starts.tolist()]
+        rows: list[int] = []
+        cand: list[int] = []
+        for i, origin in enumerate(origins):
+            hit = cache.get(origin, queries[i])
             if hit is not None:
-                cand[i] = hit
-        has = np.flatnonzero(cand >= 0)
-        if has.size:
-            r = cand[has]
+                index = bisect_left(addresses, hit)
+                rows.append(i)
+                cand.append(index if index < n and addresses[index] == hit else -1)
+        if rows:
+            has = np.asarray(rows, dtype=np.int64)
+            r = np.asarray(cand, dtype=np.int64)
+            known = r >= 0
+            r = np.where(known, r, 0)
             pb = self._pb
             pl = self._pl
             m = np.minimum(pl[r], kl[has])
-            responsible = (pb[r] >> (pl[r] - m)) == (kb[has] >> (kl[has] - m))
+            responsible = known & (
+                (pb[r] >> (pl[r] - m)) == (kb[has] >> (kl[has] - m))
+            )
             if self.p_online >= 1.0:
                 online = np.ones(has.size, dtype=bool)
             else:
@@ -580,7 +594,7 @@ class BatchQueryEngine:
             responder[hits] = r[usable]
             messages[hits] = (r[usable] != starts[hits]).astype(np.int64)
             for i in has[~usable].tolist():
-                cache.invalidate(int(starts[i]), int(kb[i]), int(kl[i]))
+                cache.invalidate(origins[i], queries[i])
             cache.stats.hits += int(usable.sum())
             cache.stats.invalidations += int((~usable).sum())
         todo = np.flatnonzero(~found)
@@ -594,7 +608,6 @@ class BatchQueryEngine:
         candidates) frames — depth is bounded by ``maxl`` because every
         successful forward consumes at least one query bit.
         """
-        n = self.n
         maxl = self.maxl
         refmax = self.refmax
         refs = self._refs
@@ -605,8 +618,6 @@ class BatchQueryEngine:
         depth = maxl + 2
 
         cur = starts.copy()
-        if q and (cur.min() < 0 or cur.max() >= n):
-            raise ValueError("start indices out of range")
         consumed = np.zeros(q, dtype=np.int64)
         status = np.full(q, _ARRIVE, dtype=np.int8)
         msgs = np.zeros(q, dtype=np.int64)

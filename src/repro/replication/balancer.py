@@ -152,10 +152,11 @@ class BalanceStats:
 class ReplicaBalancer:
     """Moves peers between replica groups according to measured load.
 
-    ``probe`` receives one ``on_replication`` hook per conversion;
-    ``listeners`` registered via :meth:`subscribe` are called after every
-    structural change (the facade uses this to drop its batch-engine
-    snapshot).
+    ``probe`` receives one ``on_replication`` hook per conversion, and
+    every listener registered via :meth:`subscribe_conversion` is called
+    with the converted peer.  A conversion is the only structural change
+    the balancer makes, so that one list is all a cache of grid state
+    (the facade's batch-engine snapshot and shortcut cache) needs.
     """
 
     def __init__(
@@ -171,7 +172,6 @@ class ReplicaBalancer:
         self.config = config or ReplicationConfig()
         self.probe = probe
         self.stats = BalanceStats()
-        self._listeners: list[Callable[[], None]] = []
         self._conversion_listeners: list[Callable[[Address, str, str], None]] = []
 
     @property
@@ -179,22 +179,12 @@ class ReplicaBalancer:
         """Whether the strategy can ever change the grid."""
         return self.config.strategy != "static"
 
-    @property
-    def epoch(self) -> int:
-        """Monotonic change counter (cache-invalidation key)."""
-        return self.stats.conversions
-
-    def subscribe(self, listener: Callable[[], None]) -> None:
-        """Call *listener* after every structural change."""
-        self._listeners.append(listener)
-
     def subscribe_conversion(
         self, listener: Callable[[Address, str, str], None]
     ) -> None:
         """Call ``listener(address, old_path, new_path)`` per conversion.
 
-        Unlike :meth:`subscribe`'s blanket notifications, conversion
-        listeners learn *which* peer moved — what shortcut caches need
+        Listeners learn *which* peer moved — what a shortcut cache needs
         to invalidate exactly the stale responder instead of flushing.
         """
         self._conversion_listeners.append(listener)
@@ -374,8 +364,6 @@ class ReplicaBalancer:
             )
         for converted in self._conversion_listeners:
             converted(donor.address, old_path, model.path)
-        for listener in self._listeners:
-            listener()
 
     def _hand_over(self, donor: Peer) -> int:
         """Give the donor's leaf entries to a surviving co-replica."""

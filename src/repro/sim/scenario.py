@@ -17,20 +17,11 @@ from typing import Any
 
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
-from repro.core.search import SearchEngine
 from repro.core.storage import DataItem
-from repro.core.updates import ReadEngine, UpdateEngine, UpdateStrategy
-from repro.core.exchange import ExchangeEngine
+from repro.core.updates import UpdateStrategy
 from repro.errors import InvalidConfigError
-from repro.obs.probe import CompositeProbe, Probe
-from repro.replication import (
-    STRATEGIES,
-    LoadProbe,
-    LoadTracker,
-    PathResolver,
-    ReplicaBalancer,
-    ReplicationConfig,
-)
+from repro.obs.probe import Probe
+from repro.replication import STRATEGIES, ReplicationConfig
 from repro.sim import rng as rngmod
 from repro.sim.builder import GridBuilder
 from repro.sim.churn import BernoulliChurn
@@ -173,6 +164,8 @@ def run_scenario(
     engine the scenario drives; observation never perturbs the seeded
     RNG streams, so metrics are free of Heisenberg effects.
     """
+    from repro.api import Grid  # repro.api imports repro.sim.builder
+
     grid = PGrid(spec.config, rng=rngmod.derive(spec.seed, "scenario-grid"))
     grid.add_peers(spec.n_peers)
     report = GridBuilder(grid).build(max_exchanges=10_000_000)
@@ -196,34 +189,30 @@ def run_scenario(
         grid.online_oracle = BernoulliChurn(
             spec.p_online, rngmod.derive(spec.seed, "scenario-churn")
         )
-    balancer = None
-    exchange = None
-    balance_rng = None
-    if spec.replication is not None:
-        replication_config = ReplicationConfig(
-            strategy=spec.replication,
-            replicate_threshold=spec.replicate_threshold,
-            retract_floor=spec.retract_floor,
-            half_life=spec.replication_half_life,
-        )
-        tracker = LoadTracker(half_life=replication_config.half_life)
-        resolver = PathResolver(grid)
-        load_probe = LoadProbe(tracker, resolver)
-        probe = (
-            CompositeProbe([probe, load_probe]) if probe is not None else load_probe
-        )
-        balancer = ReplicaBalancer(
-            grid, tracker, config=replication_config, probe=probe
-        )
-        exchange = ExchangeEngine(grid, probe=probe, balancer=balancer)
-        # Balancing meetings draw from their own derived stream so the
-        # operation mix below stays seed-for-seed comparable across
-        # strategies (static included — it runs the same meetings and
-        # simply never converts anyone).
-        balance_rng = rngmod.derive(spec.seed, "scenario-balance")
-    search = SearchEngine(grid, probe=probe)
-    updates = UpdateEngine(grid, search=search, probe=probe, balancer=balancer)
-    reads = ReadEngine(grid, search=search, probe=probe)
+    facade = Grid(
+        grid,
+        probe=probe,
+        replication=(
+            None
+            if spec.replication is None
+            else ReplicationConfig(
+                strategy=spec.replication,
+                replicate_threshold=spec.replicate_threshold,
+                retract_floor=spec.retract_floor,
+                half_life=spec.replication_half_life,
+            )
+        ),
+    )
+    search, updates, reads = facade.engine, facade.updates, facade.reads
+    # Balancing meetings draw from their own derived stream so the
+    # operation mix below stays seed-for-seed comparable across
+    # strategies (static included — it runs the same meetings and simply
+    # never converts anyone).
+    meetings = (
+        UniformMeetings(grid, rng=rngmod.derive(spec.seed, "scenario-balance"))
+        if facade.balancer is not None
+        else None
+    )
     ops_rng = rngmod.derive(spec.seed, "scenario-ops")
     query_keys = _workload(spec, "scenario-queries")
     addresses = grid.addresses()
@@ -235,18 +224,13 @@ def run_scenario(
     update_messages: list[int] = []
     versions: dict[tuple[str, int], int] = {}
 
-    meetings = (
-        UniformMeetings(grid, rng=balance_rng) if exchange is not None else None
-    )
     for op_index in range(spec.operations):
         if (
             meetings is not None
             and op_index
             and op_index % spec.balance_every == 0
         ):
-            for _ in range(spec.balance_meetings):
-                pair = meetings.next_pair()
-                exchange.meet(*pair)
+            facade.rebalance(meetings=spec.balance_meetings, scheduler=meetings)
         start = ops_rng.choice(addresses)
         if items and ops_rng.random() < spec.update_fraction:
             item, holder = ops_rng.choice(items)
@@ -297,6 +281,6 @@ def run_scenario(
         read_success_rate=read_success.rate,
         invariant_violations=len(grid.audit_routing()),
         replica_conversions=(
-            balancer.stats.conversions if balancer is not None else 0
+            facade.balancer.stats.conversions if facade.balancer is not None else 0
         ),
     )

@@ -9,16 +9,22 @@ releases the transport so a grid can be re-served).
 from __future__ import annotations
 
 import inspect
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.api
 import repro.cli
 from repro.api import DRIVERS, Grid
 from repro.core import keys as keyspace
 from repro.core.config import PGridConfig
-from repro.errors import InvalidConfigError
+from repro.core.membership import MembershipEngine
+from repro.errors import InvalidConfigError, UnknownPeerError
 from repro.faults import RetryPolicy
 
 
@@ -105,6 +111,71 @@ class TestArrayQueryPlane:
         engine = grid.batch_query_engine()
         assert grid.batch_query_engine() is engine
         assert grid.batch_query_engine(refresh=True) is not engine
+
+    def test_unknown_start_raises_unknown_peer(self, grid):
+        for start in (99, -1):
+            with pytest.raises(UnknownPeerError, match=f"address {start}"):
+                grid.search_many(["0101", "0101"], [0, start])
+            with pytest.raises(UnknownPeerError):
+                grid.search("0101", start=start)
+
+
+class TestOneShortcutCache:
+    """``Grid.search`` and ``Grid.search_many`` share one address-keyed
+    shortcut cache, which survives membership changes."""
+
+    @staticmethod
+    def _grid():
+        pytest.importorskip("numpy")
+        grid = Grid.build(48, maxl=4, refmax=2, seed=9, shortcut_capacity=16)
+        return grid, grid.shortcut_engine.cache
+
+    def test_departure_and_refresh_keep_hitting(self):
+        grid, cache = self._grid()
+        key = grid.pgrid.peer(47).path
+        first = grid.search_many([key], [30])
+        assert bool(first.found[0]) and cache.stats.misses == 1
+        membership = MembershipEngine(grid.pgrid, search=grid.engine)
+        membership.leave(0)
+        membership.repair_all()
+        engine = grid.batch_query_engine(refresh=True)
+        assert 0 not in engine.addresses
+        again = grid.search_many([key, key], [30, 31])
+        assert cache.stats.hits == 1  # address 30 hits its own entry...
+        assert int(again.messages[0]) <= 1
+        assert engine.addresses[int(again.responder[0])] == cache.get(30, key)
+        assert cache.stats.misses == 2  # ...and address 31 never searched
+        assert cache.stats.invalidations == 0
+
+    def test_search_warms_what_search_many_hits(self):
+        grid, cache = self._grid()
+        key = grid.pgrid.peer(47).path
+        single = grid.search(key, start=30)
+        assert single.found and cache.get(30, key) == single.responder
+        batch = grid.search_many([key], [30])
+        assert cache.stats.hits == 1
+        engine = grid.batch_query_engine()
+        assert engine.addresses[int(batch.responder[0])] == single.responder
+        assert int(batch.messages[0]) == (0 if single.responder == 30 else 1)
+
+    def test_single_queries_leave_the_array_plane_unimported(self):
+        code = (
+            "import sys\n"
+            "from repro.api import Grid\n"
+            "grid = Grid.build(32, maxl=3, seed=1, shortcut_capacity=8)\n"
+            "grid.search('010', start=3)\n"
+            "grid.search('010', start=3)\n"
+            "assert grid.shortcut_engine.stats.hits == 1\n"
+            "print(sorted(m for m in sys.modules if m.startswith('repro.fast')))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120, check=False,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestOneFrontDoor:

@@ -145,6 +145,20 @@ class TestRepair:
         for _lvl, refs in grid.peer(holders[0]).routing.iter_levels():
             assert victim not in refs
 
+    def test_repair_drops_departed_buddies(self, grid):
+        membership = MembershipEngine(grid)
+        victim = next(peer for peer in grid.peers() if peer.buddies)
+        buddies = sorted(victim.buddies)
+        membership.leave(victim.address)
+        for buddy in buddies:
+            membership.repair(buddy)
+            assert victim.address not in grid.peer(buddy).buddies
+        # Every surviving buddy list names registered peers only, which
+        # is what lets the array plane bridge the grid again.
+        membership.repair_all()
+        for peer in grid.peers():
+            assert all(grid.has_peer(buddy) for buddy in peer.buddies)
+
     def test_repair_refills_via_search(self, grid):
         membership = MembershipEngine(grid)
         peer = grid.peer(50)

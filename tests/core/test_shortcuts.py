@@ -13,41 +13,45 @@ from tests.conftest import build_grid
 
 
 class TestShortcutCache:
+    """Single-origin LRU behaviour; the multi-origin cases live with the
+    batch plane that shares the cache (``tests/fast/test_array_shortcuts.py``)."""
+
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             ShortcutCache(0)
 
     def test_get_put(self):
         cache = ShortcutCache(2)
-        assert cache.get("01") is None
-        cache.put("01", 5)
-        assert cache.get("01") == 5
+        assert cache.get(0, "01") is None
+        assert cache._origins == {}  # a get for an unseen origin allocates nothing
+        cache.put(0, "01", 5)
+        assert cache.get(0, "01") == 5
 
     def test_lru_eviction(self):
         cache = ShortcutCache(2)
-        cache.put("00", 1)
-        cache.put("01", 2)
-        cache.put("10", 3)  # evicts "00"
-        assert cache.get("00") is None
-        assert cache.get("01") == 2
-        assert cache.get("10") == 3
+        cache.put(0, "00", 1)
+        cache.put(0, "01", 2)
+        cache.put(0, "10", 3)  # evicts "00"
+        assert cache.get(0, "00") is None
+        assert cache.get(0, "01") == 2
+        assert cache.get(0, "10") == 3
         assert len(cache) == 2
 
     def test_get_refreshes_lru_position(self):
         cache = ShortcutCache(2)
-        cache.put("00", 1)
-        cache.put("01", 2)
-        cache.get("00")  # refresh
-        cache.put("10", 3)  # must evict "01", not "00"
-        assert cache.get("00") == 1
-        assert cache.get("01") is None
+        cache.put(0, "00", 1)
+        cache.put(0, "01", 2)
+        cache.get(0, "00")  # refresh
+        cache.put(0, "10", 3)  # must evict "01", not "00"
+        assert cache.get(0, "00") == 1
+        assert cache.get(0, "01") is None
 
     def test_invalidate(self):
         cache = ShortcutCache(2)
-        cache.put("00", 1)
-        cache.invalidate("00")
-        assert cache.get("00") is None
-        cache.invalidate("00")  # idempotent
+        cache.put(0, "00", 1)
+        cache.invalidate(0, "00")
+        assert cache.get(0, "00") is None
+        cache.invalidate(0, "00")  # idempotent
 
 
 class TestShortcutSearchEngine:
@@ -118,7 +122,7 @@ class TestShortcutSearchEngine:
         query = ("1" if start_peer.path.startswith("0") else "0") * 5
         result = engine.query_from(0, query)
         assert not result.found
-        assert len(engine.cache_for(0)) == 0
+        assert len(engine.cache) == 0
 
     def test_invalid_key_rejected(self, grid):
         with pytest.raises(InvalidKeyError):
@@ -126,6 +130,7 @@ class TestShortcutSearchEngine:
 
     def test_hit_rate_property(self, grid):
         engine = ShortcutSearchEngine(grid)
+        assert engine.stats is engine.cache.stats
         assert engine.stats.hit_rate == 0.0
         engine.query_from(0, "10101")
         engine.query_from(0, "10101")

@@ -272,7 +272,45 @@ class TestInfo:
         assert "peers per path length" in out
 
 
+#: ``pgrid scenario`` on one grid under three replication settings; the
+#: values were captured before the scenario's engines came from the facade.
+SCENARIO_ARGS = ["--peers", "128", "--maxl", "4", "--refmax", "3",
+                 "--operations", "600", "--zipf", "1.2", "--seed", "3"]
+SCENARIO_CONFIGS = {
+    "adaptive": ["--replication", "adaptive", "--replicate-threshold", "1.0"],
+    "sqrt": ["--replication", "sqrt", "--p-online", "0.5"],
+    "none": [],
+}
+#: search_success_rate, search_messages_mean, update_coverage_mean,
+#: update_messages_mean, read_success_rate, invariant_violations,
+#: replica_conversions
+SCENARIO_EXPECTED = {
+    "adaptive": ("1.0000", "1.8004", "0.3773", "6.5085", "0.6949", "659", "46"),
+    "sqrt": ("0.8503", "1.7957", "0.1143", "2.3220", "0.5085", "472", "43"),
+    "none": ("1.0000", "2.1183", "0.4180", "7.5085", "0.8644", "0", "0"),
+}
+
+
+def _scenario_text(values: tuple[str, ...]) -> str:
+    rows = [
+        ("n_peers", "128"), ("construction_exchanges", "3418"),
+        ("average_depth", "3.9609"), ("seeded_entries", "5217"),
+        ("searches", "541"), ("search_success_rate", values[0]),
+        ("search_messages_mean", values[1]), ("updates", "59"),
+        ("update_coverage_mean", values[2]), ("update_messages_mean", values[3]),
+        ("reads_after_update", "59"), ("read_success_rate", values[4]),
+        ("invariant_violations", values[5]), ("replica_conversions", values[6]),
+    ]
+    return "".join(f"{name:<26}: {value}\n" for name, value in rows)
+
+
 class TestScenario:
+    @pytest.mark.parametrize("config", sorted(SCENARIO_CONFIGS))
+    def test_scenario_output_pinned(self, capsys, config):
+        code = main(["scenario", *SCENARIO_ARGS, *SCENARIO_CONFIGS[config]])
+        assert code == 0
+        assert capsys.readouterr().out == _scenario_text(SCENARIO_EXPECTED[config])
+
     def test_scenario_prints_metrics(self, capsys):
         code = main(
             ["scenario", "--peers", "80", "--maxl", "4", "--refmax", "3",

@@ -182,7 +182,6 @@ class TestAdaptiveConversion:
         assert grid.peer(donor).path == hot
         assert balancer.stats.conversions == 1
         assert balancer.stats.retractions == 1
-        assert balancer.epoch == 1
 
     def test_routing_clones_model_without_self_references(self):
         grid, _, _, donor, _, _, model, _ = self._convert_once()
@@ -239,9 +238,11 @@ class TestAdaptiveConversion:
             ),
         )
         fired = []
-        balancer.subscribe(lambda: fired.append(True))
+        old_path = grid.peer(donor).path
+        balancer.subscribe_conversion(lambda *move: fired.append(move))
         balancer.after_meeting(donor, donor)
-        assert fired == [True]
+        assert fired == [(donor, old_path, hot)]
+        assert balancer.stats.conversions == len(fired)
 
 
 class TestSqrtStrategy:

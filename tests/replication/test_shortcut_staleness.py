@@ -2,11 +2,12 @@
 
 When the :class:`~repro.replication.ReplicaBalancer` converts a peer to
 a hot replica group, the peer stays online but answers for different
-keys — every shortcut naming it, in the object-core
-:class:`~repro.core.shortcuts.ShortcutSearchEngine` *and* the
-array-plane :class:`~repro.fast.shortcuts.ArrayShortcutCache`, is stale
-at once.  The facade wires the balancer's conversion listeners to both
-caches (``Grid._on_replica_conversion``); these tests pin that contract.
+keys — every shortcut naming it is stale at once, whichever query plane
+made it.  Both planes share the facade's one
+:class:`~repro.core.shortcuts.ShortcutCache`, keyed by address, and the
+facade's one conversion listener (``Grid._on_replica_conversion``)
+drops the entries naming the converted peer; these tests pin that
+contract.  The object-plane half needs no numpy.
 """
 
 from __future__ import annotations
@@ -56,15 +57,15 @@ class TestObjectCacheStaleness:
         hot, donor, hot_member = _hot_and_donor(facade.pgrid)
         engine = facade.shortcut_engine
         donor_path = facade.pgrid.peer(donor).path
-        # A real search whose responder is pinned to the donor, so the
-        # cache holds a live entry naming it.
-        engine.cache_for(0).put(donor_path, donor)
-        engine.cache_for(5).put(donor_path, donor)
+        # Entries from two initiators naming the donor, as a search
+        # answered by it would have left them.
+        engine.cache.put(0, donor_path, donor)
+        engine.cache.put(5, donor_path, donor)
         _skew_load(facade, hot)
         assert facade.balancer.after_meeting(donor, hot_member) is True
 
-        assert engine.cache_for(0).get(donor_path) is None
-        assert engine.cache_for(5).get(donor_path) is None
+        assert engine.cache.get(0, donor_path) is None
+        assert engine.cache.get(5, donor_path) is None
         assert engine.stats.invalidations == 2
 
     def test_stale_shortcut_would_have_answered_wrong(self, facade):
@@ -84,41 +85,52 @@ class TestObjectCacheStaleness:
         donor_path = facade.pgrid.peer(donor).path
         query = (donor_path + "0" * 8)[: facade.pgrid.config.maxl]
         engine = facade.shortcut_engine
-        engine.cache_for(0).put(query, donor)
+        engine.cache.put(0, query, donor)
         _skew_load(facade, hot)
         facade.balancer.after_meeting(donor, hot_member)
 
         result = facade.search(query, start=0)
         assert result.found
         assert result.responder != donor
-        assert engine.cache_for(0).get(query) == result.responder
+        assert engine.cache.get(0, query) == result.responder
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestArrayCacheStaleness:
-    def test_conversion_drops_dense_entries_naming_the_donor(self, facade):
+    def _donor_query(self, facade, donor):
+        """A full-length key the donor answers for before conversion."""
+        donor_path = facade.pgrid.peer(donor).path
+        return (donor_path + "0" * 8)[: facade.pgrid.config.maxl]
+
+    def test_conversion_drops_batch_entries_naming_the_donor(self, facade):
         hot, donor, hot_member = _hot_and_donor(facade.pgrid)
-        facade.batch_query_engine()  # builds the dense index map
-        dense_donor = facade._batch_index[donor]
-        cache = facade._array_shortcuts
-        cache.put(0, 0b101, 3, dense_donor)
-        cache.put(3, 0b011, 3, dense_donor)
-        cache.put(3, 0b111, 3, dense_donor + 1)  # unrelated entry survives
+        query = self._donor_query(facade, donor)
+        cache = facade.shortcut_engine.cache
+        # Warm the cache through the batch plane from two initiators,
+        # then point both entries at the donor.
+        facade.search_many([query, query], [0, 3])
+        cache.put(0, query, donor)
+        cache.put(3, query, donor)
+        cache.put(3, "111", donor + 1)  # unrelated entry survives
         _skew_load(facade, hot)
         assert facade.balancer.after_meeting(donor, hot_member) is True
 
-        assert cache.get(0, 0b101, 3) is None
-        assert cache.get(3, 0b011, 3) is None
-        assert cache.get(3, 0b111, 3) == dense_donor + 1
+        assert cache.get(0, query) is None
+        assert cache.get(3, query) is None
+        assert cache.get(3, "111") == donor + 1
         assert cache.stats.invalidations == 2
+
+        result = facade.search_many([query], [0])
+        engine = facade.batch_query_engine()
+        assert bool(result.found[0])
+        assert cache.get(0, query) == engine.addresses[int(result.responder[0])]
 
     def test_batch_engine_rebuild_keeps_the_cache(self, facade):
         # Conversion also drops the cached batch-plane snapshot (routing
-        # changed), but the shortcut cache survives the rebuild: dense
-        # indices are stable because membership is unchanged.
+        # changed), but the rebuilt engine consults the same cache.
         hot, donor, hot_member = _hot_and_donor(facade.pgrid)
         engine_before = facade.batch_query_engine()
-        cache = facade._array_shortcuts
+        cache = facade.shortcut_engine.cache
         assert engine_before.shortcuts is cache
         _skew_load(facade, hot)
         facade.balancer.after_meeting(donor, hot_member)
@@ -127,20 +139,17 @@ class TestArrayCacheStaleness:
         assert engine_after is not engine_before
         assert engine_after.shortcuts is cache
 
-    def test_both_caches_invalidate_on_one_conversion(self, facade):
+    def test_one_conversion_invalidates_both_planes_entries(self, facade):
         hot, donor, hot_member = _hot_and_donor(facade.pgrid)
-        donor_path = facade.pgrid.peer(donor).path
-        facade.batch_query_engine()
-        dense_donor = facade._batch_index[donor]
-        facade.shortcut_engine.cache_for(0).put(donor_path, donor)
-        facade._array_shortcuts.put(0, int(donor_path, 2), len(donor_path), dense_donor)
+        query = self._donor_query(facade, donor)
+        cache = facade.shortcut_engine.cache
+        facade.search(query, start=0)  # an object-plane entry
+        facade.search_many([query], [5])  # a batch-plane entry
+        cache.put(0, query, donor)
+        cache.put(5, query, donor)
         _skew_load(facade, hot)
         facade.balancer.after_meeting(donor, hot_member)
 
-        assert facade.shortcut_engine.stats.invalidations == 1
-        assert facade._array_shortcuts.stats.invalidations == 1
-        assert facade.shortcut_engine.cache_for(0).get(donor_path) is None
-        assert (
-            facade._array_shortcuts.get(0, int(donor_path, 2), len(donor_path))
-            is None
-        )
+        assert facade.shortcut_engine.stats.invalidations == 2
+        assert cache.get(0, query) is None
+        assert cache.get(5, query) is None
