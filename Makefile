@@ -4,7 +4,7 @@ PYTHON ?= python
 # Scale of `make bench`: fig4 (default) or smoke (CI-fast).
 SCALE ?= fig4
 
-.PHONY: install test aio-leakcheck lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-e2e-smoke bench-pairs bench-shm-smoke check-parallel protocol-equivalence resilience-smoke replication-smoke swarm-smoke examples clean results
+.PHONY: install test aio-leakcheck lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-array bench-e2e-smoke bench-pairs bench-shm-smoke check-parallel protocol-equivalence resilience-smoke replication-smoke swarm-smoke examples clean results
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop

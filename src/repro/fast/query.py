@@ -4,10 +4,12 @@
 whole in-flight query population advances one protocol step per wave —
 prefix matching via integer path arithmetic, per-wave uniform candidate
 draws, Bernoulli liveness — with per-query message/failed-attempt
-accounting kept exact.  The same wave kernels back the §3/§5.2 update
-and read strategies (repeated DFS, DFS + buddies, breadth-first
-fan-out, repetitive/non-repetitive reads), which is what lets Fig. 5
-and the §6 trade-off sweep run at 100k+ peers.
+accounting kept exact.  Two wave kernels do all the walking: the
+depth-first one backs searches, repeated DFS, DFS + buddies and the
+repetitive/non-repetitive reads; one breadth kernel backs breadth-first
+search, BFS publish and range queries (the object core's
+``breadth_step``, with its ``enumerate_subtree`` range extension).
+That is what lets Fig. 5 and the §6 trade-off sweep run at 100k+ peers.
 
 Semantics relative to the object core (``SearchEngine`` /
 ``UpdateEngine`` / ``ReadEngine`` over the Fig. 2 machines):
@@ -33,8 +35,12 @@ Semantics relative to the object core (``SearchEngine`` /
 * **Breadth visiting order differs**: the object core executes the
   "breadth" fan-out as a synchronous depth-first recursion over one
   shared visited set; the batch engine advances a true frontier wave,
-  marking peers visited at forward time.  Reached sets and message
-  costs agree statistically (the equivalence tests pin the tolerance).
+  marking peers visited at forward time.  A second contact to the same
+  peer within one wave is dropped, as the object core's ``seen`` set
+  would drop it, so no walk reaches a peer twice or pays for it twice;
+  the wave order itself stays an approximation.  Reached sets and
+  message costs agree statistically (the equivalence tests pin the
+  tolerance).
 
 Shortcuts: :meth:`BatchQueryEngine.search_many` consults the object
 core's :class:`~repro.core.shortcuts.ShortcutCache` (address-keyed) when
@@ -452,20 +458,34 @@ class BatchQueryEngine:
             bits[nz] = np.floor(np.log2(x[nz])).astype(np.int64) + 1
         return bits
 
-    def _divergence(self, kb, kl, cons, cur):
-        """Common-prefix length of the query suffix vs the peer's
-        remaining path, plus both suffix lengths (Fig. 2's ``lc``)."""
+    def _divergence(self, kb, slen, level, cur):
+        """Common-prefix length of the query's last *slen* bits vs the
+        peer's path below trie *level*, plus both suffix lengths (Fig. 2's
+        ``lc``)."""
         pb = self._pb
         pl = self._pl
         one = np.int64(1)
-        slen = kl - cons
         sfx = kb & ((one << slen) - 1)
-        rlen = np.maximum(pl[cur] - cons, 0)
+        rlen = np.maximum(pl[cur] - level, 0)
         rem = pb[cur] & ((one << rlen) - 1)
         m = np.minimum(slen, rlen)
         x = (sfx >> (slen - m)) ^ (rem >> (rlen - m))
         lc = m - self._bit_length(x)
         return lc, slen, rlen
+
+    def _check(self, q: int, starts, *, recbreadth: int = 1, **columns):
+        """The entry check of every batch call: *starts* and each named
+        column hold one entry per query, starts are dense peer indices
+        and *recbreadth* is positive.  Returns *starts* as int64."""
+        if recbreadth < 1:
+            raise ValueError(f"recbreadth must be >= 1, got {recbreadth}")
+        starts = np.asarray(starts, dtype=np.int64)
+        for name, column in (("starts", starts), *columns.items()):
+            if len(column) != q:
+                raise ValueError(f"{q} queries but {len(column)} {name}")
+        if q and (starts.min() < 0 or starts.max() >= self.n):
+            raise ValueError("start indices out of range")
+        return starts
 
     def _emit_wave(self, kind: str, wave: int, active: int, contacts: int, offline: int) -> None:
         if self._probe is not None:
@@ -510,12 +530,8 @@ class BatchQueryEngine:
         contract).
         """
         kb, kl = queries if isinstance(queries, tuple) else _pack_keys(queries)
-        starts = np.asarray(starts, dtype=np.int64)
-        if len(starts) != len(kb):
-            raise ValueError(f"{len(kb)} queries but {len(starts)} starts")
         q = len(kb)
-        if q and (starts.min() < 0 or starts.max() >= self.n):
-            raise ValueError("start indices out of range")
+        starts = self._check(q, starts)
         budget = max_messages if max_messages is not None else self.max_messages
         cache = self.shortcuts
         found = np.zeros(q, dtype=bool)
@@ -642,7 +658,8 @@ class BatchQueryEngine:
             arr = active[status[active] == _ARRIVE]
             if arr.size:
                 c = cur[arr]
-                lc, slen, rlen = self._divergence(kb[arr], kl[arr], consumed[arr], c)
+                cons = consumed[arr]
+                lc, slen, rlen = self._divergence(kb[arr], kl[arr] - cons, cons, c)
                 term = (lc == slen) | (lc == rlen)
                 hit = arr[term]
                 status[hit] = _FOUND
@@ -705,7 +722,7 @@ class BatchQueryEngine:
             wave += 1
         return status == _FOUND, responder, msgs, fails
 
-    # -- breadth-first search (§3 strategy 3) ---------------------------------------
+    # -- breadth-first walks (§3 strategy 3, §2 range queries) ----------------------
 
     def breadth_many(
         self,
@@ -718,165 +735,20 @@ class BatchQueryEngine:
         """One §3 breadth-first search per (query, start): fan out to at
         most *recbreadth* online references per level with a shared
         per-query visited set; returns all responsible peers reached."""
-        if recbreadth < 1:
-            raise ValueError(f"recbreadth must be >= 1, got {recbreadth}")
         kb, kl = queries if isinstance(queries, tuple) else _pack_keys(queries)
-        starts = np.asarray(starts, dtype=np.int64)
-        if len(starts) != len(kb):
-            raise ValueError(f"{len(kb)} queries but {len(starts)} starts")
+        starts = self._check(len(kb), starts, recbreadth=recbreadth)
         budget = max_messages if max_messages is not None else self.max_messages
-        q = len(kb)
-        offsets = np.zeros(q + 1, dtype=np.int64)
-        chunks = []
-        messages = np.zeros(q, dtype=np.int64)
-        failed = np.zeros(q, dtype=np.int64)
-        for lo in range(0, q, self.chunk):
-            hi = min(lo + self.chunk, q)
-            off, vals, m, fa = self._breadth_chunk(
-                kb[lo:hi], kl[lo:hi], starts[lo:hi], recbreadth, budget
-            )
-            counts = off[1:] - off[:-1]
-            offsets[lo + 1 : hi + 1] = counts
-            chunks.append(vals)
-            messages[lo:hi] = m
-            failed[lo:hi] = fa
-        np.cumsum(offsets, out=offsets)
-        values = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        offsets, values, messages, failed = self._walk(
+            kb, kl, starts, recbreadth, budget, enumerate_subtree=False
         )
         self._emit_batch(
             "batch_breadth",
             int(np.count_nonzero(offsets[1:] > offsets[:-1])),
-            q,
+            len(kb),
             int(messages.sum()),
             int(failed.sum()),
         )
         return BatchReachResult(offsets, values, messages, failed)
-
-    def _breadth_chunk(self, kb, kl, starts, recbreadth, max_messages):
-        """One chunk of concurrent breadth-first searches.
-
-        The frontier holds (query, peer, consumed-bits) entries; peers
-        are marked visited at forward time (the object core's recursion
-        visits a child before the parent tries its next sibling, so
-        forward-time marking is the closer batched approximation).
-        """
-        n = self.n
-        maxl = self.maxl
-        refmax = self.refmax
-        refs = self._refs
-        rng = self._rng
-        p = self.p_online
-        q = len(kb)
-
-        if q and (starts.min() < 0 or starts.max() >= n):
-            raise ValueError("start indices out of range")
-        msgs = np.zeros(q, dtype=np.int64)
-        fails = np.zeros(q, dtype=np.int64)
-        budget = np.full(q, max_messages, dtype=np.int64)
-        resp_q: list = []
-        resp_p: list = []
-        # Visited keys (query * n + peer); start peers are pre-visited.
-        qidx = np.arange(q, dtype=np.int64)
-        seen = set((qidx * n + starts).tolist())
-
-        eq = qidx
-        ep = starts.copy()
-        ec = np.zeros(q, dtype=np.int64)
-        wave = 0
-        while eq.size:
-            lc, slen, rlen = self._divergence(kb[eq], kl[eq], ec, ep)
-            term = (lc == slen) | (lc == rlen)
-            if term.any():
-                resp_q.append(eq[term])
-                resp_p.append(ep[term])
-            div = ~term
-            contacts = offline = 0
-            child_q: list = []
-            child_p: list = []
-            child_c: list = []
-            if div.any():
-                deq = eq[div]
-                dep = ep[div]
-                nc = ec[div] + lc[div]
-                row = dep * maxl + nc
-                slot = refs[row].astype(np.int64)
-                valid = slot != -1
-                cnt = valid.sum(axis=1)
-                # Shuffle each row's candidates (random key high bits,
-                # peer index low bits, one sort — see batch.py).
-                keys = rng.integers(
-                    0, self._key_mod, size=slot.shape, dtype=np.int64
-                )
-                pack = np.where(valid, (keys << self._vbits) | slot, _SENTINEL)
-                pack.sort(axis=1)
-                cand = pack & self._vmask
-                fwd = np.zeros(len(deq), dtype=np.int64)
-                for col in range(refmax):
-                    live = (col < cnt) & (fwd < recbreadth) & (budget[deq] > 0)
-                    if not live.any():
-                        break
-                    rows = np.flatnonzero(live)
-                    cc = cand[rows, col]
-                    keyv = deq[rows] * n + cc
-                    fresh = np.fromiter(
-                        (k not in seen for k in keyv.tolist()),
-                        dtype=bool,
-                        count=len(rows),
-                    )
-                    rows = rows[fresh]
-                    if not rows.size:
-                        continue
-                    cc = cc[fresh]
-                    keyv = keyv[fresh]
-                    contacts += int(rows.size)
-                    if p >= 1.0:
-                        on_mask = np.ones(rows.size, dtype=bool)
-                    else:
-                        on_mask = rng.random(rows.size) < p
-                    off_rows = rows[~on_mask]
-                    if off_rows.size:
-                        np.add.at(fails, deq[off_rows], 1)
-                        offline += int(off_rows.size)
-                    on_rows = rows[on_mask]
-                    if on_rows.size:
-                        tq = deq[on_rows]
-                        np.subtract.at(budget, tq, 1)
-                        np.add.at(msgs, tq, 1)
-                        fwd[on_rows] += 1
-                        seen.update(keyv[on_mask].tolist())
-                        child_q.append(tq)
-                        child_p.append(cc[on_mask])
-                        child_c.append(nc[on_rows])
-            self._emit_wave(
-                "batch_breadth",
-                wave,
-                sum(len(c) for c in child_q),
-                contacts,
-                offline,
-            )
-            wave += 1
-            if child_q:
-                eq = np.concatenate(child_q)
-                ep = np.concatenate(child_p)
-                ec = np.concatenate(child_c)
-            else:
-                break
-        if resp_q:
-            rq = np.concatenate(resp_q)
-            rp = np.concatenate(resp_p)
-            order = np.argsort(rq, kind="stable")
-            rq = rq[order]
-            rp = rp[order]
-        else:
-            rq = np.empty(0, dtype=np.int64)
-            rp = np.empty(0, dtype=np.int64)
-        offsets = np.zeros(q + 1, dtype=np.int64)
-        np.add.at(offsets, rq + 1, 1)
-        np.cumsum(offsets, out=offsets)
-        return offsets, rp, msgs, fails
-
-    # -- range queries over the order-preserving key space ---------------------------
 
     def search_range_many(
         self,
@@ -902,13 +774,9 @@ class BatchQueryEngine:
         highest version.  ``with_refs=False`` skips the store fold for
         reach/accounting-only sweeps.
         """
-        if recbreadth < 1:
-            raise ValueError(f"recbreadth must be >= 1, got {recbreadth}")
         if len(lows) != len(highs):
             raise ValueError(f"{len(lows)} lows but {len(highs)} highs")
-        starts = np.asarray(starts, dtype=np.int64)
-        if len(starts) != len(lows):
-            raise ValueError(f"{len(lows)} ranges but {len(starts)} starts")
+        starts = self._check(len(lows), starts, recbreadth=recbreadth)
         budget = max_messages if max_messages is not None else self.max_messages
         q = len(lows)
         covers = [keyspace.range_cover(low, high) for low, high in zip(lows, highs)]
@@ -917,41 +785,23 @@ class BatchQueryEngine:
         owner_l: list[int] = []
         bits_l: list[int] = []
         len_l: list[int] = []
-        start_l: list[int] = []
         for i, cover in enumerate(covers):
             for prefix in cover:
                 owner_l.append(i)
                 bits_l.append(int(prefix, 2) if prefix else 0)
                 len_l.append(len(prefix))
-                start_l.append(int(starts[i]))
         owner = np.asarray(owner_l, dtype=np.int64)
         skb = np.asarray(bits_l, dtype=np.int64)
         skl = np.asarray(len_l, dtype=np.int64)
-        sst = np.asarray(start_l, dtype=np.int64)
-        s = len(owner)
-        sub_off = np.zeros(s + 1, dtype=np.int64)
-        chunks = []
-        sub_msgs = np.zeros(s, dtype=np.int64)
-        sub_fail = np.zeros(s, dtype=np.int64)
-        for lo in range(0, s, self.chunk):
-            hi = min(lo + self.chunk, s)
-            off, vals, m, fa = self._range_chunk(
-                skb[lo:hi], skl[lo:hi], sst[lo:hi], recbreadth, budget
-            )
-            sub_off[lo + 1 : hi + 1] = off[1:] - off[:-1]
-            chunks.append(vals)
-            sub_msgs[lo:hi] = m
-            sub_fail[lo:hi] = fa
-        np.cumsum(sub_off, out=sub_off)
-        sub_vals = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        sub_off, sub_vals, sub_msgs, sub_fail = self._walk(
+            skb, skl, starts[owner], recbreadth, budget, enumerate_subtree=True
         )
         messages = np.zeros(q, dtype=np.int64)
         failed = np.zeros(q, dtype=np.int64)
-        if s:
-            np.add.at(messages, owner, sub_msgs)
-            np.add.at(failed, owner, sub_fail)
+        np.add.at(messages, owner, sub_msgs)
+        np.add.at(failed, owner, sub_fail)
         # Responders: deduplicated first-seen across each query's subs.
+        s = len(owner)
         sub_of = np.repeat(np.arange(s, dtype=np.int64), np.diff(sub_off))
         pair_owner = owner[sub_of]
         _, first = np.unique(pair_owner * self.n + sub_vals, return_index=True)
@@ -1026,61 +876,79 @@ class BatchQueryEngine:
             data_refs[i].append(DataRef(key=key, holder=h, version=v))
         return data_refs
 
-    def _range_chunk(self, kb, kl, starts, recbreadth, max_messages):
-        """One chunk of subtree-enumerating breadth searches.
+    def _walk(self, kb, kl, starts, recbreadth, max_messages, *, enumerate_subtree):
+        """Run one breadth walk per ``(query, start)`` in chunks of at most
+        ``chunk`` walks; returns each walk's responders as CSR ``(offsets,
+        values)`` in discovery order, plus its messages and failed
+        attempts."""
+        q = len(kb)
+        offsets = np.zeros(q + 1, dtype=np.int64)
+        values = []
+        messages = np.zeros(q, dtype=np.int64)
+        failed = np.zeros(q, dtype=np.int64)
+        for lo in range(0, q, self.chunk):
+            hi = min(lo + self.chunk, q)
+            counts, vals, messages[lo:hi], failed[lo:hi] = self._walk_chunk(
+                kb[lo:hi], kl[lo:hi], starts[lo:hi], recbreadth, max_messages,
+                enumerate_subtree,
+            )
+            offsets[lo + 1 : hi + 1] = counts
+            values.append(vals)
+        np.cumsum(offsets, out=offsets)
+        values = np.concatenate(values) if values else np.empty(0, dtype=np.int64)
+        return offsets, values, messages, failed
 
-        Same frontier discipline as :meth:`_breadth_chunk` with the
-        range extension (``protocol.search.breadth_step`` with
-        ``enumerate_subtree``): a responsible peer whose path extends
-        past the query prefix additionally fans out at every level below
-        the match point with an *empty* remaining query.  That breaks
-        the ``consumed == trie level`` invariant the exact-search kernel
-        relies on, so frontier entries carry the trie level and the
-        remaining query length separately.  Within a column, duplicate
-        ``(query, peer)`` contacts keep the first occurrence only — the
-        sequential recursion would have marked the peer seen before the
-        second parent tried it — which keeps message accounting exact in
-        the all-online closure case.
+    def _walk_chunk(self, kb, kl, starts, recbreadth, max_messages, enumerate_subtree):
+        """One chunk of concurrent breadth walks, advanced per wave —
+        :func:`repro.protocol.search.breadth_step` over a frontier.
+
+        The frontier holds (walk, peer, trie level, remaining query bits)
+        entries.  A responsible peer answers; a divergent one fans out to
+        at most *recbreadth* online references at its divergence level.
+        With ``enumerate_subtree`` (the range extension, as on
+        :class:`~repro.protocol.search.Traversal`) a responsible peer
+        whose path extends past the query prefix also fans out at every
+        level below the match point with an *empty* remaining query —
+        which is why the trie level and the remaining query length are
+        carried separately.  Peers are marked visited at forward time,
+        and within a column a second contact to the same ``(walk,
+        peer)`` is dropped: the object core's recursion visits a child
+        before the parent tries its next sibling, so its shared ``seen``
+        set never makes that contact.  Returns per-walk responder counts,
+        the responders grouped by walk in discovery order, messages and
+        failed attempts.
         """
         n = self.n
         maxl = self.maxl
         refmax = self.refmax
         refs = self._refs
-        pb = self._pb
         pl = self._pl
         rng = self._rng
         p = self.p_online
+        kind = "batch_range" if enumerate_subtree else "batch_breadth"
         q = len(kb)
 
-        if q and (starts.min() < 0 or starts.max() >= n):
-            raise ValueError("start indices out of range")
         msgs = np.zeros(q, dtype=np.int64)
         fails = np.zeros(q, dtype=np.int64)
         budget = np.full(q, max_messages, dtype=np.int64)
         resp_q: list = []
         resp_p: list = []
         qidx = np.arange(q, dtype=np.int64)
+        # Visited keys (walk * n + peer); start peers are pre-visited.
         seen = set((qidx * n + starts).tolist())
-        one = np.int64(1)
 
-        eq = qidx  # sub-search index
+        eq = qidx  # walk index
         ep = starts.copy()  # peer at this visit
         el = np.zeros(q, dtype=np.int64)  # trie level (path bits above)
         er = kl.astype(np.int64).copy()  # remaining query bits
         wave = 0
         while eq.size:
-            slen = er
-            sfx = kb[eq] & ((one << slen) - one)
-            rlen = np.maximum(pl[ep] - el, 0)
-            rem = pb[ep] & ((one << rlen) - one)
-            m = np.minimum(slen, rlen)
-            x = (sfx >> (slen - m)) ^ (rem >> (rlen - m))
-            lc = m - self._bit_length(x)
+            lc, slen, rlen = self._divergence(kb[eq], er, el, ep)
             term = (lc == slen) | (lc == rlen)
             if term.any():
                 resp_q.append(eq[term])
                 resp_p.append(ep[term])
-            # Fan-out tasks: (sub-search, ref row, child level, child qlen).
+            # Fan-out tasks: (walk, ref row, child level, child qlen).
             parts_q: list = []
             parts_row: list = []
             parts_l: list = []
@@ -1092,7 +960,7 @@ class BatchQueryEngine:
                 parts_row.append(ep[div] * maxl + nc)  # ref level nc+1
                 parts_l.append(nc)
                 parts_r.append(slen[div] - lc[div])
-            en = term & (lc == slen)
+            en = term & (lc == slen) & enumerate_subtree
             if en.any():
                 base = el[en] + lc[en]
                 count = pl[ep[en]] - base
@@ -1122,6 +990,8 @@ class BatchQueryEngine:
                 slot = refs[trow].astype(np.int64)
                 valid = slot != -1
                 cnt = valid.sum(axis=1)
+                # Shuffle each row's candidates (random key high bits,
+                # peer index low bits, one sort — see batch.py).
                 keys = rng.integers(0, self._key_mod, size=slot.shape, dtype=np.int64)
                 pack = np.where(valid, (keys << self._vbits) | slot, _SENTINEL)
                 pack.sort(axis=1)
@@ -1171,7 +1041,7 @@ class BatchQueryEngine:
                         child_l.append(tl[on_rows])
                         child_r.append(tr[on_rows])
             self._emit_wave(
-                "batch_range",
+                kind,
                 wave,
                 sum(len(c) for c in child_q),
                 contacts,
@@ -1185,19 +1055,11 @@ class BatchQueryEngine:
                 er = np.concatenate(child_r)
             else:
                 break
-        if resp_q:
-            rq = np.concatenate(resp_q)
-            rp = np.concatenate(resp_p)
-            order = np.argsort(rq, kind="stable")
-            rq = rq[order]
-            rp = rp[order]
-        else:
-            rq = np.empty(0, dtype=np.int64)
-            rp = np.empty(0, dtype=np.int64)
-        offsets = np.zeros(q + 1, dtype=np.int64)
-        np.add.at(offsets, rq + 1, 1)
-        np.cumsum(offsets, out=offsets)
-        return offsets, rp, msgs, fails
+        if not resp_q:
+            return np.zeros(q, dtype=np.int64), np.empty(0, dtype=np.int64), msgs, fails
+        rq = np.concatenate(resp_q)
+        order = np.argsort(rq, kind="stable")
+        return np.bincount(rq, minlength=q), np.concatenate(resp_p)[order], msgs, fails
 
     # -- §3/§5.2 update strategies ---------------------------------------------------
 
@@ -1216,8 +1078,8 @@ class BatchQueryEngine:
         if repetition < 1:
             raise ValueError(f"repetition must be >= 1, got {repetition}")
         kb, kl = keys if isinstance(keys, tuple) else _pack_keys(keys)
-        starts = np.asarray(starts, dtype=np.int64)
         q = len(kb)
+        starts = self._check(q, starts)
         tkb = np.tile(kb, repetition)
         tkl = np.tile(kl, repetition)
         tstarts = np.tile(starts, repetition)
@@ -1225,14 +1087,33 @@ class BatchQueryEngine:
             tiled = self.breadth_many(
                 (tkb, tkl), tstarts, recbreadth=recbreadth
             )
-            return _union_tiled_reach(tiled, q, repetition)
+            walk = np.repeat(np.arange(len(tiled)), np.diff(tiled.offsets))
+            return self._fold_tiled(tiled, q, repetition, walk, tiled.values)
         result = self.search_many((tkb, tkl), tstarts)
-        reach = _union_tiled_search(result, q, repetition)
+        hit = np.flatnonzero(result.found)
+        reach = self._fold_tiled(result, q, repetition, hit, result.responder[hit])
         if strategy is UpdateStrategy.REPEATED_DFS:
             return reach
         if strategy is UpdateStrategy.DFS_BUDDIES:
             return self._forward_to_buddies(reach)
         raise ValueError(f"unknown strategy: {strategy!r}")
+
+    def _fold_tiled(self, tiled, q: int, repetition: int, walk, peers) -> BatchReachResult:
+        """Fold a ``repetition``-tiled batch (walk ``r * q + i`` is the
+        ``r``-th repetition of query ``i``) into each query's distinct
+        reached peers, ascending, and its summed costs
+        (``repeated_queries`` semantics); ``walk[j]`` is the walk that
+        reached ``peers[j]``."""
+        n = self.n
+        pairs = np.unique(walk % q * n + peers)
+        offsets = np.zeros(q + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs // n, minlength=q), out=offsets[1:])
+        return BatchReachResult(
+            offsets,
+            pairs % n,
+            tiled.messages.reshape(repetition, q).sum(axis=0),
+            tiled.failed_attempts.reshape(repetition, q).sum(axis=0),
+        )
 
     def _forward_to_buddies(self, reach: BatchReachResult) -> BatchReachResult:
         """Strategy 2's second hop: each reached replica forwards to its
@@ -1287,6 +1168,7 @@ class BatchQueryEngine:
         kb, kl = keys if isinstance(keys, tuple) else _pack_keys(keys)
         holders = np.asarray(holders, dtype=np.int64)
         versions = np.asarray(versions, dtype=np.int64)
+        self._check(len(kb), starts, holders=holders, versions=versions)
         reach = self.find_replicas_many(
             (kb, kl),
             starts,
@@ -1341,8 +1223,8 @@ class BatchQueryEngine:
         kb, kl = keys if isinstance(keys, tuple) else _pack_keys(keys)
         holders = np.asarray(holders, dtype=np.int64)
         versions = np.asarray(versions, dtype=np.int64)
-        starts = np.asarray(starts, dtype=np.int64)
         q = len(kb)
+        starts = self._check(q, starts, holders=holders, versions=versions)
         success = np.zeros(q, dtype=bool)
         messages = np.zeros(q, dtype=np.int64)
         failed = np.zeros(q, dtype=np.int64)
@@ -1410,45 +1292,6 @@ def _run_starts(rows):
     head = np.ones(len(rows), dtype=bool)
     head[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     return np.flatnonzero(head)
-
-
-def _union_tiled_search(result: BatchSearchResult, q: int, repetition: int):
-    """Fold a ``repetition``-tiled DFS batch into per-original-query
-    unioned responder sets + summed costs (repeated_queries semantics)."""
-    messages = result.messages.reshape(repetition, q).sum(axis=0)
-    failed = result.failed_attempts.reshape(repetition, q).sum(axis=0)
-    offsets = np.zeros(q + 1, dtype=np.int64)
-    values: list[int] = []
-    found = result.found.reshape(repetition, q)
-    responder = result.responder.reshape(repetition, q)
-    for i in range(q):
-        hits = responder[:, i][found[:, i]]
-        uniq = np.unique(hits)
-        values.extend(uniq.tolist())
-        offsets[i + 1] = len(values)
-    return BatchReachResult(
-        offsets, np.asarray(values, dtype=np.int64), messages, failed
-    )
-
-
-def _union_tiled_reach(reach: BatchReachResult, q: int, repetition: int):
-    """Union a ``repetition``-tiled breadth batch per original query."""
-    messages = reach.messages.reshape(repetition, q).sum(axis=0)
-    failed = reach.failed_attempts.reshape(repetition, q).sum(axis=0)
-    offsets = np.zeros(q + 1, dtype=np.int64)
-    values: list[int] = []
-    for i in range(q):
-        merged: set[int] = set()
-        for r in range(repetition):
-            j = r * q + i
-            merged.update(
-                reach.values[reach.offsets[j] : reach.offsets[j + 1]].tolist()
-            )
-        values.extend(sorted(merged))
-        offsets[i + 1] = len(values)
-    return BatchReachResult(
-        offsets, np.asarray(values, dtype=np.int64), messages, failed
-    )
 
 
 def _oracle_p_online(oracle: Any) -> float:

@@ -23,7 +23,6 @@ line mapping and ``docs/API.md`` for driver contracts.
 """
 
 from repro.protocol.contact import Budget, Context, StepStats, contact_step
-from repro.protocol.driver import drive
 from repro.protocol.effects import (
     BUDDY_PING,
     GONE,
@@ -88,8 +87,6 @@ __all__ = [
     "fanout_step",
     "exchange_step",
     "buddy_forward_step",
-    # driver contract
-    "drive",
     # orchestration
     "key_in_range",
     "run_range",

@@ -3,13 +3,16 @@
 This is the thin I/O layer behind the classic engines
 (:class:`repro.core.search.SearchEngine`,
 :class:`repro.core.updates.UpdateEngine`,
-:class:`repro.core.exchange.ExchangeEngine`): a trampoline that answers
+:class:`repro.core.exchange.ExchangeEngine`): one loop, :func:`_run`,
+that answers
 
 * :class:`Contact` from the grid's membership + online oracle (``GONE``
   for a departed peer — no RNG draw; one availability draw otherwise),
-* :class:`Resolve` by recursing into the machine for the target peer,
-  sharing the operation's budget/stats/traversal state (a direct call
-  *is* synchronous message delivery),
+* :class:`Resolve` by running the machine for the target peer to
+  completion, sharing the operation's budget/stats/traversal state (a
+  direct call *is* synchronous message delivery) — the nested machines
+  live on an explicit stack, so a walk is bounded by its message budget,
+  not by Python's recursion limit,
 * :class:`FetchBuddies` from the peer's buddy set (sorted),
 * :class:`Record` via the shared probe dispatch,
 * :class:`Deliver` as a no-op (the caller takes the return value).
@@ -23,7 +26,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.protocol.contact import Budget, Context, StepStats
-from repro.protocol.driver import drive as _drive
 from repro.protocol.effects import (
     GONE,
     OFFLINE,
@@ -51,6 +53,45 @@ def _contact_status(grid, target):
     return OK
 
 
+def _run(grid: Any, probe: Any, machine, resolve=None):
+    """Run *machine* to completion; returns its result.
+
+    The walk is kept on an explicit stack of machines, not on the Python
+    call stack: a :class:`Resolve` pushes ``resolve(effect)`` — the
+    target's step — and that step's return value answers the
+    ``Resolve``.  Effects are answered in the order a recursive driver
+    would answer them, so RNG streams and counts are the same; only the
+    walk's length is no longer bounded by the interpreter's recursion
+    limit.
+    """
+    stack = [machine]
+    response = None
+    while True:
+        try:
+            effect = stack[-1].send(response)
+        except StopIteration as stop:
+            stack.pop()
+            if not stack:
+                return stop.value
+            response = stop.value
+            continue
+        cls = type(effect)
+        if cls is Contact:
+            response = _contact_status(grid, effect.target)
+        elif cls is Resolve:
+            stack.append(resolve(effect))
+            response = None
+        elif cls is Record:
+            dispatch_record(probe, effect)
+            response = None
+        elif cls is Deliver:
+            response = None
+        elif cls is FetchBuddies:
+            response = sorted(grid.peer(effect.target).buddies)
+        else:
+            raise TypeError(f"unexpected effect: {effect!r}")
+
+
 def run_dfs(
     grid: Any,
     ctx: Context,
@@ -63,25 +104,13 @@ def run_dfs(
 ):
     """Execute the Fig. 2 machine from *view*; returns (found, responder)."""
 
-    def execute(effect):
-        cls = type(effect)
-        if cls is Contact:
-            return _contact_status(grid, effect.target)
-        if cls is Resolve:
-            payload = effect.payload
-            sub = dfs_step(
-                grid.peer(effect.target), payload.query, payload.level,
-                ctx, budget, stats,
-            )
-            return _drive(sub, execute)
-        if cls is Record:
-            dispatch_record(probe, effect)
-            return None
-        if cls is Deliver:
-            return None
-        raise TypeError(f"unexpected effect: {effect!r}")
+    def resolve(effect):
+        payload = effect.payload
+        return dfs_step(
+            grid.peer(effect.target), payload.query, payload.level, ctx, budget, stats
+        )
 
-    return _drive(dfs_step(view, query, level, ctx, budget, stats), execute)
+    return _run(grid, probe, dfs_step(view, query, level, ctx, budget, stats), resolve)
 
 
 def run_breadth(
@@ -95,24 +124,13 @@ def run_breadth(
 ) -> None:
     """Execute the breadth-first machine from *view* (mutates *trav*)."""
 
-    def execute(effect):
-        cls = type(effect)
-        if cls is Contact:
-            return _contact_status(grid, effect.target)
-        if cls is Resolve:
-            payload = effect.payload
-            sub = breadth_step(
-                grid.peer(effect.target), payload.query, payload.level, ctx, trav
-            )
-            return _drive(sub, execute)
-        if cls is Record:
-            dispatch_record(probe, effect)
-            return None
-        if cls is Deliver:
-            return None
-        raise TypeError(f"unexpected effect: {effect!r}")
+    def resolve(effect):
+        payload = effect.payload
+        return breadth_step(
+            grid.peer(effect.target), payload.query, payload.level, ctx, trav
+        )
 
-    _drive(breadth_step(view, query, level, ctx, trav), execute)
+    _run(grid, probe, breadth_step(view, query, level, ctx, trav), resolve)
 
 
 def run_exchange(
@@ -125,27 +143,15 @@ def run_exchange(
 ) -> None:
     """Execute one Fig. 3 exchange (including case-4 recursion)."""
 
-    def execute(effect):
-        cls = type(effect)
-        if cls is Contact:
-            return _contact_status(grid, effect.target)
-        if cls is Resolve:
-            payload = effect.payload
-            # exchange(partner, peer(r), depth): the *contacted* peer is
-            # the second argument of the recursive call.
-            sub = exchange_step(
-                grid.peer(payload.partner),
-                grid.peer(effect.target),
-                payload.depth,
-                ctx,
-            )
-            return _drive(sub, execute)
-        if cls is Record:
-            dispatch_record(probe, effect)
-            return None
-        raise TypeError(f"unexpected effect: {effect!r}")
+    def resolve(effect):
+        # exchange(partner, peer(r), depth): the *contacted* peer is the
+        # second argument of the recursive call.
+        payload = effect.payload
+        return exchange_step(
+            grid.peer(payload.partner), grid.peer(effect.target), payload.depth, ctx
+        )
 
-    _drive(exchange_step(a1, a2, depth, ctx), execute)
+    _run(grid, probe, exchange_step(a1, a2, depth, ctx), resolve)
 
 
 def run_buddies(
@@ -156,13 +162,4 @@ def run_buddies(
     attempts: int,
 ) -> tuple[set[int], int, int]:
     """Execute the buddy-forwarding hop (§3 update strategy 2)."""
-
-    def execute(effect):
-        cls = type(effect)
-        if cls is FetchBuddies:
-            return sorted(grid.peer(effect.target).buddies)
-        if cls is Contact:
-            return _contact_status(grid, effect.target)
-        raise TypeError(f"unexpected effect: {effect!r}")
-
-    return _drive(buddy_forward_step(reached, messages, failed, attempts), execute)
+    return _run(grid, None, buddy_forward_step(reached, messages, failed, attempts))

@@ -10,6 +10,7 @@ structural, which lets several properties be asserted exactly.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -168,8 +169,9 @@ class TestBreadthAndStrategies:
         truth = engine.replicas_for_keys(keys)
         reach = engine.breadth_many(keys, starts, recbreadth=2)
         for i in range(len(keys)):
-            reached = set(reach.reached(i).tolist())
-            assert reached <= set(truth.reached(i).tolist())
+            reached = reach.reached(i).tolist()
+            assert len(set(reached)) == len(reached)  # no peer reached twice
+            assert set(reached) <= set(truth.reached(i).tolist())
 
     def test_breadth_coverage_monotone_in_recbreadth(self):
         grid = build_grid(59)
@@ -224,6 +226,54 @@ class TestBreadthAndStrategies:
         for i in range(len(keys)):
             reached = many.reached(i).tolist()
             assert len(set(reached)) == len(reached)  # unique per query
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+class TestReplicaFoldPinned:
+    """``find_replicas_many`` for the DFS strategies, pinned to the values
+    the per-query Python fold produced: reach, costs and both engine RNG
+    states after the call (digests of the ``tolist()`` forms)."""
+
+    @pytest.mark.parametrize(
+        "strategy, repetition, totals, reach_digest, cost_digest, rng_digest",
+        [
+            (UpdateStrategy.REPEATED_DFS, 1, (34, 72, 58),
+             "abc31d03a10054dc", "e07543e1534231b0", "88e5e759854c9ecb"),
+            (UpdateStrategy.REPEATED_DFS, 3, (70, 203, 148),
+             "06d4266b5fafe896", "e8f368744bc8d575", "54bc5f5bf60b072a"),
+            (UpdateStrategy.DFS_BUDDIES, 1, (47, 85, 69),
+             "e5bc315399a50908", "e9e27bf4eb27226b", "d6bab12d5925ef6d"),
+            (UpdateStrategy.DFS_BUDDIES, 3, (90, 223, 160),
+             "c578efc34b303790", "9817da5cd7cad36e", "5f9b61bbd76f7a3d"),
+        ],
+    )
+    def test_dfs_strategies_are_bit_identical(
+        self, strategy, repetition, totals, reach_digest, cost_digest, rng_digest
+    ):
+        grid = build_grid(83)
+        keys, starts = workload(grid, 89, 40, 4)
+        engine = engine_for(grid, seed=13, p_online=0.6)
+        reach = engine.find_replicas_many(
+            keys, starts, strategy=strategy, repetition=repetition
+        )
+        mt = engine._rng.bit_generator.state["state"]
+        assert (
+            len(reach.values),
+            int(reach.messages.sum()),
+            int(reach.failed_attempts.sum()),
+        ) == totals
+        assert _digest(reach.offsets.tolist(), reach.values.tolist()) == reach_digest
+        assert (
+            _digest(reach.messages.tolist(), reach.failed_attempts.tolist())
+            == cost_digest
+        )
+        assert (
+            _digest(mt["key"].tolist(), mt["pos"], engine._pyrng.getstate())
+            == rng_digest
+        )
 
 
 class TestPublishAndRead:
@@ -375,6 +425,16 @@ class TestValidation:
             )
         with pytest.raises(ValueError, match="max_repetitions"):
             engine.read_many(["01"], [0], [1], [0], repetitive=True, max_repetitions=0)
+
+    def test_update_columns_match_the_keys(self, engine):
+        with pytest.raises(ValueError, match="2 queries but 3 holders"):
+            engine.publish_many(["01", "10"], [0, 1, 2], [1, 1], [0, 0])
+        with pytest.raises(ValueError, match="2 queries but 3 versions"):
+            engine.publish_many(["01", "10"], [0, 1], [1, 1, 1], [0, 0])
+        with pytest.raises(ValueError, match="2 queries but 3 holders"):
+            engine.read_many(["01", "10"], [0, 1, 2], [1, 1], [0, 0], repetitive=False)
+        with pytest.raises(ValueError, match="2 queries but 1 versions"):
+            engine.read_many(["01", "10"], [0, 1], [1], [0, 0], repetitive=False)
 
     def test_bad_construction_parameters_rejected(self):
         grid = build_grid(139)

@@ -133,7 +133,9 @@ class TestCoverAndRefs:
         low, high = "00100", "11000"
         batch = engine.search_range_many([low], [high], [0])
         cover = batch.covers[0]
-        for dense in batch.responders(0).tolist():
+        responders = batch.responders(0).tolist()
+        assert len(set(responders)) == len(responders)  # no peer listed twice
+        for dense in responders:
             path = agrid.path_str(dense)
             assert any(
                 path.startswith(prefix) or prefix.startswith(path)

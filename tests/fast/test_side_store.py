@@ -242,9 +242,10 @@ def do_range(engine, store, ranges, recbreadth):
             skb.append(int(prefix or "0", 2))
             skl.append(len(prefix))
             sst.append(start)
-    off, vals, _, _ = engine._range_chunk(
+    off, vals, _, _ = engine._walk(
         np.array(skb, dtype=np.int64), np.array(skl, dtype=np.int64),
         np.array(sst, dtype=np.int64), recbreadth, engine.max_messages,
+        enumerate_subtree=True,
     )
     values, data_refs = model_range(store, lows, highs, off, vals, subs)
     assert [got.responders(i).tolist() for i in range(len(ranges))] == values
