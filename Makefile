@@ -67,10 +67,10 @@ bench-quick:
 
 # Perf gate: a fresh micro-bench run's hot-path speedup ratios must stay
 # within 10% of the committed smoke-scale baseline, the construction
-# engine ratios (array/batch vs object) within 35%, and the batch-search
-# speedup within 35% of its baseline with found-rate/messages deltas
-# inside the 2% equivalence bound (ratios, not raw timings, so the gate
-# is machine-independent).
+# ratios (depth tracking, batch vs object) within 35%, and the
+# batch-search speedup within 35% of its baseline with found-rate/messages
+# deltas inside the 2% equivalence bound (ratios, not raw timings, so the
+# gate is machine-independent).
 bench-regression:
 	$(PYTHON) benchmarks/harness.py --scale smoke --out-dir benchmarks/results/fresh
 	$(PYTHON) benchmarks/check_regression.py \

@@ -77,8 +77,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if not HAVE_NUMPY:
         # The batch engines are numpy-only by design; without it this
-        # gate has nothing to measure (the strict kernel is covered by
-        # bench-regression).
+        # gate has nothing to measure.
         print("[bench-array] SKIP: numpy not available")
         return 0
 

@@ -12,9 +12,8 @@ the committed baseline's ratios against a fresh run's is meaningful on
 any CI runner, unlike raw ns/op numbers.
 
 The construction benchmark records the same kind of same-run ratios for
-the construction engines: incremental vs. naive depth tracking, the
-strict array kernel vs. the object core, and the vectorized batch engine
-vs. the object core.  Passing ``--fresh-construction`` gates those too
+the construction engines: incremental vs. naive depth tracking, and the
+vectorized batch engine vs. the object core.  Passing ``--fresh-construction`` gates those too
 (with a wider tolerance — the two sides are separate timed runs, not
 interleaved best-of-N loops, so they wear more scheduler noise).
 
@@ -86,9 +85,6 @@ def load_construction_ratios(path: Path) -> tuple[str, dict[str, float]]:
     depth = results.get("depth_tracking", {})
     if depth.get("speedup") is not None:
         ratios["depth_tracking"] = depth["speedup"]
-    array = results.get("full_construction_array", {})
-    if array.get("speedup_vs_object") is not None:
-        ratios["array_strict_vs_object"] = array["speedup_vs_object"]
     batch = results.get("full_construction_batch", {})
     if batch.get("speedup_vs_object") is not None:
         ratios["batch_vs_object"] = batch["speedup_vs_object"]

@@ -66,7 +66,6 @@ from repro.experiments.table1_construction_scaling import (  # noqa: E402
 from repro.fast import (  # noqa: E402
     HAVE_NUMPY,
     ArrayGrid,
-    ArrayGridBuilder,
     BatchQueryEngine,
     grid_memory_report,
     peak_rss_bytes,
@@ -364,29 +363,6 @@ def bench_construction(scale: BenchScale) -> tuple[dict, PGrid]:
             "seconds": full_s,
             "exchanges_per_second": report.exchanges / full_s if full_s else None,
         },
-    }
-
-    # Strict array kernel, twin-seeded: must replay the object run
-    # bit-for-bit, so its speedup is apples-to-apples by construction.
-    arr_pgrid = PGrid(scale.config, rng=rngmod.derive(scale.seed, "construction"))
-    arr_pgrid.add_peers(scale.n_peers)
-    agrid = ArrayGrid.from_pgrid(arr_pgrid)
-    start = time.perf_counter()
-    arr_report = ArrayGridBuilder(agrid).build(
-        threshold_fraction=0.985, max_exchanges=10_000_000
-    )
-    arr_s = time.perf_counter() - start
-    assert arr_report.stats == report.stats, (
-        "strict array kernel diverged from the object core — bit-identity broken"
-    )
-    results["full_construction_array"] = {
-        "engine": "array-strict",
-        "accelerated_rng": HAVE_NUMPY,
-        "bit_identical_to_object": True,
-        "exchanges": arr_report.exchanges,
-        "seconds": arr_s,
-        "exchanges_per_second": arr_report.exchanges / arr_s if arr_s else None,
-        "speedup_vs_object": full_s / arr_s if arr_s else None,
     }
 
     # Vectorized batch engine: deterministic, statistically equivalent,
@@ -866,11 +842,6 @@ def main(argv: list[str] | None = None) -> int:
         f"[bench] full construction: {full['exchanges']} exchanges in "
         f"{full['seconds']:.2f}s (converged={full['converged']})"
     )
-    arr = construction["full_construction_array"]
-    print(
-        f"[bench] array strict: {arr['seconds']:.2f}s "
-        f"({arr['speedup_vs_object']:.2f}x object, bit-identical)"
-    )
     batch = construction["full_construction_batch"]
     if "skipped" not in batch:
         print(
@@ -903,7 +874,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     path = _write(
         args.out_dir, "construction", scale, construction,
-        engines=("object", "array-strict", "batch", "batch-gridless"),
+        engines=("object", "batch", "batch-gridless"),
     )
     print(f"[bench] wrote {path}")
 

@@ -1,6 +1,6 @@
 """Run the §5.2 experiments at the 100k-peer ``large`` profile.
 
-The ``large`` profile is array-core only: no object grid is ever
+The ``large`` profile is batch-core only: no object grid is ever
 materialized (100k peer objects would not fit the memory budget), so
 every experiment runs through the vectorized batch query plane over
 gridless-built flat state.  Committed outputs live in
@@ -11,7 +11,7 @@ The expensive step is the gridless construction (~25M exchanges), so
 this driver builds the flat state once and wraps a *fresh*
 :class:`~repro.fast.BatchQueryEngine` per experiment from the same
 derived seed — each result is identical to what a standalone
-``REPRO_SCALE=large pgrid experiment <name> --core array`` run
+``REPRO_SCALE=large pgrid experiment <name> --core batch`` run
 produces, while construction is paid once instead of three times.
 
 Usage::
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def fresh_engine() -> "BatchQueryEngine":
         # Same seed every time: each experiment sees the engine state a
-        # standalone `pgrid experiment --core array` run would see.
+        # standalone `pgrid experiment --core batch` run would see.
         return BatchQueryEngine.from_batch_builder(
             builder,
             seed=rngmod.derive_seed(profile.seed, "post-build"),
@@ -94,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         name = module.EXPERIMENT_ID
         print(f"[large] running {name} ...")
         began = time.perf_counter()
-        result = module.run(profile, core="array", array_engine=fresh_engine())
+        result = module.run(profile, core="batch", array_engine=fresh_engine())
         elapsed = time.perf_counter() - began
         result.save(out_dir)
         text = result.to_text(float_digits=3)

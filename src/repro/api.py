@@ -194,12 +194,11 @@ class Grid:
         parameters (ignored when an explicit ``config`` is given);
         ``seed`` makes the whole grid — construction and every later
         protocol decision — reproducible.  ``core`` selects the
-        construction engine: ``"object"`` (reference), ``"array"``
-        (flat-array kernel, bit-identical to the object core) or
-        ``"batch"`` (vectorized rounds, deterministic but not
-        bit-identical; requires numpy).  ``replication`` enables the
-        query-load balancer on the returned facade (construction itself
-        is unaffected — the balancer needs observed traffic to act).
+        construction engine: ``"object"`` (reference) or ``"batch"``
+        (vectorized rounds, deterministic but not bit-identical;
+        requires numpy).  ``replication`` enables the query-load
+        balancer on the returned facade (construction itself is
+        unaffected — the balancer needs observed traffic to act).
         """
         if config is None:
             config = PGridConfig(
@@ -300,7 +299,7 @@ class Grid:
         after = self.balancer.stats.snapshot()
         return {name: after[name] - before[name] for name in after}
 
-    # -- batch query plane (array core) -------------------------------------------------
+    # -- batch query plane ------------------------------------------------------------
 
     def batch_query_engine(self, *, refresh: bool = False, chunk: int = 8192):
         """The vectorized query plane over this grid (requires numpy).

@@ -156,10 +156,9 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--threshold", type=float, default=0.99,
                        help="convergence threshold as a fraction of maxl")
     build.add_argument("--max-exchanges", type=int, default=5_000_000)
-    build.add_argument("--core", choices=("object", "array", "batch"),
+    build.add_argument("--core", choices=("object", "batch"),
                        default="object",
-                       help="construction engine: object (reference), array "
-                            "(flat-array kernel, bit-identical) or batch "
+                       help="construction engine: object (reference) or batch "
                             "(vectorized rounds, needs numpy)")
     build.add_argument("--snapshot", type=str, default=None,
                        help="write the constructed grid to this JSON file")
@@ -291,9 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("name", choices=sorted(EXPERIMENTS))
     experiment.add_argument(
-        "--core", choices=("object", "array"), default="object",
+        "--core", choices=("object", "batch"), default="object",
         help="query plane for experiments that support it (fig5, table6, "
-             "search_reliability): 'array' runs the vectorized batch "
+             "search_reliability): 'batch' runs the vectorized batch "
              "engine over gridless state — required for the 100k-peer "
              "REPRO_SCALE=large profile",
     )
@@ -835,7 +834,7 @@ def _run_experiment(
         if "core" not in parameters:
             raise SystemExit(
                 f"experiment {name!r} does not support --core {core}; "
-                f"the array query plane backs fig5, table6 and "
+                f"the batch query plane backs fig5, table6 and "
                 f"search_reliability"
             )
         kwargs["core"] = core

@@ -143,9 +143,9 @@ _PROFILES: dict[str, Section52Profile] = {
         threshold_fraction=0.985,
         max_exchanges=8_000_000,
     ),
-    # Beyond the paper: 5x its population, for the array core only —
+    # Beyond the paper: 5x its population, for the batch core only —
     # building 100k peers as Python objects is infeasible in a test
-    # loop, so use ``core="array"`` (gridless batch construction + the
+    # loop, so use ``core="batch"`` (gridless batch construction + the
     # vectorized query plane; requires numpy).
     "large": Section52Profile(
         name="large",
@@ -230,7 +230,7 @@ def build_section52_array_engine(
 ):
     """Build the §5.2 state gridless and wrap it in the batch query plane.
 
-    The array-core twin of :func:`build_section52_grid`: a
+    The batch-core twin of :func:`build_section52_grid`: a
     :class:`~repro.fast.BatchGridBuilder` constructs the routing tables
     as flat numpy arrays (no Python object per peer — this is what makes
     the ``large`` 100k-peer profile tractable) and the returned
@@ -249,7 +249,7 @@ def build_section52_array_engine(
 
     if not HAVE_NUMPY:
         raise RuntimeError(
-            "core='array' requires numpy; use the object core instead"
+            "core='batch' requires numpy; use the object core instead"
         )
     profile = profile or section52_profile()
     builder = BatchGridBuilder(

@@ -41,7 +41,7 @@ def run(
 ) -> ExperimentResult:
     """Reproduce Fig. 5: coverage vs. message cost per strategy.
 
-    ``core="array"`` runs each strategy sweep through
+    ``core="batch"`` runs each strategy sweep through
     :meth:`~repro.fast.BatchQueryEngine.find_replicas_many` over
     gridless flat state — the only way to sweep the 100k-peer ``large``
     profile.  Statistically equivalent to the object core; the batch
@@ -50,8 +50,8 @@ def run(
     trials per point) its breadth-first coverage read 3–7 % above the
     object core's at each ``recbreadth``, at message costs within 3 %.
     """
-    if core not in ("object", "array"):
-        raise ValueError(f"unknown core {core!r}: expected 'object' or 'array'")
+    if core not in ("object", "batch"):
+        raise ValueError(f"unknown core {core!r}: expected 'object' or 'batch'")
     profile = profile or section52_profile()
     trials = trials if trials is not None else max(10, profile.n_updates // 2)
 
@@ -60,7 +60,7 @@ def run(
     )
     start_rng = rngmod.derive(profile.seed, "f5-starts")
 
-    if core == "array":
+    if core == "batch":
         batch = array_engine or build_section52_array_engine(profile)
 
         def measure(

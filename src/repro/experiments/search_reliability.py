@@ -41,20 +41,20 @@ def run(
 ) -> ExperimentResult:
     """Reproduce the §5.2 search-reliability measurement.
 
-    ``core="array"`` resolves the whole query set through the vectorized
+    ``core="batch"`` resolves the whole query set through the vectorized
     :class:`~repro.fast.BatchQueryEngine` over gridless-built flat state
     (required for the 100k-peer ``large`` profile, where no object grid
     is ever materialized; statistically equivalent to the object core —
     see ``repro.fast.query``).  *array_engine* injects a pre-built
     engine, mirroring the *grid* parameter.
     """
-    if core not in ("object", "array"):
-        raise ValueError(f"unknown core {core!r}: expected 'object' or 'array'")
+    if core not in ("object", "batch"):
+        raise ValueError(f"unknown core {core!r}: expected 'object' or 'batch'")
     profile = profile or section52_profile()
     n_searches = n_searches if n_searches is not None else profile.n_searches
 
     successes = RateAccumulator()
-    if core == "array":
+    if core == "batch":
         engine = array_engine or build_section52_array_engine(profile)
         key_rng = rngmod.derive(profile.seed, "s1-keys")
         keys_stream = UniformKeyWorkload(profile.query_key_length, key_rng)

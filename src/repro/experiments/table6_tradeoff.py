@@ -69,15 +69,15 @@ def run(
 ) -> ExperimentResult:
     """Reproduce T6 on the shared §5.2 grid.
 
-    ``core="array"`` drives the whole update/read matrix through
+    ``core="batch"`` drives the whole update/read matrix through
     :meth:`~repro.fast.BatchQueryEngine.publish_many` /
     :meth:`~repro.fast.BatchQueryEngine.read_many` over gridless flat
     state — required for the 100k-peer ``large`` profile.  Statistically
     equivalent to the object core, not bit-identical (different RNG
     streams; see ``repro.fast.query``).
     """
-    if core not in ("object", "array"):
-        raise ValueError(f"unknown core {core!r}: expected 'object' or 'array'")
+    if core not in ("object", "batch"):
+        raise ValueError(f"unknown core {core!r}: expected 'object' or 'batch'")
     profile = profile or section52_profile()
     n_updates = n_updates if n_updates is not None else profile.n_updates
     queries_per_update = (
@@ -87,7 +87,7 @@ def run(
     )
 
     batch = None
-    if core == "array":
+    if core == "batch":
         batch = array_engine or build_section52_array_engine(profile)
     else:
         grid = grid or build_section52_grid(profile, use_cache=use_cache)

@@ -1,9 +1,9 @@
 """Flat integer grid state and the object-core bridge.
 
-The whole grid lives in a handful of contiguous Python lists (numpy is
-deliberately *not* used for the mutable hot state — boxing every element
-access costs more than list indexing for the branchy exchange logic; it
-is used for bulk RNG generation and the exported read-only layouts):
+The whole grid lives in a handful of contiguous Python lists — the
+bridge format that :class:`~repro.fast.batch.BatchGridBuilder` seeds its
+numpy buffers from and that the snapshot export packs into its
+read-only layouts:
 
 ``path_bits[i]`` / ``path_len[i]``
     Peer *i*'s path as a packed MSB-first integer plus its bit length
@@ -23,10 +23,10 @@ is used for bulk RNG generation and the exported read-only layouts):
     only exist once paths complete, so a dense array would waste the
     whole construction phase.  :func:`buddy_csr` exports the CSR
     (offsets + values) form the snapshot and the batch query plane read.
-``store_refs`` / ``store_items`` / ``store_counts``
-    Sparse leaf-index sidecars keyed by packed ``(bits, length)`` keys.
-    Pure construction runs carry no data, so every store operation
-    short-circuits on the empty dict.
+``store_refs`` / ``store_items``
+    Sparse leaf-index sidecars keyed by packed ``(bits, length)`` keys,
+    carried across the bridge for the query plane and the snapshot
+    (the batch builder requires them empty).
 
 Addresses: internally everything is a dense index ``0..n-1`` into the
 sorted address list; :meth:`from_pgrid` / :meth:`to_pgrid` translate at
@@ -55,7 +55,9 @@ except ImportError:  # pragma: no cover - exercised on numpy-less installs
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.grid import PGrid
 
-__all__ = ["ArrayGrid"]
+__all__ = ["HAVE_NUMPY", "ArrayGrid"]
+
+HAVE_NUMPY = _np is not None
 
 Address = int
 
@@ -113,7 +115,6 @@ class ArrayGrid:
         "buddies",
         "store_refs",
         "store_items",
-        "store_counts",
     )
 
     def __init__(
@@ -148,7 +149,6 @@ class ArrayGrid:
         self.buddies: dict[int, set[int]] = {}
         self.store_refs: dict[int, dict[tuple[int, int], dict[Address, tuple[int, bool]]]] = {}
         self.store_items: dict[int, list[DataItem]] = {}
-        self.store_counts = [0] * n
 
     def __len__(self) -> int:
         return self.n
@@ -206,14 +206,11 @@ class ArrayGrid:
                         f"peer {address}: dangling buddy {exc.args[0]}"
                     ) from None
             entries: dict[tuple[int, int], dict[Address, tuple[int, bool]]] = {}
-            count = 0
             for ref in peer.store.iter_refs():
                 holders = entries.setdefault(_pack_key(ref.key), {})
                 holders[ref.holder] = (ref.version, ref.deleted)
-                count += 1
             if entries:
                 agrid.store_refs[i] = entries
-                agrid.store_counts[i] = count
             items = list(peer.store.iter_items())
             if items:
                 agrid.store_items[i] = items
@@ -264,10 +261,6 @@ class ArrayGrid:
         grid.buddies = buddies
         grid.store_refs = store_refs if store_refs is not None else {}
         grid.store_items = {}
-        counts = [0] * n
-        for peer, entries in grid.store_refs.items():
-            counts[peer] = sum(len(holders) for holders in entries.values())
-        grid.store_counts = counts
         return grid
 
     # -- bridge: arrays -> object core --------------------------------------------

@@ -1,10 +1,9 @@
 """Vectorized batched-round construction (the 100k–1M peer engine).
 
-The strict kernel (:mod:`repro.fast.engine`) replays the object core's
-RNG stream draw-for-draw, which pins ~33 sequential Mersenne-Twister
-draws per exchange inside the Python interpreter — a hard throughput
-floor around 3-5x the object core.  :class:`BatchGridBuilder` trades
-that bit-level replay for numpy vectorization:
+The object core (:class:`repro.sim.builder.GridBuilder`) spends ~33
+sequential Mersenne-Twister draws per exchange inside the Python
+interpreter.  :class:`BatchGridBuilder` gives up replaying that word
+stream in exchange for numpy vectorization:
 
 * meetings are drawn and executed in **rounds**; within a round the
   outstanding exchanges form a *wave* (job arrays ``i1, i2, depth``),
@@ -24,13 +23,13 @@ the RNG discipline (a seeded numpy generator instead of CPython's
 ``random.sample`` word stream).  Runs are deterministic given a seed
 and statistically equivalent to the object core — same convergence
 e/N within a few percent, same replica-distribution shape — but not
-bit-identical.  Use ``engine="array"`` (strict) when bit-equality with
+bit-identical.  Use ``engine="object"`` when bit-equality with
 ``GridBuilder`` matters; use ``engine="batch"`` for scale.
 
 Restrictions (construction-from-scratch focus): empty data stores, and
 the default ablation flags (``split_min_items=None``,
 ``mutual_refs_in_case4=False``, ``exchange_refs_all_levels=False``).
-The strict engine covers the ablation regimes.
+The object engine covers the ablation regimes.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ def _require_numpy() -> None:
     if np is None:
         raise RuntimeError(
             "the batched construction engine requires numpy; "
-            "use engine='array' (strict) instead"
+            "use engine='object' instead"
         )
 
 
@@ -91,7 +90,7 @@ class BatchGridBuilder:
             config = grid.config
             if grid.store_refs:
                 raise ValueError(
-                    "batch engine requires empty data stores; use the strict engine"
+                    "batch engine requires empty data stores; use the object engine"
                 )
         else:
             if n is None:
@@ -142,9 +141,8 @@ class BatchGridBuilder:
             # repeated GridBuilder runs would.
             seed = grid.rng.getrandbits(64)
         # PCG64 over MT19937: the builder never replays the object
-        # core's word stream (that is the strict engine's job), and the
-        # ref re-sampling keys dominate RNG cost at scale — PCG64 roughly
-        # halves it.  Determinism-per-seed is unchanged.
+        # core's word stream, and the ref re-sampling keys dominate RNG
+        # cost at scale — PCG64 roughly halves it.  Determinism-per-seed is unchanged.
         self._rng = np.random.Generator(np.random.PCG64(seed))
 
         maxl = self.maxl

@@ -190,29 +190,18 @@ def construct_grid(grid: PGrid, *, engine: str = "object", **build_kwargs) -> Co
     ``engine`` selects the core (single wiring point for the facade, the
     CLI and the benchmarks):
 
-    * ``"object"`` — :class:`GridBuilder` on the object core.
-    * ``"array"`` — the strict flat-array kernel
-      (:class:`repro.fast.builder.ArrayGridBuilder`): bit-identical RNG
-      stream and stopping point, results written back into *grid*.
+    * ``"object"`` — :class:`GridBuilder` on the object core, the
+      reference implementation of Fig. 3.
     * ``"batch"`` — the vectorized batched-round engine
       (:class:`repro.fast.batch.BatchGridBuilder`, requires numpy):
       deterministic and statistically equivalent but not bit-identical;
-      an order of magnitude faster.  Also written back into *grid*.
+      an order of magnitude faster.  Results are written back into *grid*.
 
-    The fast cores are imported lazily so the object core keeps working
-    without the ``repro.fast`` optional machinery (e.g. numpy-less
-    installs still get ``engine="array"`` via the portable reader).
+    The batch core is imported lazily so the object core keeps working
+    on numpy-less installs.
     """
     if engine == "object":
         return GridBuilder(grid).build(**build_kwargs)
-    if engine == "array":
-        from repro.fast.arraygrid import ArrayGrid
-        from repro.fast.builder import ArrayGridBuilder
-
-        agrid = ArrayGrid.from_pgrid(grid)
-        report = ArrayGridBuilder(agrid).build(**build_kwargs)
-        agrid.write_back(grid)
-        return report
     if engine == "batch":
         from repro.fast.arraygrid import ArrayGrid
         from repro.fast.batch import BatchGridBuilder
@@ -222,7 +211,7 @@ def construct_grid(grid: PGrid, *, engine: str = "object", **build_kwargs) -> Co
         agrid.write_back(grid)
         return report
     raise ValueError(
-        f"unknown construction engine {engine!r}; expected 'object', 'array' or 'batch'"
+        f"unknown construction engine {engine!r}; expected 'object' or 'batch'"
     )
 
 

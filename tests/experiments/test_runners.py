@@ -148,7 +148,7 @@ class TestSection52Experiments:
 
 
 class TestArrayCoreExperiments:
-    """The §5.2 experiments accept ``core="array"`` with an injected
+    """The §5.2 experiments accept ``core="batch"`` with an injected
     engine (mirroring the *grid* parameter) and record the core in the
     result config; shape invariants match the object core's."""
 
@@ -166,18 +166,18 @@ class TestArrayCoreExperiments:
 
     def test_search_reliability_array(self, tiny_profile, tiny_engine):
         result = search_reliability.run(
-            tiny_profile, core="array", array_engine=tiny_engine, n_searches=150
+            tiny_profile, core="batch", array_engine=tiny_engine, n_searches=150
         )
-        assert result.config["core"] == "array"
+        assert result.config["core"] == "batch"
         (row,) = result.rows
         assert row[0] == 150
         assert 0.5 < row[1] <= 1.0
 
     def test_fig5_array(self, tiny_profile, tiny_engine):
         result = fig5_update_strategies.run(
-            tiny_profile, core="array", array_engine=tiny_engine, trials=10
+            tiny_profile, core="batch", array_engine=tiny_engine, trials=10
         )
-        assert result.config["core"] == "array"
+        assert result.config["core"] == "batch"
         by_strategy = {}
         for strategy, effort, messages, coverage in result.rows:
             assert 0.0 <= coverage <= 1.0
@@ -192,14 +192,14 @@ class TestArrayCoreExperiments:
     def test_table6_array(self, tiny_profile, tiny_engine):
         result = table6_tradeoff.run(
             tiny_profile,
-            core="array",
+            core="batch",
             array_engine=tiny_engine,
             n_updates=5,
             queries_per_update=3,
             recbreadth_values=(2,),
             repetition_values=(1, 2),
         )
-        assert result.config["core"] == "array"
+        assert result.config["core"] == "batch"
         assert len(result.rows) == 4
         for row in result.rows:
             assert 0.0 <= row[3] <= 1.0  # success rate

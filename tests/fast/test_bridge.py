@@ -14,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Grid
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.core.search import SearchEngine
 from repro.core.storage import DataItem
-from repro.fast import ArrayGrid
+from repro.fast import HAVE_NUMPY, ArrayGrid
 from repro.faults.repair import RefHealer
-from repro.sim.builder import GridBuilder
+from repro.sim.builder import GridBuilder, construct_grid
 from repro.sim.churn import BernoulliChurn
 
 
@@ -215,3 +216,48 @@ def test_write_back_requires_same_population():
     other.add_peers(11)
     with pytest.raises(ValueError):
         agrid.write_back(other)
+
+
+def routing_state(grid: PGrid):
+    """What a construction writes back: paths, reference order, buddies."""
+    return {
+        peer.address: (peer.path, peer.routing.to_lists(), sorted(peer.buddies))
+        for peer in grid.peers()
+    }
+
+
+def batch_construct(seed: int):
+    config = PGridConfig(maxl=5, refmax=3, recmax=2, recursion_fanout=2)
+    grid = PGrid(config, rng=random.Random(seed))
+    grid.add_peers(200)
+    report = construct_grid(
+        grid, engine="batch", threshold_fraction=0.98, max_exchanges=50_000
+    )
+    return grid, report
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="the batch engine needs numpy")
+class TestBatchConstructionFrontDoor:
+    """``construct_grid(engine="batch")`` and ``Grid.build(core="batch")``
+    bridge into the batch builder and write its result back."""
+
+    def test_construct_grid_twin_seeds_are_identical(self):
+        grid, report = batch_construct(21)
+        twin, twin_report = batch_construct(21)
+        assert report.converged
+        assert (report.stats, report.exchanges, report.meetings) == (
+            twin_report.stats, twin_report.exchanges, twin_report.meetings
+        )
+        assert routing_state(grid) == routing_state(twin)
+        other, _ = batch_construct(22)
+        assert routing_state(other) != routing_state(grid)
+
+    def test_construct_grid_keeps_routing_invariants(self):
+        grid, _ = batch_construct(23)
+        assert grid.audit_routing() == []
+        assert grid.average_path_length() >= 0.98 * grid.config.maxl
+
+    def test_grid_build_converges_through_the_batch_builder(self):
+        grid = Grid.build(peers=150, maxl=5, refmax=3, seed=24, core="batch")
+        assert grid.report.converged
+        assert grid.pgrid.audit_routing() == []

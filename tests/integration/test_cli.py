@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import Grid
 from repro.cli import EXPERIMENTS, main
+from repro.core.config import PGridConfig
+from repro.core.grid import PGrid
+from repro.experiments import fig5_update_strategies
+from repro.fast import HAVE_NUMPY
+from repro.sim.builder import construct_grid
 
 
 class TestBuild:
@@ -56,6 +62,49 @@ class TestBuild:
         )
         assert code == 2
         assert "single build" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="the batch engine needs numpy")
+    def test_build_batch_core_is_deterministic(self, capsys):
+        argv = ["build", "--peers", "120", "--maxl", "4", "--refmax", "3",
+                "--seed", "6", "--core", "batch"]
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        result, violations = outputs[0].splitlines()[:2]
+        assert result.startswith("converged=True exchanges=")
+        assert violations == "routing invariant violations: 0"
+
+
+def _small_pgrid() -> PGrid:
+    grid = PGrid(PGridConfig(maxl=2, refmax=2))
+    grid.add_peers(8)
+    return grid
+
+
+#: Every construction and experiment entry point that takes a core name.
+ARRAY_CORE_CALLS = {
+    "construct_grid": lambda: construct_grid(_small_pgrid(), engine="array"),
+    "Grid.build": lambda: Grid.build(peers=8, maxl=2, core="array"),
+    "fig5.run": lambda: fig5_update_strategies.run(core="array"),
+    "pgrid build": lambda: main(["build", "--peers", "8", "--core", "array"]),
+    "pgrid experiment": lambda: main(["experiment", "fig5", "--core", "array"]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ARRAY_CORE_CALLS))
+def test_array_names_no_core(entry, capsys):
+    """Every entry point takes ``object | batch``; ``"array"`` is an
+    unknown value, rejected by the existing validation."""
+    if entry.startswith("pgrid"):
+        with pytest.raises(SystemExit) as info:
+            ARRAY_CORE_CALLS[entry]()
+        assert info.value.code == 2
+        assert "invalid choice: 'array'" in capsys.readouterr().err
+    else:
+        with pytest.raises(ValueError, match=r"'array'.*'object' or 'batch'"):
+            ARRAY_CORE_CALLS[entry]()
 
 
 class TestSearch:
