@@ -370,13 +370,10 @@ def bench_construction(scale: BenchScale) -> tuple[dict, PGrid]:
     if HAVE_NUMPY:
         from repro.fast import BatchGridBuilder
 
-        batch_pgrid = PGrid(
-            scale.config, rng=rngmod.derive(scale.seed, "construction")
-        )
-        batch_pgrid.add_peers(scale.n_peers)
-        batch_agrid = ArrayGrid.from_pgrid(batch_pgrid)
         builder = BatchGridBuilder(
-            batch_agrid, seed=rngmod.derive_seed(scale.seed, "construction-batch")
+            n=scale.n_peers,
+            config=scale.config,
+            seed=rngmod.derive_seed(scale.seed, "construction-batch"),
         )
         start = time.perf_counter()
         batch_report = builder.build(
@@ -395,10 +392,9 @@ def bench_construction(scale: BenchScale) -> tuple[dict, PGrid]:
             ),
             "speedup_vs_object": full_s / batch_s if batch_s else None,
         }
-        results["memory"] = grid_memory_report(pgrid=grid, agrid=batch_agrid)
     else:
         results["full_construction_batch"] = {"skipped": "numpy not available"}
-        results["memory"] = grid_memory_report(pgrid=grid)
+    results["memory"] = grid_memory_report(pgrid=grid)
     return results, grid
 
 
@@ -715,9 +711,9 @@ def bench_array_search(scale: BenchScale, grid: PGrid) -> dict:
         obj_failed += result.failed_attempts
     object_s = time.perf_counter() - start_t
 
-    agrid = ArrayGrid.from_pgrid(grid)
     batch_engine = BatchQueryEngine.from_arraygrid(
-        agrid, seed=rngmod.derive_seed(scale.seed, "array-search-batch")
+        ArrayGrid.from_pgrid(grid),
+        seed=rngmod.derive_seed(scale.seed, "array-search-batch"),
     )
     start_t = time.perf_counter()
     batch = batch_engine.search_many(queries, starts)

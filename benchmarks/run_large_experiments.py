@@ -84,8 +84,8 @@ def main(argv: list[str] | None = None) -> int:
     def fresh_engine() -> "BatchQueryEngine":
         # Same seed every time: each experiment sees the engine state a
         # standalone `pgrid experiment --core batch` run would see.
-        return BatchQueryEngine.from_batch_builder(
-            builder,
+        return BatchQueryEngine.from_arraygrid(
+            builder.grid,
             seed=rngmod.derive_seed(profile.seed, "post-build"),
             p_online=profile.p_online,
         )

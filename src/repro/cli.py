@@ -525,45 +525,41 @@ def _print_trace_summary(trace) -> int:
 
 
 def _print_memory_footprint(config: PGridConfig, n_peers: int, seed: int) -> None:
-    """Print peak RSS, per-peer bytes and query throughput per core.
+    """Print peak RSS, per-peer bytes and query throughput per representation.
 
-    Resident memory, not CPU, is what bounds large-population simulation
-    (ROADMAP item 2), so ``pgrid stats`` measures a representative
-    converged grid at the scenario's population in both representations:
-    the object core (peers, routing lists, path strings) and the flat
-    array core the same state bridges into.  The same grid then answers a
-    fixed query batch through both query planes so the memory trade-off
-    can be read next to the throughput it buys.
+    Resident memory, not CPU, is what bounds large-population simulation,
+    so ``pgrid stats`` measures a representative converged grid at the
+    scenario's population in both representations: the object core's
+    heap (peers, routing lists, path strings) and the packed layout the
+    same state bridges into, exported as one shared-memory segment.  The
+    same grid then answers a fixed query batch through both query planes
+    so the memory trade-off can be read next to the throughput it buys.
     """
-    from repro.fast import HAVE_NUMPY, ArrayGrid
+    from repro.fast import HAVE_NUMPY
     from repro.fast.mem import grid_memory_report
 
     grid = PGrid(config, rng=rngmod.derive(seed, "stats-memory"))
     grid.add_peers(n_peers)
     GridBuilder(grid).build(max_exchanges=500 * n_peers, raise_on_budget=False)
-    agrid = ArrayGrid.from_pgrid(grid)
-    snapshot = None
+    agrid = snapshot = None
     if HAVE_NUMPY:
-        from repro.fast import GridSnapshot
+        from repro.fast import ArrayGrid, GridSnapshot
 
+        agrid = ArrayGrid.from_pgrid(grid)
         snapshot = GridSnapshot.from_arraygrid(agrid)
     try:
-        report = grid_memory_report(pgrid=grid, agrid=agrid, snapshot=snapshot)
+        report = grid_memory_report(pgrid=grid, snapshot=snapshot)
         print()
         peak = report.get("peak_rss_bytes")
         peak_text = f"{peak / 1e6:,.0f} MB" if peak is not None else "unknown"
         print(f"memory: peak RSS {peak_text} (process, high-water mark)")
-        for label, key in (
-            ("object core", "object_core"),
-            ("array core", "array_core"),
-        ):
-            core = report.get(key)
-            if core:
-                print(
-                    f"  {label}: {core['bytes_per_peer']:,.0f} B/peer "
-                    f"({core['bytes_total'] / 1e6:.1f} MB for "
-                    f"{core['peers']:,} peers, heap)"
-                )
+        core = report.get("object_core")
+        if core:
+            print(
+                f"  object core: {core['bytes_per_peer']:,.0f} B/peer "
+                f"({core['bytes_total'] / 1e6:.1f} MB for "
+                f"{core['peers']:,} peers, heap)"
+            )
         shared = report.get("shared_memory")
         if shared:
             print(
@@ -571,6 +567,8 @@ def _print_memory_footprint(config: PGridConfig, n_peers: int, seed: int) -> Non
                 f"{shared['segments']} segment(s) — off-heap pages, mapped "
                 f"once per attached process (GridSnapshot)"
             )
+        elif not HAVE_NUMPY:
+            print("  shared memory: unavailable (numpy is not installed)")
     finally:
         if snapshot is not None:
             snapshot.close()
@@ -607,15 +605,14 @@ def _print_query_throughput(grid: PGrid, agrid, seed: int) -> None:
         f"{object_messages / n_queries:.2f} messages/search"
     )
 
-    try:
-        from repro.fast.query import BatchQueryEngine
-
-        batch = BatchQueryEngine.from_arraygrid(
-            agrid, seed=rngmod.derive_seed(seed, "stats-query-batch")
-        )
-    except RuntimeError as exc:  # numpy missing
-        print(f"  array core: unavailable ({exc})")
+    if agrid is None:
+        print("  array core: unavailable (numpy is not installed)")
         return
+    from repro.fast.query import BatchQueryEngine
+
+    batch = BatchQueryEngine.from_arraygrid(
+        agrid, seed=rngmod.derive_seed(seed, "stats-query-batch")
+    )
     index = {address: i for i, address in enumerate(batch.addresses)}
     began = time.perf_counter()
     result = batch.search_many(keys, [index[start] for start in starts])

@@ -245,26 +245,11 @@ def build_section52_array_engine(
     deterministic per profile seed and statistically equivalent to the
     object core, not bit-identical (see ``repro.fast.query``).
     """
-    from repro.fast import HAVE_NUMPY, BatchGridBuilder, BatchQueryEngine
+    from repro.fast import BatchQueryEngine
 
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "core='batch' requires numpy; use the object core instead"
-        )
     profile = profile or section52_profile()
-    builder = BatchGridBuilder(
-        n=profile.n_peers,
-        config=profile.config,
-        seed=rngmod.derive_seed(profile.seed, "construction-batch"),
-    )
-    builder.build(
-        threshold_fraction=profile.threshold_fraction,
-        # The object profiles size max_exchanges for the object builder's
-        # meeting schedule; the batched rounds need ~250/peer to converge.
-        max_exchanges=max(profile.max_exchanges, 600 * profile.n_peers),
-    )
-    return BatchQueryEngine.from_batch_builder(
-        builder,
+    return BatchQueryEngine.from_arraygrid(
+        _section52_batch_grid(profile),
         seed=rngmod.derive_seed(profile.seed, "post-build"),
         p_online=p_online if p_online is not None else profile.p_online,
         probe=probe,
@@ -288,14 +273,21 @@ def build_section52_snapshot(
     owns the snapshot (``close()``/``unlink()`` or context manager).
     Requires numpy.
     """
-    from repro.fast import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        raise RuntimeError("snapshot sweeps require numpy")
-    from repro.fast.batch import BatchGridBuilder
-    from repro.fast.snapshot import GridSnapshot
+    from repro.fast import GridSnapshot
 
     profile = profile or section52_profile()
+    return GridSnapshot.from_arraygrid(
+        _section52_batch_grid(profile),
+        p_online=p_online if p_online is not None else profile.p_online,
+    )
+
+
+def _section52_batch_grid(profile: Section52Profile):
+    """The §5.2 state built gridless by the batch builder, as an
+    :class:`~repro.fast.ArrayGrid` (raises ``RuntimeError`` without
+    numpy)."""
+    from repro.fast import BatchGridBuilder
+
     builder = BatchGridBuilder(
         n=profile.n_peers,
         config=profile.config,
@@ -303,12 +295,11 @@ def build_section52_snapshot(
     )
     builder.build(
         threshold_fraction=profile.threshold_fraction,
+        # The object profiles size max_exchanges for the object builder's
+        # meeting schedule; the batched rounds need ~250/peer to converge.
         max_exchanges=max(profile.max_exchanges, 600 * profile.n_peers),
     )
-    return GridSnapshot.from_batch_builder(
-        builder,
-        p_online=p_online if p_online is not None else profile.p_online,
-    )
+    return builder.grid
 
 
 def _run_snapshot_queries(
@@ -352,18 +343,17 @@ def _snapshot_search_trial(
 
 
 def gridship_state(snapshot: Any) -> dict[str, Any]:
-    """The pre-snapshot trial payload: the full grid arrays, copied out of
-    the segment so the pickled spec ships them to every worker — the
-    baseline :func:`run_snapshot_search_sweep` is benchmarked against."""
+    """The pre-snapshot trial payload: the packed grid, copied out of the
+    segment so the pickled spec ships it to every worker — the baseline
+    :func:`run_snapshot_search_sweep` is benchmarked against."""
     import numpy as np
 
+    from repro.fast.arraygrid import FIELDS, ArrayGrid
+
     return {
-        "pb": np.array(snapshot.view("path_bits")),
-        "pl": np.array(snapshot.view("path_len")),
-        "refs": np.array(snapshot.view("refs")),
-        "rl": np.array(snapshot.view("ref_len")),
-        "n": snapshot.n,
-        "config": snapshot.config,
+        "grid": ArrayGrid(
+            snapshot.config, {field: np.array(snapshot.view(field)) for field in FIELDS}
+        ),
         "p_online": snapshot.p_online,
     }
 
@@ -376,16 +366,7 @@ def _gridship_search_trial(
     comparison; produces bit-identical ``"results"``."""
     from repro.fast.query import BatchQueryEngine
 
-    engine = BatchQueryEngine(
-        pb=state["pb"],
-        pl=state["pl"],
-        refs=state["refs"],
-        rl=state["rl"],
-        n=state["n"],
-        config=state["config"],
-        seed=seed,
-        p_online=state["p_online"],
-    )
+    engine = BatchQueryEngine(state["grid"], seed=seed, p_online=state["p_online"])
     results = _run_snapshot_queries(engine, seed, n_queries, key_length)
     return {
         "results": results,

@@ -1,19 +1,22 @@
-"""Flat-array construction core (ROADMAP item 2).
+"""Flat-array performance core.
 
-``repro.fast`` re-implements the Fig. 3 construction protocol over flat
-integer state — packed-int paths, index-array routing tables, CSR
-snapshots — so grids of 100k–1M peers can be built at an order of
-magnitude higher exchange throughput than the object core.
-:class:`repro.sim.builder.GridBuilder` stays the reference; this package
-holds the scale path:
+``repro.fast`` holds one grid's §2 access structure in a single packed
+numpy layout — packed-int paths, an index-array routing slab, a buddy
+CSR and sorted store rows — so grids of 100k–1M peers can be built and
+queried at an order of magnitude higher throughput than the object
+core.  :class:`repro.sim.builder.GridBuilder` stays the reference:
 
-:class:`BatchGridBuilder` (vectorized)
-    Batched-round numpy engine — deterministic under a seed and
-    statistically equivalent, an order of magnitude faster, and (in
-    gridless mode) memory-lean enough for 100k–1M peers.
 :class:`ArrayGrid`
-    The flat grid state plus the ``from_pgrid`` / ``to_pgrid`` /
-    ``write_back`` bridge to the object core.
+    The layout, plus the ``from_pgrid`` / ``write_back`` bridge to the
+    object core.
+:class:`BatchGridBuilder`
+    Batched-round numpy construction whose state is an ``ArrayGrid`` —
+    deterministic under a seed and statistically equivalent, an order
+    of magnitude faster, and memory-lean enough for 100k–1M peers.
+:class:`BatchQueryEngine`
+    The vectorized query plane, reading an ``ArrayGrid``.
+:class:`GridSnapshot`
+    The layout copied into shared memory for many processes.
 """
 
 from repro.fast.arraygrid import HAVE_NUMPY, ArrayGrid

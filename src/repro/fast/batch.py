@@ -26,16 +26,20 @@ e/N within a few percent, same replica-distribution shape — but not
 bit-identical.  Use ``engine="object"`` when bit-equality with
 ``GridBuilder`` matters; use ``engine="batch"`` for scale.
 
-Restrictions (construction-from-scratch focus): empty data stores, and
-the default ablation flags (``split_min_items=None``,
+Restrictions (construction-from-scratch focus): the builder starts from
+``n`` fresh peers — empty paths, routing tables, buddies and stores —
+and supports only the default ablation flags (``split_min_items=None``,
 ``mutual_refs_in_case4=False``, ``exchange_refs_all_levels=False``).
 The object engine covers the ablation regimes.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
+from repro.core.config import PGridConfig
 from repro.errors import NotConvergedError
-from repro.fast.arraygrid import ArrayGrid
+from repro.fast.arraygrid import ArrayGrid, buddy_csr
 from repro.sim.builder import ConstructionReport, ConstructionSample
 
 try:
@@ -60,22 +64,23 @@ def _require_numpy() -> None:
 class BatchGridBuilder:
     """Vectorized batched-round construction over flat numpy state.
 
-    Two operating modes:
-
-    * **grid-backed** — pass an :class:`ArrayGrid`; its state seeds the
-      numpy buffers and :meth:`build` flushes the result back, so the
-      grid can be bridged to a :class:`~repro.core.grid.PGrid`.
-    * **gridless** — pass ``n=...`` (plus ``config=``/``seed=``); state
-      lives purely in numpy (int32 reference buffers, int64 packed
-      paths), which is what makes 100k–1M peer construction fit in
-      memory.  Analytics (:meth:`replication_sizes`,
-      :meth:`path_lengths`, :meth:`memory_bytes`) read the numpy state
-      directly.
+    The state *is* an :class:`ArrayGrid` — :attr:`grid`, over ``n``
+    fresh peers with addresses ``0..n-1`` — whose path and routing
+    arrays the waves update in place; :meth:`build` fills its buddy CSR
+    at the end.  No object grid exists, which is what makes 100k–1M
+    peer construction fit in memory: snapshot the result with
+    :meth:`GridSnapshot.from_arraygrid
+    <repro.fast.snapshot.GridSnapshot.from_arraygrid>`, query it with
+    :meth:`BatchQueryEngine.from_arraygrid
+    <repro.fast.query.BatchQueryEngine.from_arraygrid>`, or bridge it
+    into a :class:`~repro.core.grid.PGrid` with
+    :meth:`ArrayGrid.write_back` (what ``construct_grid(engine="batch")``
+    does).  Analytics (:meth:`replication_sizes`, :meth:`path_length_histogram`,
+    :meth:`memory_bytes`) read the numpy state directly.
     """
 
     def __init__(
         self,
-        grid: ArrayGrid | None = None,
         *,
         n: int | None = None,
         config=None,
@@ -83,24 +88,12 @@ class BatchGridBuilder:
         seed: int | None = None,
     ) -> None:
         _require_numpy()
-        if grid is not None:
-            if n is not None or config is not None:
-                raise ValueError("pass either a grid or (n, config), not both")
-            n = grid.n
-            config = grid.config
-            if grid.store_refs:
-                raise ValueError(
-                    "batch engine requires empty data stores; use the object engine"
-                )
-        else:
-            if n is None:
-                raise ValueError("gridless construction needs n")
-            if config is None:
-                from repro.core.config import PGridConfig
-
-                config = PGridConfig()
-            if seed is None:
-                raise ValueError("gridless construction needs an explicit seed")
+        if n is None:
+            raise ValueError("batch construction needs n")
+        if config is None:
+            config = PGridConfig()
+        if seed is None:
+            raise ValueError("batch construction needs an explicit seed")
         if n < 2:
             raise ValueError("construction needs at least two peers")
         if config.split_min_items is not None:
@@ -111,7 +104,6 @@ class BatchGridBuilder:
             raise ValueError("batch engine does not support exchange_refs_all_levels")
         if config.maxl > 58:
             raise ValueError("batch engine packs paths into int64 (maxl <= 58)")
-        self.grid = grid
         self.n = n
         self.config = config
         self.maxl = config.maxl
@@ -135,11 +127,6 @@ class BatchGridBuilder:
         # for a smaller take.  Cap the candidate prefix at n (measured
         # optimum at fig4 scale; flat within noise from 0.6n to 1.5n).
         self._wave_cap = max(1024, n)
-        if seed is None:
-            # Deterministic derivation from the grid's seeded Random —
-            # one documented draw, so repeated builds differ like
-            # repeated GridBuilder runs would.
-            seed = grid.rng.getrandbits(64)
         # PCG64 over MT19937: the builder never replays the object
         # core's word stream, and the ref re-sampling keys dominate RNG
         # cost at scale — PCG64 roughly halves it.  Determinism-per-seed is unchanged.
@@ -147,23 +134,30 @@ class BatchGridBuilder:
 
         maxl = self.maxl
         refmax = self.refmax
-        if grid is not None:
-            self._pb = np.asarray(grid.path_bits, dtype=np.int64)
-            self._pl = np.asarray(grid.path_len, dtype=np.int64)
-            self._td = np.asarray(grid.table_depth, dtype=np.int64)
-            self._rl = np.asarray(grid.ref_len, dtype=np.int16)
-            self._refs = grid.routing_slab()
-            self._buddies = {i: set(b) for i, b in grid.buddies.items()}
-        else:
-            self._pb = np.zeros(n, dtype=np.int64)
-            self._pl = np.zeros(n, dtype=np.int64)
-            self._td = np.zeros(n, dtype=np.int64)
-            self._rl = np.zeros(n * maxl, dtype=np.int16)
-            self._refs = np.full((n * maxl, refmax), -1, dtype=np.int32)
-            self._buddies = {}
+        self._pb = np.zeros(n, dtype=np.int64)
+        self._pl = np.zeros(n, dtype=np.int64)
+        self._td = np.zeros(n, dtype=np.int64)
+        self._rl = np.zeros(n * maxl, dtype=np.int16)
+        self._refs = np.full((n * maxl, refmax), -1, dtype=np.int32)
+        self._buddies: dict[int, set[int]] = {}
+        #: The builder's state in the packed layout.
+        self.grid = ArrayGrid(
+            config,
+            {
+                "path_bits": self._pb,
+                "path_len": self._pl,
+                "refs": self._refs,
+                "ref_len": self._rl,
+                "table_depth": self._td,
+                "addresses": np.arange(n, dtype=np.int64),
+                "buddy_offsets": np.zeros(n + 1, dtype=np.int64),
+                "buddy_values": np.empty(0, dtype=np.int64),
+                "store": np.empty((0, 6), dtype=np.int64),
+            },
+        )
         # calls, meetings, case1, case2, case3, case4, buddy_links
         self._counters = [0] * 7
-        self._total_depth = int(self._pl.sum())
+        self._total_depth = 0
         # Uniform subset selection is done by packing (random key, peer
         # index) into one int64 and np.sort-ing rows — ~an order of
         # magnitude cheaper than argsort over separate key arrays.
@@ -593,11 +587,19 @@ class BatchGridBuilder:
             converged = current_depth >= threshold
 
         if len(pend_i1):
-            # Flush carried jobs so the written-back grid reflects every
-            # counted meeting (slight overshoot past the threshold).
+            # Flush carried jobs so the grid reflects every counted
+            # meeting (slight overshoot past the threshold).
             self._drain(pend_i1, pend_i2, pend_depth)
             converged = converged or self._total_depth / n >= threshold
-        self._write_back()
+        buddies = self._buddies
+        sizes = np.fromiter(map(len, buddies.values()), dtype=np.int64, count=len(buddies))
+        self.grid.buddy_offsets, self.grid.buddy_values = buddy_csr(
+            np.repeat(np.fromiter(buddies, dtype=np.int64, count=len(buddies)), sizes),
+            np.fromiter(
+                chain.from_iterable(buddies.values()), dtype=np.int64, count=int(sizes.sum())
+            ),
+            n,
+        )
         average_depth = self._total_depth / n
         if not converged and raise_on_budget:
             raise NotConvergedError(
@@ -629,42 +631,7 @@ class BatchGridBuilder:
             trajectory=trajectory,
         )
 
-    def _write_back(self) -> None:
-        """Flush the numpy state into the owning :class:`ArrayGrid` (if any)."""
-        grid = self.grid
-        if grid is None:
-            return
-        refmax = grid.refmax
-        grid.path_bits[:] = self._pb.tolist()
-        grid.path_len[:] = self._pl.tolist()
-        grid.table_depth[:] = self._td.tolist()
-        counts = self._rl.tolist()
-        grid.ref_len[:] = counts
-        flat = grid.refs
-        refs = self._refs
-        for row, count in enumerate(counts):
-            if count:
-                base = row * refmax
-                flat[base : base + count] = refs[row, :count].tolist()
-        grid.buddies.clear()
-        grid.buddies.update(
-            (i, set(b)) for i, b in self._buddies.items() if b
-        )
-
-    # -- query-plane handoff -------------------------------------------------------
-
-    def snapshot_state(self):
-        """The flat numpy state ``(path_bits, path_len, refs, ref_len,
-        buddies)`` for :class:`repro.fast.query.BatchQueryEngine`.
-
-        Arrays are shared, not copied — take the snapshot after
-        :meth:`build` and do not build further while querying.  This is
-        the gridless handoff that lets 100k–1M peer grids be queried
-        without ever materializing an object grid.
-        """
-        return self._pb, self._pl, self._refs, self._rl, self._buddies
-
-    # -- gridless analytics --------------------------------------------------------
+    # -- analytics ----------------------------------------------------------------
 
     def replication_sizes(self):
         """Per-peer replica-group size (peers sharing this peer's full path).
@@ -682,9 +649,10 @@ class BatchGridBuilder:
     def replication_histogram(self) -> dict[int, int]:
         """``{group_size: number_of_peers_in_groups_of_that_size}``.
 
-        Same per-peer convention as :meth:`ArrayGrid.replication_histogram`
-        (and the Fig. 4 bench), but computed from the numpy state so it
-        works for gridless 100k+ runs.
+        Same per-peer convention as :meth:`PGrid.replication_histogram
+        <repro.core.grid.PGrid.replication_histogram>` (and the Fig. 4
+        bench), but computed from the numpy state so it works for 100k+
+        peer runs.
         """
         sizes, peers = np.unique(self.replication_sizes(), return_counts=True)
         return {int(s): int(c) for s, c in zip(sizes, peers)}

@@ -1,14 +1,15 @@
-"""Memory accounting for both grid cores.
+"""Memory accounting for both grid representations.
 
-The real limiter for 1M-peer simulation is resident memory, not CPU
-(ROADMAP item 2), so every bench run reports:
+The real limiter for 1M-peer simulation is resident memory, not CPU, so
+every bench run reports:
 
 * **peak RSS** of the process (``resource.getrusage``),
-* **estimated per-peer bytes** of the grid representation — object core
-  (peers + routing lists + path strings + stores) vs. array core (flat
-  buffers).  Estimates, not exact accounting: CPython interns small ints
-  and shares string storage, so treat them as upper bounds for relative
-  comparison.
+* **estimated per-peer bytes** of the object core (peers + routing lists
+  + path strings + stores).  An estimate, not exact accounting: CPython
+  interns small ints and shares string storage, so treat it as an upper
+  bound for relative comparison;
+* **shared-memory bytes** of the packed layout's snapshot segments —
+  the exact size of the layout itself.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def shared_memory_report(snapshot: Any = None) -> dict[str, Any] | None:
     Segment bytes live in ``/dev/shm``-backed pages shared across every
     attached process — they are *not* part of any process's heap, which
     is why :func:`grid_memory_report` reports them separately from the
-    per-core heap estimates.  Covers every segment this process maps
+    object core's heap estimate.  Covers every segment this process maps
     (owner or attached via :func:`repro.fast.snapshot.resolve`), plus
     *snapshot* if given and not already registered.
     """
@@ -97,17 +98,14 @@ def shared_memory_report(snapshot: Any = None) -> dict[str, Any] | None:
     }
 
 
-def grid_memory_report(
-    pgrid: Any = None,
-    agrid: Any = None,
-    snapshot: Any = None,
-) -> dict[str, Any]:
-    """Peak RSS plus per-peer byte estimates for whichever cores are given.
+def grid_memory_report(pgrid: Any = None, snapshot: Any = None) -> dict[str, Any]:
+    """Peak RSS plus the object core's per-peer heap estimate and the
+    packed layout's shared-memory bytes, for whichever are given.
 
-    Heap estimates (``object_core`` / ``array_core``) and shared-memory
-    segment bytes (``shared_memory``) are reported separately: segments
-    are off-heap pages shared across processes, so counting them as heap
-    would double-charge every attached worker.
+    The heap estimate (``object_core``) and segment bytes
+    (``shared_memory``) are reported separately: segments are off-heap
+    pages shared across processes, so counting them as heap would
+    double-charge every attached worker.
     """
     report: dict[str, Any] = {"peak_rss_bytes": peak_rss_bytes()}
     if pgrid is not None and len(pgrid):
@@ -116,13 +114,6 @@ def grid_memory_report(
             "peers": len(pgrid),
             "bytes_total": total,
             "bytes_per_peer": round(total / len(pgrid), 1),
-        }
-    if agrid is not None and agrid.n:
-        total = agrid.memory_bytes()
-        report["array_core"] = {
-            "peers": agrid.n,
-            "bytes_total": total,
-            "bytes_per_peer": round(total / agrid.n, 1),
         }
     shared = shared_memory_report(snapshot)
     if shared is not None:

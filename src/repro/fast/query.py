@@ -64,9 +64,9 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core import keys as keyspace
-from repro.core.config import PGridConfig, SearchConfig
+from repro.core.config import SearchConfig
 from repro.core.storage import DataRef
-from repro.fast.arraygrid import buddy_csr, store_order
+from repro.fast.arraygrid import store_order
 from repro.protocol.update import UpdateStrategy
 
 try:
@@ -77,7 +77,6 @@ except ImportError:  # pragma: no cover - exercised on numpy-less installs
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.shortcuts import ShortcutCache
     from repro.fast.arraygrid import ArrayGrid
-    from repro.fast.batch import BatchGridBuilder
 
 __all__ = [
     "BatchQueryEngine",
@@ -248,31 +247,22 @@ class BatchRangeResult:
 
 
 class BatchQueryEngine:
-    """Batched DFS/BFS/update/read kernels over flat numpy grid state.
+    """Batched DFS/BFS/update/read kernels over one grid's packed layout.
 
-    Construct via :meth:`from_arraygrid` (bridged object grids) or
-    :meth:`from_batch_builder` (gridless 100k–1M peer state).  All peer
-    identifiers are dense indices ``0..n-1``; ``addresses`` (ascending)
-    maps them back when the source grid used sparse addressing.
-
-    ``buddies`` is the buddy CSR ``(offsets, values)`` with sorted rows
-    (peer *p*'s buddies are ``values[offsets[p]:offsets[p + 1]]``, the
-    snapshot's ``buddy_offsets`` / ``buddy_values``); ``None`` means no
-    buddies.  Like the path and routing arrays it is read, never copied
-    or written, so an engine over a snapshot shares the segment's pages.
+    Reads an :class:`~repro.fast.arraygrid.ArrayGrid` — bridged from a
+    :class:`~repro.core.grid.PGrid`, a batch builder's state or a
+    snapshot's segment — without copying or writing its arrays, so an
+    engine over a snapshot shares the segment's pages.  Construct via
+    :meth:`from_arraygrid` to take the seed and ``p_online`` defaults
+    from the grid.  All peer identifiers are dense indices ``0..n-1``;
+    ``addresses`` (ascending) maps them back when the source grid used
+    sparse addressing.
     """
 
     def __init__(
         self,
+        grid: "ArrayGrid",
         *,
-        pb,
-        pl,
-        refs,
-        rl,
-        n: int,
-        config: PGridConfig,
-        buddies: tuple[Any, Any] | None = None,
-        addresses: list[int] | None = None,
         seed: int,
         p_online: float = 1.0,
         max_messages: int | None = None,
@@ -280,13 +270,14 @@ class BatchQueryEngine:
         probe: Any = None,
     ) -> None:
         _require_numpy()
+        config = grid.config
         if not 0.0 <= p_online <= 1.0:
             raise ValueError(f"p_online must be in [0, 1], got {p_online}")
         if chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
         if config.maxl > 58:
             raise ValueError("batch query engine packs paths into int64 (maxl <= 58)")
-        self.n = n
+        self.n = n = grid.n
         self.config = config
         self.maxl = config.maxl
         self.refmax = config.refmax
@@ -295,14 +286,13 @@ class BatchQueryEngine:
             max_messages if max_messages is not None else SearchConfig().max_messages
         )
         self.chunk = chunk
-        self.addresses = addresses if addresses is not None else list(range(n))
-        self._pb = np.ascontiguousarray(pb, dtype=np.int64)
-        self._pl = np.ascontiguousarray(pl, dtype=np.int64)
-        self._refs = refs  # (n * maxl, refmax) int32, -1 beyond each row's count
-        self._rl = rl  # (n * maxl,) per-row counts
-        offsets, values = buddy_csr(None, n) if buddies is None else buddies
-        self._buddy_off = np.asarray(offsets, dtype=np.int64)
-        self._buddy_val = np.asarray(values, dtype=np.int64)
+        self.addresses = grid.addresses.tolist()
+        self._pb = grid.path_bits
+        self._pl = grid.path_len
+        self._refs = grid.refs  # (n * maxl, refmax) int32, -1 beyond each row's count
+        self._rl = grid.ref_len  # (n * maxl,) per-row counts
+        self._buddy_off = grid.buddy_offsets
+        self._buddy_val = grid.buddy_values
         self._probe = probe
         self._rng = np.random.Generator(np.random.MT19937(seed))
         self._pyrng = random.Random(seed ^ 0x9E3779B97F4A7C15)
@@ -311,14 +301,14 @@ class BatchQueryEngine:
         self._vbits = max((n - 1).bit_length(), 1)
         self._vmask = (1 << self._vbits) - 1
         self._key_mod = 1 << min(62 - self._vbits, 31)
-        # Side store for the §5.2 update/read experiments, in the
-        # snapshot's ``store`` row layout (see _set_store).
-        self._set_store(np.empty((0, 6), dtype=np.int64))
+        # Side store for the §5.2 update/read experiments (see _set_store);
+        # read-only, so publish_many copies it before its first write.
+        store = grid.store.view()
+        store.flags.writeable = False
+        self._set_store(store)
         #: The :class:`~repro.core.shortcuts.ShortcutCache` :meth:`search_many`
         #: consults, or ``None``; keyed by address like the object plane's.
         self.shortcuts: ShortcutCache | None = None
-
-    # -- constructors --------------------------------------------------------------
 
     @classmethod
     def from_arraygrid(
@@ -331,8 +321,8 @@ class BatchQueryEngine:
         chunk: int = 8192,
         probe: Any = None,
     ) -> "BatchQueryEngine":
-        """Snapshot an :class:`ArrayGrid` (typically bridged from a
-        :class:`~repro.core.grid.PGrid`) into the batch query plane.
+        """An engine over *grid* (typically :meth:`ArrayGrid.from_pgrid
+        <repro.fast.arraygrid.ArrayGrid.from_pgrid>` of an object grid).
 
         ``p_online`` defaults to the grid's online oracle when it is
         AlwaysOnline (1.0) or a plain :class:`~repro.sim.churn.BernoulliChurn`
@@ -345,49 +335,8 @@ class BatchQueryEngine:
             p_online = _oracle_p_online(grid.online_oracle)
         if seed is None:
             seed = grid.rng.getrandbits(64)
-        engine = cls(
-            pb=grid.path_bits,
-            pl=grid.path_len,
-            refs=grid.routing_slab(),
-            rl=np.asarray(grid.ref_len, dtype=np.int16),
-            n=grid.n,
-            config=grid.config,
-            buddies=buddy_csr(grid.buddies, grid.n),
-            addresses=list(grid.addresses),
-            seed=seed,
-            p_online=p_online,
-            max_messages=max_messages,
-            chunk=chunk,
-            probe=probe,
-        )
-        engine._set_store(grid.store_rows())
-        return engine
-
-    @classmethod
-    def from_batch_builder(
-        cls,
-        builder: "BatchGridBuilder",
-        *,
-        seed: int,
-        p_online: float = 1.0,
-        max_messages: int | None = None,
-        chunk: int = 8192,
-        probe: Any = None,
-    ) -> "BatchQueryEngine":
-        """Wrap a (converged) gridless builder's numpy state directly —
-        no object grid is ever materialized, which is what makes the
-        100k+ peer experiment runs fit in memory.  The reference
-        buffers are shared, not copied."""
-        _require_numpy()
-        pb, pl, refs, rl, buddies = builder.snapshot_state()
         return cls(
-            pb=pb,
-            pl=pl,
-            refs=refs,
-            rl=rl,
-            n=builder.n,
-            config=builder.config,
-            buddies=buddy_csr(buddies, builder.n),
+            grid,
             seed=seed,
             p_online=p_online,
             max_messages=max_messages,
@@ -398,13 +347,13 @@ class BatchQueryEngine:
     # -- side store ---------------------------------------------------------------
 
     def _set_store(self, rows) -> None:
-        """Adopt side-store rows in the snapshot's ``store`` layout,
-        ``(peer, key bits, key len, holder, version, deleted)`` sorted by
+        """Adopt side-store rows in the layout's ``store`` form, ``(peer,
+        key bits, key len, holder, version, deleted)`` sorted by
         :func:`~repro.fast.arraygrid.store_order`, and index them by peer.
 
         Tombstones are dropped (the engine keeps live rows only); without
-        any, *rows* is kept as given, so a snapshot's read-only segment view
-        stays shared until :meth:`publish_many` first has to write.
+        any, *rows* is kept as given, so the grid's read-only rows stay
+        shared until :meth:`publish_many` first has to write.
         """
         if rows[:, 5].any():
             rows = rows[rows[:, 5] == 0]
@@ -1184,7 +1133,7 @@ class BatchQueryEngine:
         pos, found = self._locate(peer, bits, length, holder)
         store = self._store
         if found.any():
-            if not store.flags.writeable:  # a snapshot's pages: copy, never write
+            if not store.flags.writeable:  # the grid's rows: copy, never write
                 store = self._store = store.copy()
             np.maximum.at(store[:, 4], pos[found], version[found])
         new = ~found & (version > -1)

@@ -1,8 +1,8 @@
 """Shared-memory grid snapshots: one grid build, many processes.
 
-A :class:`GridSnapshot` exports the packed :class:`~repro.fast.arraygrid.ArrayGrid`
-buffers — paths, the routing slab, the buddy CSR, the leaf-store table —
-into a single named :mod:`multiprocessing.shared_memory` segment, plus a
+A :class:`GridSnapshot` copies an :class:`~repro.fast.arraygrid.ArrayGrid`
+— paths, the routing slab, the buddy CSR, the leaf-store table — into a
+single named :mod:`multiprocessing.shared_memory` segment, plus a
 small picklable :class:`SnapshotHandle` describing the layout.  Any
 process that holds the handle can :meth:`~GridSnapshot.attach` and get
 read-only numpy views over the *same* physical pages: no copy, no pickle
@@ -16,31 +16,12 @@ at most once per segment per process and caches the attachment.
 
 Segment layout
 --------------
-All arrays live back-to-back in one segment, 16-byte aligned, in the
-query-plane layout (so :meth:`GridSnapshot.batch_query_engine` is
+The segment holds the packed layout of :mod:`repro.fast.arraygrid` —
+its nine :data:`~repro.fast.arraygrid.FIELDS` back-to-back, 16-byte
+aligned, in that order — so :meth:`GridSnapshot.batch_query_engine` is
 zero-copy: the engine reads these very arrays, buddies and store
-included):
-
-========================  =========  =======================================
-field                     dtype      shape
-========================  =========  =======================================
-``path_bits``             int64      ``(n,)`` packed MSB-first paths
-``path_len``              int64      ``(n,)``
-``refs``                  int32      ``(n * maxl, refmax)``, ``-1`` padded
-``ref_len``               int16      ``(n * maxl,)``
-``table_depth``           int64      ``(n,)`` materialized routing levels
-``addresses``             int64      ``(n,)`` dense index -> sparse address
-``buddy_offsets``         int64      ``(n + 1,)`` buddy CSR offsets
-``buddy_values``          int64      sorted buddy CSR values
-``store``                 int64      ``(entries, 6)`` rows of
-                                     ``(peer, key bits, key len, holder,
-                                     version, deleted)``, sorted by the
-                                     first four columns
-========================  =========  =======================================
-
-``store_items`` (full payload objects) are **not** captured — snapshots
-serve the query plane, where only index refs matter; use the object core
-when item payloads do.
+included.  Leaf *items* are not part of the layout; snapshots serve the
+query plane, where only index refs matter.
 
 Lifecycle
 ---------
@@ -67,7 +48,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.config import PGridConfig
-from repro.fast.arraygrid import buddy_csr, store_order
+from repro.fast.arraygrid import FIELDS, ArrayGrid
 
 try:
     import numpy as np
@@ -82,7 +63,6 @@ except ImportError:  # pragma: no cover - platforms without shared memory
     _resource_tracker = None
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.fast.arraygrid import ArrayGrid
     from repro.fast.batch import BatchGridBuilder
     from repro.fast.query import BatchQueryEngine
 
@@ -96,19 +76,6 @@ __all__ = [
 ]
 
 _ALIGN = 16
-
-#: Field order inside the segment (fixed — the handle records offsets).
-_FIELDS = (
-    "path_bits",
-    "path_len",
-    "refs",
-    "ref_len",
-    "table_depth",
-    "addresses",
-    "buddy_offsets",
-    "buddy_values",
-    "store",
-)
 
 
 def _require_numpy() -> None:
@@ -248,12 +215,10 @@ atexit.register(_close_attached)
 class GridSnapshot:
     """Read-only shared-memory view of one grid's packed state.
 
-    Create with :meth:`from_arraygrid` / :meth:`from_batch_builder` (or
-    :meth:`from_arrays` for pre-packed buffers); reconstruct in another
-    process with :meth:`attach` or, preferably, ship a :meth:`ref` and
-    let :func:`resolve` cache the attachment.  Consume via
-    :meth:`arraygrid` (an :class:`ArrayGrid` view) or
-    :meth:`batch_query_engine` (zero-copy query plane).
+    Create with :meth:`from_arraygrid`; reconstruct in another process
+    with :meth:`attach` or, preferably, ship a :meth:`ref` and let
+    :func:`resolve` cache the attachment.  Consume via :meth:`view` (one
+    layout field) or :meth:`batch_query_engine` (zero-copy query plane).
     """
 
     __slots__ = ("handle", "_segment", "_views", "_owner", "_owner_pid", "_closed")
@@ -277,48 +242,30 @@ class GridSnapshot:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def from_arrays(
+    def from_arraygrid(
         cls,
-        arrays: dict[str, Any],
+        grid: ArrayGrid,
         *,
-        n: int,
-        config: PGridConfig,
-        p_online: float = 1.0,
+        p_online: float | None = None,
     ) -> "GridSnapshot":
-        """Copy the packed state into a fresh named segment (the owner).
+        """Copy *grid*'s packed layout into a fresh named segment (the
+        owner).
 
-        ``arrays`` must provide every field in the module-docstring
-        layout table; dtypes are coerced to the layout's and the store
-        rows are sorted into the layout's order.
+        ``p_online`` defaults from the grid's online oracle the same way
+        :meth:`BatchQueryEngine.from_arraygrid` does.
         """
         _require_numpy()
-        dtypes = {
-            "path_bits": np.int64,
-            "path_len": np.int64,
-            "refs": np.int32,
-            "ref_len": np.int16,
-            "table_depth": np.int64,
-            "addresses": np.int64,
-            "buddy_offsets": np.int64,
-            "buddy_values": np.int64,
-            "store": np.int64,
-        }
-        missing = [field for field in _FIELDS if field not in arrays]
-        if missing:
-            raise ValueError(f"snapshot arrays missing fields: {missing}")
-        packed = {
-            field: np.ascontiguousarray(arrays[field], dtype=dtypes[field])
-            for field in _FIELDS
-        }
-        store = packed["store"].reshape(-1, 6)
-        packed["store"] = store[store_order(store)]
+        from repro.fast.query import _oracle_p_online
+
+        if p_online is None:
+            p_online = _oracle_p_online(grid.online_oracle)
         fields: list[tuple[str, str, tuple[int, ...], int]] = []
         offset = 0
-        for field in _FIELDS:
-            arr = packed[field]
+        for field, dtype in FIELDS.items():
+            array = getattr(grid, field)
             offset = (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-            fields.append((field, arr.dtype.str, arr.shape, offset))
-            offset += arr.nbytes
+            fields.append((field, np.dtype(dtype).str, array.shape, offset))
+            offset += array.size * np.dtype(dtype).itemsize
         nbytes = max(offset, 1)
         segment = None
         for _ in range(16):
@@ -332,57 +279,19 @@ class GridSnapshot:
             raise RuntimeError("could not allocate a unique snapshot segment")
         handle = SnapshotHandle(
             name=segment.name,
-            n=n,
+            n=grid.n,
             nbytes=nbytes,
-            config=config,
+            config=grid.config,
             p_online=p_online,
             fields=tuple(fields),
         )
         snapshot = cls(handle, segment, owner=True)
-        for field in _FIELDS:
-            view = snapshot._views[field]
+        for field, view in snapshot._views.items():
             view.flags.writeable = True
-            view[...] = packed[field]
+            view[...] = getattr(grid, field)
             view.flags.writeable = False
         _OWNED[handle.name] = snapshot
         return snapshot
-
-    @classmethod
-    def from_arraygrid(
-        cls,
-        grid: "ArrayGrid",
-        *,
-        p_online: float | None = None,
-    ) -> "GridSnapshot":
-        """Export an :class:`ArrayGrid` (typically bridged from a
-        ``PGrid``) into shared memory.
-
-        ``p_online`` defaults from the grid's online oracle the same way
-        :meth:`BatchQueryEngine.from_arraygrid` does.  ``store_items``
-        are not captured (see module docstring).
-        """
-        _require_numpy()
-        from repro.fast.query import _oracle_p_online
-
-        if p_online is None:
-            p_online = _oracle_p_online(grid.online_oracle)
-        buddy_offsets, buddy_values = buddy_csr(grid.buddies, grid.n)
-        return cls.from_arrays(
-            {
-                "path_bits": grid.path_bits,
-                "path_len": grid.path_len,
-                "refs": grid.routing_slab(),
-                "ref_len": grid.ref_len,
-                "table_depth": grid.table_depth,
-                "addresses": grid.addresses,
-                "buddy_offsets": buddy_offsets,
-                "buddy_values": buddy_values,
-                "store": grid.store_rows(),
-            },
-            n=grid.n,
-            config=grid.config,
-            p_online=p_online,
-        )
 
     @classmethod
     def from_batch_builder(
@@ -391,41 +300,8 @@ class GridSnapshot:
         *,
         p_online: float = 1.0,
     ) -> "GridSnapshot":
-        """Export a (converged) gridless builder's state — the 100k+ peer
-        path where no object grid ever exists.
-
-        The builder carries no per-level materialization record, so
-        ``table_depth`` is derived as each peer's deepest non-empty
-        routing level (observably identical for query purposes).
-        """
-        _require_numpy()
-        pb, pl, refs, rl, buddies = builder.snapshot_state()
-        n = builder.n
-        maxl = builder.config.maxl
-        rl2 = np.asarray(rl).reshape(n, maxl)
-        nonempty = rl2 > 0
-        depth = np.where(
-            nonempty.any(axis=1),
-            maxl - np.argmax(nonempty[:, ::-1], axis=1),
-            0,
-        )
-        offsets, values = buddy_csr(buddies, n)
-        return cls.from_arrays(
-            {
-                "path_bits": pb,
-                "path_len": pl,
-                "refs": np.asarray(refs).reshape(n * maxl, builder.config.refmax),
-                "ref_len": rl,
-                "table_depth": depth,
-                "addresses": np.arange(n, dtype=np.int64),
-                "buddy_offsets": offsets,
-                "buddy_values": values,
-                "store": np.empty((0, 6), dtype=np.int64),
-            },
-            n=n,
-            config=builder.config,
-            p_online=p_online,
-        )
+        """:meth:`from_arraygrid` of a builder's :attr:`~repro.fast.BatchGridBuilder.grid`."""
+        return cls.from_arraygrid(builder.grid, p_online=p_online)
 
     @classmethod
     def attach(cls, handle: SnapshotHandle) -> "GridSnapshot":
@@ -476,56 +352,7 @@ class GridSnapshot:
             raise ValueError(f"snapshot {self.name} is closed")
         return self._views[field]
 
-    def buddies_dict(self) -> dict[int, set[int]]:
-        """Buddy CSR → :class:`ArrayGrid`'s sparse ``{peer: set}`` form."""
-        offsets = self.view("buddy_offsets")
-        values = self.view("buddy_values")
-        out: dict[int, set[int]] = {}
-        for i in range(self.n):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
-            if hi > lo:
-                out[i] = set(values[lo:hi].tolist())
-        return out
-
-    def store_refs_dict(
-        self,
-    ) -> dict[int, dict[tuple[int, int], dict[int, tuple[int, bool]]]]:
-        """Store rows in :class:`ArrayGrid`'s ``store_refs`` form
-        (tombstones preserved)."""
-        out: dict[int, dict[tuple[int, int], dict[int, tuple[int, bool]]]] = {}
-        for peer, bits, length, holder, version, deleted in self.view("store").tolist():
-            out.setdefault(peer, {}).setdefault((bits, length), {})[holder] = (
-                version,
-                bool(deleted),
-            )
-        return out
-
     # -- consumers ------------------------------------------------------------
-
-    def arraygrid(self, *, rng=None, online_oracle=None) -> "ArrayGrid":
-        """A read-only :class:`ArrayGrid` over the shared buffers.
-
-        Query/statistics methods work unchanged; the flat buffers are
-        immutable (exchange engines must not run on it) and
-        ``store_items`` is empty by construction.
-        """
-        from repro.fast.arraygrid import ArrayGrid
-
-        store_refs = self.store_refs_dict()
-        return ArrayGrid.from_buffers(
-            n=self.n,
-            config=self.config,
-            path_bits=self.view("path_bits"),
-            path_len=self.view("path_len"),
-            refs2d=self.view("refs"),
-            ref_len=self.view("ref_len"),
-            table_depth=self.view("table_depth"),
-            addresses=self.view("addresses").tolist(),
-            buddies=self.buddies_dict(),
-            store_refs=store_refs,
-            rng=rng,
-            online_oracle=online_oracle,
-        )
 
     def batch_query_engine(
         self,
@@ -538,32 +365,23 @@ class GridSnapshot:
     ) -> "BatchQueryEngine":
         """A :class:`BatchQueryEngine` directly over the shared buffers.
 
-        Paths, routing slab, buddy CSR and store rows are the segment's
-        pages (zero copy); only the address list is built on the heap.
-        The store is filtered only when it holds tombstones;
+        Every layout array is the segment's pages (zero copy); only the
+        address list is built on the heap.  The store is filtered only
+        when it holds tombstones;
         :meth:`~BatchQueryEngine.publish_many` copies it before its first
         write and never writes through to the segment.
         ``p_online`` defaults to the value recorded at export.
         """
         from repro.fast.query import BatchQueryEngine
 
-        engine = BatchQueryEngine(
-            pb=self.view("path_bits"),
-            pl=self.view("path_len"),
-            refs=self.view("refs"),
-            rl=self.view("ref_len"),
-            n=self.n,
-            config=self.config,
-            buddies=(self.view("buddy_offsets"), self.view("buddy_values")),
-            addresses=self.view("addresses").tolist(),
+        return BatchQueryEngine(
+            ArrayGrid(self.config, {field: self.view(field) for field in FIELDS}),
             seed=seed,
             p_online=self.p_online if p_online is None else p_online,
             max_messages=max_messages,
             chunk=chunk,
             probe=probe,
         )
-        engine._set_store(self.view("store"))
-        return engine
 
     # -- lifecycle ------------------------------------------------------------
 

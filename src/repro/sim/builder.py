@@ -195,7 +195,10 @@ def construct_grid(grid: PGrid, *, engine: str = "object", **build_kwargs) -> Co
     * ``"batch"`` — the vectorized batched-round engine
       (:class:`repro.fast.batch.BatchGridBuilder`, requires numpy):
       deterministic and statistically equivalent but not bit-identical;
-      an order of magnitude faster.  Results are written back into *grid*.
+      an order of magnitude faster.  It builds from scratch, so *grid*
+      must be fresh — no peer with a path, a routing reference, a buddy
+      or a store entry.  The seed is one ``grid.rng.getrandbits(64)``
+      draw; the result is written back into *grid*.
 
     The batch core is imported lazily so the object core keeps working
     on numpy-less installs.
@@ -203,12 +206,26 @@ def construct_grid(grid: PGrid, *, engine: str = "object", **build_kwargs) -> Co
     if engine == "object":
         return GridBuilder(grid).build(**build_kwargs)
     if engine == "batch":
-        from repro.fast.arraygrid import ArrayGrid
         from repro.fast.batch import BatchGridBuilder
 
-        agrid = ArrayGrid.from_pgrid(grid)
-        report = BatchGridBuilder(agrid).build(**build_kwargs)
-        agrid.write_back(grid)
+        for peer in grid.peers():
+            if (
+                peer.path
+                or peer.routing.total_refs()
+                or peer.buddies
+                or peer.store.ref_count
+                or peer.store.item_count
+            ):
+                raise ValueError(
+                    f"peer {peer.address} is not fresh; the batch engine builds "
+                    "from scratch — use engine='object' to continue a grid"
+                )
+        builder = BatchGridBuilder(
+            n=len(grid), config=grid.config, seed=grid.rng.getrandbits(64)
+        )
+        report = builder.build(**build_kwargs)
+        builder.grid.addresses[:] = grid.addresses()
+        builder.grid.write_back(grid)
         return report
     raise ValueError(
         f"unknown construction engine {engine!r}; expected 'object' or 'batch'"
@@ -221,41 +238,28 @@ def construct_snapshot(
     *,
     seed: int = 0,
     p_online: float = 1.0,
-    grid: PGrid | None = None,
     **build_kwargs,
 ):
     """Build a grid and export it as a shared-memory ``GridSnapshot``.
 
     The build-once/fan-out entry point for parallel sweeps: construct the
-    routing state a single time, publish it into a named shared-memory
-    segment, and let every worker process attach the segment instead of
-    unpickling its own copy (see :mod:`repro.fast.snapshot`).
+    routing state a single time with a :class:`~repro.fast.BatchGridBuilder`
+    — no per-peer Python objects, so 100k+ peer grids are tractable —
+    publish it into a named shared-memory segment, and let every worker
+    process attach the segment instead of unpickling its own copy (see
+    :mod:`repro.fast.snapshot`).  An object grid exports through
+    :meth:`repro.api.Grid.snapshot` instead.
 
-    Two modes:
-
-    * gridless (default): a :class:`~repro.fast.BatchGridBuilder` run —
-      no per-peer Python objects, so 100k+ peer grids are tractable;
-    * *grid* given: the already-built object-core :class:`PGrid` is
-      bridged through :class:`~repro.fast.ArrayGrid` instead (stores and
-      all), and *n_peers*/*seed*/*build_kwargs* are ignored.
-
-    Returns ``(snapshot, report)`` — *report* is the construction report
-    (``None`` in bridge mode).  The caller owns the snapshot and must
-    ``close()``/``unlink()`` it (or use it as a context manager).
+    Returns ``(snapshot, report)``.  The caller owns the snapshot and
+    must ``close()``/``unlink()`` it (or use it as a context manager).
     Requires numpy.
     """
     from repro.fast import HAVE_NUMPY
 
     if not HAVE_NUMPY:
         raise RuntimeError("construct_snapshot requires numpy")
-    from repro.fast.snapshot import GridSnapshot
-
-    if grid is not None:
-        from repro.fast.arraygrid import ArrayGrid
-
-        agrid = ArrayGrid.from_pgrid(grid)
-        return GridSnapshot.from_arraygrid(agrid, p_online=p_online), None
     from repro.fast.batch import BatchGridBuilder
+    from repro.fast.snapshot import GridSnapshot
 
     builder = BatchGridBuilder(n=n_peers, config=config, seed=seed)
     report = builder.build(**build_kwargs)

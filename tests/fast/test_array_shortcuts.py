@@ -115,19 +115,19 @@ class TestEngineIntegration:
     CONFIG = PGridConfig(maxl=5, refmax=3, recmax=2, recursion_fanout=2)
 
     @pytest.fixture(scope="class")
-    def agrid(self) -> ArrayGrid:
+    def grid(self) -> PGrid:
         grid = PGrid(self.CONFIG, rng=random.Random(23))
         grid.add_peers(80)
         GridBuilder(grid).build(max_exchanges=40_000)
-        return ArrayGrid.from_pgrid(grid)
+        return grid
 
-    def _engine(self, agrid, seed: int):
-        engine = BatchQueryEngine.from_arraygrid(agrid, seed=seed)
+    def _engine(self, grid, seed: int):
+        engine = BatchQueryEngine.from_arraygrid(ArrayGrid.from_pgrid(grid), seed=seed)
         engine.shortcuts = ShortcutCache(32)
         return engine, engine.shortcuts
 
-    def test_repeat_batch_hits_cache(self, agrid):
-        engine, cache = self._engine(agrid, 1)
+    def test_repeat_batch_hits_cache(self, grid):
+        engine, cache = self._engine(grid, 1)
         queries = [format(k, "05b") for k in range(8)]
         starts = [0] * len(queries)
         first = engine.search_many(queries, starts)
@@ -149,36 +149,36 @@ class TestEngineIntegration:
                 expected = 0 if int(first.responder[i]) == starts[i] else 1
                 assert int(second.messages[i]) == expected
 
-    def test_invalidated_responder_falls_back_to_dfs(self, agrid):
-        engine, cache = self._engine(agrid, 3)
+    def test_invalidated_responder_falls_back_to_dfs(self, grid):
+        engine, cache = self._engine(grid, 3)
         query = "10101"
         first = engine.search_many([query], [0])
         assert bool(first.found[0])
-        cached = cache.get(agrid.addresses[0], query)
-        assert cached == agrid.addresses[int(first.responder[0])]
+        cached = cache.get(engine.addresses[0], query)
+        assert cached == engine.addresses[int(first.responder[0])]
         cache.invalidate_responder(cached)
         second = engine.search_many([query], [0])
         # The entry is gone, so the query pays the full DFS again...
         assert bool(second.found[0])
         assert cache.stats.misses == 2
         # ...and the fresh responder is cached for next time.
-        assert cache.get(0, query) == agrid.addresses[int(second.responder[0])]
+        assert cache.get(0, query) == engine.addresses[int(second.responder[0])]
 
-    def test_stale_responsibility_invalidates_on_use(self, agrid):
-        engine, cache = self._engine(agrid, 4)
+    def test_stale_responsibility_invalidates_on_use(self, grid):
+        engine, cache = self._engine(grid, 4)
         query = "10101"
         # Plant an entry at a peer that is NOT responsible for the query,
         # and one at an address the engine does not hold: the shortcut
         # pass must invalidate both and fall through to DFS.
         wrong = next(
             i
-            for i in range(agrid.n)
-            if agrid.path_str(i) and not query.startswith(agrid.path_str(i))
+            for i, peer in enumerate(grid.peers())
+            if peer.path and not query.startswith(peer.path)
         )
-        cache.put(0, query, agrid.addresses[wrong])
+        cache.put(0, query, engine.addresses[wrong])
         cache.put(1, query, 10_000)
         result = engine.search_many([query, query], [0, 1])
         assert cache.stats.invalidations == 2
         assert cache.stats.misses == 2
         assert int(result.responder[0]) != wrong
-        assert cache.get(1, query) == agrid.addresses[int(result.responder[1])]
+        assert cache.get(1, query) == engine.addresses[int(result.responder[1])]

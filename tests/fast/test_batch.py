@@ -3,88 +3,91 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.errors import NotConvergedError
-from repro.fast import HAVE_NUMPY, ArrayGrid
+from repro.fast import HAVE_NUMPY
 from repro.sim.builder import construct_grid
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 if HAVE_NUMPY:
+    import numpy as np
+
     from repro.fast.batch import BatchGridBuilder
 
 
 CONFIG = PGridConfig(maxl=6, refmax=5, recmax=2, recursion_fanout=2)
 
 
-def fresh_agrid(n: int = 300, seed: int = 17, config: PGridConfig = CONFIG) -> ArrayGrid:
+def fresh_pgrid(n: int = 300, seed: int = 17, config: PGridConfig = CONFIG) -> PGrid:
     grid = PGrid(config, rng=random.Random(seed))
     grid.add_peers(n)
-    return ArrayGrid.from_pgrid(grid)
+    return grid
+
+
+def builder(seed: int, n: int = 300, **kwargs) -> "BatchGridBuilder":
+    return BatchGridBuilder(n=n, config=CONFIG, seed=seed, **kwargs)
 
 
 class TestGridBacked:
+    """Through ``construct_grid(engine="batch")``: a build written back
+    into an object grid."""
+
     def test_converges_and_writes_back(self):
-        agrid = fresh_agrid()
-        report = BatchGridBuilder(agrid, seed=5).build(threshold_fraction=0.985)
+        grid = fresh_pgrid()
+        report = construct_grid(grid, engine="batch", threshold_fraction=0.985)
         assert report.converged
         assert report.peer_count == 300
-        assert agrid.average_path_length() == pytest.approx(report.average_depth)
+        assert grid.average_path_length() == pytest.approx(report.average_depth)
         # The written-back grid satisfies the routing invariant.
-        pgrid = agrid.to_pgrid(rng=random.Random(0))
-        assert pgrid.audit_routing() == []
+        assert grid.audit_routing() == []
 
     def test_deterministic_under_seed(self):
-        r1 = BatchGridBuilder(fresh_agrid(), seed=42).build(threshold_fraction=0.985)
-        a2 = fresh_agrid()
-        r2 = BatchGridBuilder(a2, seed=42).build(threshold_fraction=0.985)
-        a3 = fresh_agrid()
-        r3 = BatchGridBuilder(a3, seed=42).build(threshold_fraction=0.985)
+        b1, b2, b3 = builder(42), builder(42), builder(42)
+        r1, r2, r3 = (b.build(threshold_fraction=0.985) for b in (b1, b2, b3))
         assert r1.stats == r2.stats == r3.stats
-        assert a2.path_bits == a3.path_bits
-        assert a2.refs == a3.refs
-        assert a2.ref_len == a3.ref_len
-        assert a2.buddies == a3.buddies
+        for field in ("path_bits", "refs", "ref_len", "buddy_offsets", "buddy_values"):
+            assert np.array_equal(getattr(b2.grid, field), getattr(b3.grid, field))
 
     def test_different_seeds_differ(self):
-        r1 = BatchGridBuilder(fresh_agrid(), seed=1).build(threshold_fraction=0.985)
-        r2 = BatchGridBuilder(fresh_agrid(), seed=2).build(threshold_fraction=0.985)
+        r1 = builder(1).build(threshold_fraction=0.985)
+        r2 = builder(2).build(threshold_fraction=0.985)
         assert r1.stats != r2.stats
 
     def test_seed_defaults_to_grid_rng_draw(self):
-        a1 = fresh_agrid(seed=13)
-        a2 = fresh_agrid(seed=13)
-        r1 = BatchGridBuilder(a1).build(threshold_fraction=0.985)
-        r2 = BatchGridBuilder(a2).build(threshold_fraction=0.985)
+        g1, g2 = fresh_pgrid(seed=13), fresh_pgrid(seed=13)
+        r1 = construct_grid(g1, engine="batch", threshold_fraction=0.985)
+        r2 = construct_grid(g2, engine="batch", threshold_fraction=0.985)
         assert r1.stats == r2.stats
-        assert a1.path_bits == a2.path_bits
+        assert [p.path for p in g1.peers()] == [p.path for p in g2.peers()]
+        # One documented draw from the grid's Random seeds the builder.
+        drawn = builder(random.Random(13).getrandbits(64))
+        assert drawn.build(threshold_fraction=0.985).stats == r1.stats
 
     def test_counters_consistent_with_depth(self):
-        agrid = fresh_agrid()
-        builder = BatchGridBuilder(agrid, seed=9)
-        report = builder.build(threshold_fraction=0.985)
+        built = builder(9)
+        report = built.build(threshold_fraction=0.985)
         stats = report.stats
-        # From a fresh grid every path bit comes from a split (2 bits)
-        # or a specialization (1 bit).
+        # From fresh peers every path bit comes from a split (2 bits) or a
+        # specialization (1 bit).
         total_bits = (
             2 * stats["case1_splits"]
             + stats["case2_specializations"]
             + stats["case3_specializations"]
         )
-        assert total_bits == sum(agrid.path_len)
+        assert total_bits == int(built.grid.path_len.sum())
         assert stats["calls"] == report.exchanges
         assert stats["meetings"] == report.meetings
         assert report.average_depth == pytest.approx(total_bits / 300)
 
     def test_statistically_matches_object_core(self):
-        agrid = fresh_agrid(seed=23)
-        report = BatchGridBuilder(agrid, seed=23).build(threshold_fraction=0.985)
-        obj = PGrid(CONFIG, rng=random.Random(23))
-        obj.add_peers(300)
+        report = builder(23).build(threshold_fraction=0.985)
+        obj = fresh_pgrid(seed=23)
         obj_report = construct_grid(
             obj, engine="object", threshold_fraction=0.985
         )
@@ -96,40 +99,41 @@ class TestGridBacked:
         assert abs(report.average_depth - obj_report.average_depth) < 0.2
 
     def test_budget_stops_at_round_granularity(self):
-        agrid = fresh_agrid()
-        builder = BatchGridBuilder(agrid, round_size=128, seed=3)
-        report = builder.build(threshold_fraction=1.0, max_meetings=500)
+        report = builder(3, round_size=128).build(threshold_fraction=1.0, max_meetings=500)
         assert not report.converged
         assert report.meetings <= 500
 
     def test_raise_on_budget(self):
-        agrid = fresh_agrid()
         with pytest.raises(NotConvergedError):
-            BatchGridBuilder(agrid, seed=3).build(
+            builder(3).build(
                 threshold_fraction=1.0, max_meetings=100, raise_on_budget=True
             )
 
 
 class TestGridless:
     def test_matches_grid_backed_run(self):
-        # A gridless run and a fresh grid-backed run with the same seed
-        # execute the identical schedule on identical (all-zero) state.
-        agrid = fresh_agrid(n=250)
-        grid_backed = BatchGridBuilder(agrid, seed=77)
-        r1 = grid_backed.build(threshold_fraction=0.985)
-        gridless = BatchGridBuilder(n=250, config=CONFIG, seed=77)
+        # construct_grid's build is the gridless build at the drawn seed,
+        # written back: the object grid holds exactly the builder's layout.
+        grid = fresh_pgrid(n=250)
+        r1 = construct_grid(grid, engine="batch", threshold_fraction=0.985)
+        gridless = builder(random.Random(17).getrandbits(64), n=250)
         r2 = gridless.build(threshold_fraction=0.985)
         assert r1.stats == r2.stats
         assert r1.average_depth == r2.average_depth
-        assert grid_backed.replication_histogram() == gridless.replication_histogram()
-        assert agrid.path_len == list(map(int, gridless._pl))
+        assert [len(p.path) for p in grid.peers()] == gridless.grid.path_len.tolist()
+        assert [p.routing.total_refs() for p in grid.peers()] == (
+            gridless.grid.ref_len.reshape(250, -1).sum(axis=1).tolist()
+        )
 
     def test_analytics_match_written_back_grid(self):
-        agrid = fresh_agrid(n=200)
-        builder = BatchGridBuilder(agrid, seed=31)
-        builder.build(threshold_fraction=0.985)
-        assert builder.replication_histogram() == dict(agrid.replication_histogram())
-        assert builder.path_length_histogram() == dict(agrid.path_length_histogram())
+        grid = fresh_pgrid(n=200)
+        built = builder(31, n=200)
+        built.build(threshold_fraction=0.985)
+        built.grid.write_back(grid)
+        assert built.replication_histogram() == dict(grid.replication_histogram())
+        assert built.path_length_histogram() == dict(
+            Counter(len(peer.path) for peer in grid.peers())
+        )
 
     def test_memory_bytes_is_compact(self):
         builder = BatchGridBuilder(n=10_000, config=CONFIG, seed=1)
@@ -144,10 +148,6 @@ class TestGridless:
     def test_needs_n(self):
         with pytest.raises(ValueError):
             BatchGridBuilder(seed=1)
-
-    def test_grid_and_n_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            BatchGridBuilder(fresh_agrid(), n=100, seed=1)
 
 
 class TestRestrictions:
@@ -167,13 +167,10 @@ class TestRestrictions:
     def test_stores_must_be_empty(self):
         from repro.core.storage import DataItem
 
-        grid = PGrid(CONFIG, rng=random.Random(1))
-        grid.add_peers(50)
-        construct_grid(grid, engine="object", max_meetings=300)
+        grid = fresh_pgrid(n=50)
         grid.seed_index([(DataItem(key="0" * CONFIG.maxl), grid.addresses()[0])])
-        agrid = ArrayGrid.from_pgrid(grid)
-        with pytest.raises(ValueError):
-            BatchGridBuilder(agrid)
+        with pytest.raises(ValueError, match="engine='object'"):
+            construct_grid(grid, engine="batch")
 
     def test_validation_messages_match_grid_builder(self):
         builder = BatchGridBuilder(n=100, config=CONFIG, seed=1)

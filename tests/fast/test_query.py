@@ -92,13 +92,12 @@ class TestDeterminismAndStructure:
 
     def test_responders_are_responsible(self):
         grid = build_grid(13)
-        agrid = ArrayGrid.from_pgrid(grid)
-        engine = BatchQueryEngine.from_arraygrid(agrid, seed=4)
+        engine = engine_for(grid, seed=4)
         keys, starts = workload(grid, 17, 200, 4)
         result = engine.search_many(keys, starts)
         assert result.found.any()
         for i in np.flatnonzero(result.found):
-            path = agrid.path_str(int(result.responder[i]))
+            path = grid.peer(engine.addresses[int(result.responder[i])]).path
             key = keys[int(i)]
             assert key.startswith(path) or path.startswith(key)
 
@@ -106,10 +105,9 @@ class TestDeterminismAndStructure:
         # A start peer responsible for the query answers without any
         # message — same accounting as the object engine.
         grid = build_grid(19)
-        agrid = ArrayGrid.from_pgrid(grid)
-        engine = BatchQueryEngine.from_arraygrid(agrid, seed=5)
+        engine = engine_for(grid, seed=5)
         start = 0
-        key = agrid.path_str(start) or "0"
+        key = grid.peer(engine.addresses[start]).path or "0"
         result = engine.search_many([key], [start])
         assert bool(result.found[0])
         assert int(result.responder[0]) == start
@@ -375,7 +373,7 @@ class TestConstructionPaths:
         builder = BatchGridBuilder(n=500, config=config, seed=21)
         report = builder.build(threshold_fraction=0.95, max_exchanges=500_000)
         assert report.converged
-        engine = BatchQueryEngine.from_batch_builder(builder, seed=22)
+        engine = BatchQueryEngine.from_arraygrid(builder.grid, seed=22)
         rng = random.Random(23)
         keys = [format(rng.getrandbits(4), "04b") for _ in range(200)]
         starts = [rng.randrange(engine.n) for _ in range(200)]
@@ -452,8 +450,7 @@ class TestValidation:
 class TestGroundTruth:
     def test_replicas_for_keys_matches_object_oracle(self):
         grid = build_grid(149)
-        agrid = ArrayGrid.from_pgrid(grid)
-        engine = BatchQueryEngine.from_arraygrid(agrid, seed=30)
+        engine = engine_for(grid, seed=30)
         rng = random.Random(151)
         keys = [format(rng.getrandbits(4), "04b") for _ in range(50)]
         truth = engine.replicas_for_keys(keys)

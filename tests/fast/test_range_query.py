@@ -128,15 +128,14 @@ class TestCoverAndRefs:
         assert batch.found(0)
 
     def test_responders_are_responsible_for_a_cover_prefix(self, built_grid):
-        agrid = ArrayGrid.from_pgrid(built_grid)
-        engine = BatchQueryEngine.from_arraygrid(agrid, seed=8)
+        engine = _batch_engine(built_grid, seed=8)
         low, high = "00100", "11000"
         batch = engine.search_range_many([low], [high], [0])
         cover = batch.covers[0]
         responders = batch.responders(0).tolist()
         assert len(set(responders)) == len(responders)  # no peer listed twice
         for dense in responders:
-            path = agrid.path_str(dense)
+            path = built_grid.peer(engine.addresses[dense]).path
             assert any(
                 path.startswith(prefix) or prefix.startswith(path)
                 for prefix in cover

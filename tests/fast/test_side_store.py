@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.core.keys import range_cover
-from repro.core.storage import DataItem
+from repro.core.storage import DataItem, DataRef
 from repro.fast import HAVE_NUMPY, ArrayGrid
 from repro.protocol.search import key_in_range
 from repro.protocol.update import UpdateStrategy
@@ -44,7 +44,7 @@ P_ONLINE = 0.6
 MAX_READ_ROUNDS = 4
 
 
-def _bridged_grid() -> ArrayGrid:
+def _tombstoned_grid() -> PGrid:
     """A small converged grid whose store holds live and tombstoned refs."""
     config = PGridConfig(maxl=MAXL, refmax=3, recmax=2, recursion_fanout=2)
     grid = PGrid(config, rng=random.Random(5))
@@ -57,32 +57,33 @@ def _bridged_grid() -> ArrayGrid:
             for k, address in enumerate(grid.addresses()[:24])
         ]
     )
-    agrid = ArrayGrid.from_pgrid(grid)
-    # Tombstones: retract every third stored ref, and add deleted refs
-    # for slots nobody holds live.  Live refs for keys outside a peer's
-    # path make the range fold's cover-prefix filter matter.
-    for index, peer in enumerate(sorted(agrid.store_refs)):
-        entries = agrid.store_refs[peer]
-        for _, holders in sorted(entries.items())[::3]:
-            holder = min(holders)
-            holders[holder] = (holders[holder][0] + 1, True)
+    # Tombstones: retract every third stored key's lowest holder, and add
+    # deleted refs for slots nobody holds live.  Live refs for keys
+    # outside a peer's path make the range fold's cover-prefix filter
+    # matter.
+    stores = [peer.store for peer in grid.peers() if peer.store.ref_count]
+    for index, store in enumerate(stores):
+        keys = sorted(store.indexed_keys(), key=lambda k: (int(k, 2), len(k)))
+        for key in keys[::3]:
+            ref = min(store.refs_for_key(key), key=lambda ref: ref.holder)
+            store.add_ref(ref.tombstone())
         if index % 4 == 0:
-            entries.setdefault((index % 16, MAXL), {})[999] = (3, True)
+            store.add_ref(DataRef(format(index % 16, f"0{MAXL}b"), 999, 3, deleted=True))
         if index % 3 == 1:
-            entries.setdefault((index * 7 % 16, MAXL), {})[500 + index % 2] = (1, False)
-    return agrid
+            store.add_ref(DataRef(format(index * 7 % 16, f"0{MAXL}b"), 500 + index % 2, 1))
+    return grid
 
 
 if HAVE_NUMPY:
-    GRID = _bridged_grid()
-    STORED_KEYS = sorted(
-        {format(b, f"0{ln}b") for e in GRID.store_refs.values() for (b, ln) in e}
-    )
-    STORED_HOLDERS = sorted(
-        {h for e in GRID.store_refs.values() for hs in e.values() for h in hs}
-    )
+    PGRID = _tombstoned_grid()
+    GRID = ArrayGrid.from_pgrid(PGRID)
+    INDEX = {address: i for i, address in enumerate(PGRID.addresses())}
+    REFS = [(INDEX[peer.address], ref) for peer in PGRID.peers() for ref in peer.store.iter_refs()]
+    BUDDIES = {INDEX[p.address]: {INDEX[b] for b in p.buddies} for p in PGRID.peers()}
+    STORED_KEYS = sorted({ref.key for _, ref in REFS})
+    STORED_HOLDERS = sorted({ref.holder for _, ref in REFS})
 else:  # pragma: no cover - numpy-less collection
-    GRID, STORED_KEYS, STORED_HOLDERS = None, ["0"], [0]
+    GRID, REFS, BUDDIES, STORED_KEYS, STORED_HOLDERS = None, [], {}, ["0"], [0]
 
 #: Longer than every stored key: each write to it starts from a missing slot.
 NEW_KEY = "1" * (MAXL + 1)
@@ -91,13 +92,11 @@ NEW_KEY = "1" * (MAXL + 1)
 # -- the dict model ------------------------------------------------------------------
 
 
-def model_store(grid: ArrayGrid) -> dict:
+def model_store() -> dict:
     return {
-        (peer, bits, length, holder): version
-        for peer, entries in grid.store_refs.items()
-        for (bits, length), holders in entries.items()
-        for holder, (version, deleted) in holders.items()
-        if not deleted
+        (peer, int(ref.key, 2), len(ref.key), ref.holder): ref.version
+        for peer, ref in REFS
+        if not ref.deleted
     }
 
 
@@ -272,7 +271,7 @@ def do_buddies(engine, pairs, repetition):
     )
     pyrng = random.Random()
     pyrng.setstate(before[1])
-    values, messages, failed = model_forward(base, GRID.buddies, pyrng, engine.p_online)
+    values, messages, failed = model_forward(base, BUDDIES, pyrng, engine.p_online)
     assert [got.reached(i).tolist() for i in range(len(keys))] == values
     assert got.messages.tolist() == messages
     assert got.failed_attempts.tolist() == failed
@@ -352,7 +351,8 @@ class TestDictModel:
         else:
             engine = snapshot.batch_query_engine(seed=seed)
         segment = snapshot.view("store").tobytes()
-        store = model_store(GRID)
+        rows = GRID.store.tobytes()
+        store = model_store()
         assert engine_store(engine) == store
         for op in ops:
             kind = op[0]
@@ -366,3 +366,4 @@ class TestDictModel:
                 do_buddies(engine, *op[1:])
             assert engine_store(engine) == store
         assert snapshot.view("store").tobytes() == segment
+        assert GRID.store.tobytes() == rows

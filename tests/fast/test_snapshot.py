@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import Grid
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.core.storage import DataItem
 from repro.fast import HAVE_NUMPY, ArrayGrid
+from repro.fast.arraygrid import FIELDS
 from repro.sim.builder import GridBuilder, construct_snapshot
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
@@ -67,22 +69,6 @@ class TestRoundTrip:
             finally:
                 attached.close()
 
-    def test_arraygrid_view_statistics(self, built_grid):
-        agrid = ArrayGrid.from_pgrid(built_grid)
-        snap = GridSnapshot.from_arraygrid(agrid)
-        try:
-            view = snap.arraygrid()
-            assert view.n == agrid.n
-            assert view.average_path_length() == agrid.average_path_length()
-            assert np.array_equal(view.path_bits, agrid.path_bits)
-            assert np.array_equal(view.path_len, agrid.path_len)
-            assert view.buddies == agrid.buddies
-            assert view.replication_histogram() == agrid.replication_histogram()
-            assert view.store_refs == agrid.store_refs
-            del view
-        finally:
-            _release(snap)
-
     def test_engine_bit_identical_to_from_arraygrid(self, built_grid):
         agrid = ArrayGrid.from_pgrid(built_grid)
         queries = [format(i % 32, "05b")[:4] for i in range(200)]
@@ -131,38 +117,6 @@ class TestRoundTrip:
         finally:
             _release(snap)
 
-    def test_unsorted_store_export_answers_the_same(self, built_grid):
-        agrid = ArrayGrid.from_pgrid(built_grid)
-        snap = GridSnapshot.from_arraygrid(agrid)
-        arrays = {field: snap.view(field) for field, *_ in snap.handle.fields}
-        arrays["store"] = arrays["store"][::-1]
-        reversed_snap = GridSnapshot.from_arrays(arrays, n=snap.n, config=snap.config)
-        try:
-            assert np.array_equal(reversed_snap.view("store"), snap.view("store"))
-            ordered = snap.batch_query_engine(seed=4)
-            other = reversed_snap.batch_query_engine(seed=4)
-            rows = snap.view("store").tolist()
-            keys = [format(bits, f"0{length}b") for _, bits, length, *_ in rows]
-            holders = [holder for *_, holder, _, _ in rows]
-            starts = [peer for peer, *_ in rows]
-            reads = [
-                engine.read_many(keys, holders, [0] * len(rows), starts, repetitive=True)
-                for engine in (ordered, other)
-            ]
-            assert reads[0].success.all()
-            assert np.array_equal(reads[0].success, reads[1].success)
-            assert np.array_equal(reads[0].repetitions, reads[1].repetitions)
-            ranges = [
-                engine.search_range_many(["00000"], ["11111"], [0])
-                for engine in (ordered, other)
-            ]
-            assert ranges[0].data_refs[0]
-            assert ranges[0].data_refs == ranges[1].data_refs
-            del ordered, other
-        finally:
-            _release(reversed_snap)
-            _release(snap)
-
     def test_from_batch_builder_gridless_path(self):
         snap, report = construct_snapshot(
             CONFIG, 200, seed=5, threshold_fraction=0.985,
@@ -178,14 +132,22 @@ class TestRoundTrip:
         finally:
             _release(snap)
 
-    def test_bridge_mode_reuses_built_grid(self, built_grid):
-        snap, report = construct_snapshot(CONFIG, 60, grid=built_grid)
-        try:
-            assert report is None
+    def test_grid_snapshot_exports_the_packed_layout(self, built_grid):
+        agrid = ArrayGrid.from_pgrid(built_grid)
+        names = _shm_names()
+        with Grid(built_grid).snapshot(p_online=0.5) as snap:
+            assert snap.owner
             assert snap.n == 60
-        finally:
-            _release(snap)
-
+            assert snap.p_online == 0.5
+            assert [field for field, *_ in snap.handle.fields] == list(FIELDS)
+            for field, dtype in FIELDS.items():
+                view = snap.view(field)
+                assert view.dtype == np.dtype(dtype)
+                assert np.array_equal(view, getattr(agrid, field)), field
+            del view
+            name = snap.name
+        assert name not in _shm_names()
+        assert _shm_names() == names
 
 class TestHandle:
     def test_handle_pickles_small(self, built_grid):
@@ -254,9 +216,7 @@ class TestLifecycle:
 
     def test_missing_field_rejected_at_export(self):
         with pytest.raises(ValueError, match="missing fields"):
-            GridSnapshot.from_arrays(
-                {"path_bits": [0]}, n=1, config=CONFIG
-            )
+            GridSnapshot.from_arraygrid(ArrayGrid(CONFIG, {"path_bits": np.zeros(1)}))
 
 
 class TestMemoryReport:
@@ -269,10 +229,10 @@ class TestMemoryReport:
             assert shared is not None
             assert shared["segments"] >= 1
             assert shared["bytes_total"] >= snap.nbytes
-            report = grid_memory_report(agrid=agrid, snapshot=snap)
+            report = grid_memory_report(pgrid=built_grid, snapshot=snap)
             assert report["shared_memory"]["bytes_total"] >= snap.nbytes
             # Heap and segment bytes are accounted separately.
-            assert report["array_core"]["bytes_total"] > 0
+            assert report["object_core"]["bytes_total"] > 0
 
     def test_no_section_when_nothing_mapped(self):
         from repro.fast.mem import grid_memory_report
