@@ -128,7 +128,9 @@ check-parallel:
 # asyncio runtime run the same repro.protocol machines — identical
 # results, costs and RNG streams (tests/protocol/, tests/aio/).
 # tests/protocol/test_node_shells.py rides along: one contract for the
-# two node driver loops, the only node code still written per transport.
+# two node driver loops, the only node code still written per transport;
+# tests/protocol/test_direct.py runs a walk longer than the recursion
+# limit through every driver: each keeps nested hops on its own stack.
 protocol-equivalence:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/protocol tests/aio/test_async_equivalence.py -q
 

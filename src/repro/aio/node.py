@@ -7,11 +7,11 @@ drive → finish contract is in :mod:`repro.net.node`); this module holds
 only the **drive** step as asyncio makes it: each
 :class:`~repro.protocol.Contact` is put to ``transport.admit`` (synchronous:
 a refused contact builds no message) and, admitted, becomes one ``await
-transport.deliver(...)`` — a slot in the destination's bounded mailbox,
-then the destination's :meth:`~AsyncPGridNode.handle` awaited in this
-very task — with the sync loop's status mapping, and a retry's backoff
-is both accrued on the transport clock and slept on the transport's :mod:`~repro.aio.clock`, so
-:class:`~repro.faults.RetryPolicy` deadlines mean the same thing here.
+transport.arrive(...)`` — a slot in the destination's bounded mailbox —
+then a push of the destination's operation onto this loop's stack, run in
+this very task, and ``postcheck`` (latency slept) as it pops.  A retry's
+backoff is both accrued on the transport clock and slept on its :mod:`~repro.aio.clock`,
+so :class:`~repro.faults.RetryPolicy` deadlines mean the same thing here.
 The machine stays a synchronous generator (all protocol randomness
 happens inside it): concurrency lives in this loop, never in the protocol.
 
@@ -34,8 +34,8 @@ from repro.core.updates import UpdateResult
 from repro.errors import NoHandlerError
 from repro.net.message import Message
 from repro.net.node import NodeCore, NodeSearchOutcome, Operation
+from repro.protocol.direct import contact_status
 from repro.protocol.effects import GONE, OFFLINE, OK, Contact, Resolve
-from repro.protocol.search import repeated_queries
 
 __all__ = ["AsyncPGridNode", "attach_async_nodes"]
 
@@ -51,16 +51,26 @@ class AsyncPGridNode(NodeCore):
     """
 
     async def _run(self, op: Operation):
-        """Drive *op*'s machine, answering effects over the async transport."""
+        """The sync loop, each transport step awaited."""
         machine, budget, kind, build, resolve, finish = op
         transport = self.transport
         me = self.peer.address
+        stack = []
         response = reply = None
         while True:
             try:
                 effect = machine.send(response)
             except StopIteration as stop:
-                return finish(stop.value)
+                reply = finish(stop.value)
+                if not stack:
+                    return reply
+                me, message, machine, budget, kind, build, resolve, finish = stack.pop()
+                if transport.faults is not None:  # no plan, nothing after a hop
+                    extra = transport.postcheck(message)
+                    if extra:
+                        await transport.clock.sleep(extra)
+                response = OFFLINE if reply is None else OK
+                continue
             cls = type(effect)
             if cls is Contact:
                 if effect.delay:
@@ -71,18 +81,20 @@ class AsyncPGridNode(NodeCore):
                     transport.stats.simulated_time += effect.delay
                     await transport.clock.sleep(effect.delay)
                 if budget.remaining <= 0:
-                    response = self._liveness(effect.target)
+                    response = contact_status(self.grid, effect.target)
                     continue
                 # The gate first: a message exists only once it is admitted.
                 response = transport.admit(kind, me, effect.target)
                 if response is OK:
+                    message = build(effect)
                     try:
-                        reply = await transport.deliver(build(effect))
+                        node = (await transport.arrive(message)).__self__
                     except NoHandlerError:
                         response = GONE  # it left while the message was parked
-                    else:
-                        if reply is None:
-                            response = OFFLINE
+                        continue
+                    stack.append((me, message, machine, budget, kind, build, resolve, finish))
+                    machine, budget, kind, build, resolve, finish = node._request_op(message)
+                    me, response = message.destination, None
                 elif response is not GONE:
                     response = OFFLINE  # offline, or dropped by loss / fault plan
             elif cls is Resolve:
@@ -91,20 +103,12 @@ class AsyncPGridNode(NodeCore):
                 raise TypeError(f"unexpected effect for the async driver: {effect!r}")
 
     async def handle(self, message: Message) -> Message | None:
-        """Transport entry point (awaited in the requester's task, one call per message)."""
+        """Entry for a message from outside the plane (the TCP front door)."""
         return await self._run(self._request_op(message))
 
     async def search(self, query: str) -> NodeSearchOutcome:
         """Search issued by this node's user (starts locally, no message)."""
         return await self._run(self._search_op(query))
-
-    async def search_repeated(
-        self, query: str, times: int
-    ) -> tuple[set[Address], int, int]:
-        """§5.2 update strategy 1 over messages: *times* independent
-        searches; returns (responders, messages, failed attempts)."""
-        results = [await self.search(query) for _ in range(times)]
-        return repeated_queries(iter(results).__next__, times)
 
     async def search_breadth(
         self, query: str, recbreadth: int, *, enumerate_subtree: bool = False
@@ -133,14 +137,8 @@ class AsyncPGridNode(NodeCore):
         """
         return await self._run(self._push_op(destination, ref))
 
-    async def propagate_update(
-        self, ref: DataRef, *, recbreadth: int = 2
-    ) -> set[Address]:
-        """Publish *ref* via PROPAGATE messages; returns the replicas reached."""
-        return (await self.publish(ref, recbreadth=recbreadth)).reached
-
     async def publish(self, ref: DataRef, *, recbreadth: int = 2) -> UpdateResult:
-        """:meth:`propagate_update` with the engines' full accounting."""
+        """Publish *ref* over PROPAGATE messages (see the sync node)."""
         return await self._run(self._publish_op(ref, recbreadth))
 
 

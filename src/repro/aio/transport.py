@@ -6,8 +6,8 @@ identical — the very same synchronous pre-delivery gate, inherited
 (:meth:`repro.net.transport.Gated.admit`: fault plan, missing handler,
 offline oracle, loss coin), the same :class:`TrafficStats` counters and
 transport RNG stream; ``await deliver(message)`` carries an admitted message
-to its handler and ``request`` is the two in order, raising for a refusal.
-A delivered hop is one awaited call:
+to its handler (``arrive``, the handler, ``postcheck``) and ``request`` is
+``admit`` and ``deliver`` in order, raising for a refusal.  A delivered hop:
 
 * every registered address owns a *mailbox*: a waiting room of
   ``mailbox_size`` slots.  An accepted message holds a slot until it is
@@ -18,11 +18,11 @@ A delivered hop is one awaited call:
   are dispatched.  While it is open a message passes straight through
   (depth 1, no wait, no yield to the event loop); while it is closed the
   senders park in the waiting room, in arrival order;
-* the slot is released *before* the handler runs, and the handler runs in
-  the requester's own task.  ``mailbox_size`` therefore bounds the
-  messages waiting at a node, never the handlers in progress — the
-  re-entrant chains the recursive protocol produces (node A queries B,
-  whose subtree queries A back) would deadlock on such a bound;
+* the slot is released when ``arrive`` returns, before the destination's
+  operation runs in the requester's task (pushed onto the node loop's
+  stack).  ``mailbox_size`` bounds the messages waiting at a node, never
+  the operations in progress — the re-entrant walks of the protocol (A
+  queries B, whose subtree queries A back) would deadlock on such a bound;
 * cancelling (or timing out) a ``request`` unwinds the whole remote
   subtree it was waiting on; a sender cancelled while parked gives its
   slot back;
@@ -138,14 +138,13 @@ class AsyncTransport(Gated):
 
     # -- delivery -------------------------------------------------------------------
 
-    async def deliver(self, message: Message) -> Message | None:
-        """Carry an admitted *message* to its handler; return the reply.
+    async def arrive(self, message: Message) -> AsyncHandler:
+        """Bring an admitted *message* to its handler, which is returned.
 
         Latency sample (slept on the clock), ``delivered`` tally, mailbox.
         A full destination mailbox blocks here — backpressure on the
         caller, not silent loss — and so does a stopped transport; the
-        handler then runs in this task, after the slot is given back,
-        and the fault plan's post-delivery faults after it.
+        slot is given back before this returns.
         """
         destination = message.destination
         box: _Mailbox | None = self._handlers.get(destination)
@@ -193,12 +192,16 @@ class AsyncTransport(Gated):
                 stats.max_wait = wait
         if probe is not None:
             probe.on_mailbox("dequeue", destination, depth=box.depth, wait=wait)
-        reply = await box.handler(message)
-        if self.faults is not None:
-            extra = self.faults.postcheck(message)
-            if extra:
-                self.stats.simulated_time += extra
-                await self.clock.sleep(extra)
+        return box.handler
+
+    async def deliver(self, message: Message) -> Message | None:
+        """Carry an admitted *message* to its handler; return the reply:
+        :meth:`arrive`, the handler in this task, then
+        :meth:`~repro.net.transport.Gated.postcheck` (its latency slept)."""
+        reply = await (await self.arrive(message))(message)
+        extra = self.postcheck(message)
+        if extra:
+            await self.clock.sleep(extra)
         return reply
 
     async def request(self, message: Message) -> Message | None:

@@ -19,12 +19,16 @@ That job splits at the only place it touches a transport:
 (:class:`PGridNode` here, :class:`repro.aio.node.AsyncPGridNode` awaited).
     Answer ``Contact``, after accruing the retry's backoff on the
     transport clock, with ``transport.admit(kind, me, target)`` — Fig. 2's
-    ``IF online(peer(r))`` — and only on ``OK`` build the message and
-    ``transport.deliver`` it: a refused contact (most, at the paper's 30 %
-    availability) constructs nothing and raises nothing.  ``GONE`` is a
-    dangling reference (never retried); offline, dropped or a ``None``
-    reply is ``OFFLINE``.  On a spent budget answer locally, without a
-    message.  Answer ``Resolve`` from the reply held since the contact.
+    ``IF online(peer(r))`` — and only on ``OK`` build the message, hand
+    it to ``transport.arrive`` and push the destination node's operation
+    onto the loop's own stack (as :mod:`repro.protocol.direct` does: a walk
+    is bounded by its budget, not by the recursion limit); its result is
+    the reply, and ``transport.postcheck`` runs as the loop pops back.  A
+    refused contact (most, at 30 % availability) builds nothing.  ``GONE``
+    is a dangling reference (never retried); offline, dropped or a ``None``
+    reply is ``OFFLINE``; a spent budget is answered by ``contact_status``,
+    without a message.  Answer ``Resolve`` from the reply held since the
+    contact.
 **finish** — ``return op.finish(result)``: the reply to a served request,
 or the typed result of an operation this node's user started.
 
@@ -63,14 +67,9 @@ from repro.net.message import (
     update_message,
 )
 from repro.protocol.contact import Budget, Context, StepStats, contact_step
+from repro.protocol.direct import contact_status
 from repro.protocol.effects import GONE, OFFLINE, OK, Contact, Resolve
-from repro.protocol.search import (
-    Traversal,
-    breadth_step,
-    dfs_step,
-    repeated_queries,
-    run_range,
-)
+from repro.protocol.search import Traversal, breadth_step, dfs_step, run_range
 
 __all__ = ["NodeSearchOutcome", "PGridNode", "attach_nodes"]
 
@@ -161,7 +160,7 @@ class NodeCore:
     ``config`` supplies the message budget for operations this node
     initiates (forwarded hops inherit the initiator's remaining budget
     from the message payload).  Construction registers the subclass's
-    ``handle`` on the transport.
+    ``handle`` on the transport; a loop finds the node as its ``__self__``.
     """
 
     def __init__(
@@ -192,16 +191,6 @@ class NodeCore:
             peer.address: cls(peer, grid, transport, retry=retry, healer=healer, config=config)
             for peer in grid.peers()
         }
-
-    def _liveness(self, target: Address):
-        """Answer a contact on a spent budget without paying for a message.
-
-        The machine stops right after this check; the direct driver never
-        sent a message here either.
-        """
-        if not self.grid.has_peer(target):
-            return GONE
-        return OK if self.grid.is_online(target) else OFFLINE
 
     # -- requests: the operation whose result is the reply ---------------------------
 
@@ -562,16 +551,24 @@ class PGridNode(NodeCore):
     """
 
     def _run(self, op: Operation):
-        """Drive *op*'s machine, answering effects over the transport."""
+        """Drive *op*'s machine over the transport, nested hops on a stack."""
         machine, budget, kind, build, resolve, finish = op
         transport = self.transport
         me = self.peer.address
+        stack = []
         response = reply = None
         while True:
             try:
                 effect = machine.send(response)
             except StopIteration as stop:
-                return finish(stop.value)
+                reply = finish(stop.value)
+                if not stack:
+                    return reply
+                me, message, machine, budget, kind, build, resolve, finish = stack.pop()
+                if transport.faults is not None:  # no plan, nothing after a hop
+                    transport.postcheck(message)
+                response = OFFLINE if reply is None else OK
+                continue
             cls = type(effect)
             if cls is Contact:
                 if effect.delay:
@@ -579,14 +576,16 @@ class PGridNode(NodeCore):
                     # this attempt; it accrues on the transport's clock.
                     transport.stats.simulated_time += effect.delay
                 if budget.remaining <= 0:
-                    response = self._liveness(effect.target)
+                    response = contact_status(self.grid, effect.target)
                     continue
                 # The gate first: a message exists only once it is admitted.
                 response = transport.admit(kind, me, effect.target)
                 if response is OK:
-                    reply = transport.deliver(build(effect))
-                    if reply is None:
-                        response = OFFLINE
+                    message = build(effect)
+                    node = transport.arrive(message).__self__
+                    stack.append((me, message, machine, budget, kind, build, resolve, finish))
+                    machine, budget, kind, build, resolve, finish = node._request_op(message)
+                    me, response = message.destination, None
                 elif response is not GONE:
                     response = OFFLINE  # offline, or dropped by loss / fault plan
             elif cls is Resolve:
@@ -597,19 +596,12 @@ class PGridNode(NodeCore):
                 )
 
     def handle(self, message: Message) -> Message | None:
-        """Transport entry point."""
+        """Entry for a message from outside the plane (``transport.send``)."""
         return self._run(self._request_op(message))
 
     def search(self, query: str) -> NodeSearchOutcome:
         """Search issued by this node's user (starts locally, no message)."""
         return self._run(self._search_op(query))
-
-    def search_repeated(
-        self, query: str, times: int
-    ) -> tuple[set[Address], int, int]:
-        """§5.2 update strategy 1 over messages: *times* independent
-        searches; returns (responders, messages, failed attempts)."""
-        return repeated_queries(lambda: self.search(query), times)
 
     def search_breadth(
         self, query: str, recbreadth: int, *, enumerate_subtree: bool = False
@@ -643,26 +635,13 @@ class PGridNode(NodeCore):
         """
         return self._run(self._push_op(destination, ref))
 
-    def propagate_update(
-        self, ref: DataRef, *, recbreadth: int = 2
-    ) -> set[Address]:
-        """Publish *ref* via the message-level breadth-first protocol.
-
-        Runs the same machine as
-        :meth:`repro.core.search.SearchEngine.query_breadth` over explicit
-        PROPAGATE messages with aggregated acknowledgements; the returned
-        set contains every replica that installed the entry (including
-        this node if responsible).
-        """
-        return self.publish(ref, recbreadth=recbreadth).reached
-
     def publish(self, ref: DataRef, *, recbreadth: int = 2) -> UpdateResult:
-        """:meth:`propagate_update` with the engines' full accounting.
+        """Publish *ref* over PROPAGATE messages (the breadth-first machine).
 
-        Returns the same :class:`~repro.core.updates.UpdateResult` shape
-        as :meth:`repro.core.updates.UpdateEngine.propagate` (BFS
-        strategy), so the driver facade can expose updates uniformly
-        across drivers.
+        Returns the same :class:`~repro.core.updates.UpdateResult` as
+        :meth:`repro.core.updates.UpdateEngine.propagate` (BFS strategy);
+        ``.reached`` is every replica that installed the entry, this node
+        included if responsible.
         """
         return self._run(self._publish_op(ref, recbreadth))
 

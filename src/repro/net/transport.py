@@ -15,12 +15,13 @@ written once for this transport and
 :class:`repro.aio.transport.AsyncTransport` — takes ``(kind, source,
 destination)``, needs no message, tallies and reports every refusal and
 answers with a :class:`~repro.protocol.effects.ContactStatus` instead of
-raising.  ``deliver(message)`` is the rest, for an admitted contact: latency
-sample, ``delivered`` tally, handler, then the installed fault plan's
-post-delivery faults.  The node drivers build the message in between, so a
-refused contact (seven in ten at the paper's 30 % availability) costs a
-liveness check; ``send`` is the two in order for a caller that already
-holds a message, raising :func:`refusal`'s error.
+raising.  ``deliver(message)`` is the rest, for an admitted contact:
+``arrive`` (latency sample, ``delivered`` tally; returns the handler), the
+handler, then :meth:`Gated.postcheck` (the fault plan's post-delivery
+faults).  The node drivers build the message after ``admit``, so a refused
+contact (seven in ten at the paper's 30 % availability) costs a liveness
+check, and push the destination's operation in place of the handler;
+``send`` is ``admit`` and ``deliver`` for a caller holding a message.
 
 A :class:`~repro.faults.FaultPlan` reaches either plane one way:
 :meth:`Gated.install_faults`.
@@ -239,6 +240,13 @@ class Gated:
             return DROPPED
         return OK
 
+    def postcheck(self, message: Message) -> float:
+        """The fault plan's faults after *message* was handled; returns the
+        extra latency, already accrued on the simulated clock."""
+        extra = 0.0 if self.faults is None else self.faults.postcheck(message)
+        self.stats.simulated_time += extra
+        return extra
+
 
 def refusal(status: ContactStatus, message: Message) -> TransportError | PeerOfflineError:
     """The error ``send`` / ``request`` raise when the gate answered *status*."""
@@ -256,10 +264,9 @@ class LocalTransport(Gated):
         """Attach the message handler for *address* (one per peer of the grid)."""
         self._register(address, handler)
 
-    def deliver(self, message: Message) -> Message | None:
-        """Hand an admitted *message* to its handler; return the reply
-        (latency sample, ``delivered`` tally and probe event on the way,
-        the fault plan's post-delivery faults after the handler)."""
+    def arrive(self, message: Message) -> Handler:
+        """The pre-handler half of delivering an admitted *message*: latency
+        sample, ``delivered`` tally and probe event; returns its handler."""
         handler = self._handlers.get(message.destination)
         if handler is None:
             raise NoHandlerError(message.destination)
@@ -270,11 +277,13 @@ class LocalTransport(Gated):
             self.probe.on_transport(
                 message.kind.value, message.source, message.destination, "delivered"
             )
-        reply = handler(message)
-        if self.faults is not None:
-            extra = self.faults.postcheck(message)
-            if extra:
-                self.stats.simulated_time += extra
+        return handler
+
+    def deliver(self, message: Message) -> Message | None:
+        """Hand an admitted *message* to its handler; return the reply
+        (:meth:`arrive`, the handler, :meth:`postcheck`)."""
+        reply = self.arrive(message)(message)
+        self.postcheck(message)
         return reply
 
     def send(self, message: Message) -> Message | None:

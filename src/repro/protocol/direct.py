@@ -41,11 +41,11 @@ from repro.protocol.exchange import ExchangeContext, exchange_step
 from repro.protocol.search import Traversal, breadth_step, dfs_step
 from repro.protocol.update import buddy_forward_step
 
-__all__ = ["run_dfs", "run_breadth", "run_exchange", "run_buddies"]
+__all__ = ["contact_status", "run_dfs", "run_breadth", "run_exchange", "run_buddies"]
 
 
-def _contact_status(grid, target):
-    """The grid's answer to a Contact: departed / offline / reachable."""
+def contact_status(grid, target):
+    """The grid's answer to a Contact (the node loops' on a spent budget)."""
     if not grid.has_peer(target):
         return GONE
     if not grid.is_online(target):
@@ -77,7 +77,7 @@ def _run(grid: Any, probe: Any, machine, resolve=None):
             continue
         cls = type(effect)
         if cls is Contact:
-            response = _contact_status(grid, effect.target)
+            response = contact_status(grid, effect.target)
         elif cls is Resolve:
             stack.append(resolve(effect))
             response = None

@@ -15,7 +15,9 @@ this repository, both running the very same machines:
   the only code written per transport: both loops answer a
   :class:`~repro.protocol.effects.Contact` by asking the transport's gate
   — ``transport.admit(kind, me, target)``, no message yet — and only on
-  ``OK`` build the message and ``transport.deliver`` it;
+  ``OK`` build the message, ``transport.arrive`` it and push the
+  destination node's operation onto the loop's own stack, as the direct
+  driver does, its result the reply;
   :class:`repro.net.node.PGridNode` calls, :class:`repro.aio.node.AsyncPGridNode`
   awaits, retry backoff slept on the event-loop clock) and *finish*.
   Both loops are written out per transport because a contact attempt

@@ -21,6 +21,7 @@ from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.net.message import MessageKind
 from repro.net.node import attach_nodes
 from repro.net.transport import LocalTransport
+from repro.protocol.search import repeated_queries
 from tests.conftest import build_grid
 
 from repro.aio.node import attach_async_nodes
@@ -152,8 +153,9 @@ def test_repeated_search_three_way():
     world = ThreeWay(seed=44, n=64, maxl=4)
     try:
         expected = world.engine.repeated_query(0, "1011", 5)
-        assert world.sync_nodes[0].search_repeated("1011", 5) == expected
-        assert world.run(world.async_nodes[0].search_repeated("1011", 5)) == expected
+        sync, awaited = world.sync_nodes[0], world.async_nodes[0]
+        assert repeated_queries(lambda: sync.search("1011"), 5) == expected
+        assert repeated_queries(lambda: world.run(awaited.search("1011")), 5) == expected
         world.assert_rng_aligned()
     finally:
         world.close()

@@ -133,7 +133,7 @@ class TestMessagePropagation:
         # terminates at itself)
         replicas = set(grid.replicas_for_key("10110"))
         initiator = next(a for a in grid.addresses() if a not in replicas)
-        reached = nodes[initiator].propagate_update(ref, recbreadth=3)
+        reached = nodes[initiator].publish(ref, recbreadth=3).reached
         assert len(reached) >= 2
         for address in reached:
             assert grid.peer(address).store.version_of("10110", 4) == 1
@@ -148,9 +148,9 @@ class TestMessagePropagation:
         key = "01011"
         replicas = set(grid.replicas_for_key(key))
         initiator = next(a for a in grid.addresses() if a not in replicas)
-        networked = nodes[initiator].propagate_update(
+        networked = nodes[initiator].publish(
             DataRef(key=key, holder=1, version=1), recbreadth=3
-        )
+        ).reached
         core, _, _ = UpdateEngine(grid).find_replicas(
             initiator, key, strategy=UpdateStrategy.BFS, recbreadth=3
         )
@@ -164,9 +164,9 @@ class TestMessagePropagation:
         transport = LocalTransport(grid)
         nodes = attach_nodes(grid, transport)
         grid.online_oracle = FixedOnlineSet({0})  # only the initiator is up
-        reached = nodes[0].propagate_update(
+        reached = nodes[0].publish(
             DataRef(key="1111", holder=2, version=1), recbreadth=2
-        )
+        ).reached
         # nothing beyond the initiator itself (if responsible) is reachable
         assert reached <= {0}
 
@@ -178,10 +178,10 @@ class TestMessagePropagation:
         replicas = set(grid.replicas_for_key(key))
         initiator = next(a for a in grid.addresses() if a not in replicas)
         live = DataRef(key=key, holder=7, version=0)
-        nodes[initiator].propagate_update(live, recbreadth=3)
-        reached = nodes[initiator].propagate_update(
+        nodes[initiator].publish(live, recbreadth=3)
+        reached = nodes[initiator].publish(
             live.tombstone(), recbreadth=3
-        )
+        ).reached
         for address in reached:
             assert grid.peer(address).store.is_deleted(key, 7)
 
@@ -192,4 +192,4 @@ class TestMessagePropagation:
         import pytest as _pytest
 
         with _pytest.raises(ValueError):
-            nodes[0].propagate_update(DataRef(key="1", holder=0), recbreadth=0)
+            nodes[0].publish(DataRef(key="1", holder=0), recbreadth=0)

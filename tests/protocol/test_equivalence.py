@@ -29,6 +29,7 @@ from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 from repro.net.message import MessageKind
 from repro.net.node import attach_nodes
 from repro.net.transport import LocalTransport
+from repro.protocol.search import repeated_queries
 from tests.conftest import build_grid
 
 
@@ -124,7 +125,7 @@ class TestDepthFirstEquivalence:
         engine = SearchEngine(a)
         nodes = attach_nodes(b, LocalTransport(b))
         expected = engine.repeated_query(0, "1011", 5)
-        outcome = nodes[0].search_repeated("1011", 5)
+        outcome = repeated_queries(lambda: nodes[0].search("1011"), 5)
         assert outcome == expected
         assert a.rng.getstate() == b.rng.getstate()
 

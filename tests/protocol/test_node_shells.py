@@ -2,13 +2,15 @@
 
 :class:`repro.net.node.PGridNode` and :class:`repro.aio.node.AsyncPGridNode`
 inherit every decision from :class:`repro.net.node.NodeCore`; what each
-still owns is its driver loop (``_run``) and the thin public wrappers.
-These tests run the *same bodies* against both — a shell is a transport,
-its nodes and a ``call()`` that completes whatever a node method returned
-— and pin what the loops alone decide: the ``Contact`` status mapping,
-that the transport's gate is asked before a message is built, the
-spent-budget short-circuit, where retry backoff is accrued (and slept),
-and that a push retries exactly like :func:`contact_step`.
+still owns is its driver loop (``_run``, which pushes each delivered hop
+onto its own stack) and the thin public wrappers.  These tests run the
+*same bodies* against both — a shell is a transport, its nodes and a
+``call()`` that completes whatever a node method returned — and pin
+what the loops alone decide: the ``Contact`` status mapping, that the
+transport's gate is asked before a message is built, the spent-budget
+short-circuit, where retry backoff is accrued (and slept), the fault
+gates' order around nested hops, and that a push retries exactly like
+:func:`contact_step`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.aio.transport import AsyncTransport
 from repro.core.storage import DataRef
 from repro.faults import NO_RETRY, FaultPlan, RetryPolicy
 from repro.net.message import Message, MessageKind, ping, pong, update_message
-from repro.net.node import NodeCore, PGridNode, attach_nodes
+from repro.net.node import NodeCore, PGridNode, _settled, attach_nodes
 from repro.net.transport import LocalTransport
 from repro.net.wire import decode_message, encode_message
 from repro.protocol.contact import Budget, Context, StepStats, contact_step
@@ -40,6 +42,16 @@ class _AlwaysDrop:
         return 0.0
 
 
+def stub(shell, request_op):
+    """A node of *shell* whose operation for a message is ``request_op(message)``."""
+    return type("Stub", (shell,), {"_request_op": lambda self, message: request_op(message)})
+
+
+def replying(respond):
+    """``request_op`` of a stub that answers ``respond(message)`` at once."""
+    return lambda message: _settled(respond(message))
+
+
 class SyncShell:
     sleeps = False
 
@@ -52,10 +64,11 @@ class SyncShell:
     def call(self, result):
         return result
 
-    def serve(self, address, respond):
-        """Replace *address*'s node by the plain function *respond*."""
+    def serve(self, address, request_op):
+        """Replace *address*'s node by a stub whose operation for a
+        message is ``request_op(message)``."""
         self.transport.unregister(address)
-        self.transport.register(address, respond)
+        stub(PGridNode, request_op)(self.grid.peer(address), self.grid, self.transport)
 
     def slept(self):
         return 0.0  # a synchronous transport has no loop clock to sleep on
@@ -78,13 +91,10 @@ class AsyncShell:
     def call(self, result):
         return self.loop.run_until_complete(result)
 
-    def serve(self, address, respond):
-        async def handler(message):
-            return respond(message)
-
+    def serve(self, address, request_op):
         async def swap():  # on the loop, as a running node would
             self.transport.unregister(address)
-            self.transport.register(address, handler)
+            stub(AsyncPGridNode, request_op)(self.grid.peer(address), self.grid, self.transport)
 
         self.loop.run_until_complete(swap())
 
@@ -173,7 +183,7 @@ def test_offline_on_a_transport_drop(make_shell):
 
 def test_offline_on_a_none_reply(make_shell):
     shell = make_shell()
-    shell.serve(1, lambda message: None)
+    shell.serve(1, replying(lambda message: None))
     assert contact_statuses(shell, [1]) == [OFFLINE]
     assert traffic(shell) == (1, 0, 0)  # delivered, but nobody answered
 
@@ -276,25 +286,40 @@ def test_a_refused_search_hop_costs_no_message_id(make_shell, constructed):
     assert constructed == []
 
 
-def test_fault_gates_run_in_order_around_a_delivered_message(make_shell):
+@pytest.mark.parametrize("hops", [1, 2], ids=["one-hop", "two-hop-chain"])
+def test_fault_gates_run_in_order_around_a_delivered_message(make_shell, hops):
+    """Node 0 contacts 1, which (on a chain) contacts 2 before it replies:
+    the inner hop's ``post`` comes before the outer hop's, as when each
+    hop was a nested call."""
     shell = make_shell(faults=FaultPlan(seed=3, extra_latency=0.5))
     order = []
     admit, postcheck = shell.transport.admit, shell.injector.postcheck
-    shell.transport.admit = lambda *contact: (order.append("pre"), admit(*contact))[1]
-    shell.injector.postcheck = lambda m: (order.append("post"), postcheck(m))[1]
+    shell.transport.admit = lambda kind, source, target: (
+        order.append(("pre", source, target)), admit(kind, source, target)
+    )[1]
+    shell.injector.postcheck = lambda m: (
+        order.append(("post", m.source, m.destination)), postcheck(m)
+    )[1]
 
-    def build(effect):
-        order.append("build")
-        return ping(0, effect.target)
+    def contact(source, target, finish=list):
+        """The operation at *source*: one ``PING`` contact to *target*."""
 
-    def machine():
-        return [(yield Contact(1, 1, None))]
+        def build(effect):
+            order.append("build")
+            return ping(source, effect.target)
 
-    shell.serve(1, lambda message: (order.append("handle"), pong(message))[1])
-    op = (machine(), Budget(1), MessageKind.PING, build, None, list)
-    assert shell.call(shell.nodes[0]._run(op)) == [OK]
-    assert order == ["pre", "build", "handle", "post"]
-    assert shell.transport.stats.simulated_time == 0.5
+        def machine():
+            return [(yield Contact(target, 1, None))]
+
+        return machine(), Budget(1), MessageKind.PING, build, None, finish
+
+    if hops == 2:  # node 1 contacts 2, then replies
+        shell.serve(1, lambda message: contact(1, 2, lambda _: pong(message)))
+    shell.serve(hops, replying(lambda message: (order.append("handle"), pong(message))[1]))
+    assert shell.call(shell.nodes[0]._run(contact(0, 1))) == [OK]
+    inner = [("pre", 1, 2), "build", "handle", ("post", 1, 2)] if hops == 2 else ["handle"]
+    assert order == [("pre", 0, 1), "build", *inner, ("post", 0, 1)]
+    assert shell.transport.stats.simulated_time == 0.5 * hops
 
 
 # -- retry backoff: where it is accrued, when it stops ---------------------------------
@@ -443,11 +468,9 @@ def test_the_shells_are_loops_and_wrappers_only():
         "_run",
         "handle",
         "search",
-        "search_repeated",
         "search_breadth",
         "range_search",
         "push_update",
-        "propagate_update",
         "publish",
     }
     for shell in (PGridNode, AsyncPGridNode):
@@ -463,3 +486,5 @@ def test_the_shells_are_loops_and_wrappers_only():
         assert str(sync_sig) == str(inspect.signature(vars(AsyncPGridNode)[name]))
     assert "while" not in inspect.getsource(PGridNode.push_update)
     assert "while" not in inspect.getsource(AsyncPGridNode.push_update)
+    for loop in (PGridNode._run, AsyncPGridNode._run):  # a hop is pushed, never handled
+        assert "deliver" not in inspect.getsource(loop) and "handle" not in inspect.getsource(loop)
