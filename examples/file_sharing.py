@@ -81,7 +81,7 @@ def main() -> None:
     for start, key in queries:
         outcome = nodes[start].search(key)
         pgrid_hits += int(outcome.found)
-        pgrid_messages += outcome.messages_sent
+        pgrid_messages += outcome.messages
 
     # ---- Gnutella flooding ----------------------------------------------------
     flood = GnutellaNetwork(

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 from repro.core import keys as keyspace
 from repro.core.peer import Address
-from repro.core.search import BreadthSearchResult, RangeSearchResult
+from repro.core.search import BreadthSearchResult, RangeSearchResult, SearchResult
 from repro.core.storage import DataRef
 from repro.core.updates import UpdateResult
 from repro.errors import NoHandlerError
 from repro.net.message import Message
-from repro.net.node import NodeCore, NodeSearchOutcome, Operation
+from repro.net.node import NodeCore, Operation
 from repro.protocol.direct import contact_status
 from repro.protocol.effects import GONE, OFFLINE, OK, Contact, Resolve
 
@@ -106,7 +106,7 @@ class AsyncPGridNode(NodeCore):
         """Entry for a message from outside the plane (the TCP front door)."""
         return await self._run(self._request_op(message))
 
-    async def search(self, query: str) -> NodeSearchOutcome:
+    async def search(self, query: str) -> SearchResult:
         """Search issued by this node's user (starts locally, no message)."""
         return await self._run(self._search_op(query))
 

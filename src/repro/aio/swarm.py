@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from repro.core.config import SearchConfig
 from repro.core.grid import PGrid
 from repro.core.peer import Address
+from repro.core.search import SearchResult
 from repro.core.storage import DataItem, DataRef
 from repro.core.updates import UpdateResult
-from repro.net.node import NodeSearchOutcome
 from repro.obs.probe import Probe
 from repro.sim import rng as rngmod
 
@@ -153,7 +153,7 @@ class AsyncSwarm:
 
     # -- single operations ----------------------------------------------------------
 
-    async def search(self, start: Address, key: str) -> NodeSearchOutcome:
+    async def search(self, start: Address, key: str) -> SearchResult:
         """One Fig. 2 search issued from node *start*."""
         return await self.nodes[start].search(key)
 

@@ -28,10 +28,11 @@ from collections.abc import Callable
 from contextlib import suppress
 
 from repro.core.peer import Address
+from repro.core.search import SearchResult
 from repro.errors import NoHandlerError, PeerOfflineError, TransportError
 from repro.net import wire
 from repro.net.message import Message, MessageKind, pong, query_message, validate_request
-from repro.net.node import NodeSearchOutcome
+from repro.net.node import ref_from_entry
 
 from repro.aio.swarm import AsyncSwarm
 
@@ -238,8 +239,8 @@ async def close_connections() -> None:
 
 async def remote_search(
     host: str, port: int, start: Address, key: str, *, client: Address = -1
-) -> NodeSearchOutcome:
-    """Issue a Fig. 2 search at remote node *start*; decode the outcome.
+) -> SearchResult:
+    """Issue a Fig. 2 search at remote node *start*; decode the reply.
 
     *client* is the source address stamped on the wire (it need not name
     a peer — replies route back over the connection, not the overlay).
@@ -251,4 +252,14 @@ async def remote_search(
         raise TransportError(
             f"remote search failed: {reply.payload.get('error', reply.kind.value)}"
         )
-    return NodeSearchOutcome.from_payload(key, reply.payload)
+    payload = reply.payload
+    return SearchResult(
+        query=key,
+        start=start,
+        found=payload["found"],
+        responder=payload["responder"],
+        messages=payload.get("messages", 0),
+        failed_attempts=payload.get("failed", 0),
+        data_refs=[ref_from_entry(entry) for entry in payload.get("refs", ())],
+        retry_delay=payload.get("retry_delay", 0.0),
+    )

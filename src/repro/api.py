@@ -50,7 +50,7 @@ from repro.core.search import RangeSearchResult, SearchEngine, SearchResult
 from repro.core.storage import DataItem, DataRef
 from repro.core.updates import ReadEngine, UpdateEngine, UpdateResult, UpdateStrategy
 from repro.errors import InvalidConfigError, UnknownPeerError
-from repro.net.node import NodeSearchOutcome, PGridNode, attach_nodes
+from repro.net.node import PGridNode, attach_nodes
 from repro.net.transport import LocalTransport
 from repro.obs.probe import CompositeProbe, Probe
 from repro.replication import (
@@ -456,20 +456,6 @@ class Grid:
         )
 
 
-def _outcome_to_result(key: str, start: Address, outcome: NodeSearchOutcome) -> SearchResult:
-    """Normalize a node-driver outcome to the engines' result type."""
-    return SearchResult(
-        query=key,
-        start=start,
-        found=outcome.found,
-        responder=outcome.responder,
-        messages=outcome.messages_sent,
-        failed_attempts=outcome.failed_attempts,
-        data_refs=list(outcome.data_refs),
-        retry_delay=outcome.retry_delay,
-    )
-
-
 class EngineService:
     """The ``"engine"`` driver: direct in-process execution."""
 
@@ -543,9 +529,9 @@ class NodeService:
         return outcome
 
     def search(self, key: str, *, start: Address = 0) -> SearchResult:
-        outcome = self._complete(self.nodes[start].search(key))
+        result = self._complete(self.nodes[start].search(key))
         self._grid._observe_search(key)
-        return _outcome_to_result(key, start, outcome)
+        return result
 
     def update(
         self,

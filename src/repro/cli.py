@@ -91,7 +91,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "ablation_membership_churn": ablations.run_membership_churn,
     "ablation_construction_churn": ablations.run_construction_under_churn,
     "ablation_shortcut_cache": ablations.run_shortcut_cache,
-    "ablation_kary_vs_binary": ablations.run_kary_vs_binary,
     "ablation_proximity": ablations.run_proximity,
     "ablation_meeting_schedulers": ablations.run_meeting_schedulers,
     "convergence": convergence.run,

@@ -19,8 +19,6 @@ AB7 — construction under availability: a time-driven meeting process with
       session churn, on the discrete-event kernel;
 AB8 — query-adaptive shortcut caching (§6 "knowledge on query
       distribution"): initiator-local LRU of recent responders;
-AB9 — native k-ary trie (§6 "extending the {0,1} alphabet") vs. the
-      binary text reduction, on one word workload;
 AB10 — proximity-aware reference retention and routing (§6 "knowledge on
       the network topology");
 AB11 — meeting schedulers: the paper's uniform random pairs vs.
@@ -754,181 +752,6 @@ def run_shortcut_cache(
             "searches into one direct contact (high hit rate, much lower "
             "average messages) without hurting success; on uniform queries "
             "the cache is nearly useless."
-        ),
-    )
-
-
-# -- AB9: native k-ary trie vs. binary reduction for text ---------------------------------
-
-
-def run_kary_vs_binary(
-    *,
-    n_peers: int = 2500,
-    n_words: int = 400,
-    n_lookups: int = 400,
-    chars_deep: int = 2,
-    binary_refmax: int = 5,
-    kary_refmax: int = 3,
-    kary_populate_meetings_per_peer: int = 12,
-    seed: int = 20,
-) -> ExperimentResult:
-    """AB9: §6's two roads to text search, head to head.
-
-    The same word corpus is indexed twice: once on a binary P-Grid via the
-    order/prefix-preserving 5-bit-per-character encoding, once on a native
-    27-ary grid (one character per trie level).  Both tries are
-    ``chars_deep`` characters deep (``5 * chars_deep`` binary levels), the
-    corpus is seeded identically, and the same lookup stream runs against
-    both.  Expected trade-off: the k-ary trie resolves lookups in fewer
-    messages (one hop per character instead of up to five), but pays for
-    it with far more routing state per peer (k − 1 sibling sets per level)
-    and a costlier construction.
-    """
-    from repro.kary import (
-        KaryGrid,
-        KaryItem,
-        KarySearchEngine,
-        KeySpace,
-        build_kary_grid,
-    )
-    from repro.text.encoding import TextEncoder
-
-    encoder = TextEncoder()
-    word_rng = rngmod.derive(seed, "ab9-words")
-    words = [
-        "".join(
-            word_rng.choice("abcdefghijklmnopqrstuvwxyz")
-            for _ in range(word_rng.randint(3, 8))
-        )
-        for _ in range(n_words)
-    ]
-    lookup_rng = rngmod.derive(seed, "ab9-lookups")
-    lookups = [lookup_rng.choice(words) for _ in range(n_lookups)]
-
-    rows: list[list[object]] = []
-
-    # -- binary reduction ------------------------------------------------------
-    binary_maxl = encoder.bits_per_char * chars_deep
-    config = PGridConfig(
-        maxl=binary_maxl, refmax=binary_refmax, recmax=2, recursion_fanout=2
-    )
-    grid = PGrid(config, rng=rngmod.derive(seed, "ab9-binary"))
-    grid.add_peers(n_peers)
-    report = GridBuilder(grid).build(
-        threshold_fraction=0.9, max_exchanges=2_000_000
-    )
-    from repro.core.storage import DataItem
-
-    grid.seed_index(
-        [
-            (
-                DataItem(
-                    key=encoder.encode_truncated(word, binary_maxl),
-                    value=word,
-                ),
-                index % n_peers,
-            )
-            for index, word in enumerate(words)
-        ]
-    )
-    engine = SearchEngine(grid)
-    starts = rngmod.derive(seed, "ab9-binary-starts")
-    addresses = grid.addresses()
-    hits = 0
-    messages = 0
-    for word in lookups:
-        result = engine.query_from(
-            starts.choice(addresses),
-            encoder.encode_truncated(word, binary_maxl),
-        )
-        hits += int(result.found)
-        messages += result.messages
-    rows.append(
-        [
-            "binary reduction",
-            binary_maxl,
-            report.exchanges,
-            grid.total_routing_refs() / n_peers,
-            hits / n_lookups,
-            messages / n_lookups,
-        ]
-    )
-
-    # -- native k-ary ---------------------------------------------------------------
-    kary = KaryGrid(
-        KeySpace(),
-        maxl=chars_deep,
-        refmax=kary_refmax,
-        recmax=1,
-        rng=rngmod.derive(seed, "ab9-kary"),
-    )
-    kary.add_peers(n_peers)
-    kary_report = build_kary_grid(kary, threshold_fraction=0.9)
-    # keep meeting after depth convergence so the k-1 sibling sets fill up
-    from repro.kary import KaryExchangeEngine
-
-    populate = KaryExchangeEngine(kary)
-    kary_addresses = kary.addresses()
-    for _ in range(kary_populate_meetings_per_peer * n_peers):
-        a, b = kary.rng.sample(kary_addresses, 2)
-        populate.meet(a, b)
-    kary.seed_index(
-        [
-            (KaryItem(key=word[:chars_deep], value=word), index % n_peers)
-            for index, word in enumerate(words)
-        ]
-    )
-    kary_engine = KarySearchEngine(kary)
-    kary_starts = rngmod.derive(seed, "ab9-kary-starts")
-    kary_hits = 0
-    kary_messages = 0
-    for word in lookups:
-        result = kary_engine.query_from(
-            kary_starts.choice(kary_addresses), word[:chars_deep]
-        )
-        kary_hits += int(result.found)
-        kary_messages += result.messages
-    rows.append(
-        [
-            "native 27-ary",
-            chars_deep,
-            kary_report.exchanges + populate.calls,
-            kary.total_routing_refs() / n_peers,
-            kary_hits / n_lookups,
-            kary_messages / n_lookups,
-        ]
-    )
-    return ExperimentResult(
-        experiment_id="ablation_kary_vs_binary",
-        title=(
-            f"AB9: native k-ary trie vs. binary reduction "
-            f"(N={n_peers}, {n_words} words, {chars_deep} chars deep)"
-        ),
-        headers=[
-            "approach",
-            "trie depth (levels)",
-            "construction exchanges",
-            "routing refs/peer",
-            "lookup success",
-            "avg lookup messages",
-        ],
-        rows=rows,
-        config={
-            "n_peers": n_peers,
-            "n_words": n_words,
-            "n_lookups": n_lookups,
-            "chars_deep": chars_deep,
-            "binary_refmax": binary_refmax,
-            "kary_refmax": kary_refmax,
-            "kary_populate_meetings_per_peer": kary_populate_meetings_per_peer,
-            "seed": seed,
-        },
-        notes=(
-            "Expected shape: the native trie answers lookups in fewer "
-            "messages (one per character vs. up to five), at the price of "
-            "substantially more routing state per peer and a costlier "
-            "construction — §6's 'directly support trie search structures' "
-            "is a storage/latency trade, not a free win."
         ),
     )
 

@@ -20,11 +20,15 @@ Semantics: every meeting still executes Fig. 3 exactly (same case
 rules, same balancing bit choice, same bounded fanout, same uniform
 union re-sampling); what changes is the *interleaving* of meetings and
 the RNG discipline (a seeded numpy generator instead of CPython's
-``random.sample`` word stream).  Runs are deterministic given a seed
-and statistically equivalent to the object core — same convergence
-e/N within a few percent, same replica-distribution shape — but not
-bit-identical.  Use ``engine="object"`` when bit-equality with
-``GridBuilder`` matters; use ``engine="batch"`` for scale.
+``random.sample`` word stream).  Runs are deterministic given a seed,
+with the object core's replica-distribution shape, but not
+bit-identical, and the exchange count ``e`` is not the object core's
+where case 4 recurses into more than one reference.  Measured batch /
+object ``e`` (mean of seeds 1 and 2): 1.05 at N=500, maxl 6, refmax 1,
+recmax 0, no fan-out bound; 0.70 at N=1000, maxl 6, refmax 5, recmax 2,
+fan-out 2 (ROADMAP item 12 has the full table).  Use
+``engine="object"`` when bit-equality with ``GridBuilder`` or the
+paper's ``e`` matters; use ``engine="batch"`` for scale.
 
 Restrictions (construction-from-scratch focus): the builder starts from
 ``n`` fresh peers — empty paths, routing tables, buddies and stores —

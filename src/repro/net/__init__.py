@@ -13,7 +13,7 @@ from repro.net.message import (
     query_response,
     update_message,
 )
-from repro.net.node import NodeSearchOutcome, PGridNode, attach_nodes
+from repro.net.node import PGridNode, attach_nodes
 from repro.net.transport import (
     ConstantLatency,
     LocalTransport,
@@ -27,7 +27,6 @@ __all__ = [
     "LocalTransport",
     "Message",
     "MessageKind",
-    "NodeSearchOutcome",
     "PGridNode",
     "TrafficStats",
     "UniformLatency",

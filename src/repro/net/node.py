@@ -45,13 +45,11 @@ holds the two loops to one contract (``test_node_shells.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.core import keys as keyspace
 from repro.core.config import SearchConfig
 from repro.core.grid import PGrid
 from repro.core.peer import Address, Peer
-from repro.core.search import BreadthSearchResult, RangeSearchResult
+from repro.core.search import BreadthSearchResult, RangeSearchResult, SearchResult
 from repro.core.storage import DataRef
 from repro.core.updates import UpdateResult
 from repro.net.message import (
@@ -71,10 +69,10 @@ from repro.protocol.direct import contact_status
 from repro.protocol.effects import GONE, OFFLINE, OK, Contact, Resolve
 from repro.protocol.search import Traversal, breadth_step, dfs_step, run_range
 
-__all__ = ["NodeSearchOutcome", "PGridNode", "attach_nodes"]
+__all__ = ["PGridNode", "attach_nodes"]
 
 
-def _ref_from_entry(entry: dict) -> DataRef:
+def ref_from_entry(entry: dict) -> DataRef:
     """An index entry as it travels in payloads -> :class:`DataRef`."""
     return DataRef(
         key=entry["key"],
@@ -82,37 +80,6 @@ def _ref_from_entry(entry: dict) -> DataRef:
         version=entry["version"],
         deleted=entry.get("deleted", False),
     )
-
-
-@dataclass
-class NodeSearchOutcome:
-    """Result of a node-initiated (networked) search."""
-
-    query: str
-    found: bool
-    responder: Address | None
-    messages_sent: int
-    failed_attempts: int = 0
-    retry_delay: float = 0.0
-    data_refs: list[DataRef] = field(default_factory=list)
-
-    @property
-    def messages(self) -> int:
-        """Alias of ``messages_sent`` (the shared result protocol's name)."""
-        return self.messages_sent
-
-    @classmethod
-    def from_payload(cls, query: str, payload: dict) -> "NodeSearchOutcome":
-        """Decode a ``QUERY_RESPONSE`` payload (local or off the wire)."""
-        return cls(
-            query=query,
-            found=payload["found"],
-            responder=payload["responder"],
-            messages_sent=payload.get("messages", 0),
-            failed_attempts=payload.get("failed", 0),
-            retry_delay=payload.get("retry_delay", 0.0),
-            data_refs=[_ref_from_entry(entry) for entry in payload.get("refs", ())],
-        )
 
 
 #: One prepared protocol operation — all a driver loop needs to run it, as
@@ -214,11 +181,12 @@ class NodeCore:
     def _query_op(self, payload: dict, request: Message | None = None) -> Operation:
         """Fig. 2 depth-first search at this hop: a ``QUERY``'s *payload*.
 
-        The result is the reply to *request* — or, without one, the typed
-        outcome: a search this node's user starts is served straight from
-        the payload (the walks go through :meth:`_local`; for the ~100 µs
-        search, building a request and a reply message only to decode it
-        again measured ~6 % of the whole operation).
+        The result is the reply to *request* — or, without one, the
+        :class:`~repro.core.search.SearchResult`: a search this node's user
+        starts is served straight from the payload (the walks go through
+        :meth:`_local`; for the ~100 µs search, building a request and a
+        reply message only to decode it again measured ~6 % of the whole
+        operation).
         """
         query, level = payload["query"], payload["level"]
         budget = Budget(payload.get("budget", self.config.max_messages))
@@ -248,35 +216,36 @@ class NodeCore:
                 remote_refs = answer.get("refs", [])
             return found, answer["responder"]
 
-        def finish(result) -> Message:
+        def finish(result) -> Message | SearchResult:
             found, responder = result
-            refs = remote_refs
-            if found and refs is None and responder == me:
+            local = found and remote_refs is None and responder == me
+            if local:
                 # Routing consumed the first `level` bits of the original
                 # query; they equal this peer's path prefix (search
                 # invariant), so the full key for the leaf lookup is
                 # prefix + suffix.
-                refs = [
-                    {"key": ref.key, "holder": ref.holder, "version": ref.version}
-                    for ref in peer.store.lookup(peer.path[:level] + query)
-                ]
+                refs = peer.store.lookup(peer.path[:level] + query)
             if request is None:
-                return NodeSearchOutcome.from_payload(
-                    query,
-                    {
-                        "found": found,
-                        "responder": responder,
-                        "refs": refs or (),
-                        "messages": stats.messages,
-                        "failed": stats.failed,
-                        "retry_delay": stats.retry_delay,
-                    },
+                return SearchResult(
+                    query=query,
+                    start=me,
+                    found=found,
+                    responder=responder,
+                    messages=stats.messages,
+                    failed_attempts=stats.failed,
+                    data_refs=refs if local else [
+                        ref_from_entry(entry) for entry in remote_refs or ()
+                    ],
+                    retry_delay=stats.retry_delay,
                 )
             return query_response(
                 request,
                 found=found,
                 responder=responder,
-                refs=refs or [],
+                refs=[
+                    {"key": ref.key, "holder": ref.holder, "version": ref.version}
+                    for ref in refs
+                ] if local else remote_refs or [],
                 messages=stats.messages,
                 failed=stats.failed,
                 retry_delay=stats.retry_delay,
@@ -296,7 +265,7 @@ class NodeCore:
         """
         payload = request.payload
         kind = request.kind
-        ref = _ref_from_entry(payload) if kind is MessageKind.PROPAGATE else None
+        ref = ref_from_entry(payload) if kind is MessageKind.PROPAGATE else None
         collect = payload.get("collect")
         budget = Budget(payload.get("budget", self.config.max_messages))
         stats = StepStats()
@@ -391,7 +360,7 @@ class NodeCore:
 
     def _install(self, request: Message) -> Message:
         """Serve an ``UPDATE``: install the pushed entry, acknowledge."""
-        self.peer.store.add_ref(_ref_from_entry(request.payload))
+        self.peer.store.add_ref(ref_from_entry(request.payload))
         return Message(
             kind=MessageKind.UPDATE_ACK,
             source=self.peer.address,
@@ -464,7 +433,7 @@ class NodeCore:
             lambda answer: (
                 self._walk_result(prefix, answer),
                 {
-                    responder: [_ref_from_entry(entry) for entry in found]
+                    responder: [ref_from_entry(entry) for entry in found]
                     for responder, found in answer["entries"].items()
                 },
             ),
@@ -599,7 +568,7 @@ class PGridNode(NodeCore):
         """Entry for a message from outside the plane (``transport.send``)."""
         return self._run(self._request_op(message))
 
-    def search(self, query: str) -> NodeSearchOutcome:
+    def search(self, query: str) -> SearchResult:
         """Search issued by this node's user (starts locally, no message)."""
         return self._run(self._search_op(query))
 

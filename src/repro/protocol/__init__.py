@@ -3,9 +3,8 @@
 The paper's algorithms (Fig. 2 search family, §3/§5.2 update strategies,
 Fig. 3 ``exchange``) are implemented exactly once, as pure, RNG-explicit
 generator machines that *yield* typed effects (:class:`Contact`,
-:class:`Resolve`, :class:`FetchBuddies`, :class:`Record`,
-:class:`Deliver`) instead of performing calls.  Two kinds of driver execute the
-effect streams:
+:class:`Resolve`, :class:`FetchBuddies`, :class:`Record`) instead of
+performing calls.  Two kinds of driver execute the effect streams:
 
 * the **direct driver** (:mod:`repro.protocol.direct`) answers effects
   from an in-process :class:`repro.core.grid.PGrid` — this is what the
@@ -32,7 +31,6 @@ from repro.protocol.effects import (
     BreadthStep,
     Contact,
     ContactStatus,
-    Deliver,
     ExchangeStep,
     FetchBuddies,
     QueryStep,
@@ -44,14 +42,12 @@ from repro.protocol.exchange import ExchangeContext, exchange_step
 from repro.protocol.read import read_majority, read_repeated, read_single
 from repro.protocol.search import (
     Traversal,
-    breadth_machine,
     breadth_step,
     dfs_step,
     fanout_step,
     key_in_range,
     repeated_queries,
     run_range,
-    search_machine,
 )
 from repro.protocol.update import UpdateStrategy, buddy_forward_step, discover_replicas
 
@@ -66,7 +62,6 @@ __all__ = [
     "Resolve",
     "FetchBuddies",
     "Record",
-    "Deliver",
     "QueryStep",
     "BreadthStep",
     "ExchangeStep",
@@ -81,9 +76,7 @@ __all__ = [
     # machines
     "contact_step",
     "dfs_step",
-    "search_machine",
     "breadth_step",
-    "breadth_machine",
     "fanout_step",
     "exchange_step",
     "buddy_forward_step",

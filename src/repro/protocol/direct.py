@@ -14,8 +14,7 @@ that answers
   live on an explicit stack, so a walk is bounded by its message budget,
   not by Python's recursion limit,
 * :class:`FetchBuddies` from the peer's buddy set (sorted),
-* :class:`Record` via the shared probe dispatch,
-* :class:`Deliver` as a no-op (the caller takes the return value).
+* :class:`Record` via the shared probe dispatch.
 
 The networked twin lives in :class:`repro.net.node.PGridNode`, which
 answers the same effects over the transport.
@@ -31,7 +30,6 @@ from repro.protocol.effects import (
     OFFLINE,
     OK,
     Contact,
-    Deliver,
     FetchBuddies,
     Record,
     Resolve,
@@ -83,8 +81,6 @@ def _run(grid: Any, probe: Any, machine, resolve=None):
             response = None
         elif cls is Record:
             dispatch_record(probe, effect)
-            response = None
-        elif cls is Deliver:
             response = None
         elif cls is FetchBuddies:
             response = sorted(grid.peer(effect.target).buddies)

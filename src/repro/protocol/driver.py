@@ -28,7 +28,7 @@ The contract is the same everywhere: the answer to an effect must be
 exactly the value the machine expects for that effect kind — a
 :class:`~repro.protocol.effects.ContactStatus` for ``Contact``, the
 remote step's outcome for ``Resolve``, the sorted buddy list for
-``FetchBuddies``, ``None`` for ``Record`` / ``Deliver``.  Machines never
+``FetchBuddies``, ``None`` for ``Record``.  Machines never
 observe *how* an effect was executed (they stay synchronous generators
 even when the loop around them awaits: all protocol randomness happens
 inside them, in deterministic order), which is what makes the

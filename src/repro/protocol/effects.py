@@ -37,11 +37,6 @@ I/O substrate:
     driver declared an observer (``context.observed``), so the
     uninstrumented hot path allocates nothing.
 
-``Deliver(result)``
-    Terminal effect of the top-level machines: the typed operation
-    result.  Drivers may consume it for delivery to the caller; the
-    result is also the generator's return value.
-
 Effect *payloads* (:class:`QueryStep`, :class:`BreadthStep`,
 :class:`ExchangeStep`, :data:`BUDDY_PING`) mirror the arguments of the
 paper's pseudo-code calls, which is what lets the message driver map
@@ -65,7 +60,6 @@ __all__ = [
     "Resolve",
     "FetchBuddies",
     "Record",
-    "Deliver",
     "QueryStep",
     "BreadthStep",
     "ExchangeStep",
@@ -128,13 +122,6 @@ class Record:
 
     event: str
     args: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class Deliver:
-    """Terminal effect: the operation's typed result."""
-
-    result: Any
 
 
 # -- effect payloads (pseudo-code call arguments) -----------------------------

@@ -35,7 +35,6 @@ from repro.protocol.contact import Budget, Context, StepStats, contact_step
 from repro.protocol.effects import (
     Address,
     BreadthStep,
-    Deliver,
     QueryStep,
     Record,
     Resolve,
@@ -43,10 +42,8 @@ from repro.protocol.effects import (
 
 __all__ = [
     "dfs_step",
-    "search_machine",
     "Traversal",
     "breadth_step",
-    "breadth_machine",
     "fanout_step",
     "key_in_range",
     "run_range",
@@ -114,21 +111,6 @@ def dfs_step(
         if ctx.observed:
             yield Record("backtrack", (view.address, ref_level))
     return False, None
-
-
-def search_machine(
-    view: Any,
-    query: str,
-    ctx: Context,
-    budget: Budget,
-    stats: StepStats,
-):
-    """Top-level depth-first search: one :func:`dfs_step` at the start
-    peer (contacted locally — no message, no online check), terminated by
-    a :class:`Deliver` carrying ``(found, responder)``."""
-    found, responder = yield from dfs_step(view, query, 0, ctx, budget, stats)
-    yield Deliver((found, responder))
-    return found, responder
 
 
 # -- breadth-first search (§3 update strategy 3 / range enumeration) -----------
@@ -230,14 +212,6 @@ def fanout_step(
             yield Record("forward", (view.address, address, ref_level))
         forwarded += 1
         yield Resolve(address, payload)
-
-
-def breadth_machine(view: Any, query: str, ctx: Context, trav: Traversal):
-    """Top-level breadth-first search, terminated by a :class:`Deliver`
-    carrying the responder list."""
-    yield from breadth_step(view, query, 0, ctx, trav)
-    yield Deliver(trav.responders)
-    return trav.responders
 
 
 # -- range queries over the order-preserving key space -------------------------

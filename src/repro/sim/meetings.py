@@ -65,14 +65,6 @@ class UniformMeetings:
         self._rng = rng or grid.rng
         self._cache = _AddressCache(grid)
 
-    def refresh(self) -> None:
-        """No-op, kept for backwards compatibility.
-
-        The address cache keys on ``PGrid.membership_version``, so
-        joins/leaves are visible at the next draw without an explicit
-        (and formerly O(N log N)-per-call) rebuild here.
-        """
-
     def next_pair(self) -> tuple[Address, Address]:
         """Draw one unordered uniform pair of distinct peers."""
         first, second = self._rng.sample(self._cache.get(), 2)

@@ -104,13 +104,13 @@ def test_dfs_three_way_results_costs_and_rng():
             for outcome in (sync_outcome, async_outcome):
                 assert outcome.found == expected.found
                 assert outcome.responder == expected.responder
-                assert outcome.messages_sent == expected.messages
+                assert outcome.messages == expected.messages
                 assert outcome.failed_attempts == expected.failed_attempts
                 assert outcome.retry_delay == expected.retry_delay
                 assert outcome.data_refs == expected.data_refs
             assert (
                 world.async_transport.count(MessageKind.QUERY) - before
-                == async_outcome.messages_sent
+                == async_outcome.messages
             )
             world.assert_rng_aligned()
     finally:
@@ -131,7 +131,7 @@ def test_dfs_three_way_under_faults_and_retry():
             for outcome in (sync_outcome, async_outcome):
                 assert outcome.found == expected.found
                 assert outcome.responder == expected.responder
-                assert outcome.messages_sent == expected.messages
+                assert outcome.messages == expected.messages
                 assert outcome.failed_attempts == expected.failed_attempts
                 assert outcome.retry_delay == expected.retry_delay
             world.assert_rng_aligned()
@@ -291,7 +291,7 @@ def test_fault_plan_through_async_transport_matches_sync():
             outcome = loop.run_until_complete(async_nodes[start].search(key))
             assert outcome.found == expected.found
             assert outcome.responder == expected.responder
-            assert outcome.messages_sent == expected.messages_sent
+            assert outcome.messages == expected.messages
             assert a.rng.getstate() == b.rng.getstate()
         assert (
             async_injector.fault_stats.injected_latency

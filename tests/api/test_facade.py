@@ -24,6 +24,8 @@ from repro.api import DRIVERS, Grid
 from repro.core import keys as keyspace
 from repro.core.config import PGridConfig
 from repro.core.membership import MembershipEngine
+from repro.core.search import SearchResult
+from repro.core.updates import UpdateResult
 from repro.errors import InvalidConfigError, UnknownPeerError
 from repro.faults import RetryPolicy
 
@@ -227,7 +229,10 @@ class TestServe:
 
         engine_results = per_driver[0]
         for results in per_driver[1:]:
-            assert results == engine_results  # dataclass equality, all fields
+            # one result type per operation on every driver, then all fields
+            assert list(map(type, results)) == list(map(type, engine_results))
+            assert results == engine_results
+        assert {type(result) for result in engine_results} == {SearchResult, UpdateResult}
         states = [g.pgrid.rng.getstate() for g in grids]
         assert states.count(states[0]) == len(states)
 

@@ -338,18 +338,6 @@ class TestNewExperiments:
         assert cached[4] > 0.05          # the cache does hit on zipf
         assert cached[3] <= plain[3] + 0.5  # and does not cost more
 
-    def test_kary_vs_binary_tiny(self):
-        result = ablations.run_kary_vs_binary(
-            n_peers=600, n_words=120, n_lookups=120,
-            kary_populate_meetings_per_peer=8, seed=8,
-        )
-        binary, kary = result.rows
-        assert binary[0] == "binary reduction"
-        # storage trade visible even at tiny scale
-        assert kary[3] > binary[3]
-        # the binary reduction resolves indexed words reliably
-        assert binary[4] > 0.9
-
     def test_proximity_latency_reduction(self):
         result = ablations.run_proximity(
             n_peers=200, maxl=5, refmax=3, n_searches=500, seed=9

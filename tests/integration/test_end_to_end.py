@@ -112,5 +112,5 @@ class TestNetworkedLifecycle:
         nodes = attach_nodes(grid, transport)
         total = 0
         for start in range(0, 120, 7):
-            total += nodes[start].search("1010").messages_sent
+            total += nodes[start].search("1010").messages
         assert transport.stats.total_delivered() == total

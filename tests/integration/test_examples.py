@@ -2,7 +2,7 @@
 
 Every example must stay runnable — these execute the quick ones end to end
 as subprocesses and sanity-check their output.  The slower examples
-(file_sharing, native_trie, ...) exercise the same code paths already
+(file_sharing, timeline, ...) exercise the same code paths already
 covered by the experiment runners; running them here would double the
 suite's wall-clock for no new coverage.
 """
@@ -63,7 +63,6 @@ class TestFastExamples:
             "self_organization.py",
             "range_queries.py",
             "timeline.py",
-            "native_trie.py",
         }
 
     @pytest.mark.parametrize(

@@ -23,12 +23,12 @@ class TestNetworkedSearch:
 
         local = nodes[0].search("00")
         assert local.found and local.responder == 0
-        assert local.messages_sent == 0
+        assert local.messages == 0
 
         routed = nodes[5].search("10")
         assert routed.found and routed.responder in (2, 3)
-        assert 1 <= routed.messages_sent <= 2
-        assert transport.count(MessageKind.QUERY) == routed.messages_sent
+        assert 1 <= routed.messages <= 2
+        assert transport.count(MessageKind.QUERY) == routed.messages
 
     def test_networked_matches_core_engine_on_built_grid(self):
         grid = build_grid(128, maxl=5, refmax=2, seed=31)
@@ -49,7 +49,7 @@ class TestNetworkedSearch:
         nodes = attach_nodes(grid, transport)
         before = transport.stats.total_delivered()
         outcome = nodes[0].search("1100")
-        assert transport.stats.total_delivered() - before == outcome.messages_sent
+        assert transport.stats.total_delivered() - before == outcome.messages
 
     def test_search_respects_churn(self):
         grid = make_fig1_grid()

@@ -84,14 +84,14 @@ class TestDepthFirstEquivalence:
             outcome = nodes[start].search(key)
             assert outcome.found == expected.found
             assert outcome.responder == expected.responder
-            assert outcome.messages_sent == expected.messages
+            assert outcome.messages == expected.messages
             assert outcome.failed_attempts == expected.failed_attempts
             assert outcome.retry_delay == expected.retry_delay
             assert outcome.data_refs == expected.data_refs
             # every counted message is exactly one delivered QUERY
             assert (
                 transport.count(MessageKind.QUERY) - before
-                == outcome.messages_sent
+                == outcome.messages
             )
             # the strongest claim: both drivers consumed the grid RNG
             # bit-identically
@@ -113,7 +113,7 @@ class TestDepthFirstEquivalence:
             outcome = nodes[start].search(key)
             assert outcome.found == expected.found
             assert outcome.responder == expected.responder
-            assert outcome.messages_sent == expected.messages
+            assert outcome.messages == expected.messages
             assert outcome.failed_attempts == expected.failed_attempts
             assert outcome.retry_delay == expected.retry_delay
             assert a.rng.getstate() == b.rng.getstate()
@@ -225,7 +225,7 @@ def test_property_networked_search_matches_engine(seed):
             expected.found,
             expected.responder,
         )
-        assert outcome.messages_sent == expected.messages
+        assert outcome.messages == expected.messages
         assert outcome.failed_attempts == expected.failed_attempts
         breadth_engine = engine.query_breadth(start, key, 2)
         breadth_node = nodes[start].search_breadth(key, 2)

@@ -47,11 +47,10 @@ class TestUniformMeetings:
         assert len(counts) == 6
         assert min(counts.values()) > 450
 
-    def test_refresh_picks_up_new_peers(self):
+    def test_new_peers_show_up_at_the_next_draw(self):
         grid = grid_of(2)
         scheduler = UniformMeetings(grid, rng=random.Random(3))
         grid.add_peer()
-        scheduler.refresh()
         seen = set()
         for _ in range(100):
             seen.update(scheduler.next_pair())
@@ -64,7 +63,7 @@ class TestUniformMeetings:
 
     def test_membership_changes_seen_without_refresh(self):
         # The cached address list revalidates against the grid's
-        # membership version, so explicit refresh() is optional.
+        # membership version at every draw.
         grid = grid_of(2)
         scheduler = UniformMeetings(grid, rng=random.Random(3))
         scheduler.next_pair()  # prime the cache
@@ -178,16 +177,14 @@ class TestAddressCacheInvalidation:
         scheduler.next_pair()
         assert grid.address_builds == 1  # stable membership: cache hit
 
-    def test_refresh_is_free_and_cache_stays_valid(self):
+    def test_unchanged_membership_keeps_the_address_cache(self):
         grid = CountingGrid(PGridConfig(), rng=random.Random(12))
         grid.add_peers(3)
         scheduler = UniformMeetings(grid, rng=random.Random(12))
         scheduler.next_pair()
         grid.address_builds = 0
         for _ in range(25):
-            scheduler.refresh()
-        assert grid.address_builds == 0  # refresh no longer rebuilds
-        scheduler.next_pair()
+            scheduler.next_pair()
         assert grid.address_builds == 0  # unchanged membership: no rebuild
         new_peer = grid.add_peer().address
         seen = set()
