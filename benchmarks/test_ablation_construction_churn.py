@@ -1,11 +1,13 @@
-"""AB7 — extension: construction under availability (event-driven).
+"""AB7 — extension: construction under availability (time-driven).
 
 The paper's construction simulations run failure-free rounds; this
 benchmark rebuilds construction as a Poisson meeting process over virtual
-time with session churn, on the discrete-event kernel.  Expected shape: at
-a fixed duration, achieved depth falls monotonically with availability —
-offline endpoints thin the meeting process (~p^2) and case-4 recursion
-finds fewer live partners.
+time with session churn.  Measured shape: offline endpoints thin the
+executed meetings as ~p^2 (48301 / 23871 / 11791 / 4230 at p = 1.0 / 0.7
+/ 0.5 / 0.3).  At these defaults every availability level still converges
+within the duration (average depth 5.00 / 5.00 / 5.00 / 4.995 of maxl 5),
+so achieved depth is flat rather than falling; the asserts below check
+the meeting thinning and that depth does not rise as availability drops.
 """
 
 from __future__ import annotations

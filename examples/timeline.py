@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Construction over time: the discrete-event view.
+"""Construction over time.
 
 The paper counts exchanges; a deployment cares about wall-clock time.  This
-example runs construction as a Poisson meeting process on the event kernel
+example runs construction as a Poisson meeting process over virtual time
 — once failure-free, once with only 40% of peers online per epoch — and
-plots average trie depth against virtual time.
+plots average trie depth against that time.
 
 Run:  python examples/timeline.py
 """

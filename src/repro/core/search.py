@@ -60,7 +60,6 @@ from repro.protocol.direct import run_breadth, run_dfs
 from repro.protocol.search import (
     Traversal,
     key_in_range,
-    repeated_queries,
     run_range,
 )
 
@@ -243,19 +242,6 @@ class SearchEngine:
         rng = self.grid.rng
         while refs:
             yield refs.pop(rng.randrange(len(refs)))
-
-    # -- repeated depth-first search (§5.2 update strategy 1) ---------------------
-
-    def repeated_query(
-        self, start: Address, query: str, times: int
-    ) -> tuple[set[Address], int, int]:
-        """Run *times* independent searches; return (responders, messages,
-        failed attempts).
-
-        Random reference choice makes repetitions land on different
-        replicas, which is what update strategy (1) of §3 exploits.
-        """
-        return repeated_queries(lambda: self.query_from(start, query), times)
 
     # -- breadth-first search (§3 update strategy 3) -------------------------------
 

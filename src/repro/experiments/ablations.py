@@ -16,7 +16,7 @@ AB5 — data-driven splitting (§3's threshold hint): letting the data
 AB6 — membership churn: peers failing and joining after construction,
       with and without reference repair;
 AB7 — construction under availability: a time-driven meeting process with
-      session churn, on the discrete-event kernel;
+      session churn;
 AB8 — query-adaptive shortcut caching (§6 "knowledge on query
       distribution"): initiator-local LRU of recent responders;
 AB10 — proximity-aware reference retention and routing (§6 "knowledge on
@@ -28,7 +28,7 @@ AB11 — meeting schedulers: the paper's uniform random pairs vs.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.analysis import search_success_probability
 from repro.core.config import PGridConfig
@@ -38,9 +38,8 @@ from repro.core.search import SearchEngine
 from repro.core.storage import DataRef
 from repro.experiments.common import ExperimentResult
 from repro.sim import rng as rngmod
-from repro.sim.builder import GridBuilder
-from repro.sim.churn import BernoulliChurn
-from repro.sim.metrics import RateAccumulator, gini
+from repro.sim.builder import GridBuilder, run_timed_construction
+from repro.sim.churn import BernoulliChurn, SessionChurn
 from repro.sim.workload import UniformKeyWorkload, ZipfKeyWorkload, generate_items
 
 
@@ -49,6 +48,25 @@ def _build(config: PGridConfig, n_peers: int, seed: int, tag: str) -> tuple[PGri
     grid.add_peers(n_peers)
     report = GridBuilder(grid).build(max_exchanges=4_000_000)
     return grid, report.exchanges
+
+
+def gini(values: Iterable[float]) -> float:
+    """Gini coefficient of a non-negative sample (0 = equal, ->1 = skewed).
+
+    The load-balance measure of AB3 and AB5: per-peer query/storage load
+    under uniform vs. Zipf workloads.
+    """
+    data = sorted(float(v) for v in values)
+    if not data:
+        raise ValueError("gini of an empty sample is undefined")
+    if any(v < 0 for v in data):
+        raise ValueError("gini requires non-negative values")
+    total = sum(data)
+    if total == 0:
+        return 0.0
+    n = len(data)
+    weighted = sum((index + 1) * value for index, value in enumerate(data))
+    return max(0.0, (2 * weighted) / (n * total) - (n + 1) / n)
 
 
 def _measure_search(
@@ -62,16 +80,17 @@ def _measure_search(
     keys = UniformKeyWorkload(key_length, rngmod.derive(seed, f"ab-keys-{tag}"))
     starts = rngmod.derive(seed, f"ab-starts-{tag}")
     addresses = grid.addresses()
-    acc = RateAccumulator()
     messages = 0
     hits = 0
     for _ in range(n_searches):
         result = engine.query_from(starts.choice(addresses), keys.next_key())
-        acc.record(result.found)
         if result.found:
             messages += result.messages
             hits += 1
-    return acc.rate, (messages / hits if hits else 0.0)
+    return (
+        hits / n_searches if n_searches else 0.0,
+        messages / hits if hits else 0.0,
+    )
 
 
 # -- AB1: mutual references in case 4 ------------------------------------------------
@@ -226,7 +245,6 @@ def run_skew(
     config = PGridConfig(
         maxl=maxl, refmax=refmax, recmax=recmax, recursion_fanout=fanout
     )
-    grid, _exchanges = _build(config, n_peers, seed, "ab3")
     key_length = maxl + 2
     rows: list[list[object]] = []
     for label, exponent in (("uniform", 0.0), (f"zipf({zipf_exponent})", zipf_exponent)):
@@ -574,12 +592,9 @@ def run_construction_under_churn(
     Construction runs as a Poisson meeting process over virtual time while
     a session-churn model keeps only a fraction of the population online;
     meetings with an offline endpoint never happen.  The paper's
-    round-based simulations cannot express this — the event kernel
-    (:mod:`repro.sim.events`) can.
+    round-based simulations cannot express this —
+    :func:`~repro.sim.builder.run_timed_construction` can.
     """
-    from repro.sim.churn import SessionChurn
-    from repro.sim.events import run_timed_construction
-
     rows: list[list[object]] = []
     for p_online in probabilities:
         config = PGridConfig(
@@ -640,10 +655,13 @@ def run_construction_under_churn(
             "seed": seed,
         },
         notes=(
-            "Expected shape: at a fixed virtual duration, the achieved "
-            "average depth falls monotonically as availability drops — "
-            "offline endpoints waste meeting arrivals (roughly a p^2 "
-            "thinning) and case-4 recursion finds fewer live partners."
+            "Measured shape: offline endpoints waste meeting arrivals, so "
+            "executed meetings thin as p^2 (defaults: 48301 / 23871 / "
+            "11791 / 4230 at p = 1.0 / 0.7 / 0.5 / 0.3, i.e. 1 : 0.49 : "
+            "0.24 : 0.09).  Depth lags only when the duration is short: at "
+            "the defaults every p converges (average depth 5.00 / 5.00 / "
+            "5.00 / 4.995 of maxl 5), while 120 peers run for 40 time "
+            "units stop at 3.58 of maxl 4 at p = 0.3."
         ),
     )
 

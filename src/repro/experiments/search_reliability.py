@@ -21,7 +21,6 @@ from repro.experiments.common import (
 from repro.core.analysis import search_success_probability
 from repro.sim import rng as rngmod
 from repro.sim.churn import BernoulliChurn
-from repro.sim.metrics import RateAccumulator, summarize
 from repro.sim.workload import QueryStream, UniformKeyWorkload
 
 EXPERIMENT_ID = "search_reliability"
@@ -53,7 +52,6 @@ def run(
     profile = profile or section52_profile()
     n_searches = n_searches if n_searches is not None else profile.n_searches
 
-    successes = RateAccumulator()
     if core == "batch":
         engine = array_engine or build_section52_array_engine(profile)
         key_rng = rngmod.derive(profile.seed, "s1-keys")
@@ -62,8 +60,6 @@ def run(
         keys = [keys_stream.next_key() for _ in range(n_searches)]
         starts = [start_rng.randrange(engine.n) for _ in range(n_searches)]
         result = engine.search_many(keys, starts)
-        for flag in result.found:
-            successes.record(bool(flag))
         message_counts = result.messages[result.found].tolist()
     else:
         grid = grid or build_section52_grid(profile, use_cache=use_cache)
@@ -80,23 +76,21 @@ def run(
         message_counts = []
         for start, key in stream.queries(n_searches):
             result = engine.query_from(start, key)
-            successes.record(result.found)
             if result.found:
                 message_counts.append(result.messages)
 
-    messages = summarize(message_counts) if message_counts else None
     predicted = search_success_probability(
         profile.p_online, profile.refmax, profile.query_key_length
     )
     rows = [
         [
             n_searches,
-            successes.rate,
+            len(message_counts) / n_searches if n_searches else 0.0,
             PAPER_SUCCESS_RATE,
             predicted,
-            messages.mean if messages else None,
+            sum(message_counts) / len(message_counts) if message_counts else None,
             PAPER_AVG_MESSAGES,
-            messages.maximum if messages else None,
+            float(max(message_counts)) if message_counts else None,
         ]
     ]
     return ExperimentResult(

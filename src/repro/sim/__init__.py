@@ -1,31 +1,16 @@
-"""Simulation substrate: randomness, meetings, churn, construction driver,
-workloads, metrics and grid snapshots."""
+"""Simulation substrate: randomness, meetings, churn, construction drivers
+(round-based and over virtual time), workloads and grid snapshots."""
 
 from repro.sim.builder import (
     ConstructionReport,
     ConstructionSample,
     GridBuilder,
-)
-from repro.sim.churn import BernoulliChurn, FixedOnlineSet, SessionChurn
-from repro.sim.events import (
-    EventSimulator,
-    MeetingProcess,
-    PoissonProcess,
-    SessionProcess,
     TimedConstructionReport,
     TimedSample,
     run_timed_construction,
 )
+from repro.sim.churn import BernoulliChurn, FixedOnlineSet, SessionChurn
 from repro.sim.meetings import BiasedMeetings, RoundRobinMeetings, UniformMeetings
-from repro.sim.metrics import (
-    RateAccumulator,
-    Summary,
-    bootstrap_ci,
-    flatten_metrics,
-    gini,
-    histogram_bins,
-    summarize,
-)
 from repro.sim.scenario import (
     KeyDistribution,
     ScenarioMetrics,
@@ -52,22 +37,16 @@ __all__ = [
     "BiasedMeetings",
     "ConstructionReport",
     "ConstructionSample",
-    "EventSimulator",
     "FixedOnlineSet",
     "GridBuilder",
     "KeyDistribution",
-    "MeetingProcess",
-    "PoissonProcess",
     "ProximityExchangeEngine",
     "ProximitySearchEngine",
     "QueryStream",
-    "RateAccumulator",
     "RoundRobinMeetings",
     "ScenarioMetrics",
     "ScenarioSpec",
     "SessionChurn",
-    "SessionProcess",
-    "Summary",
     "TimedConstructionReport",
     "TimedSample",
     "Topology",
@@ -75,18 +54,13 @@ __all__ = [
     "UniformMeetings",
     "ZipfKeyWorkload",
     "derive",
-    "flatten_metrics",
     "generate_items",
     "grid_from_dict",
-    "bootstrap_ci",
-    "gini",
     "grid_to_dict",
-    "histogram_bins",
     "load_grid",
     "run_scenario",
     "run_timed_construction",
     "save_grid",
     "spawn",
-    "summarize",
     "zipf_weights",
 ]

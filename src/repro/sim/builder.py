@@ -14,10 +14,16 @@ per meeting.  Membership changes (churn joining/removing peers mid-build)
 invalidate the tracked total; the builder detects them through
 :attr:`~repro.core.grid.PGrid.membership_version` and rebases its offset
 with one O(N) rescan per membership event instead of per meeting.
+
+:func:`run_timed_construction` is the same meeting process over *virtual
+time*: Poisson meeting arrivals, optionally under epoch-based session
+churn, with the trajectory sampled at fixed time steps.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -25,6 +31,7 @@ from repro.core.exchange import ExchangeEngine
 from repro.core.grid import PGrid
 from repro.core.peer import Address
 from repro.errors import NotConvergedError
+from repro.sim.churn import SessionChurn
 from repro.sim.meetings import UniformMeetings
 
 
@@ -182,6 +189,96 @@ class GridBuilder:
             stats=self.engine.stats.snapshot(),
             trajectory=trajectory,
         )
+
+
+@dataclass
+class TimedSample:
+    """One (time, exchanges, average depth) point."""
+
+    time: float
+    exchanges: int
+    average_depth: float
+
+
+@dataclass
+class TimedConstructionReport:
+    """Result of a time-driven construction run."""
+
+    duration: float
+    meetings: int
+    exchanges: int
+    average_depth: float
+    converged: bool
+    trajectory: list[TimedSample] = field(default_factory=list)
+
+
+def run_timed_construction(
+    grid: PGrid,
+    *,
+    meeting_rate: float,
+    duration: float,
+    sample_every: float | None = None,
+    churn: SessionChurn | None = None,
+    epoch_length: float = 1.0,
+    rng: random.Random | None = None,
+) -> TimedConstructionReport:
+    """Build a grid under a Poisson meeting process for *duration* time.
+
+    Meetings arrive with exponential gaps at *meeting_rate*; each draws a
+    uniform pair from *rng* (default ``grid.rng``) and runs ``exchange``
+    only when both endpoints are online — two peers must both be up to
+    talk.  With *churn*, the online population re-samples every
+    *epoch_length*, which the paper's round-based runs cannot express.
+    With *sample_every*, the average depth is recorded every that-many
+    time units.  Every event at or before *duration* runs.
+    """
+    if duration <= 0:
+        raise ValueError(f"duration must be > 0, got {duration}")
+    if meeting_rate <= 0:
+        raise ValueError(f"meeting_rate must be > 0, got {meeting_rate}")
+    if sample_every is not None and sample_every <= 0:
+        raise ValueError(f"sample_every must be > 0, got {sample_every}")
+    if churn is not None and epoch_length <= 0:
+        raise ValueError(f"epoch_length must be > 0, got {epoch_length}")
+    rng = rng or grid.rng
+    scheduler = UniformMeetings(grid, rng)
+    engine = ExchangeEngine(grid)
+    if churn is not None:
+        grid.online_oracle = churn
+
+    # The next time of each clock; a clock that is off never fires.
+    arrival = rng.expovariate(meeting_rate)
+    tick = epoch_length if churn is not None else math.inf
+    sample = sample_every if sample_every is not None else math.inf
+    trajectory: list[TimedSample] = []
+    while min(arrival, tick, sample) <= duration:
+        if arrival <= tick and arrival <= sample:
+            first, second = scheduler.next_pair()
+            if grid.is_online(first) and grid.is_online(second):
+                engine.meet(first, second)
+            arrival += rng.expovariate(meeting_rate)
+        elif tick <= sample:
+            churn.advance_epoch()
+            tick += epoch_length
+        else:
+            trajectory.append(
+                TimedSample(
+                    time=sample,
+                    exchanges=engine.stats.calls,
+                    average_depth=grid.average_path_length(),
+                )
+            )
+            sample += sample_every
+
+    average_depth = grid.average_path_length()
+    return TimedConstructionReport(
+        duration=duration,
+        meetings=engine.stats.meetings,
+        exchanges=engine.stats.calls,
+        average_depth=average_depth,
+        converged=average_depth >= 0.99 * grid.config.maxl,
+        trajectory=trajectory,
+    )
 
 
 def construct_grid(grid: PGrid, *, engine: str = "object", **build_kwargs) -> ConstructionReport:

@@ -26,7 +26,6 @@ from repro.sim import rng as rngmod
 from repro.sim.builder import GridBuilder
 from repro.sim.churn import BernoulliChurn
 from repro.sim.meetings import UniformMeetings
-from repro.sim.metrics import RateAccumulator, summarize
 from repro.sim.workload import UniformKeyWorkload, ZipfKeyWorkload
 
 
@@ -217,9 +216,9 @@ def run_scenario(
     query_keys = _workload(spec, "scenario-queries")
     addresses = grid.addresses()
 
-    search_success = RateAccumulator()
+    searches = 0
     search_messages: list[int] = []
-    read_success = RateAccumulator()
+    reads_ok = 0
     coverages: list[float] = []
     update_messages: list[int] = []
     versions: dict[tuple[str, int], int] = {}
@@ -253,10 +252,10 @@ def run_scenario(
                 version,
                 max_repetitions=spec.read_repetitions,
             )
-            read_success.record(read.success)
+            reads_ok += read.success
         else:
             result = search.query_from(start, query_keys.next_key())
-            search_success.record(result.found)
+            searches += 1
             if result.found:
                 search_messages.append(result.messages)
 
@@ -265,20 +264,21 @@ def run_scenario(
         construction_exchanges=report.exchanges,
         average_depth=report.average_depth,
         seeded_entries=seeded,
-        searches=search_success.trials,
-        search_success_rate=search_success.rate,
+        searches=searches,
+        search_success_rate=len(search_messages) / searches if searches else 0.0,
         search_messages_mean=(
-            summarize(search_messages).mean if search_messages else 0.0
+            sum(search_messages) / len(search_messages) if search_messages else 0.0
         ),
         updates=len(update_messages),
+        # Summed in sorted order: the float mean is pinned to the last ulp.
         update_coverage_mean=(
-            summarize(coverages).mean if coverages else 0.0
+            sum(sorted(coverages)) / len(coverages) if coverages else 0.0
         ),
         update_messages_mean=(
-            summarize(update_messages).mean if update_messages else 0.0
+            sum(update_messages) / len(update_messages) if update_messages else 0.0
         ),
-        reads_after_update=read_success.trials,
-        read_success_rate=read_success.rate,
+        reads_after_update=len(update_messages),
+        read_success_rate=reads_ok / len(update_messages) if update_messages else 0.0,
         invariant_violations=len(grid.audit_routing()),
         replica_conversions=(
             facade.balancer.stats.conversions if facade.balancer is not None else 0

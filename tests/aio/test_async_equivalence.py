@@ -152,7 +152,7 @@ def test_dfs_three_way_under_faults_and_retry():
 def test_repeated_search_three_way():
     world = ThreeWay(seed=44, n=64, maxl=4)
     try:
-        expected = world.engine.repeated_query(0, "1011", 5)
+        expected = repeated_queries(lambda: world.engine.query_from(0, "1011"), 5)
         sync, awaited = world.sync_nodes[0], world.async_nodes[0]
         assert repeated_queries(lambda: sync.search("1011"), 5) == expected
         assert repeated_queries(lambda: world.run(awaited.search("1011")), 5) == expected

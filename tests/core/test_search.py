@@ -8,10 +8,10 @@ import pytest
 
 from repro.core import keys as keyspace
 from repro.core.config import SearchConfig
-from repro.core.grid import PGrid
 from repro.core.search import SearchEngine
 from repro.core.storage import DataItem, DataRef
 from repro.errors import InvalidKeyError
+from repro.protocol.search import repeated_queries
 from repro.sim.churn import FixedOnlineSet
 from tests.conftest import build_grid
 
@@ -152,7 +152,9 @@ class TestOnConstructedGrid:
 class TestRepeatedQuery:
     def test_repeated_query_accumulates_responders(self, medium_grid):
         engine = SearchEngine(medium_grid)
-        responders, messages, failed = engine.repeated_query(0, "10101", 10)
+        responders, messages, failed = repeated_queries(
+            lambda: engine.query_from(0, "10101"), 10
+        )
         assert responders
         assert all(
             medium_grid.peer(address).responsible_for("10101")
@@ -162,8 +164,9 @@ class TestRepeatedQuery:
         assert failed == 0  # everyone online
 
     def test_repeated_query_validates_times(self, fig1_grid):
+        engine = SearchEngine(fig1_grid)
         with pytest.raises(ValueError):
-            SearchEngine(fig1_grid).repeated_query(0, "00", 0)
+            repeated_queries(lambda: engine.query_from(0, "00"), 0)
 
 
 class TestBreadthSearch:

@@ -124,7 +124,7 @@ class TestDepthFirstEquivalence:
         a, b = twin_grids(seed=44, n=64, maxl=4)
         engine = SearchEngine(a)
         nodes = attach_nodes(b, LocalTransport(b))
-        expected = engine.repeated_query(0, "1011", 5)
+        expected = repeated_queries(lambda: engine.query_from(0, "1011"), 5)
         outcome = repeated_queries(lambda: nodes[0].search("1011"), 5)
         assert outcome == expected
         assert a.rng.getstate() == b.rng.getstate()

@@ -1,164 +1,20 @@
-"""Tests for the discrete-event simulation kernel."""
+"""Tests for time-driven construction (:func:`run_timed_construction`)."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
+from repro.sim.builder import run_timed_construction
 from repro.sim.churn import SessionChurn
-from repro.sim.events import (
-    EventSimulator,
-    MeetingProcess,
-    PoissonProcess,
-    SessionProcess,
-    run_timed_construction,
-)
 
 
-class TestEventSimulator:
-    def test_clock_starts_at_zero(self):
-        assert EventSimulator().now == 0.0
-
-    def test_events_run_in_time_order(self):
-        simulator = EventSimulator()
-        log = []
-        simulator.schedule(3.0, lambda t: log.append(("c", t)))
-        simulator.schedule(1.0, lambda t: log.append(("a", t)))
-        simulator.schedule(2.0, lambda t: log.append(("b", t)))
-        while simulator.run_next():
-            pass
-        assert [name for name, _ in log] == ["a", "b", "c"]
-        assert simulator.now == 3.0
-
-    def test_ties_run_in_schedule_order(self):
-        simulator = EventSimulator()
-        log = []
-        simulator.schedule(1.0, lambda t: log.append("first"))
-        simulator.schedule(1.0, lambda t: log.append("second"))
-        simulator.run_until(2.0)
-        assert log == ["first", "second"]
-
-    def test_run_until_leaves_future_events(self):
-        simulator = EventSimulator()
-        log = []
-        simulator.schedule(1.0, lambda t: log.append(t))
-        simulator.schedule(5.0, lambda t: log.append(t))
-        executed = simulator.run_until(2.0)
-        assert executed == 1
-        assert log == [1.0]
-        assert simulator.pending == 1
-        assert simulator.now == 2.0
-
-    def test_events_can_schedule_events(self):
-        simulator = EventSimulator()
-        log = []
-
-        def ping(time):
-            log.append(time)
-            if time < 3:
-                simulator.schedule(1.0, ping)
-
-        simulator.schedule(1.0, ping)
-        simulator.run_until(10.0)
-        assert log == [1.0, 2.0, 3.0]
-
-    def test_schedule_at_absolute(self):
-        simulator = EventSimulator()
-        log = []
-        simulator.schedule_at(4.5, lambda t: log.append(t))
-        simulator.run_until(5.0)
-        assert log == [4.5]
-
-    def test_validation(self):
-        simulator = EventSimulator()
-        with pytest.raises(ValueError):
-            simulator.schedule(-1.0, lambda t: None)
-        simulator.schedule(1.0, lambda t: None)
-        simulator.run_until(2.0)
-        with pytest.raises(ValueError):
-            simulator.schedule_at(1.0, lambda t: None)
-        with pytest.raises(ValueError):
-            simulator.run_until(1.0)
-
-    def test_max_events_truncation(self):
-        simulator = EventSimulator()
-        for _ in range(5):
-            simulator.schedule(1.0, lambda t: None)
-        executed = simulator.run_until(2.0, max_events=3)
-        assert executed == 3
-        assert simulator.pending == 2
-
-
-class TestPoissonProcess:
-    def test_arrival_count_near_rate_times_duration(self):
-        simulator = EventSimulator()
-        process = PoissonProcess(
-            simulator, rate=10.0, action=lambda t: None, rng=random.Random(1)
-        )
-        process.start()
-        simulator.run_until(100.0)
-        # expect ~1000 arrivals; allow generous slack
-        assert 850 < process.arrivals < 1150
-
-    def test_stop_halts_arrivals(self):
-        simulator = EventSimulator()
-        process = PoissonProcess(
-            simulator, rate=5.0, action=lambda t: None, rng=random.Random(2)
-        )
-        process.start()
-        simulator.run_until(10.0)
-        count = process.arrivals
-        process.stop()
-        simulator.run_until(50.0)
-        assert process.arrivals == count
-
-    def test_start_idempotent(self):
-        simulator = EventSimulator()
-        process = PoissonProcess(
-            simulator, rate=1.0, action=lambda t: None, rng=random.Random(3)
-        )
-        process.start()
-        process.start()
-        simulator.run_until(1000.0)
-        assert 900 < process.arrivals < 1120
-
-    def test_rate_validated(self):
-        with pytest.raises(ValueError):
-            PoissonProcess(
-                EventSimulator(), rate=0.0, action=lambda t: None,
-                rng=random.Random(0),
-            )
-
-
-class TestSessionProcess:
-    def test_epochs_advance(self):
-        simulator = EventSimulator()
-        churn = SessionChurn(0.5, random.Random(4), range(100))
-        process = SessionProcess(simulator, churn, epoch_length=1.0)
-        process.start()
-        simulator.run_until(5.5)
-        assert churn.epoch == 5
-
-    def test_stop(self):
-        simulator = EventSimulator()
-        churn = SessionChurn(0.5, random.Random(5), range(10))
-        process = SessionProcess(simulator, churn, epoch_length=1.0)
-        process.start()
-        simulator.run_until(2.5)
-        process.stop()
-        simulator.run_until(10.0)
-        assert churn.epoch == 2
-
-    def test_epoch_length_validated(self):
-        with pytest.raises(ValueError):
-            SessionProcess(
-                EventSimulator(),
-                SessionChurn(0.5, random.Random(0), range(2)),
-                epoch_length=0.0,
-            )
+def _digest(*parts) -> str:
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
 class TestTimedConstruction:
@@ -187,6 +43,16 @@ class TestTimedConstruction:
         )
         assert report.average_depth < 4
 
+    def test_meetings_near_rate_times_duration(self):
+        report = run_timed_construction(
+            self._grid(16, maxl=2),
+            meeting_rate=10.0,
+            duration=100.0,
+            rng=random.Random(1),
+        )
+        # every peer online: each of the ~1000 arrivals is a meeting
+        assert 850 < report.meetings < 1150
+
     def test_trajectory_sampled_over_time(self):
         grid = self._grid()
         report = run_timed_construction(
@@ -201,6 +67,19 @@ class TestTimedConstruction:
         assert len(times) >= 9
         depths = [sample.average_depth for sample in report.trajectory]
         assert depths == sorted(depths)
+
+    def test_epochs_advance(self):
+        grid = self._grid(16, maxl=2)
+        churn = SessionChurn(0.5, random.Random(4), grid.addresses())
+        run_timed_construction(
+            grid,
+            meeting_rate=16.0,
+            duration=5.5,
+            churn=churn,
+            rng=random.Random(5),
+        )
+        assert churn.epoch == 5
+        assert grid.online_oracle is churn
 
     def test_churn_slows_construction(self):
         fast = run_timed_construction(
@@ -223,14 +102,15 @@ class TestTimedConstruction:
     def test_offline_meetings_skipped(self):
         grid = self._grid(32, maxl=3)
         churn = SessionChurn(0.2, random.Random(12), grid.addresses())
-        simulator = EventSimulator()
-        grid.online_oracle = churn
-        process = MeetingProcess(
-            simulator, grid, rate=32.0, rng=random.Random(13)
+        report = run_timed_construction(
+            grid,
+            meeting_rate=32.0,
+            duration=20.0,
+            churn=churn,
+            rng=random.Random(13),
         )
-        process.start()
-        simulator.run_until(20.0)
-        assert process.skipped_offline > 0
+        # ~640 arrivals, of which only ~p^2 = 4% find both endpoints up
+        assert 0 < report.meetings < 0.2 * 32.0 * 20.0
 
     def test_validation(self):
         grid = self._grid()
@@ -240,3 +120,71 @@ class TestTimedConstruction:
             run_timed_construction(
                 grid, meeting_rate=1.0, duration=1.0, sample_every=0.0
             )
+
+    def test_rate_validated(self):
+        grid = self._grid()
+        with pytest.raises(ValueError):
+            run_timed_construction(grid, meeting_rate=0.0, duration=1.0)
+
+    def test_epoch_length_validated(self):
+        grid = self._grid()
+        with pytest.raises(ValueError):
+            run_timed_construction(
+                grid,
+                meeting_rate=1.0,
+                duration=1.0,
+                churn=SessionChurn(0.5, random.Random(0), grid.addresses()),
+                epoch_length=0.0,
+            )
+
+
+class TestTimedConstructionPinned:
+    """Digests captured from the event-heap simulator this loop replaced:
+    the report with its trajectory, every peer's path, refs and buddies,
+    and the grid, meeting and churn RNG states must stay bit-identical."""
+
+    @pytest.mark.parametrize(
+        "p_online, epoch_length, sample_every, own_rng, expected",
+        [
+            (None, 1.0, 2.0, True, ("40425b95529cd133", "873e78c32b5969d0", "19b3bb791f209c14")),
+            (0.4, 1.0, 2.0, True, ("4deae31e2c685051", "e966793123293634", "bb3be4389c4dfa65")),
+            (0.4, 0.25, 0.5, True, ("6be2b9fb153bf13a", "2d89ff1cfb38b11d", "097f9d8f3b3daa4b")),
+            (0.5, 1.5, 3.0, True, ("afe6a88380015a4c", "075b172473474059", "9410d835d6e03b3d")),
+            (0.3, 1.0, 0.7, False, ("0977575a9c554715", "b4b25d413e1f5e1f", "e9826b5fcb4feea7")),
+        ],
+    )
+    def test_bit_identical(
+        self, p_online, epoch_length, sample_every, own_rng, expected
+    ):
+        grid = PGrid(
+            PGridConfig(maxl=4, refmax=2, recmax=2, recursion_fanout=2),
+            rng=random.Random(6),
+        )
+        grid.add_peers(64)
+        churn_rng = random.Random(7)
+        churn = (
+            None
+            if p_online is None
+            else SessionChurn(p_online, churn_rng, grid.addresses())
+        )
+        meet_rng = random.Random(8) if own_rng else None
+        report = run_timed_construction(
+            grid,
+            meeting_rate=64.0,
+            duration=20.0,
+            sample_every=sample_every,
+            churn=churn,
+            epoch_length=epoch_length,
+            rng=meet_rng,
+        )
+        state = [
+            (peer.address, peer.path, peer.routing.to_lists(), sorted(peer.buddies))
+            for peer in grid.peers()
+        ]
+        rngs = (
+            grid.rng.getstate(),
+            meet_rng and meet_rng.getstate(),
+            churn_rng.getstate(),
+            churn and churn.epoch,
+        )
+        assert (_digest(report), _digest(state), _digest(rngs)) == expected

@@ -105,3 +105,34 @@ class TestRunScenario:
             "update_coverage_mean",
             "invariant_violations",
         }
+
+    def test_churned_mixed_scenario_pinned(self):
+        """``pgrid scenario --peers 256 --maxl 6 --refmax 3 --operations 1500
+        --p-online 0.5 --update-fraction 0.3 --seed 3``, to the last digit.
+        The means are float sums, so their summation order is pinned too."""
+        metrics = run_scenario(
+            ScenarioSpec(
+                n_peers=256,
+                config=PGridConfig(maxl=6, refmax=3, recmax=2, recursion_fanout=2),
+                p_online=0.5,
+                operations=1500,
+                update_fraction=0.3,
+                seed=3,
+            )
+        )
+        assert metrics.as_dict() == {
+            "n_peers": 256,
+            "construction_exchanges": 11641,
+            "average_depth": 5.94140625,
+            "seeded_entries": 4914,
+            "searches": 1080,
+            "search_success_rate": 0.7953703703703704,
+            "search_messages_mean": 3.1036088474970898,
+            "updates": 420,
+            "update_coverage_mean": 0.35043083900226735,
+            "update_messages_mean": 4.726190476190476,
+            "reads_after_update": 420,
+            "read_success_rate": 0.7357142857142858,
+            "invariant_violations": 0,
+            "replica_conversions": 0,
+        }
