@@ -83,10 +83,8 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "discussion_scaling": scaling_comparison.run,
     "construction_scale": scaling_comparison.run_construction_scale,
     "analysis_example": analysis_example.run,
-    "ablation_case4_refs": ablations.run_case4_refs,
     "ablation_online_prob": ablations.run_online_prob,
     "ablation_skew": ablations.run_skew,
-    "ablation_ref_exchange": ablations.run_ref_exchange,
     "ablation_adaptive_split": ablations.run_adaptive_split,
     "ablation_membership_churn": ablations.run_membership_churn,
     "ablation_construction_churn": ablations.run_construction_under_churn,

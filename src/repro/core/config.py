@@ -17,17 +17,6 @@ The paper's free parameters (§3–§5):
     forwarded to.  ``None`` reproduces the unbounded behaviour of table 4;
     ``2`` reproduces table 5.
 
-Two switches expose design alternatives the paper discusses but does not
-adopt (used by the ablation benchmarks):
-
-``mutual_refs_in_case4``
-    In case 4 the two peers have a common prefix and complementary next bits,
-    so they are valid references for each other; the paper only *forwards*
-    them to referenced peers.  Enabling this also inserts them into each
-    other's routing tables.
-``exchange_refs_all_levels``
-    The paper exchanges references only at the deepest shared level ``lc``;
-    enabling this exchanges at every level ``1..lc``.
 ``split_min_items``
     Data-driven specialization (§3's hint: "one possible indication that a
     path has reached maxl could be that the number of data items belonging
@@ -40,7 +29,7 @@ adopt (used by the ablation benchmarks):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.errors import InvalidConfigError
@@ -54,8 +43,6 @@ class PGridConfig:
     refmax: int = 1
     recmax: int = 2
     recursion_fanout: int | None = None
-    mutual_refs_in_case4: bool = False
-    exchange_refs_all_levels: bool = False
     split_min_items: int | None = None
 
     def __post_init__(self) -> None:
@@ -85,8 +72,6 @@ class PGridConfig:
             "refmax": self.refmax,
             "recmax": self.recmax,
             "recursion_fanout": self.recursion_fanout,
-            "mutual_refs_in_case4": self.mutual_refs_in_case4,
-            "exchange_refs_all_levels": self.exchange_refs_all_levels,
             "split_min_items": self.split_min_items,
         }
 

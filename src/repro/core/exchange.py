@@ -148,9 +148,9 @@ class ExchangeEngine:
         return may_specialize(peer, self.config)
 
     def _exchange_refs(self, a1: Peer, a2: Peer, lc: int) -> None:
-        """Union + re-sample the reference sets at the shared level(s).
+        """Union + re-sample the reference sets at the shared level ``lc``.
 
         :class:`repro.sim.topology.ProximityExchangeEngine` overrides this
         to retain nearest references instead of a uniform re-sample.
         """
-        exchange_refs_default(a1, a2, lc, self.config, self.grid.rng)
+        exchange_refs_default(a1, a2, lc, self.grid.rng)

@@ -109,11 +109,6 @@ def _interval_contains_unchecked(key: str, query: str) -> bool:
     return low <= value < low + (1 << (width - n))
 
 
-def is_prefix(prefix: str, key: str) -> bool:
-    """Return ``True`` iff *prefix* is a (possibly equal) prefix of *key*."""
-    return key.startswith(prefix)
-
-
 def in_prefix_relation(a: str, b: str) -> bool:
     """Return ``True`` iff one of the two keys is a prefix of the other."""
     return a.startswith(b) or b.startswith(a)
@@ -162,13 +157,6 @@ def complement_bit(bit: str) -> str:
     if bit == "1":
         return "0"
     raise InvalidKeyError(bit)
-
-
-def flip_last_bit(key: str) -> str:
-    """Return *key* with its final bit complemented (sibling leaf)."""
-    if not key:
-        raise InvalidKeyError(key)
-    return key[:-1] + complement_bit(key[-1])
 
 
 def bit_at(key: str, level: int) -> str:

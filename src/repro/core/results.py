@@ -17,7 +17,7 @@ costs works across :class:`~repro.core.search.SearchResult`,
 
 from __future__ import annotations
 
-from typing import Any, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 __all__ = ["ContactAccounting", "SearchOutcome"]
 
@@ -36,15 +36,6 @@ class ContactAccounting:
     def total_contacts(self) -> int:
         """Messages plus failed contact attempts (total network activity)."""
         return self.messages + self.failed_attempts  # type: ignore[attr-defined]
-
-    def cost_dict(self) -> dict[str, Any]:
-        """The cost fields as a flat dict (for experiment records)."""
-        return {
-            "found": bool(self.found),  # type: ignore[attr-defined]
-            "messages": self.messages,  # type: ignore[attr-defined]
-            "failed_attempts": self.failed_attempts,  # type: ignore[attr-defined]
-            "total_contacts": self.total_contacts,
-        }
 
 
 @runtime_checkable

@@ -109,15 +109,6 @@ class RoutingTable:
         slot.remove(address)
         return True
 
-    def remove_everywhere(self, address: Address) -> int:
-        """Drop *address* from every level; return the number of removals."""
-        removed = 0
-        for slot in self._levels:
-            if address in slot:
-                slot.remove(address)
-                removed += 1
-        return removed
-
     def truncate(self, depth: int) -> None:
         """Discard levels deeper than *depth* (used when a path shortens)."""
         if depth < 0:

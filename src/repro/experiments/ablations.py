@@ -1,15 +1,13 @@
-"""Ablations beyond the paper's tables (DESIGN.md AB1–AB4).
+"""Ablations beyond the paper's tables (DESIGN.md §3).
 
-Each probes a design choice §3/§6 discusses but does not evaluate:
+Each probes a design choice §3/§6 discusses but does not evaluate.  AB1
+(case-4 mutual references) and AB4 (reference exchange at every shared
+level) are records under ``results/ablations/``; their knobs are gone.
 
-AB1 — inserting the two case-4 peers into each other's routing tables
-      (the paper only forwards them to referenced peers);
 AB2 — search success vs. availability, validating eq. (3) against
       simulation across the whole availability range;
 AB3 — Zipf-skewed workloads: where the §6 uniformity assumption breaks
       (query-load and index-storage imbalance);
-AB4 — exchanging references at every shared level instead of only the
-      deepest shared level ``lc``;
 AB5 — data-driven splitting (§3's threshold hint): letting the data
       volume, not a global ``maxl``, decide how deep each region splits —
       the fix for AB3's imbalance;
@@ -69,104 +67,6 @@ def gini(values: Iterable[float]) -> float:
     return max(0.0, (2 * weighted) / (n * total) - (n + 1) / n)
 
 
-def _measure_search(
-    grid: PGrid, *, p_online: float, key_length: int, n_searches: int, seed: int, tag: str
-) -> tuple[float, float]:
-    """(success rate, mean messages of successful searches)."""
-    grid.online_oracle = BernoulliChurn(
-        p_online, rngmod.derive(seed, f"ab-churn-{tag}")
-    )
-    engine = SearchEngine(grid)
-    keys = UniformKeyWorkload(key_length, rngmod.derive(seed, f"ab-keys-{tag}"))
-    starts = rngmod.derive(seed, f"ab-starts-{tag}")
-    addresses = grid.addresses()
-    messages = 0
-    hits = 0
-    for _ in range(n_searches):
-        result = engine.query_from(starts.choice(addresses), keys.next_key())
-        if result.found:
-            messages += result.messages
-            hits += 1
-    return (
-        hits / n_searches if n_searches else 0.0,
-        messages / hits if hits else 0.0,
-    )
-
-
-# -- AB1: mutual references in case 4 ------------------------------------------------
-
-
-def run_case4_refs(
-    *,
-    n_peers: int = 1000,
-    maxl: int = 6,
-    refmax: int = 4,
-    recmax: int = 2,
-    fanout: int = 2,
-    p_online: float = 0.3,
-    n_searches: int = 2000,
-    seed: int = 11,
-) -> ExperimentResult:
-    """AB1: does adding the case-4 pair as mutual references help?"""
-    rows: list[list[object]] = []
-    for mutual in (False, True):
-        config = PGridConfig(
-            maxl=maxl,
-            refmax=refmax,
-            recmax=recmax,
-            recursion_fanout=fanout,
-            mutual_refs_in_case4=mutual,
-        )
-        grid, exchanges = _build(config, n_peers, seed, f"ab1-{mutual}")
-        density = grid.total_routing_refs() / max(
-            1, sum(peer.depth for peer in grid.peers())
-        )
-        success, messages = _measure_search(
-            grid,
-            p_online=p_online,
-            key_length=maxl - 1,
-            n_searches=n_searches,
-            seed=seed,
-            tag=f"ab1-{mutual}",
-        )
-        rows.append(
-            [
-                "mutual refs" if mutual else "paper (forward only)",
-                exchanges,
-                density,
-                success,
-                messages,
-            ]
-        )
-    return ExperimentResult(
-        experiment_id="ablation_case4_refs",
-        title="AB1: case-4 mutual reference insertion",
-        headers=[
-            "variant",
-            "e",
-            "refs per path bit",
-            "search success",
-            "avg messages",
-        ],
-        rows=rows,
-        config={
-            "n_peers": n_peers,
-            "maxl": maxl,
-            "refmax": refmax,
-            "recmax": recmax,
-            "fanout": fanout,
-            "p_online": p_online,
-            "n_searches": n_searches,
-            "seed": seed,
-        },
-        notes=(
-            "Mutual insertion fills routing tables faster (higher density), "
-            "which should raise search success under churn at little or no "
-            "extra construction cost."
-        ),
-    )
-
-
 # -- AB2: availability sweep vs. eq. (3) -----------------------------------------------
 
 
@@ -186,19 +86,29 @@ def run_online_prob(
         maxl=maxl, refmax=refmax, recmax=recmax, recursion_fanout=fanout
     )
     grid, _exchanges = _build(config, n_peers, seed, "ab2")
+    addresses = grid.addresses()
     key_length = maxl - 1
     rows: list[list[object]] = []
     for p_online in probabilities:
-        success, messages = _measure_search(
-            grid,
-            p_online=p_online,
-            key_length=key_length,
-            n_searches=n_searches,
-            seed=seed,
-            tag=f"ab2-{p_online}",
+        tag = f"ab2-{p_online}"
+        grid.online_oracle = BernoulliChurn(
+            p_online, rngmod.derive(seed, f"ab-churn-{tag}")
         )
+        engine = SearchEngine(grid)
+        keys = UniformKeyWorkload(key_length, rngmod.derive(seed, f"ab-keys-{tag}"))
+        starts = rngmod.derive(seed, f"ab-starts-{tag}")
+        messages = hits = 0
+        for _ in range(n_searches):
+            result = engine.query_from(starts.choice(addresses), keys.next_key())
+            if result.found:
+                messages += result.messages
+                hits += 1
+        success = hits / n_searches if n_searches else 0.0
         predicted = search_success_probability(p_online, refmax, key_length)
-        rows.append([p_online, success, predicted, success - predicted, messages])
+        rows.append(
+            [p_online, success, predicted, success - predicted,
+             messages / hits if hits else 0.0]
+        )
     return ExperimentResult(
         experiment_id="ablation_online_prob",
         title="AB2: search success vs. availability (simulation vs. eq. 3)",
@@ -310,70 +220,6 @@ def run_skew(
             "data-agnostically, so Zipf keys concentrate index entries and "
             "query hits on the peers owning popular prefixes — higher gini "
             "and max/mean ratios than uniform (the §6 future-work gap)."
-        ),
-    )
-
-
-# -- AB4: reference exchange at all shared levels ----------------------------------------
-
-
-def run_ref_exchange(
-    *,
-    n_peers: int = 1000,
-    maxl: int = 6,
-    refmax: int = 4,
-    recmax: int = 2,
-    fanout: int = 2,
-    p_online: float = 0.3,
-    n_searches: int = 2000,
-    seed: int = 14,
-) -> ExperimentResult:
-    """AB4: exchanging refs at all shared levels vs. only level ``lc``."""
-    rows: list[list[object]] = []
-    for all_levels in (False, True):
-        config = PGridConfig(
-            maxl=maxl,
-            refmax=refmax,
-            recmax=recmax,
-            recursion_fanout=fanout,
-            exchange_refs_all_levels=all_levels,
-        )
-        grid, exchanges = _build(config, n_peers, seed, f"ab4-{all_levels}")
-        total_refs = grid.total_routing_refs()
-        success, messages = _measure_search(
-            grid,
-            p_online=p_online,
-            key_length=maxl - 1,
-            n_searches=n_searches,
-            seed=seed,
-            tag=f"ab4-{all_levels}",
-        )
-        rows.append(
-            [
-                "all shared levels" if all_levels else "paper (level lc only)",
-                exchanges,
-                total_refs / n_peers,
-                success,
-                messages,
-            ]
-        )
-    return ExperimentResult(
-        experiment_id="ablation_ref_exchange",
-        title="AB4: reference exchange at all levels vs. deepest level only",
-        headers=["variant", "e", "refs per peer", "search success", "avg messages"],
-        rows=rows,
-        config={
-            "n_peers": n_peers,
-            "maxl": maxl,
-            "refmax": refmax,
-            "p_online": p_online,
-            "n_searches": n_searches,
-            "seed": seed,
-        },
-        notes=(
-            "Exchanging at every shared level refreshes shallow reference "
-            "sets continuously; expected to densify routing state and raise "
-            "success under churn for comparable construction cost."
         ),
     )
 

@@ -31,10 +31,10 @@ fan-out 2 (ROADMAP item 12 has the full table).  Use
 paper's ``e`` matters; use ``engine="batch"`` for scale.
 
 Restrictions (construction-from-scratch focus): the builder starts from
-``n`` fresh peers — empty paths, routing tables, buddies and stores —
-and supports only the default ablation flags (``split_min_items=None``,
-``mutual_refs_in_case4=False``, ``exchange_refs_all_levels=False``).
-The object engine covers the ablation regimes.
+``n`` fresh peers — empty paths, routing tables, buddies and stores — so
+it refuses ``split_min_items`` (with empty stores the gate would never
+split; the object engine covers data-driven splitting), and it packs
+paths into int64, so ``maxl`` is at most 58.
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ class BatchGridBuilder:
             raise ValueError("construction needs at least two peers")
         if config.split_min_items is not None:
             raise ValueError("batch engine does not support split_min_items")
-        if config.mutual_refs_in_case4:
-            raise ValueError("batch engine does not support mutual_refs_in_case4")
-        if config.exchange_refs_all_levels:
-            raise ValueError("batch engine does not support exchange_refs_all_levels")
         if config.maxl > 58:
             raise ValueError("batch engine packs paths into int64 (maxl <= 58)")
         self.n = n

@@ -139,12 +139,6 @@ class BatchSearchResult:
     def mean_messages(self) -> float:
         return float(self.messages.mean()) if len(self.messages) else 0.0
 
-    @property
-    def mean_failed(self) -> float:
-        return (
-            float(self.failed_attempts.mean()) if len(self.failed_attempts) else 0.0
-        )
-
 
 class BatchReachResult:
     """Per-query reached-peer sets (CSR) of one breadth/replica-discovery

@@ -140,24 +140,16 @@ def exchange_step(a1: Any, a2: Any, depth: int, ctx: ExchangeContext):
 # -- reference exchange at shared levels ---------------------------------------
 
 
-def exchange_refs_default(a1: Any, a2: Any, lc: int, config: Any, rng: random.Random) -> None:
-    """Union + re-sample the reference sets at the shared level(s).
-
-    The paper exchanges only at the deepest shared level ``lc``;
-    ``exchange_refs_all_levels`` extends this to every level ``1..lc``
-    (ablation AB4).
-    """
-    levels = range(1, lc + 1) if config.exchange_refs_all_levels else (lc,)
-    for level in levels:
-        combined = [
-            address
-            for address in (*a1.routing.refs(level), *a2.routing.refs(level))
-            if address not in (a1.address, a2.address)
-        ]
-        if not combined:
-            continue
-        a1.routing.merge_refs(level, combined, rng)
-        a2.routing.merge_refs(level, combined, rng)
+def exchange_refs_default(a1: Any, a2: Any, lc: int, rng: random.Random) -> None:
+    """Union + re-sample the reference sets at the deepest shared level ``lc``."""
+    combined = [
+        address
+        for address in (*a1.routing.refs(lc), *a2.routing.refs(lc))
+        if address not in (a1.address, a2.address)
+    ]
+    if combined:
+        a1.routing.merge_refs(lc, combined, rng)
+        a2.routing.merge_refs(lc, combined, rng)
 
 
 def may_specialize(peer: Any, config: Any) -> bool:
@@ -210,14 +202,10 @@ def case23_specialize(
 
 
 def case4_candidates(a1: Any, a2: Any, lc: int, ctx: ExchangeContext):
-    """Mutual-ref bookkeeping + the (possibly fanout-bounded) recursion sets."""
-    config = ctx.config
-    if config.mutual_refs_in_case4:
-        a1.routing.add_ref(lc + 1, a2.address)
-        a2.routing.add_ref(lc + 1, a1.address)
+    """The (possibly fanout-bounded) sets the pair is forwarded to (Fig. 3)."""
     refs1 = [r for r in a1.routing.refs(lc + 1) if r != a2.address]
     refs2 = [r for r in a2.routing.refs(lc + 1) if r != a1.address]
-    fanout = config.recursion_fanout
+    fanout = ctx.config.recursion_fanout
     if fanout is not None:
         rng = ctx.rng
         if len(refs1) > fanout:

@@ -24,6 +24,10 @@ FORMAT_TAG = "pgrid-snapshot/1"
 
 __all__ = ["grid_to_dict", "grid_from_dict", "save_grid", "load_grid", "FORMAT_TAG"]
 
+#: Config keys of the deleted AB1/AB4 knobs in older snapshots: ``false`` is
+#: the paper's rule; ``true`` describes a grid no remaining rule builds.
+_DELETED_KNOBS = ("mutual_refs_in_case4", "exchange_refs_all_levels")
+
 
 def grid_to_dict(grid: PGrid) -> dict[str, Any]:
     """Serialize *grid* (peer state only; RNG/oracle are run-time choices)."""
@@ -73,7 +77,11 @@ def grid_from_dict(
             else "snapshot root must be an object"
         )
     try:
-        config = PGridConfig.from_dict(data["config"])
+        raw = dict(data["config"])
+        for knob in _DELETED_KNOBS:
+            if raw.pop(knob, False):
+                raise SnapshotFormatError(f"snapshot built with deleted knob {knob}=true")
+        config = PGridConfig.from_dict(raw)
         grid = PGrid(config, rng=rng, online_oracle=online_oracle)
         for record in data["peers"]:
             peer = grid.add_peer(int(record["address"]))

@@ -77,12 +77,6 @@ class Topology:
         )
         return ranked[:count]
 
-    def path_latency(self, hops: list[Address]) -> float:
-        """Total latency along a hop sequence."""
-        return sum(
-            self.latency(a, b) for a, b in zip(hops, hops[1:])
-        )
-
 
 class ProximitySearchEngine(SearchEngine):
     """Fig. 2 search with proximity routing: nearest reference first.
@@ -133,22 +127,14 @@ class ProximityExchangeEngine(ExchangeEngine):
         self.topology = topology
 
     def _exchange_refs(self, a1: Peer, a2: Peer, lc: int) -> None:
-        levels = (
-            range(1, lc + 1)
-            if self.config.exchange_refs_all_levels
-            else (lc,)
-        )
-        for level in levels:
-            combined = [
-                address
-                for address in (*a1.routing.refs(level), *a2.routing.refs(level))
-                if address not in (a1.address, a2.address)
-            ]
-            if not combined:
-                continue
-            for peer in (a1, a2):
-                union = list(dict.fromkeys([*peer.routing.refs(level), *combined]))
-                keep = self.topology.nearest(
-                    peer.address, union, peer.routing.refmax
-                )
-                peer.routing.set_refs(level, keep)
+        combined = [
+            address
+            for address in (*a1.routing.refs(lc), *a2.routing.refs(lc))
+            if address not in (a1.address, a2.address)
+        ]
+        if not combined:
+            return
+        for peer in (a1, a2):
+            union = list(dict.fromkeys([*peer.routing.refs(lc), *combined]))
+            keep = self.topology.nearest(peer.address, union, peer.routing.refmax)
+            peer.routing.set_refs(lc, keep)

@@ -14,7 +14,6 @@ import asyncio
 
 import pytest
 
-from repro.sim import rng as rngmod
 from tests.conftest import build_grid
 
 from repro.aio.swarm import AsyncSwarm, seed_items

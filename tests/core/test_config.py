@@ -60,8 +60,7 @@ class TestPGridConfig:
             refmax=5,
             recmax=3,
             recursion_fanout=2,
-            mutual_refs_in_case4=True,
-            exchange_refs_all_levels=True,
+            split_min_items=4,
         )
         assert PGridConfig.from_dict(config.to_dict()) == config
 

@@ -122,22 +122,6 @@ class TestRefsExchange:
         assert grid.peer(0).routing.refs(1) == [2]
         assert grid.peer(1).routing.refs(1) == [3]
 
-    def test_refs_exchange_all_levels_option(self):
-        grid = PGrid(
-            PGridConfig(maxl=3, refmax=4, exchange_refs_all_levels=True),
-            rng=random.Random(0),
-        )
-        grid.add_peers(4)
-        grid.peer(0).set_path("00")
-        grid.peer(1).set_path("00")
-        grid.peer(2).set_path("10")
-        grid.peer(3).set_path("11")
-        grid.peer(0).routing.set_refs(1, [2])
-        grid.peer(1).routing.set_refs(1, [3])
-        ExchangeEngine(grid).meet(0, 1)
-        assert set(grid.peer(0).routing.refs(1)) == {2, 3}
-        assert set(grid.peer(1).routing.refs(1)) == {2, 3}
-
     def test_refs_capacity_respected_after_merge(self):
         grid = PGrid(PGridConfig(maxl=3, refmax=1), rng=random.Random(0))
         grid.add_peers(4)
@@ -204,14 +188,6 @@ class TestCase4Recursion:
         engine = ExchangeEngine(grid)
         calls = engine.meet(0, 1)
         assert calls == 2  # 1 top-level + exactly 1 recursive
-
-    def test_mutual_refs_in_case4_option(self):
-        grid = self._diverged_grid(recmax=1)
-        config = grid.config.with_overrides(mutual_refs_in_case4=True)
-        engine = ExchangeEngine(grid, config=config)
-        engine.meet(0, 1)
-        assert 1 in grid.peer(0).routing.refs(2)
-        assert 0 in grid.peer(1).routing.refs(2)
 
     def test_paper_default_no_mutual_refs(self):
         grid = self._diverged_grid(recmax=0)

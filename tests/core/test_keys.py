@@ -143,11 +143,6 @@ class TestPrefixAlgebra:
         related = keys.in_prefix_relation(a, b)
         assert related == (keys.common_prefix_length(a, b) == min(len(a), len(b)))
 
-    def test_is_prefix(self):
-        assert keys.is_prefix("01", "0110")
-        assert keys.is_prefix("", "0")
-        assert not keys.is_prefix("11", "0110")
-
     def test_prefixes_enumeration(self):
         assert list(keys.prefixes("01")) == ["", "0", "01"]
         assert list(keys.prefixes("")) == [""]
@@ -175,12 +170,6 @@ class TestPaperHelpers:
         assert keys.complement_bit("1") == "0"
         with pytest.raises(InvalidKeyError):
             keys.complement_bit("x")
-
-    def test_flip_last_bit(self):
-        assert keys.flip_last_bit("010") == "011"
-        assert keys.flip_last_bit("1") == "0"
-        with pytest.raises(InvalidKeyError):
-            keys.flip_last_bit("")
 
 
 class TestGenerators:

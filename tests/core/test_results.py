@@ -39,18 +39,6 @@ class TestProtocolConformance:
                 == outcome.messages + outcome.failed_attempts
             )
 
-    def test_cost_dict_shape(self):
-        for outcome in self._outcomes():
-            cost = outcome.cost_dict()
-            assert set(cost) == {
-                "found",
-                "messages",
-                "failed_attempts",
-                "total_contacts",
-            }
-            assert cost["found"] == outcome.found
-            assert cost["total_contacts"] == outcome.total_contacts
-
     def test_update_and_read_found_aliases(self):
         *_, update, read = self._outcomes()
         assert update.found == bool(update.reached)

@@ -133,16 +133,6 @@ class TestRemoval:
         assert not table.remove_ref(5, 1)
         assert not table.remove_ref(0, 1)
 
-    def test_remove_everywhere(self):
-        table = RoutingTable(2)
-        table.set_refs(1, [7, 8])
-        table.set_refs(2, [7])
-        table.set_refs(3, [9])
-        assert table.remove_everywhere(7) == 2
-        assert table.refs(1) == [8]
-        assert table.refs(2) == []
-        assert table.refs(3) == [9]
-
     def test_truncate(self):
         table = RoutingTable(2)
         table.set_refs(1, [1])

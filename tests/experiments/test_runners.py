@@ -236,15 +236,6 @@ class TestComparisonAndAnalysis:
 
 
 class TestAblations:
-    def test_case4_refs_rows(self):
-        result = ablations.run_case4_refs(
-            n_peers=120, maxl=4, refmax=3, n_searches=150, seed=3
-        )
-        variants = [row[0] for row in result.rows]
-        assert variants == ["paper (forward only)", "mutual refs"]
-        for row in result.rows:
-            assert 0.0 <= row[3] <= 1.0
-
     def test_online_prob_monotone(self):
         result = ablations.run_online_prob(
             n_peers=150, maxl=4, refmax=4,
@@ -261,15 +252,6 @@ class TestAblations:
         )
         uniform, zipf = result.rows
         assert zipf[4] > uniform[4]  # query-load gini grows under skew
-
-    def test_ref_exchange_rows(self):
-        result = ablations.run_ref_exchange(
-            n_peers=120, maxl=4, refmax=3, n_searches=150, seed=3
-        )
-        assert [row[0] for row in result.rows] == [
-            "paper (level lc only)",
-            "all shared levels",
-        ]
 
 
 class TestNewExperiments:

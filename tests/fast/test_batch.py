@@ -155,10 +155,8 @@ class TestRestrictions:
         "config",
         [
             PGridConfig(maxl=4, refmax=2, split_min_items=1),
-            PGridConfig(maxl=4, refmax=2, mutual_refs_in_case4=True),
-            PGridConfig(maxl=4, refmax=2, exchange_refs_all_levels=True),
         ],
-        ids=["split-min-items", "mutual-refs", "all-levels"],
+        ids=["split-min-items"],
     )
     def test_unsupported_configs_rejected(self, config):
         with pytest.raises(ValueError):

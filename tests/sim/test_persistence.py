@@ -104,6 +104,26 @@ class TestFormatErrors:
         assert len(payload["peers"]) == 8
 
 
+class TestLegacyConfigKeys:
+    """Snapshots written while the AB1/AB4 knobs existed still load."""
+
+    KNOBS = ("mutual_refs_in_case4", "exchange_refs_all_levels")
+
+    def test_false_knobs_load_as_the_paper_rule(self):
+        grid = decorate(build_grid(16, maxl=3, seed=24))
+        legacy = grid_to_dict(grid)
+        legacy["config"].update({knob: False for knob in self.KNOBS})
+        assert grid_to_dict(grid_from_dict(legacy)) == grid_to_dict(grid)
+
+    @pytest.mark.parametrize("knob", KNOBS)
+    def test_true_knob_rejected(self, knob):
+        legacy = grid_to_dict(build_grid(8, maxl=2, seed=25))
+        legacy["config"].update({name: False for name in self.KNOBS})
+        legacy["config"][knob] = True
+        with pytest.raises(SnapshotFormatError, match=knob):
+            grid_from_dict(legacy)
+
+
 class TestGzipSnapshots:
     def test_gz_roundtrip(self, tmp_path):
         grid = decorate(build_grid(48, maxl=4, refmax=2, seed=23))

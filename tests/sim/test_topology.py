@@ -58,13 +58,6 @@ class TestTopology:
         with pytest.raises(ValueError):
             topo.nearest(0, [1, 2], -1)
 
-    def test_path_latency(self):
-        topo = Topology(random.Random(7))
-        topo.place_all([0, 1, 2])
-        expected = topo.latency(0, 1) + topo.latency(1, 2)
-        assert topo.path_latency([0, 1, 2]) == pytest.approx(expected)
-        assert topo.path_latency([0]) == 0.0
-
 
 class TestLatencyAccounting:
     def test_base_engine_reports_latency_when_topology_attached(self):
