@@ -55,15 +55,17 @@ check: test lint
 bench:
 	$(PYTHON) benchmarks/harness.py --scale $(SCALE)
 
-# The paper-table regeneration suite (pytest-benchmark based).
+# The paper-table regeneration suite (pytest-benchmark based).  The e2e
+# harness has its own conftest and self-tests (bench-e2e-smoke); collected
+# together, its conftest shadows benchmarks/conftest.py.
 bench-experiments:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/ --ignore=benchmarks/e2e --benchmark-only
 
 bench-paper:
-	REPRO_SCALE=paper $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	REPRO_SCALE=paper $(PYTHON) -m pytest benchmarks/ --ignore=benchmarks/e2e --benchmark-only
 
 bench-quick:
-	REPRO_SCALE=quick $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	REPRO_SCALE=quick $(PYTHON) -m pytest benchmarks/ --ignore=benchmarks/e2e --benchmark-only
 
 # Perf gate: a fresh micro-bench run's hot-path speedup ratios must stay
 # within 10% of the committed smoke-scale baseline, the construction

@@ -7,9 +7,9 @@ drive → finish contract is in :mod:`repro.net.node`); this module holds
 only the **drive** step as asyncio makes it: each
 :class:`~repro.protocol.Contact` is put to ``transport.admit`` (synchronous:
 a refused contact builds no message) and, admitted, becomes one ``await
-transport.arrive(...)`` — a slot in the destination's bounded mailbox —
-then a push of the destination's operation onto this loop's stack, run in
-this very task, and ``postcheck`` (latency slept) as it pops.  A retry's
+transport.arrive(...)`` — through the destination's mailbox — then a push
+of the destination's operation onto this loop's stack, run in this very
+task, and ``postcheck`` (latency slept) as it pops.  A retry's
 backoff is both accrued on the transport clock and slept on its :mod:`~repro.aio.clock`,
 so :class:`~repro.faults.RetryPolicy` deadlines mean the same thing here.
 The machine stays a synchronous generator (all protocol randomness

@@ -126,13 +126,12 @@ class AsyncSwarm:
         healer=None,
         config: SearchConfig | None = None,
         probe: Probe | None = None,
-        mailbox_size: int = 64,
         clock=None,
     ) -> None:
         self.grid = grid
         self.config = config or SearchConfig()
         self.transport = transport if transport is not None else AsyncTransport(
-            grid, mailbox_size=mailbox_size, probe=probe, clock=clock
+            grid, probe=probe, clock=clock
         )
         self.nodes: dict[Address, AsyncPGridNode] = attach_async_nodes(
             grid, self.transport, retry=retry, healer=healer, config=self.config

@@ -1,31 +1,26 @@
-"""Async transport: bounded per-node mailboxes, delivered in the caller's task.
+"""Async transport: per-node mailboxes, delivered in the caller's task.
 
 :class:`AsyncTransport` is the asyncio counterpart of
 :class:`~repro.net.transport.LocalTransport`.  Delivery semantics are
 identical — the very same synchronous pre-delivery gate, inherited
 (:meth:`repro.net.transport.Gated.admit`: fault plan, missing handler,
-offline oracle, loss coin), the same :class:`TrafficStats` counters and
-transport RNG stream; ``await deliver(message)`` carries an admitted message
-to its handler (``arrive``, the handler, ``postcheck``) and ``request`` is
-``admit`` and ``deliver`` in order, raising for a refusal.  A delivered hop:
+offline oracle), the same :class:`TrafficStats` counters;
+``await deliver(message)`` carries an admitted message to its handler
+(``arrive``, the handler, ``postcheck``) and ``request`` is ``admit`` and
+``deliver`` in order, raising for a refusal.  A delivered hop:
 
-* every registered address owns a *mailbox*: a waiting room of
-  ``mailbox_size`` slots.  An accepted message holds a slot until it is
-  dispatched; with every slot taken ``await request(...)`` blocks, which
-  is the backpressure that keeps a node from being buried;
 * one transport-wide gate, opened by :meth:`AsyncTransport.start` and
   closed by :meth:`AsyncTransport.stop`, decides when accepted messages
   are dispatched.  While it is open a message passes straight through
   (depth 1, no wait, no yield to the event loop); while it is closed the
-  senders park in the waiting room, in arrival order;
-* the slot is released when ``arrive`` returns, before the destination's
-  operation runs in the requester's task (pushed onto the node loop's
-  stack).  ``mailbox_size`` bounds the messages waiting at a node, never
-  the operations in progress — the re-entrant walks of the protocol (A
-  queries B, whose subtree queries A back) would deadlock on such a bound;
+  senders park in the destination's *mailbox*, a waiting room, and leave
+  it in arrival order when the gate opens;
+* the destination's operation then runs in the requester's task (pushed
+  onto the node loop's stack), so the re-entrant walks of the protocol (A
+  queries B, whose subtree queries A back) never wait on each other;
 * cancelling (or timing out) a ``request`` unwinds the whole remote
-  subtree it was waiting on; a sender cancelled while parked gives its
-  slot back;
+  subtree it was waiting on; a sender cancelled while parked leaves the
+  mailbox's depth and tallies consistent;
 * mailbox depth and waiting time are tallied per node
   (:class:`MailboxStats`) and streamed to the observability layer via
   :meth:`repro.obs.probe.Probe.on_mailbox`.
@@ -33,14 +28,14 @@ to its handler (``arrive``, the handler, ``postcheck``) and ``request`` is
 Fault plans plug in through the inherited
 :meth:`~repro.net.transport.Gated.install_faults`: the plan goes first
 through ``admit`` (crash, drop coin) and its post-delivery faults (latency,
-crash coin, stale refs) run after each handler, from the same derived
-streams in the same order — a plan behaves identically on either substrate.
+slept on the transport's clock; crash coin; stale refs) run after each
+handler, from the same derived streams in the same order — a plan behaves
+identically on either substrate.
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 from dataclasses import dataclass
 from typing import Awaitable, Callable
 
@@ -48,7 +43,7 @@ from repro.core.grid import PGrid
 from repro.core.peer import Address
 from repro.errors import NoHandlerError
 from repro.net.message import Message
-from repro.net.transport import Gated, LatencyModel, refusal
+from repro.net.transport import Gated, refusal
 from repro.obs.probe import Probe
 from repro.protocol.effects import OK
 
@@ -81,13 +76,12 @@ class MailboxStats:
 
 
 class _Mailbox:
-    """One node's waiting room: handler, free slots, tallies, current depth."""
+    """One node's waiting room: handler, tallies, current depth."""
 
-    __slots__ = ("handler", "slots", "stats", "depth")
+    __slots__ = ("handler", "stats", "depth")
 
-    def __init__(self, handler: AsyncHandler, size: int) -> None:
+    def __init__(self, handler: AsyncHandler) -> None:
         self.handler = handler
-        self.slots = asyncio.Semaphore(size)
         self.stats = MailboxStats()
         self.depth = 0
 
@@ -95,23 +89,8 @@ class _Mailbox:
 class AsyncTransport(Gated):
     """Mailbox-based asyncio transport over a :class:`PGrid` population."""
 
-    def __init__(
-        self,
-        grid: PGrid,
-        *,
-        mailbox_size: int = 64,
-        loss_probability: float = 0.0,
-        latency: LatencyModel | None = None,
-        rng: random.Random | None = None,
-        seed: int | None = None,
-        probe: Probe | None = None,
-        clock=None,
-    ) -> None:
-        if mailbox_size < 1:
-            raise ValueError(f"mailbox_size must be >= 1, got {mailbox_size}")
-        super().__init__(grid, loss_probability=loss_probability, latency=latency,
-                         rng=rng, seed=seed, probe=probe)
-        self.mailbox_size = mailbox_size
+    def __init__(self, grid: PGrid, *, probe: Probe | None = None, clock=None) -> None:
+        super().__init__(grid, probe=probe)
         self.clock = clock if clock is not None else VirtualClock()
         self.mailbox_stats: dict[Address, MailboxStats] = {}
         self._gate = asyncio.Event()  # set while started
@@ -122,7 +101,7 @@ class AsyncTransport(Gated):
         """Attach the async message handler (and mailbox) for *address*.
         (Unregistered again, senders parked in its mailbox get
         :class:`NoHandlerError` when the gate next opens.)"""
-        box = _Mailbox(handler, self.mailbox_size)
+        box = _Mailbox(handler)
         self._register(address, box)
         self.mailbox_stats[address] = box.stats
 
@@ -141,39 +120,29 @@ class AsyncTransport(Gated):
     async def arrive(self, message: Message) -> AsyncHandler:
         """Bring an admitted *message* to its handler, which is returned.
 
-        Latency sample (slept on the clock), ``delivered`` tally, mailbox.
-        A full destination mailbox blocks here — backpressure on the
-        caller, not silent loss — and so does a stopped transport; the
-        slot is given back before this returns.
+        ``delivered`` tally, then the mailbox: on a started transport the
+        message passes straight through; on a stopped one the sender parks
+        here until the next :meth:`start`.
         """
         destination = message.destination
         box: _Mailbox | None = self._handlers.get(destination)
         if box is None:
             raise NoHandlerError(destination)
         probe = self.probe
-        if self.latency is not None:
-            delay = self.latency.sample(message)
-            self.stats.simulated_time += delay
-            await self.clock.sleep(delay)
         self.stats.delivered[message.kind] += 1
         if probe is not None:
             probe.on_transport(
                 message.kind.value, message.source, destination, "delivered"
             )
-        stats, gate, slots, wait = box.stats, self._gate, box.slots, 0.0
-        # Open gate, free slot: straight through — the slot would be taken
-        # and given back with no yield in between.
-        held = not gate.is_set() or slots.locked()
-        if held:
-            await slots.acquire()
+        stats, gate, wait = box.stats, self._gate, 0.0
+        stats.enqueued += 1
+        box.depth = depth = box.depth + 1
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        if probe is not None:
+            probe.on_mailbox("enqueue", destination, depth=depth)
         try:
-            stats.enqueued += 1
-            box.depth = depth = box.depth + 1
-            if depth > stats.max_depth:
-                stats.max_depth = depth
-            if probe is not None:
-                probe.on_mailbox("enqueue", destination, depth=depth)
-            if held and not gate.is_set():
+            if not gate.is_set():
                 now = asyncio.get_running_loop().time
                 parked_at = now()
                 while not gate.is_set():  # closed again before we ran: stay parked
@@ -181,8 +150,6 @@ class AsyncTransport(Gated):
                 wait = now() - parked_at
         finally:
             box.depth -= 1
-            if held:
-                slots.release()
         if self._handlers.get(destination) is not box:
             raise NoHandlerError(destination)  # the peer left while we waited
         stats.handled += 1

@@ -28,7 +28,7 @@ drivers of the sans-I/O protocol core —
 ``"async"``
     one :class:`~repro.aio.node.AsyncPGridNode` per peer over an
     :class:`~repro.aio.transport.AsyncTransport` on a private event loop
-    — bounded mailboxes, awaitable effects.
+    — per-node mailboxes, awaitable effects.
 
 All three run the *same* protocol machines and draw from the grid RNG in
 the same order, so on equal grids the three services return
@@ -424,7 +424,6 @@ class Grid:
         retry=None,
         healer=None,
         config: SearchConfig | None = None,
-        mailbox_size: int = 64,
     ):
         """Serve this grid behind one of the three drivers.
 
@@ -444,13 +443,7 @@ class Grid:
                 self, retry=retry, healer=healer, config=config
             )
         if driver == "async":
-            return AsyncService(
-                self,
-                retry=retry,
-                healer=healer,
-                config=config,
-                mailbox_size=mailbox_size,
-            )
+            return AsyncService(self, retry=retry, healer=healer, config=config)
         raise InvalidConfigError(
             f"unknown driver {driver!r}: expected one of {', '.join(DRIVERS)}"
         )
@@ -572,7 +565,6 @@ class AsyncService(NodeService):
         retry=None,
         healer=None,
         config: SearchConfig | None = None,
-        mailbox_size: int = 64,
     ) -> None:
         from repro.aio.swarm import AsyncSwarm
 
@@ -584,7 +576,6 @@ class AsyncService(NodeService):
             healer=healer,
             config=config,
             probe=grid.probe,
-            mailbox_size=mailbox_size,
         )
         self.transport = self.swarm.transport
         self.nodes = self.swarm.nodes

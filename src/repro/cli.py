@@ -225,8 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swarm.add_argument("--update-fraction", type=float, default=0.1)
     swarm.add_argument("--concurrency", type=int, default=64,
                        help="operations in flight at once")
-    swarm.add_argument("--mailbox-size", type=int, default=64,
-                       help="bound of each node's mailbox (backpressure)")
     swarm.add_argument("--seed", type=int, default=0)
     swarm.add_argument("--time-budget", type=float, default=0.0,
                        help="fail (exit 1) if the workload takes longer "
@@ -694,7 +692,7 @@ def _cmd_swarm(args: argparse.Namespace) -> int:
     print(f"seeded {len(keys)} distinct keys")
 
     async def _run():
-        async with AsyncSwarm(grid.pgrid, mailbox_size=args.mailbox_size) as swarm:
+        async with AsyncSwarm(grid.pgrid) as swarm:
             return await swarm.run_workload(
                 operations=args.operations,
                 keys=keys,

@@ -29,7 +29,7 @@ The paper's free parameters (§3–§5):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.errors import InvalidConfigError
@@ -60,10 +60,6 @@ class PGridConfig:
             raise InvalidConfigError(
                 f"split_min_items must be >= 1 or None, got {self.split_min_items}"
             )
-
-    def with_overrides(self, **changes: Any) -> "PGridConfig":
-        """Return a copy with the given fields replaced (validated again)."""
-        return replace(self, **changes)
 
     def to_dict(self) -> dict[str, Any]:
         """Plain-dict form used by snapshots and experiment records."""

@@ -57,11 +57,7 @@ from repro.core.storage import DataRef
 from repro.obs.probe import Probe
 from repro.protocol.contact import Budget, Context, StepStats
 from repro.protocol.direct import run_breadth, run_dfs
-from repro.protocol.search import (
-    Traversal,
-    key_in_range,
-    run_range,
-)
+from repro.protocol.search import Traversal, run_range
 
 __all__ = [
     "SearchResult",
@@ -355,9 +351,3 @@ class SearchEngine:
             failed_attempts=failed,
             retry_delay=retry_delay,
         )
-
-    @staticmethod
-    def _key_in_range(key: str, low: str, high: str) -> bool:
-        """Whether *key*'s interval intersects the ``[low, high]`` range
-        (delegates to :func:`repro.protocol.search.key_in_range`)."""
-        return key_in_range(key, low, high)

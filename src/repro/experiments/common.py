@@ -10,7 +10,7 @@ default profile scales it down (~4 000 peers) with the *shape-relevant
 ratios preserved* (mean replication ≈ N/2^maxl, refmax=20 so eq. (3) gives
 the same per-level survival).  Select a profile with::
 
-    REPRO_SCALE=quick|scaled|paper pytest benchmarks/ --benchmark-only
+    REPRO_SCALE=quick|scaled|paper pytest benchmarks/ --ignore=benchmarks/e2e --benchmark-only
 
 Constructed §5.2 grids are cached as JSON snapshots under
 ``benchmarks/.cache`` and reused across benchmark runs.

@@ -1,12 +1,13 @@
 """Deterministic fault injection over a grid's oracle and message planes.
 
 :class:`FaultInjector` executes one :class:`~repro.faults.plan.FaultPlan`
-over a grid: extra message drops, added latency, peer crashes with bounded
+over a grid: message drops, added latency, peer crashes with bounded
 downtime, and stale-routing-reference corruption.  It is not a transport.
 A message plane takes a plan through
 :meth:`repro.net.transport.Gated.install_faults`, which builds the
 injector: the transport's gate asks it first (crash check, drop coin) and
-its :meth:`FaultInjector.postcheck` ends every delivery.  The injector
+reports its refusals to the transport's probe, and
+:meth:`FaultInjector.postcheck` ends every delivery.  The injector
 also exposes the crash state (plus the plan's per-contact availability)
 as an :class:`~repro.core.grid.OnlineOracle` via :meth:`oracle` /
 :meth:`install_oracle`, so the engine-level algorithms — which consult
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import InvalidConfigError, UnknownPeerError
 from repro.faults.plan import FaultPlan
-from repro.obs.probe import Probe
 from repro.sim import rng as rngmod
 
 __all__ = ["FaultInjector", "FaultOracle", "FaultStats"]
@@ -76,16 +76,9 @@ class FaultInjector:
     the resilience experiment build one directly and use its oracle only.
     """
 
-    def __init__(
-        self,
-        grid,
-        plan: FaultPlan | None = None,
-        *,
-        probe: Probe | None = None,
-    ) -> None:
+    def __init__(self, grid, plan: FaultPlan | None = None) -> None:
         self.grid = grid
         self.plan = plan or FaultPlan()
-        self.probe = probe
         self.fault_stats = FaultStats()
         # Crashed peers -> remaining downtime in contact attempts
         # (None = down until an explicit restart()).
@@ -131,8 +124,7 @@ class FaultInjector:
         Raises :class:`~repro.errors.InvalidConfigError` if *address* is
         not a peer of the grid: a fault plan naming a nonexistent peer is
         a configuration bug, and silently no-opping it would let a typo'd
-        plan report a fault-free run as resilience (same audit stance as
-        the lossy-but-unseeded transport check).
+        plan report a fault-free run as resilience.
         """
         self._require_peer(address, "crash")
         if address in self._crashed:

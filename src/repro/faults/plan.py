@@ -33,8 +33,8 @@ class FaultPlan:
         derived per fault type (see :mod:`repro.sim.rng`), so e.g. enabling
         drops does not reshuffle which peers crash.
     ``drop_probability``
-        Extra, independent per-message drop probability applied *before*
-        delivery (on top of the transport's own loss model).
+        Independent per-message drop probability applied *before*
+        delivery; the only source of message loss on either plane.
     ``extra_latency``
         Fixed simulated latency added to every delivered message.
     ``availability``

@@ -14,22 +14,15 @@ from repro.net.message import (
     update_message,
 )
 from repro.net.node import PGridNode, attach_nodes
-from repro.net.transport import (
-    ConstantLatency,
-    LocalTransport,
-    TrafficStats,
-    UniformLatency,
-)
+from repro.net.transport import LocalTransport, TrafficStats
 from repro.net.wire import decode_message, encode_message, frame_message
 
 __all__ = [
-    "ConstantLatency",
     "LocalTransport",
     "Message",
     "MessageKind",
     "PGridNode",
     "TrafficStats",
-    "UniformLatency",
     "attach_nodes",
     "breadth_message",
     "breadth_response",

@@ -1,14 +1,12 @@
 """Simulated transport: synchronous message delivery with failure modes.
 
-``LocalTransport`` delivers messages to registered handlers in-process while
-modelling the failure characteristics that matter to the paper's claims:
-
-* *offline peers* — the gate consults the grid's online oracle; an offline
-  peer is the paper's ``IF online(peer(r))`` guard answering "no";
-* *message loss* — an optional independent drop probability;
-* *latency* — an optional per-message latency model feeding a simulated
-  clock, so experiments can report end-to-end response times, not only
-  message counts.
+``LocalTransport`` delivers messages to registered handlers in-process.
+Its one failure mode of its own is the paper's: the gate consults the
+grid's online oracle, and an offline peer is the ``IF online(peer(r))``
+guard answering "no".  Every other fault — message drops, added latency,
+crashes, stale references — comes from a :class:`~repro.faults.FaultPlan`
+installed with :meth:`Gated.install_faults`, the one way a plan reaches
+either plane.
 
 Delivery has two halves.  :meth:`Gated.admit` — the pre-delivery gate,
 written once for this transport and
@@ -16,15 +14,12 @@ written once for this transport and
 destination)``, needs no message, tallies and reports every refusal and
 answers with a :class:`~repro.protocol.effects.ContactStatus` instead of
 raising.  ``deliver(message)`` is the rest, for an admitted contact:
-``arrive`` (latency sample, ``delivered`` tally; returns the handler), the
-handler, then :meth:`Gated.postcheck` (the fault plan's post-delivery
-faults).  The node drivers build the message after ``admit``, so a refused
-contact (seven in ten at the paper's 30 % availability) costs a liveness
-check, and push the destination's operation in place of the handler;
-``send`` is ``admit`` and ``deliver`` for a caller holding a message.
-
-A :class:`~repro.faults.FaultPlan` reaches either plane one way:
-:meth:`Gated.install_faults`.
+``arrive`` (``delivered`` tally; returns the handler), the handler, then
+:meth:`Gated.postcheck` (the fault plan's post-delivery faults).  The node
+drivers build the message after ``admit``, so a refused contact (seven in
+ten at the paper's 30 % availability) costs a liveness check, and push the
+destination's operation in place of the handler; ``send`` is ``admit`` and
+``deliver`` for a caller holding a message.
 
 All traffic is counted per :class:`~repro.net.message.MessageKind` in a
 :class:`TrafficStats`, which is what the networked examples report.
@@ -32,10 +27,9 @@ All traffic is counted per :class:`~repro.net.message.MessageKind` in a
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
 from repro.core.grid import PGrid
 from repro.core.peer import Address
@@ -48,7 +42,6 @@ from repro.errors import (
 from repro.net.message import Message, MessageKind
 from repro.obs.probe import Probe
 from repro.protocol.effects import DROPPED, GONE, OFFLINE, OK, ContactStatus
-from repro.sim import rng as rngmod
 
 Handler = Callable[[Message], Message | None]
 
@@ -77,40 +70,6 @@ class TrafficStats:
         }
 
 
-class LatencyModel(Protocol):
-    """Maps one message to a simulated delivery delay."""
-
-    def sample(self, message: Message) -> float:
-        """Latency in arbitrary simulated time units."""
-        ...  # pragma: no cover - protocol
-
-
-class ConstantLatency:
-    """Fixed latency per message hop."""
-
-    def __init__(self, delay: float = 1.0) -> None:
-        if delay < 0:
-            raise ValueError(f"delay must be >= 0, got {delay}")
-        self.delay = delay
-
-    def sample(self, message: Message) -> float:  # noqa: ARG002
-        return self.delay
-
-
-class UniformLatency:
-    """Uniform latency in ``[low, high]`` per message hop."""
-
-    def __init__(self, low: float, high: float, rng: random.Random) -> None:
-        if not 0 <= low <= high:
-            raise ValueError(f"need 0 <= low <= high, got {low}, {high}")
-        self.low = low
-        self.high = high
-        self._rng = rng
-
-    def sample(self, message: Message) -> float:  # noqa: ARG002
-        return self._rng.uniform(self.low, self.high)
-
-
 class Gated:
     """What every message plane shares, written once: configuration, the
     registry of who can be reached, the fault plan in front of it
@@ -118,34 +77,8 @@ class Gated:
     Base of :class:`LocalTransport` and :class:`~repro.aio.transport.AsyncTransport`.
     """
 
-    def __init__(
-        self,
-        grid: PGrid,
-        *,
-        loss_probability: float = 0.0,
-        latency: LatencyModel | None = None,
-        rng: random.Random | None = None,
-        seed: int | None = None,
-        probe: Probe | None = None,
-    ) -> None:
-        if not 0.0 <= loss_probability < 1.0:
-            raise ValueError(f"loss_probability must be in [0, 1), got {loss_probability}")
+    def __init__(self, grid: PGrid, *, probe: Probe | None = None) -> None:
         self.grid = grid
-        self.loss_probability = loss_probability
-        self.latency = latency
-        # The loss model draws from its own stream, never from the grid's
-        # protocol RNG: transport noise must not perturb the algorithms'
-        # randomness (the engine/node equivalence suite depends on this).
-        # An explicit ``rng`` wins; otherwise ``seed`` derives a dedicated
-        # "transport" stream; a lossy transport with neither is an error.
-        if rng is None and seed is not None:
-            rng = rngmod.derive(seed, "transport")
-        if loss_probability > 0.0 and rng is None:
-            raise InvalidConfigError(
-                "loss_probability > 0 requires an explicit rng= or seed= "
-                "(the transport never draws from the grid's protocol RNG)"
-            )
-        self._rng = rng
         #: address -> what the plane keeps per registered peer (its handler,
         #: or the mailbox holding it).
         self._handlers: dict[Address, Any] = {}
@@ -154,14 +87,15 @@ class Gated:
         #: The installed plan's :class:`~repro.faults.FaultInjector`, if any.
         self.faults = None
 
-    def install_faults(self, plan, *, probe: Probe | None = None):
+    def install_faults(self, plan):
         """Put a :class:`~repro.faults.FaultPlan` in front of this transport.
 
         Builds the plan's :class:`~repro.faults.FaultInjector` over the
         grid and installs its composed availability oracle there; from
         then on the plan goes first through :meth:`admit` (crash check,
         drop coin) and its post-delivery faults (extra latency, crash
-        coin, stale refs) end every ``deliver``.  Returns the injector, to
+        coin, stale refs) end every ``deliver``; its refusals are reported
+        to this transport's probe.  Returns the injector, to
         crash / restart peers or read ``fault_stats``.  A transport takes
         one plan: a second raises :class:`InvalidConfigError` (it would
         compose over the first, which would keep crashing and drawing).
@@ -170,7 +104,7 @@ class Gated:
             raise InvalidConfigError("a fault plan is already installed on this transport")
         from repro.faults.inject import FaultInjector
 
-        injector = FaultInjector(self.grid, plan, probe=probe)
+        injector = FaultInjector(self.grid, plan)
         injector.install_oracle()
         self.faults = injector
         return injector
@@ -206,38 +140,32 @@ class Gated:
            ``DROPPED``;
         2. no handler registered -> ``GONE`` (no tally: nothing was tried);
         3. the grid's online oracle (one availability draw) -> ``OFFLINE``;
-        4. the transport's loss coin -> ``DROPPED``;
 
         otherwise ``OK``: the caller builds the message and hands it to
         ``deliver``.  Nothing is raised and no message is needed.
         """
-        stats, faults = self.stats, self.faults
+        stats, faults, probe = self.stats, self.faults, self.probe
         if faults is not None:
             plan = faults.plan
             if faults._contact_crashed(destination):
                 faults.fault_stats.crashed_contacts += 1
                 stats.offline_failures += 1
-                if faults.probe is not None:
-                    faults.probe.on_transport(kind.value, source, destination, "crashed")
+                if probe is not None:
+                    probe.on_transport(kind.value, source, destination, "crashed")
                 return OFFLINE
             if plan.drop_probability and faults._drop_rng.random() < plan.drop_probability:
                 faults.fault_stats.injected_drops += 1
                 stats.dropped += 1
-                if faults.probe is not None:
-                    faults.probe.on_transport(kind.value, source, destination, "dropped")
+                if probe is not None:
+                    probe.on_transport(kind.value, source, destination, "dropped")
                 return DROPPED
         if destination not in self._handlers:
             return GONE
         if not self.grid.is_online(destination):
             stats.offline_failures += 1
-            if self.probe is not None:
-                self.probe.on_transport(kind.value, source, destination, "offline")
+            if probe is not None:
+                probe.on_transport(kind.value, source, destination, "offline")
             return OFFLINE
-        if self.loss_probability and self._rng.random() < self.loss_probability:
-            stats.dropped += 1
-            if self.probe is not None:
-                self.probe.on_transport(kind.value, source, destination, "dropped")
-            return DROPPED
         return OK
 
     def postcheck(self, message: Message) -> float:
@@ -265,13 +193,11 @@ class LocalTransport(Gated):
         self._register(address, handler)
 
     def arrive(self, message: Message) -> Handler:
-        """The pre-handler half of delivering an admitted *message*: latency
-        sample, ``delivered`` tally and probe event; returns its handler."""
+        """The pre-handler half of delivering an admitted *message*:
+        ``delivered`` tally and probe event; returns its handler."""
         handler = self._handlers.get(message.destination)
         if handler is None:
             raise NoHandlerError(message.destination)
-        if self.latency is not None:
-            self.stats.simulated_time += self.latency.sample(message)
         self.stats.delivered[message.kind] += 1
         if self.probe is not None:
             self.probe.on_transport(
@@ -291,8 +217,8 @@ class LocalTransport(Gated):
 
         Raises :class:`PeerOfflineError` if the destination is offline,
         :class:`NoHandlerError` (a :class:`TransportError`) if it has no
-        handler, and :class:`TransportError` if the message is dropped by
-        the loss model.
+        handler, and :class:`TransportError` if the fault plan dropped the
+        message.
         """
         status = self.admit(message.kind, message.source, message.destination)
         if status is not OK:

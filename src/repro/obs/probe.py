@@ -166,13 +166,14 @@ class Probe:
     ) -> None:
         """A mailbox event on the async transport.
 
-        *event* is ``enqueue`` (a message took a slot in *address*'s
-        mailbox; *depth* is the number of messages waiting there, this
-        one included) or ``dequeue`` (the message left the mailbox for its
+        *event* is ``enqueue`` (a message entered *address*'s mailbox;
+        *depth* is the number of messages waiting there, this one
+        included) or ``dequeue`` (the message left the mailbox for its
         handler, which runs in the sender's task; *depth* is what is
         still waiting and *wait* how long it was parked, in wall
-        seconds).  Depth growth and rising waits are the backpressure
-        signals of an overloaded node.
+        seconds).  Only a closed gate
+        (:meth:`~repro.aio.transport.AsyncTransport.stop`) parks a
+        sender: on a started transport depth is 1 and wait 0.
         """
 
     # -- batch query plane (aggregate, per wave) -------------------------------

@@ -10,24 +10,25 @@ import pytest
 
 from repro.aio.transport import AsyncTransport
 from repro.faults import FaultInjector, FaultPlan
-from repro.net.message import ping, pong
+from repro.net.message import MessageKind, ping, pong
 from repro.net.transport import Gated, LocalTransport
+from repro.protocol.effects import DROPPED, GONE, OFFLINE
 from tests import gate_twins as twins
 from tests.conftest import make_fig1_grid
 
 
 @twins.cases(plan=True)
-def test_request_is_admit_then_deliver(seed, p_online, loss, plan, pairs):
+def test_request_is_admit_then_deliver(seed, p_online, plan, pairs):
     twins.assert_send_is_admit_then_deliver(
-        "async", pairs, seed=seed, p_online=p_online, loss=loss, plan=plan
+        "async", pairs, seed=seed, p_online=p_online, plan=plan
     )
 
 
 @twins.cases(plan=True)
-def test_every_plane_gives_the_same_status_sequence(seed, p_online, loss, plan, pairs):
+def test_every_plane_gives_the_same_status_sequence(seed, p_online, plan, pairs):
     """The test that says the gate exists once: same seeds, same answers —
     and the same tallies, events and streams — whichever plane asks."""
-    world = dict(seed=seed, p_online=p_online, loss=loss)
+    world = dict(seed=seed, p_online=p_online)
     local = twins.run("local", pairs, halves=True, plan=plan, **world)
     assert twins.run("async", pairs, halves=True, plan=plan, **world) == local
     # An empty plan draws nothing, so the bare transport joins the comparison.
@@ -36,8 +37,18 @@ def test_every_plane_gives_the_same_status_sequence(seed, p_online, loss, plan, 
     for plane in ("local", "async"):
         outcomes, fingerprint = twins.run(plane, pairs, halves=True, plan=empty, **world)
         assert outcomes == bare
-        for shared in ("traffic", "events", "loss stream", "churn stream"):
+        for shared in ("traffic", "events", "churn stream"):
             assert fingerprint[shared] == bare_print[shared]
+
+
+@pytest.mark.parametrize("plane", ["local", "async"])
+def test_every_status_is_reached(plane):
+    """Each plane's gate answers all four ways: the plan's drop coin gives
+    ``DROPPED``, churn ``OFFLINE``, the departed peer ``GONE``."""
+    pairs = [(0, destination) for destination in range(6)] * 10
+    plan = FaultPlan(seed=1, drop_probability=0.3)
+    outcomes, _ = twins.run(plane, pairs, halves=True, seed=1, p_online=0.7, plan=plan)
+    assert set(outcomes) == {MessageKind.PONG, OFFLINE, GONE, DROPPED}
 
 
 def test_the_gate_is_inherited_not_rewritten():

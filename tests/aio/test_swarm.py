@@ -201,18 +201,16 @@ class TestInlineHops:
         assert asyncio.run(tasks_while_serving(256, 5)) == 1
 
     def test_timed_out_search_leaves_no_task_behind(self):
-        """Cancellation is structured: the timeout lands in the second hop's
-        latency sleep and unwinds the first hop's handler with it."""
-        from repro.net.transport import ConstantLatency
-
+        """Cancellation is structured: the timeout lands in the plan's
+        latency sleep as the hops unwind and cancels the rest with it."""
         from repro.aio.clock import RealtimeClock
         from repro.aio.transport import AsyncTransport
+        from repro.faults import FaultPlan
 
         grid = build_grid(64, maxl=4, refmax=2, seed=7)
         start, key = multi_hop_search(grid, seed_items(grid, seed=1))
-        transport = AsyncTransport(
-            grid, latency=ConstantLatency(0.05), clock=RealtimeClock()
-        )
+        transport = AsyncTransport(grid, clock=RealtimeClock())
+        transport.install_faults(FaultPlan(extra_latency=0.05))
         swarm = AsyncSwarm(grid, transport=transport)
 
         async def scenario():
@@ -224,8 +222,9 @@ class TestInlineHops:
 
         before, after = asyncio.run(scenario())
         assert before == after == 1
-        # One hop delivered, the second cut short inside its latency sleep.
-        assert transport.stats.total_delivered() == 1
+        # All three hops delivered before the first sleep; the last hop's
+        # sleep ran out, the one after it was cut short.
+        assert transport.stats.total_delivered() == 3
         assert transport.stats.simulated_time == pytest.approx(0.10)
         box = transport.mailbox_snapshot()
         assert box["handled"] <= box["enqueued"]

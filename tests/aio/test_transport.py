@@ -1,10 +1,10 @@
-"""AsyncTransport semantics: mailboxes, backpressure, failure order, faults.
+"""AsyncTransport semantics: mailboxes, the start/stop gate, failure order, faults.
 
 The async transport must present *exactly* the LocalTransport delivery
 contract to the protocol (same error types in the same precedence, same
 ``TrafficStats`` accounting) while adding what an event loop makes
-possible: bounded per-node mailboxes with blocking backpressure,
-concurrent (re-entrant) handlers, and mailbox depth/wait observability.
+possible: senders parked behind a closed gate, concurrent (re-entrant)
+handlers, and mailbox depth/wait observability.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.net.message import MessageKind, ping, pong
-from repro.net.transport import ConstantLatency
 from repro.sim.churn import FixedOnlineSet
 
 from repro.aio.transport import AsyncTransport
@@ -55,14 +54,6 @@ class TestRegistration:
         transport.register(1, async_pong)
         with pytest.raises(TransportError):
             transport.register(1, async_pong)
-
-    def test_mailbox_size_validated(self):
-        with pytest.raises(ValueError):
-            AsyncTransport(make_grid(), mailbox_size=0)
-
-    def test_lossy_transport_requires_seeded_rng(self):
-        with pytest.raises(InvalidConfigError):
-            AsyncTransport(make_grid(), loss_probability=0.5)
 
     def test_register_after_start_is_served(self):
         grid = make_grid()
@@ -112,37 +103,6 @@ class TestDeliveryOrder:
             run(scenario())
         assert transport.stats.offline_failures == 1
 
-    def test_loss_coin(self):
-        transport = AsyncTransport(make_grid(), loss_probability=0.9999, seed=1)
-        transport.register(1, async_pong)
-
-        async def scenario():
-            await transport.start()
-            try:
-                await transport.request(ping(0, 1))
-            finally:
-                await transport.stop()
-
-        with pytest.raises(TransportError):
-            run(scenario())
-        assert transport.stats.dropped == 1
-
-    def test_latency_accrues_simulated_time(self):
-        transport = AsyncTransport(make_grid(), latency=ConstantLatency(2.5))
-        transport.register(1, async_pong)
-
-        async def scenario():
-            await transport.start()
-            try:
-                await transport.request(ping(0, 1))
-                await transport.request(ping(0, 1))
-            finally:
-                await transport.stop()
-
-        run(scenario())
-        assert transport.stats.simulated_time == pytest.approx(5.0)
-        assert transport.clock.elapsed == pytest.approx(5.0)
-
     def test_delivery_counts_only_delivered_requests(self):
         grid = make_grid()
         transport = AsyncTransport(grid)
@@ -186,35 +146,6 @@ class TestMailboxes:
         assert snapshot["enqueued"] == 10
         assert snapshot["handled"] == 10
         assert snapshot["max_depth"] == transport.max_mailbox_depth()
-
-    def test_bounded_mailbox_applies_backpressure(self):
-        """With a full size-1 mailbox, request() blocks in queue.put
-        instead of dropping — the sender is the one that waits.  The
-        queue fills while the node's worker isn't draining (here: not
-        yet started; in production: a node buried under load)."""
-        transport = AsyncTransport(make_grid(), mailbox_size=1)
-        transport.register(1, async_pong)
-
-        async def scenario():
-            senders = [
-                asyncio.ensure_future(transport.request(ping(0, 1)))
-                for _ in range(3)
-            ]
-            await asyncio.sleep(0.05)
-            # one message made it into the mailbox; the other senders
-            # are parked inside queue.put, not dropped
-            assert transport.mailbox_stats[1].enqueued == 1
-            assert not any(s.done() for s in senders)
-            await transport.start()
-            try:
-                replies = await asyncio.gather(*senders)
-                assert all(r.kind is MessageKind.PONG for r in replies)
-                assert transport.mailbox_stats[1].enqueued == 3
-                assert transport.mailbox_stats[1].handled == 3
-            finally:
-                await transport.stop()
-
-        run(scenario())
 
     def test_reentrant_handlers_do_not_deadlock(self):
         """A handler that calls back into its requester's mailbox — the
@@ -325,10 +256,10 @@ class TestInlineDelivery:
 
         run(scenario())
 
-    def test_reentrant_chain_completes_at_mailbox_size_one(self):
-        """A -> B -> A with one slot per node: the slot is given back before
-        the handler runs, so A's mailbox is free when B calls back."""
-        transport = AsyncTransport(make_grid(), mailbox_size=1)
+    def test_reentrant_chain_leaves_each_mailbox_before_its_handler_runs(self):
+        """A -> B -> A: a message leaves the mailbox before its handler
+        runs, so A's mailbox is empty when B calls back."""
+        transport = AsyncTransport(make_grid())
         seen = []
 
         async def a(message):
@@ -398,9 +329,9 @@ class TestInlineDelivery:
 class TestGate:
     """start() opens the gate, stop() closes it; senders park in between."""
 
-    @pytest.mark.parametrize("mailbox_size", [1, 2, 64])
-    def test_senders_parked_before_start_are_dispatched_in_fifo_order(self, mailbox_size):
-        transport = AsyncTransport(make_grid(), mailbox_size=mailbox_size)
+    @pytest.mark.parametrize("n_senders", [1, 2, 64])
+    def test_senders_parked_before_start_are_dispatched_in_fifo_order(self, n_senders):
+        transport = AsyncTransport(make_grid())
         order = []
 
         async def handler(message):
@@ -415,18 +346,20 @@ class TestGate:
             return message
 
         async def scenario():
-            senders = [asyncio.ensure_future(transport.request(numbered(n))) for n in range(6)]
+            senders = [
+                asyncio.ensure_future(transport.request(numbered(n))) for n in range(n_senders)
+            ]
             await asyncio.sleep(0.01)
             assert order == []
-            assert transport.mailbox_stats[1].enqueued == min(mailbox_size, 6)
+            assert transport.mailbox_stats[1].enqueued == n_senders
             await transport.start()
             await asyncio.gather(*senders)
 
         run(scenario())
-        assert order == list(range(6))
+        assert order == list(range(n_senders))
         box = transport.mailbox_stats[1]
-        assert box.enqueued == box.handled == 6
-        assert box.max_depth == min(mailbox_size, 6)
+        assert box.enqueued == box.handled == n_senders
+        assert box.max_depth == n_senders
         assert box.max_wait > 0.0
 
     def test_stop_then_start_parks_and_resumes(self):
@@ -481,18 +414,18 @@ class TestGate:
         assert run(scenario()).kind is MessageKind.PONG
 
     def test_parked_sender_whose_peer_leaves_gets_no_handler_error(self):
-        transport = AsyncTransport(make_grid(), mailbox_size=1)
+        transport = AsyncTransport(make_grid())
         transport.register(1, async_pong)
 
         async def scenario():
-            holder, waiter = (
+            first, second = (
                 asyncio.ensure_future(transport.request(ping(0, 1))) for _ in range(2)
             )
             await asyncio.sleep(0.01)
             transport.unregister(1)
             await transport.start()
             return await asyncio.wait_for(
-                asyncio.gather(holder, waiter, return_exceptions=True), 5
+                asyncio.gather(first, second, return_exceptions=True), 5
             )
 
         outcomes = run(scenario())
@@ -501,9 +434,10 @@ class TestGate:
 
     @pytest.mark.parametrize("victim", [0, 1])
     def test_sender_cancelled_while_parked_gives_its_slot_back(self, victim):
-        """Sender 0 holds the one slot, 1 and 2 wait for it; whichever is
-        cancelled, the other two are served once the gate opens."""
-        transport = AsyncTransport(make_grid(), mailbox_size=1)
+        """Three senders park behind the closed gate; whichever is
+        cancelled, the other two are served once it opens and the
+        mailbox's depth and tallies stay consistent."""
+        transport = AsyncTransport(make_grid())
         transport.register(1, async_pong)
 
         async def scenario():
@@ -522,5 +456,6 @@ class TestGate:
         run(scenario())
         box = transport.mailbox_stats[1]
         assert box.handled == 2
-        assert box.handled <= box.enqueued <= 3
-        assert box.max_depth == 1
+        assert box.handled <= box.enqueued == 3
+        assert box.max_depth == 3
+        assert transport._handlers[1].depth == 0

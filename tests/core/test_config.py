@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import (
@@ -46,13 +48,13 @@ class TestPGridConfig:
             config.maxl = 9  # type: ignore[misc]
 
     def test_with_overrides(self):
-        config = PGridConfig(maxl=6).with_overrides(maxl=10, refmax=20)
+        config = replace(PGridConfig(maxl=6), maxl=10, refmax=20)
         assert (config.maxl, config.refmax) == (10, 20)
         assert config.recmax == 2  # untouched field preserved
 
     def test_with_overrides_validates(self):
-        with pytest.raises(InvalidConfigError):
-            PGridConfig().with_overrides(maxl=0)
+        with pytest.raises(InvalidConfigError):  # replace re-runs __post_init__
+            replace(PGridConfig(), maxl=0)
 
     def test_dict_roundtrip(self):
         config = PGridConfig(

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core import keys as keyspace
 from repro.core.search import SearchEngine
 from repro.core.storage import DataItem
+from repro.protocol.search import key_in_range
 from tests.conftest import build_grid
 
 
@@ -155,15 +156,15 @@ class TestQueryRange:
 
 class TestKeyInRange:
     def test_equal_length(self):
-        assert SearchEngine._key_in_range("0101", "0100", "0110")
-        assert not SearchEngine._key_in_range("0111", "0100", "0110")
+        assert key_in_range("0101", "0100", "0110")
+        assert not key_in_range("0111", "0100", "0110")
 
     def test_longer_key_truncates(self):
-        assert SearchEngine._key_in_range("010111", "0100", "0110")
-        assert not SearchEngine._key_in_range("011100", "0100", "0110")
+        assert key_in_range("010111", "0100", "0110")
+        assert not key_in_range("011100", "0100", "0110")
 
     def test_shorter_key_subtree_intersection(self):
         # "01" covers 0100..0111, which intersects [0100, 0110]
-        assert SearchEngine._key_in_range("01", "0100", "0110")
+        assert key_in_range("01", "0100", "0110")
         # "00" covers 0000..0011: disjoint
-        assert not SearchEngine._key_in_range("00", "0100", "0110")
+        assert not key_in_range("00", "0100", "0110")

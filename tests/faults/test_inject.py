@@ -14,6 +14,7 @@ from repro.errors import InvalidConfigError, PeerOfflineError, TransportError
 from repro.faults import FaultInjector, FaultOracle, FaultPlan
 from repro.net.message import MessageKind, ping, pong
 from repro.net.transport import LocalTransport
+from repro.obs.probe import Probe
 from repro.sim.churn import FixedOnlineSet
 from tests.conftest import build_grid
 
@@ -94,6 +95,25 @@ class TestInstallation:
         assert transport.faults is first
         assert grid.online_oracle is oracle
 
+    def test_the_transports_probe_sees_the_plans_refusals(self):
+        events = []
+
+        class Events(Probe):
+            def on_transport(self, kind, source, target, status):
+                events.append(status)
+
+        grid = make_grid()
+        transport = LocalTransport(grid, probe=Events())
+        for address in grid.addresses():
+            transport.register(address, pong)
+        injector = transport.install_faults(FaultPlan(seed=3, drop_probability=0.5))
+        injector.crash(2)
+        outcomes = [delivered(transport, ping(0, 1)) for _ in range(20)]
+        assert not delivered(transport, ping(0, 2))
+        assert events.count("dropped") == outcomes.count(False) > 0
+        assert events.count("delivered") == outcomes.count(True) > 0
+        assert events[-1] in ("crashed", "dropped")
+
 
 class TestDrops:
     def test_drops_raise_and_count(self):
@@ -114,8 +134,11 @@ class TestDrops:
     def test_same_seed_same_drops(self):
         outcomes = []
         for _ in range(2):
-            _, transport, _ = make_injector(FaultPlan(seed=3, drop_probability=0.3))
+            grid, transport, _ = make_injector(FaultPlan(seed=3, drop_probability=0.3))
+            protocol_state = grid.rng.getstate()
             outcomes.append([delivered(transport, ping(0, 1)) for _ in range(50)])
+            assert grid.rng.getstate() == protocol_state  # drops draw from the plan's stream
+        assert False in outcomes[0]
         assert outcomes[0] == outcomes[1]
 
 

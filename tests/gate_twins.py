@@ -1,13 +1,13 @@
 """Twin worlds for the ``send ≡ admit ∘ deliver`` differential tests.
 
-One :class:`World` is a Fig. 1 grid under seeded churn with a lossy,
-latent transport of the chosen *plane* in front of it — a
-:class:`LocalTransport` (``"local"``) or an :class:`AsyncTransport`
-(``"async"``), with the fault plan installed if one is given — plus a
-probe that records every transport event.  Two worlds built from the
-same arguments are twins: whatever differs after driving them came from
-*how* they were driven.  Used by
-``tests/net``, ``tests/faults`` and ``tests/aio`` (``test_gate.py`` each).
+One :class:`World` is a Fig. 1 grid under seeded churn with a transport
+of the chosen *plane* in front of it — a :class:`LocalTransport`
+(``"local"``) or an :class:`AsyncTransport` (``"async"``), with the fault
+plan installed if one is given (the plan's drops and latency are the only
+ones a transport has) — plus a probe that records every transport event.
+Two worlds built from the same arguments are twins: whatever differs after
+driving them came from *how* they were driven.  Used by ``tests/net``,
+``tests/faults`` and ``tests/aio`` (``test_gate.py`` each).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.aio.transport import AsyncTransport
 from repro.errors import NoHandlerError, PeerOfflineError, TransportError
 from repro.faults import FaultPlan
 from repro.net.message import MessageKind, ping, pong
-from repro.net.transport import ConstantLatency, LocalTransport
+from repro.net.transport import LocalTransport
 from repro.obs.probe import Probe
 from repro.protocol.effects import DROPPED, GONE, OFFLINE, OK
 from repro.sim.churn import BernoulliChurn
@@ -37,7 +37,6 @@ STATUS_OF = {NoHandlerError: GONE, PeerOfflineError: OFFLINE, TransportError: DR
 
 seeds = st.integers(0, 10**6)
 availabilities = st.sampled_from([0.3, 0.7, 1.0])
-losses = st.sampled_from([0.0, 0.3])
 plans = st.builds(
     FaultPlan,
     seed=seeds,
@@ -52,9 +51,9 @@ contacts = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 5)), min_size=1,
 
 
 def cases(*, plan: bool):
-    """``@given`` a world (seed, availability, loss, fault plan if *plan*)
-    and a contact list."""
-    world = dict(seed=seeds, p_online=availabilities, loss=losses, pairs=contacts)
+    """``@given`` a world (seed, availability, fault plan if *plan*) and a
+    contact list."""
+    world = dict(seed=seeds, p_online=availabilities, pairs=contacts)
     if plan:
         world["plan"] = plans
     return lambda test: settings(max_examples=40, deadline=None)(given(**world)(test))
@@ -76,29 +75,26 @@ class _TransportEvents(Probe):
 class World:
     """One grid, one transport of *plane*, everything seeded (see module docs)."""
 
-    def __init__(self, plane, *, seed, p_online, loss, plan=None) -> None:
+    def __init__(self, plane, *, seed, p_online, plan=None) -> None:
         self.plane = plane
         grid = make_fig1_grid()
         self.churn = random.Random(seed)
         grid.online_oracle = BernoulliChurn(p_online, self.churn)
         self.probe = _TransportEvents()
-        options = dict(
-            loss_probability=loss, seed=seed, latency=ConstantLatency(0.25), probe=self.probe
-        )
         if plane == "async":
-            self.transport = AsyncTransport(grid, **options)
+            self.transport = AsyncTransport(grid, probe=self.probe)
 
             async def handler(message):
                 return pong(message)
         else:
-            self.transport = LocalTransport(grid, **options)
+            self.transport = LocalTransport(grid, probe=self.probe)
             handler = pong
         for address in grid.addresses():
             if address != DEPARTED:
                 self.transport.register(address, handler)
         self.injector = None
         if plan is not None:
-            self.injector = self.transport.install_faults(plan, probe=self.probe)
+            self.injector = self.transport.install_faults(plan)
 
     async def drive(self, pairs, *, halves: bool) -> list:
         """One PING per pair: whole (``send`` / ``request``) or as
@@ -131,7 +127,6 @@ class World:
         return {
             "traffic": self.transport.stats.snapshot(),
             "events": self.probe.events,
-            "loss stream": self.transport._rng.getstate(),
             "churn stream": self.churn.getstate(),
             "faults": injector and injector.fault_stats.snapshot(),
             "crashed": injector and injector.crashed,

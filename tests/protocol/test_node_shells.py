@@ -36,7 +36,7 @@ from tests.conftest import make_fig1_grid
 
 
 class _AlwaysDrop:
-    """Loss-model stream whose every coin lands on "dropped"."""
+    """Drop-coin stream whose every coin lands on "dropped"."""
 
     def random(self) -> float:
         return 0.0
@@ -55,9 +55,9 @@ def replying(respond):
 class SyncShell:
     sleeps = False
 
-    def __init__(self, grid, *, retry=None, faults=None, **transport_options):
+    def __init__(self, grid, *, retry=None, faults=None):
         self.grid = grid
-        self.transport = LocalTransport(grid, **transport_options)
+        self.transport = LocalTransport(grid)
         self.injector = None if faults is None else self.transport.install_faults(faults)
         self.nodes = attach_nodes(grid, self.transport, retry=retry)
 
@@ -80,10 +80,10 @@ class SyncShell:
 class AsyncShell:
     sleeps = True  # retry backoff is also spent on the transport's loop clock
 
-    def __init__(self, grid, *, retry=None, faults=None, **transport_options):
+    def __init__(self, grid, *, retry=None, faults=None):
         self.grid = grid
         self.loop = asyncio.new_event_loop()
-        self.transport = AsyncTransport(grid, **transport_options)
+        self.transport = AsyncTransport(grid)
         self.injector = None if faults is None else self.transport.install_faults(faults)
         self.nodes = attach_async_nodes(grid, self.transport, retry=retry)
         self.loop.run_until_complete(self.transport.start())
@@ -175,12 +175,6 @@ def test_offline_on_an_offline_target(make_shell):
     assert traffic(shell) == (1, 1, 0)
 
 
-def test_offline_on_a_transport_drop(make_shell):
-    shell = make_shell(loss_probability=0.5, rng=_AlwaysDrop())
-    assert contact_statuses(shell, [1]) == [OFFLINE]
-    assert traffic(shell) == (0, 0, 1)
-
-
 def test_offline_on_a_none_reply(make_shell):
     shell = make_shell()
     shell.serve(1, replying(lambda message: None))
@@ -245,7 +239,6 @@ def _plan_drops(shell):
 REFUSALS = {
     "offline": ({}, _offline, OFFLINE, (0, 1, 0)),
     "gone": ({}, _departed, GONE, (0, 0, 0)),
-    "lost": ({"loss_probability": 0.5, "rng": _AlwaysDrop()}, None, OFFLINE, (0, 0, 1)),
     "crashed": ({"faults": FaultPlan(seed=1)}, _crashed, OFFLINE, (0, 1, 0)),
     "plan-drop": ({"faults": FaultPlan(seed=1, drop_probability=0.5)}, _plan_drops,
                   OFFLINE, (0, 0, 1)),
@@ -256,8 +249,7 @@ REFUSALS = {
 def test_a_refused_contact_builds_nothing(make_shell, constructed, refusal):
     options, arrange, status, tallies = REFUSALS[refusal]
     shell = make_shell(**options)
-    if arrange is not None:
-        arrange(shell)
+    arrange(shell)
     builds = []
     assert contact_statuses(shell, [1], builds=builds) == [status]
     assert builds == [] and constructed == []
