@@ -58,8 +58,7 @@ from repro.core.config import PGridConfig  # noqa: E402
 from repro.core.grid import PGrid  # noqa: E402
 from repro.core.search import SearchEngine  # noqa: E402
 from repro.core.storage import DataItem, DataRef  # noqa: E402
-from repro.experiments.common import run_experiment_points  # noqa: E402
-from repro.perf.parallel import warm_pool  # noqa: E402
+from repro.perf.parallel import parallel_starmap, warm_pool  # noqa: E402
 from repro.experiments.table1_construction_scaling import (  # noqa: E402
     construction_cost,
 )
@@ -504,7 +503,7 @@ def bench_search(scale: BenchScale, grid: PGrid) -> dict:
         for index in range(scale.trial_points)
     ]
     start = time.perf_counter()
-    serial = run_experiment_points(construction_cost, points, jobs=1)
+    serial = parallel_starmap(construction_cost, points, jobs=1)
     serial_s = time.perf_counter() - start
     # Pre-spawn the shared worker pool outside the timed region: the
     # speedup gate measures steady-state sweep throughput, not one-time
@@ -513,7 +512,7 @@ def bench_search(scale: BenchScale, grid: PGrid) -> dict:
     parallel_jobs = min(2, len(points))
     warm_pool(parallel_jobs)
     start = time.perf_counter()
-    parallel = run_experiment_points(construction_cost, points, jobs=parallel_jobs)
+    parallel = parallel_starmap(construction_cost, points, jobs=parallel_jobs)
     parallel_s = time.perf_counter() - start
     return {
         "search": {
@@ -555,7 +554,6 @@ def bench_snapshot_scaling(scale: BenchScale) -> dict:
         gridship_state,
         run_snapshot_search_sweep,
     )
-    from repro.perf.parallel import parallel_starmap
     from repro.sim.builder import construct_snapshot
 
     n_peers = min(scale.n_peers, 2_000)

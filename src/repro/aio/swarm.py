@@ -126,12 +126,11 @@ class AsyncSwarm:
         healer=None,
         config: SearchConfig | None = None,
         probe: Probe | None = None,
-        clock=None,
     ) -> None:
         self.grid = grid
         self.config = config or SearchConfig()
-        self.transport = transport if transport is not None else AsyncTransport(
-            grid, probe=probe, clock=clock
+        self.transport = (
+            transport if transport is not None else AsyncTransport(grid, probe=probe)
         )
         self.nodes: dict[Address, AsyncPGridNode] = attach_async_nodes(
             grid, self.transport, retry=retry, healer=healer, config=self.config
@@ -171,7 +170,6 @@ class AsyncSwarm:
         keys: list[str],
         update_fraction: float = 0.1,
         concurrency: int = 32,
-        recbreadth: int = 2,
         seed: int = 0,
     ) -> SwarmReport:
         """Drive *operations* mixed searches/updates with bounded concurrency.
@@ -206,7 +204,7 @@ class AsyncSwarm:
                         if outcome.found:
                             report.found += 1
                     else:
-                        result = await self.update(start, ref, recbreadth=recbreadth)
+                        result = await self.update(start, ref)
                         report.updates += 1
                         if not result.reached:
                             report.update_failures += 1

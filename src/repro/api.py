@@ -43,12 +43,12 @@ import asyncio
 import random
 from typing import Iterable
 
-from repro.core.config import PGridConfig, SearchConfig, UpdateConfig
+from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.core.peer import Address
 from repro.core.search import RangeSearchResult, SearchEngine, SearchResult
 from repro.core.storage import DataItem, DataRef
-from repro.core.updates import ReadEngine, UpdateEngine, UpdateResult, UpdateStrategy
+from repro.core.updates import ReadEngine, UpdateEngine, UpdateResult
 from repro.errors import InvalidConfigError, UnknownPeerError
 from repro.net.node import PGridNode, attach_nodes
 from repro.net.transport import LocalTransport
@@ -74,8 +74,10 @@ class Grid:
     Construct with :meth:`build` (the common case) or wrap an existing
     :class:`~repro.core.grid.PGrid` directly.  All collaborators are
     keyword-only: ``probe`` observes, ``retry``/``healer`` add
-    resilience, the config objects tune the engines, and ``replication``
-    enables query-load-driven replica balancing (see below).
+    resilience (for every driver :meth:`serve` runs), and ``replication``
+    enables query-load-driven replica balancing (see below).  The engines
+    run their default :class:`~repro.core.config.SearchConfig` /
+    :class:`~repro.core.config.UpdateConfig`.
 
     ``replication`` is a strategy name (``"static"`` / ``"sqrt"`` /
     ``"adaptive"``) or a full
@@ -96,8 +98,6 @@ class Grid:
         probe: Probe | None = None,
         retry=None,
         healer=None,
-        search_config: SearchConfig | None = None,
-        update_config: UpdateConfig | None = None,
         replication: ReplicationConfig | str | None = None,
         shortcut_capacity: int | None = None,
     ) -> None:
@@ -106,8 +106,6 @@ class Grid:
         self.retry = retry
         self.healer = healer
         self.shortcut_capacity = shortcut_capacity
-        self.search_config = search_config or SearchConfig()
-        self.update_config = update_config or UpdateConfig()
         self.replication = (
             ReplicationConfig(strategy=replication)
             if isinstance(replication, str)
@@ -136,13 +134,7 @@ class Grid:
             self.balancer = None
             self._path_resolver = None
         self.probe = probe
-        self.engine = SearchEngine(
-            pgrid,
-            config=self.search_config,
-            probe=probe,
-            retry=retry,
-            healer=healer,
-        )
+        self.engine = SearchEngine(pgrid, probe=probe, retry=retry, healer=healer)
         self._batch_engine = None
         self._rebalance_engine = None
         if shortcut_capacity is not None:
@@ -157,7 +149,6 @@ class Grid:
         self.updates = UpdateEngine(
             pgrid,
             search=self.engine,
-            config=self.update_config,
             probe=probe,
             retry=retry,
             balancer=self.balancer,
@@ -183,8 +174,6 @@ class Grid:
         probe: Probe | None = None,
         retry=None,
         healer=None,
-        search_config: SearchConfig | None = None,
-        update_config: UpdateConfig | None = None,
         replication: ReplicationConfig | str | None = None,
         shortcut_capacity: int | None = None,
     ) -> "Grid":
@@ -218,8 +207,6 @@ class Grid:
             probe=probe,
             retry=retry,
             healer=healer,
-            search_config=search_config,
-            update_config=update_config,
             replication=replication,
             shortcut_capacity=shortcut_capacity,
         )
@@ -265,13 +252,11 @@ class Grid:
         if self.load_tracker is not None:
             self.load_tracker.observe(self._path_resolver(key))
 
-    def rebalance(
-        self, *, meetings: int = 64, rounds: int = 1, scheduler=None
-    ) -> dict[str, int]:
+    def rebalance(self, *, meetings: int = 64, scheduler=None) -> dict[str, int]:
         """Run balancing meetings and return the stats delta.
 
         Drives the Fig. 3 exchange protocol (with the balancer attached)
-        over ``rounds`` × ``meetings`` uniform random pairings — the
+        over ``meetings`` uniform random pairings — the
         anti-entropy meetings a live grid performs anyway, which is where
         the Spiral-Walk-style balancer acts.  ``scheduler`` (anything
         with ``next_pair()``) overrides the default
@@ -292,16 +277,15 @@ class Grid:
         if scheduler is None:
             scheduler = UniformMeetings(self.pgrid)
         before = self.balancer.stats.snapshot()
-        for _ in range(rounds):
-            for _ in range(meetings):
-                address1, address2 = scheduler.next_pair()
-                self._rebalance_engine.meet(address1, address2)
+        for _ in range(meetings):
+            address1, address2 = scheduler.next_pair()
+            self._rebalance_engine.meet(address1, address2)
         after = self.balancer.stats.snapshot()
         return {name: after[name] - before[name] for name in after}
 
     # -- batch query plane ------------------------------------------------------------
 
-    def batch_query_engine(self, *, refresh: bool = False, chunk: int = 8192):
+    def batch_query_engine(self, *, refresh: bool = False):
         """The vectorized query plane over this grid (requires numpy).
 
         Lazily bridges the current routing tables into a
@@ -316,30 +300,10 @@ class Grid:
             from repro.fast import ArrayGrid, BatchQueryEngine
 
             agrid = ArrayGrid.from_pgrid(self.pgrid)
-            self._batch_engine = BatchQueryEngine.from_arraygrid(
-                agrid,
-                max_messages=self.search_config.max_messages,
-                chunk=chunk,
-                probe=self.probe,
-            )
+            self._batch_engine = BatchQueryEngine.from_arraygrid(agrid, probe=self.probe)
             if self.shortcut_engine is not None:
                 self._batch_engine.shortcuts = self.shortcut_engine.cache
         return self._batch_engine
-
-    def snapshot(self, *, p_online: float = 1.0):
-        """Export the current grid state as a shared-memory
-        :class:`~repro.fast.GridSnapshot` (requires numpy).
-
-        The returned snapshot is owned by the caller: ship its
-        :meth:`~repro.fast.GridSnapshot.ref` into parallel sweeps instead
-        of pickling the grid, and ``close()``/``unlink()`` it (or use it
-        as a context manager) when done.
-        """
-        from repro.fast import ArrayGrid, GridSnapshot
-
-        return GridSnapshot.from_arraygrid(
-            ArrayGrid.from_pgrid(self.pgrid), p_online=p_online
-        )
 
     def search_many(self, keys: list[str], starts: list[Address]):
         """Resolve one search per ``(key, start)`` pair on the batch plane.
@@ -400,50 +364,35 @@ class Grid:
         start: Address = 0,
         version: int = 0,
         value=None,
-        strategy: UpdateStrategy = UpdateStrategy.BFS,
         recbreadth: int | None = None,
-        repetition: int | None = None,
     ) -> UpdateResult:
-        """Publish (or re-publish) *key* stored at *holder* from *start*."""
+        """Publish (or re-publish) *key* stored at *holder* from *start*
+        (§5.2 breadth-first, the engine's repetition)."""
         return self.updates.publish(
             start,
             DataItem(key=key, value=value),
             holder,
-            strategy=strategy,
-            repetition=repetition,
             recbreadth=recbreadth,
             version=version,
         )
 
     # -- drivers ----------------------------------------------------------------------
 
-    def serve(
-        self,
-        driver: str = "engine",
-        *,
-        retry=None,
-        healer=None,
-        config: SearchConfig | None = None,
-    ):
+    def serve(self, driver: str = "engine"):
         """Serve this grid behind one of the three drivers.
 
         Returns a context-managed service with a uniform synchronous
-        ``search(key, *, start)`` / ``update(key, holder, ...)`` surface;
-        ``retry``/``healer``/``config`` default to this grid's own.
-        On equal grids all three drivers return identical results with
-        identical cost counters.
+        ``search(key, *, start)`` / ``update(key, holder, ...)`` surface
+        that runs with this grid's own ``retry`` / ``healer``.  On equal
+        grids all three drivers return identical results with identical
+        cost counters.
         """
-        retry = retry if retry is not None else self.retry
-        healer = healer if healer is not None else self.healer
-        config = config or self.search_config
         if driver == "engine":
             return EngineService(self)
         if driver == "node":
-            return NodeService(
-                self, retry=retry, healer=healer, config=config
-            )
+            return NodeService(self)
         if driver == "async":
-            return AsyncService(self, retry=retry, healer=healer, config=config)
+            return AsyncService(self)
         raise InvalidConfigError(
             f"unknown driver {driver!r}: expected one of {', '.join(DRIVERS)}"
         )
@@ -490,18 +439,11 @@ class NodeService:
 
     driver = "node"
 
-    def __init__(
-        self,
-        grid: Grid,
-        *,
-        retry=None,
-        healer=None,
-        config: SearchConfig | None = None,
-    ) -> None:
+    def __init__(self, grid: Grid) -> None:
         self._grid = grid
         self.transport = LocalTransport(grid.pgrid, probe=grid.probe)
         self.nodes: dict[Address, PGridNode] = attach_nodes(
-            grid.pgrid, self.transport, retry=retry, healer=healer, config=config
+            grid.pgrid, self.transport, retry=grid.retry, healer=grid.healer
         )
 
     def __enter__(self):
@@ -537,7 +479,7 @@ class NodeService:
         recbreadth: int | None = None,
     ) -> UpdateResult:
         if recbreadth is None:
-            recbreadth = self._grid.update_config.recbreadth
+            recbreadth = self._grid.updates.config.recbreadth
         self._grid.pgrid.peer(holder).store.store_item(DataItem(key=key, value=value))
         ref = DataRef(key=key, holder=holder, version=version)
         result = self._complete(self.nodes[start].publish(ref, recbreadth=recbreadth))
@@ -558,24 +500,13 @@ class AsyncService(NodeService):
 
     driver = "async"
 
-    def __init__(
-        self,
-        grid: Grid,
-        *,
-        retry=None,
-        healer=None,
-        config: SearchConfig | None = None,
-    ) -> None:
+    def __init__(self, grid: Grid) -> None:
         from repro.aio.swarm import AsyncSwarm
 
         self._grid = grid
         self._loop = asyncio.new_event_loop()
         self.swarm = AsyncSwarm(
-            grid.pgrid,
-            retry=retry,
-            healer=healer,
-            config=config,
-            probe=grid.probe,
+            grid.pgrid, retry=grid.retry, healer=grid.healer, probe=grid.probe
         )
         self.transport = self.swarm.transport
         self.nodes = self.swarm.nodes

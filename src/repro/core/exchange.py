@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.core.peer import Address, Peer
 from repro.obs.probe import Probe
@@ -94,12 +93,11 @@ class ExchangeEngine:
         self,
         grid: PGrid,
         *,
-        config: PGridConfig | None = None,
         probe: Probe | None = None,
         balancer=None,
     ) -> None:
         self.grid = grid
-        self.config = config or grid.config
+        self.config = grid.config
         self.probe = probe
         self.balancer = balancer
         self.stats = ExchangeStats()

@@ -301,9 +301,7 @@ class PGrid:
                             f"path depth {peer.depth}"
                         )
                     continue
-                expected = peer.prefix(level - 1) + keyspace.complement_bit(
-                    peer.path[level - 1]
-                )
+                expected = peer.ref_prefix(level)
                 for address in refs:
                     if address not in self._peers:
                         violations.append(

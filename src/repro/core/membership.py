@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import keys as keyspace
 from repro.core.exchange import ExchangeEngine
 from repro.core.grid import PGrid
 from repro.core.peer import Address, Peer
@@ -250,9 +249,7 @@ class MembershipEngine:
             missing = peer.routing.refmax - len(peer.routing.refs(level))
             if missing <= 0:
                 continue
-            target_prefix = peer.prefix(level - 1) + keyspace.complement_bit(
-                peer.path[level - 1]
-            )
+            target_prefix = peer.ref_prefix(level)
             for _ in range(missing):
                 if not self._refill_one(peer, level, target_prefix, report):
                     break  # this level cannot be refilled right now

@@ -65,6 +65,11 @@ class Peer:
             )
         return self._path[:level]
 
+    def ref_prefix(self, level: int) -> str:
+        """Path prefix every level-*level* reference must carry (§2):
+        ``prefix(level - 1)`` followed by the complement of bit *level*."""
+        return self.prefix(level - 1) + keyspace.complement_bit(self._path[level - 1])
+
     def extend_path(self, bit: str) -> None:
         """Append one bit to the path (specialization step of Fig. 3).
 

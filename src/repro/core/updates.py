@@ -84,12 +84,12 @@ class UpdateEngine:
     that do not override them explicitly (experiments sweep them per call;
     applications typically fix them once here).
 
-    ``retry`` / ``healer`` (duck-typed :class:`repro.faults.RetryPolicy` /
-    :class:`repro.faults.RefHealer`) are forwarded to the default-built
-    search engine and also govern the buddy-forwarding hop: an offline
-    buddy is re-contacted per the policy before being counted as missed.
-    When an explicit ``search`` engine is supplied it keeps its own
-    retry/healer configuration; only the buddy hop uses ``retry`` here.
+    ``retry`` (a duck-typed :class:`repro.faults.RetryPolicy`) is
+    forwarded to the default-built search engine and also governs the
+    buddy-forwarding hop: an offline buddy is re-contacted per the policy
+    before being counted as missed.  When an explicit ``search`` engine
+    is supplied it keeps its own retry/healer configuration; only the
+    buddy hop uses ``retry`` here.
 
     ``balancer`` (a :class:`repro.replication.ReplicaBalancer`) is
     offered the replica set each propagation reached — update traffic
@@ -106,13 +106,10 @@ class UpdateEngine:
         config: UpdateConfig | None = None,
         probe: Probe | None = None,
         retry=None,
-        healer=None,
         balancer=None,
     ) -> None:
         self.grid = grid
-        self.search = search or SearchEngine(
-            grid, probe=probe, retry=retry, healer=healer
-        )
+        self.search = search or SearchEngine(grid, probe=probe, retry=retry)
         self.config = config or UpdateConfig()
         self.probe = probe
         self.retry = retry
@@ -276,11 +273,7 @@ class UpdateEngine:
 
 
 class ReadEngine:
-    """Query strategies for reading possibly partially-updated entries.
-
-    ``retry`` / ``healer`` are forwarded to the default-built search
-    engine (ignored when an explicit ``search`` is supplied).
-    """
+    """Query strategies for reading possibly partially-updated entries."""
 
     def __init__(
         self,
@@ -288,13 +281,9 @@ class ReadEngine:
         *,
         search: SearchEngine | None = None,
         probe: Probe | None = None,
-        retry=None,
-        healer=None,
     ) -> None:
         self.grid = grid
-        self.search = search or SearchEngine(
-            grid, probe=probe, retry=retry, healer=healer
-        )
+        self.search = search or SearchEngine(grid, probe=probe)
         self.probe = probe
 
     def _finish(self, result: ReadResult) -> ReadResult:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
@@ -47,7 +47,6 @@ __all__ = [
     "build_section52_snapshot",
     "default_cache_dir",
     "gridship_state",
-    "run_experiment_points",
     "run_scenario_trials",
     "run_snapshot_search_sweep",
 ]
@@ -413,25 +412,9 @@ def run_snapshot_search_sweep(
 # -- parallel trial execution -------------------------------------------------
 #
 # Every §5 sweep evaluates independent (parameter point, derived seed)
-# trials; these helpers fan them out over repro.perf.parallel while keeping
-# results bit-identical to a serial run (each point derives all randomness
-# from its own arguments — see the determinism contract in that module).
-
-
-def run_experiment_points(
-    fn: Callable[..., Any],
-    kwargs_list: Sequence[dict[str, Any]],
-    *,
-    jobs: int | None = 1,
-) -> list[Any]:
-    """Evaluate one experiment point per kwargs dict, in order.
-
-    ``fn`` must be a module-level trial function (picklable) that derives
-    its randomness from its arguments only.  ``jobs`` > 1 distributes the
-    points over a process pool; the returned list order always matches
-    *kwargs_list*.
-    """
-    return parallel_starmap(fn, kwargs_list, jobs=jobs)
+# trials through repro.perf.parallel.parallel_starmap, bit-identical to a
+# serial run (each point derives all randomness from its own arguments —
+# see the determinism contract in that module).
 
 
 def _scenario_trial(spec: ScenarioSpec) -> tuple[ScenarioMetrics, MetricsRegistry]:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
-from repro.experiments.common import ExperimentResult, run_experiment_points
+from repro.experiments.common import ExperimentResult
+from repro.perf.parallel import parallel_starmap
 from repro.report.hist import render_plot, render_series
 from repro.sim import rng as rngmod
 from repro.sim.builder import GridBuilder
@@ -61,7 +62,7 @@ def run(
     rows: list[list[object]] = []
     series: dict[str, list[tuple[float, float]]] = {}
     finals: dict[int, int] = {}
-    outcomes = run_experiment_points(
+    outcomes = parallel_starmap(
         trajectory_curve,
         [
             {"n_peers": n_peers, "maxl": maxl, "refmax": refmax,

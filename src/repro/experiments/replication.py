@@ -43,7 +43,8 @@ from __future__ import annotations
 import argparse
 from dataclasses import dataclass
 
-from repro.experiments.common import ExperimentResult, run_experiment_points
+from repro.experiments.common import ExperimentResult
+from repro.perf.parallel import parallel_starmap
 from repro.replication import ReplicationConfig
 from repro.sim import rng as rngmod
 
@@ -298,7 +299,7 @@ def run(
                     workload_seed=workload_seed,
                 )
             )
-    rows = run_experiment_points(_replication_point, points, jobs=jobs)
+    rows = parallel_starmap(_replication_point, points, jobs=jobs)
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=(

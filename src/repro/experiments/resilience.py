@@ -45,10 +45,11 @@ from repro.core.analysis import search_success_probability
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.core.search import SearchEngine
-from repro.experiments.common import ExperimentResult, run_experiment_points
+from repro.experiments.common import ExperimentResult
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.repair import RefHealer
+from repro.perf.parallel import parallel_starmap
 from repro.sim import rng as rngmod
 from repro.sim.builder import GridBuilder
 from repro.sim.churn import BernoulliChurn
@@ -143,12 +144,6 @@ def resilience_profile(scale: str = "smoke") -> ResilienceProfile:
 # -- grid preparation ---------------------------------------------------------
 
 
-def _complement_prefix(peer, level: int) -> str:
-    """Path prefix a valid level-*level* reference must carry (§2)."""
-    bit = peer.path[level - 1]
-    return peer.prefix(level - 1) + ("1" if bit == "0" else "0")
-
-
 def _saturate_refs(grid: PGrid) -> None:
     """Top every materialized routing level up to ``refmax`` references.
 
@@ -162,7 +157,7 @@ def _saturate_refs(grid: PGrid) -> None:
             current = peer.routing.refs(level)
             if len(current) >= refmax:
                 continue
-            target = _complement_prefix(peer, level)
+            target = peer.ref_prefix(level)
             have = set(current)
             for candidate in grid.replicas_for_key(target):
                 if candidate == peer.address or candidate in have:
@@ -212,17 +207,15 @@ def _measure_level_model(
     computes, over the real routing tables.
     """
     grid = grid_from_dict(grid_data, rng=rngmod.derive(seed, f"{stream}-grid"))
-    churn = BernoulliChurn(p_online, rngmod.derive(seed, f"{stream}-churn"))
+    grid.online_oracle = BernoulliChurn(p_online, rngmod.derive(seed, f"{stream}-churn"))
     crashed: frozenset[int] = frozenset()
     if crash_fraction > 0.0:
         injector = FaultInjector(
             grid, FaultPlan(seed=rngmod.derive_seed(seed, f"{stream}-faults"))
         )
         injector.crash_random(crash_fraction)
-        injector.install_oracle(churn)
+        injector.install_oracle()
         crashed = injector.crashed
-    else:
-        grid.online_oracle = churn
     healer = RefHealer(grid, evict_after=evict_after) if repair else None
     rng = rngmod.derive(seed, f"{stream}-trials")
     eligible = [
@@ -408,7 +401,7 @@ def run(
         for p in profile.p_values
         for refmax in profile.refmax_values
     ]
-    rows = run_experiment_points(_resilience_point, points, jobs=jobs)
+    rows = parallel_starmap(_resilience_point, points, jobs=jobs)
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID,
         title=(

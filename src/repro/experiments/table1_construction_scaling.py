@@ -12,7 +12,8 @@ from typing import Sequence
 
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
-from repro.experiments.common import ExperimentResult, run_experiment_points
+from repro.experiments.common import ExperimentResult
+from repro.perf.parallel import parallel_starmap
 from repro.sim import rng as rngmod
 from repro.sim.builder import GridBuilder
 
@@ -87,7 +88,7 @@ def run(
         for n_peers in peer_counts
         for recmax in recmax_values
     ]
-    outcomes = run_experiment_points(construction_cost, points, jobs=jobs)
+    outcomes = parallel_starmap(construction_cost, points, jobs=jobs)
     exchanges_at = {
         (point["n_peers"], point["recmax"]): exchanges
         for point, (exchanges, _converged) in zip(points, outcomes)

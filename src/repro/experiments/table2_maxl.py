@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.common import ExperimentResult, run_experiment_points
+from repro.experiments.common import ExperimentResult
 from repro.experiments.table1_construction_scaling import construction_cost
+from repro.perf.parallel import parallel_starmap
 
 EXPERIMENT_ID = "table2"
 
@@ -49,7 +50,7 @@ def run(
         for maxl in maxl_values
         for recmax in recmax_values
     ]
-    outcomes = run_experiment_points(construction_cost, points, jobs=jobs)
+    outcomes = parallel_starmap(construction_cost, points, jobs=jobs)
     exchanges_at = {
         (point["maxl"], point["recmax"]): exchanges
         for point, (exchanges, _converged) in zip(points, outcomes)

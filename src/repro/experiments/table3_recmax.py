@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.experiments.common import ExperimentResult, run_experiment_points
+from repro.experiments.common import ExperimentResult
 from repro.experiments.table1_construction_scaling import construction_cost
+from repro.perf.parallel import parallel_starmap
 
 EXPERIMENT_ID = "table3"
 
@@ -35,7 +36,7 @@ def run(
          "recmax": recmax, "seed": seed}
         for recmax in recmax_values
     ]
-    outcomes = run_experiment_points(construction_cost, points, jobs=jobs)
+    outcomes = parallel_starmap(construction_cost, points, jobs=jobs)
     rows: list[list[object]] = []
     best: tuple[int, int] | None = None
     for recmax, (exchanges, _converged) in zip(recmax_values, outcomes):

@@ -259,7 +259,6 @@ class BatchQueryEngine:
         *,
         seed: int,
         p_online: float = 1.0,
-        max_messages: int | None = None,
         chunk: int = 8192,
         probe: Any = None,
     ) -> None:
@@ -276,9 +275,7 @@ class BatchQueryEngine:
         self.maxl = config.maxl
         self.refmax = config.refmax
         self.p_online = p_online
-        self.max_messages = (
-            max_messages if max_messages is not None else SearchConfig().max_messages
-        )
+        self.max_messages = SearchConfig().max_messages
         self.chunk = chunk
         self.addresses = grid.addresses.tolist()
         self._pb = grid.path_bits
@@ -311,7 +308,6 @@ class BatchQueryEngine:
         *,
         seed: int | None = None,
         p_online: float | None = None,
-        max_messages: int | None = None,
         chunk: int = 8192,
         probe: Any = None,
     ) -> "BatchQueryEngine":
@@ -333,7 +329,6 @@ class BatchQueryEngine:
             grid,
             seed=seed,
             p_online=p_online,
-            max_messages=max_messages,
             chunk=chunk,
             probe=probe,
         )
@@ -452,8 +447,6 @@ class BatchQueryEngine:
         self,
         queries: Sequence[str],
         starts,
-        *,
-        max_messages: int | None = None,
     ) -> BatchSearchResult:
         """Resolve one Fig. 2 depth-first search per (query, start) pair.
 
@@ -475,7 +468,6 @@ class BatchQueryEngine:
         kb, kl = queries if isinstance(queries, tuple) else _pack_keys(queries)
         q = len(kb)
         starts = self._check(q, starts)
-        budget = max_messages if max_messages is not None else self.max_messages
         cache = self.shortcuts
         found = np.zeros(q, dtype=bool)
         responder = np.full(q, -1, dtype=np.int64)
@@ -491,7 +483,7 @@ class BatchQueryEngine:
             todo = np.arange(q, dtype=np.int64)
         for lo in range(0, len(todo), self.chunk):
             sl = todo[lo : lo + self.chunk]
-            f, r, m, fa = self._dfs_chunk(kb[sl], kl[sl], starts[sl], budget)
+            f, r, m, fa = self._dfs_chunk(kb[sl], kl[sl], starts[sl], self.max_messages)
             found[sl] = f
             responder[sl] = r
             messages[sl] = m
@@ -673,16 +665,14 @@ class BatchQueryEngine:
         starts,
         *,
         recbreadth: int,
-        max_messages: int | None = None,
     ) -> BatchReachResult:
         """One §3 breadth-first search per (query, start): fan out to at
         most *recbreadth* online references per level with a shared
         per-query visited set; returns all responsible peers reached."""
         kb, kl = queries if isinstance(queries, tuple) else _pack_keys(queries)
         starts = self._check(len(kb), starts, recbreadth=recbreadth)
-        budget = max_messages if max_messages is not None else self.max_messages
         offsets, values, messages, failed = self._walk(
-            kb, kl, starts, recbreadth, budget, enumerate_subtree=False
+            kb, kl, starts, recbreadth, self.max_messages, enumerate_subtree=False
         )
         self._emit_batch(
             "batch_breadth",
@@ -700,7 +690,6 @@ class BatchQueryEngine:
         starts,
         *,
         recbreadth: int = 2,
-        max_messages: int | None = None,
         with_refs: bool = True,
     ) -> BatchRangeResult:
         """Resolve one §2 range query per ``(low, high, start)`` triple.
@@ -720,7 +709,6 @@ class BatchQueryEngine:
         if len(lows) != len(highs):
             raise ValueError(f"{len(lows)} lows but {len(highs)} highs")
         starts = self._check(len(lows), starts, recbreadth=recbreadth)
-        budget = max_messages if max_messages is not None else self.max_messages
         q = len(lows)
         covers = [keyspace.range_cover(low, high) for low, high in zip(lows, highs)]
         # Flatten to independent (query, cover prefix) sub-searches;
@@ -737,7 +725,7 @@ class BatchQueryEngine:
         skb = np.asarray(bits_l, dtype=np.int64)
         skl = np.asarray(len_l, dtype=np.int64)
         sub_off, sub_vals, sub_msgs, sub_fail = self._walk(
-            skb, skl, starts[owner], recbreadth, budget, enumerate_subtree=True
+            skb, skl, starts[owner], recbreadth, self.max_messages, enumerate_subtree=True
         )
         messages = np.zeros(q, dtype=np.int64)
         failed = np.zeros(q, dtype=np.int64)

@@ -354,15 +354,7 @@ class GridSnapshot:
 
     # -- consumers ------------------------------------------------------------
 
-    def batch_query_engine(
-        self,
-        *,
-        seed: int,
-        p_online: float | None = None,
-        max_messages: int | None = None,
-        chunk: int = 8192,
-        probe: Any = None,
-    ) -> "BatchQueryEngine":
+    def batch_query_engine(self, *, seed: int) -> "BatchQueryEngine":
         """A :class:`BatchQueryEngine` directly over the shared buffers.
 
         Every layout array is the segment's pages (zero copy); only the
@@ -370,17 +362,14 @@ class GridSnapshot:
         when it holds tombstones;
         :meth:`~BatchQueryEngine.publish_many` copies it before its first
         write and never writes through to the segment.
-        ``p_online`` defaults to the value recorded at export.
+        The engine's ``p_online`` is the value recorded at export.
         """
         from repro.fast.query import BatchQueryEngine
 
         return BatchQueryEngine(
             ArrayGrid(self.config, {field: self.view(field) for field in FIELDS}),
             seed=seed,
-            p_online=self.p_online if p_online is None else p_online,
-            max_messages=max_messages,
-            chunk=chunk,
-            probe=probe,
+            p_online=self.p_online,
         )
 
     # -- lifecycle ------------------------------------------------------------

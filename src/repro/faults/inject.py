@@ -8,14 +8,13 @@ A message plane takes a plan through
 injector: the transport's gate asks it first (crash check, drop coin) and
 reports its refusals to the transport's probe, and
 :meth:`FaultInjector.postcheck` ends every delivery.  The injector
-also exposes the crash state (plus the plan's per-contact availability)
-as an :class:`~repro.core.grid.OnlineOracle` via :meth:`oracle` /
-:meth:`install_oracle`, so the engine-level algorithms — which consult
+also exposes the crash state as an :class:`~repro.core.grid.OnlineOracle`
+via :meth:`install_oracle`, so the engine-level algorithms — which consult
 ``grid.is_online`` rather than the transport — see exactly the same fault
 world as the message-driven nodes.  The injector's oracle *composes* with
-whatever oracle the grid already has (e.g. a
-:class:`~repro.sim.churn.BernoulliChurn`): a peer is online iff it is not
-crashed, survives the plan's availability coin, and the inner model agrees.
+whatever oracle the grid already has (the one availability model,
+:class:`~repro.sim.churn.BernoulliChurn`, is set there first): a peer is
+online iff it is not crashed, and the inner model agrees.
 
 Every random decision draws from a named stream derived from the plan seed
 (:mod:`repro.sim.rng`), never from the grid's RNG: injecting faults cannot
@@ -50,7 +49,6 @@ class FaultStats:
     restarts: int = 0
     stale_refs_injected: int = 0
     crashed_contacts: int = 0
-    availability_misses: int = 0
     stale_log: list[tuple[Address, int, Address]] = field(default_factory=list)
 
     def snapshot(self) -> dict[str, object]:
@@ -62,7 +60,6 @@ class FaultStats:
             "restarts": self.restarts,
             "stale_refs_injected": self.stale_refs_injected,
             "crashed_contacts": self.crashed_contacts,
-            "availability_misses": self.availability_misses,
         }
 
 
@@ -71,7 +68,7 @@ class FaultInjector:
 
     Holds the crash state, the plan's four derived streams (drop, crash,
     stale, select), the post-delivery faults (:meth:`postcheck`) and the
-    composed availability oracle (:meth:`oracle`).  A transport gets one
+    composed availability oracle (:meth:`install_oracle`).  A transport gets one
     from :meth:`~repro.net.transport.Gated.install_faults`; the CLI and
     the resilience experiment build one directly and use its oracle only.
     """
@@ -225,22 +222,11 @@ class FaultInjector:
 
     # -- oracle composition -----------------------------------------------------------
 
-    def oracle(self, inner=None) -> "FaultOracle":
-        """An oracle composing this injector's faults over *inner*.
-
-        *inner* defaults to the grid's current oracle, so churn models
-        configured before the injector keep working underneath it.
-        """
-        return FaultOracle(
-            self,
-            inner if inner is not None else self.grid.online_oracle,
-            availability=self.plan.availability,
-            rng=rngmod.derive(self.plan.seed, "faults-availability"),
-        )
-
-    def install_oracle(self, inner=None) -> "FaultOracle":
-        """Build :meth:`oracle` and install it as the grid's oracle."""
-        composed = self.oracle(inner)
+    def install_oracle(self) -> "FaultOracle":
+        """Install an oracle composing this injector's crashes over the
+        grid's current oracle, so a churn model configured before the
+        injector keeps working underneath it."""
+        composed = FaultOracle(self, self.grid.online_oracle)
         self.grid.online_oracle = composed
         return composed
 
@@ -249,24 +235,18 @@ _MISSING = object()
 
 
 class FaultOracle:
-    """Availability oracle: crashes, then the plan's coin, then the inner model.
+    """Availability oracle: crashes, then the inner model.
 
-    With ``availability=None`` and no crashed peers this is a transparent
-    pass-through that draws nothing — attaching it cannot change an
-    experiment (property-tested).
+    With no crashed peers this is a transparent pass-through that draws
+    nothing — attaching it cannot change an experiment (property-tested).
     """
 
-    def __init__(self, injector: FaultInjector, inner, *, availability=None, rng=None) -> None:
+    def __init__(self, injector: FaultInjector, inner) -> None:
         self._injector = injector
         self._inner = inner
-        self._availability = availability
-        self._rng = rng
 
     def is_online(self, address: Address) -> bool:
         if self._injector._contact_crashed(address):
             self._injector.fault_stats.crashed_contacts += 1
-            return False
-        if self._availability is not None and self._rng.random() >= self._availability:
-            self._injector.fault_stats.availability_misses += 1
             return False
         return self._inner.is_online(address)

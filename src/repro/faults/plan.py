@@ -1,12 +1,14 @@
 """Declarative fault plans.
 
 A :class:`FaultPlan` says *what* to break — message drops, added latency,
-peer crashes/restarts, stale routing references, per-contact availability —
-without saying *how*; :class:`~repro.faults.inject.FaultInjector` executes
-the plan deterministically from ``seed``-derived RNG streams, so a faulty
-run is exactly replayable and composable with the churn models in
-:mod:`repro.sim.churn` (the plan's ``availability`` multiplies on top of
-whatever oracle the grid already has).
+peer crashes/restarts, stale routing references — without saying *how*;
+:class:`~repro.faults.inject.FaultInjector` executes the plan
+deterministically from ``seed``-derived RNG streams, so a faulty run is
+exactly replayable and composable with the churn models in
+:mod:`repro.sim.churn`.  Per-contact availability (the paper's §2
+``online: P -> [0, 1]``) is not a fault: it is the grid's oracle, a
+:class:`~repro.sim.churn.BernoulliChurn`, and the injector's crash check
+composes over it.
 
 The empty plan (all defaults) is a strict no-op: an injector driving it
 never consults its RNG streams and never perturbs the wrapped transport or
@@ -37,11 +39,6 @@ class FaultPlan:
         delivery; the only source of message loss on either plane.
     ``extra_latency``
         Fixed simulated latency added to every delivered message.
-    ``availability``
-        Per-contact online probability applied by the injector's oracle on
-        top of the grid's existing oracle (``None`` = leave availability to
-        the grid).  This is the paper's §2 ``online: P -> [0, 1]`` model,
-        expressed as a composable fault.
     ``crash_probability``
         Per-delivery probability that the *destination* peer crashes right
         after handling the message.
@@ -59,7 +56,6 @@ class FaultPlan:
     seed: int = 0
     drop_probability: float = 0.0
     extra_latency: float = 0.0
-    availability: float | None = None
     crash_probability: float = 0.0
     crash_downtime: int = 0
     stale_ref_probability: float = 0.0
@@ -69,10 +65,6 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise InvalidConfigError(f"{name} must be in [0, 1), got {value}")
-        if self.availability is not None and not 0.0 < self.availability <= 1.0:
-            raise InvalidConfigError(
-                f"availability must be in (0, 1] or None, got {self.availability}"
-            )
         if self.extra_latency < 0:
             raise InvalidConfigError(
                 f"extra_latency must be >= 0, got {self.extra_latency}"
@@ -87,7 +79,6 @@ class FaultPlan:
         return (
             self.drop_probability == 0.0
             and self.extra_latency == 0.0
-            and self.availability is None
             and self.crash_probability == 0.0
             and self.stale_ref_probability == 0.0
         )
@@ -98,7 +89,6 @@ class FaultPlan:
             "seed": self.seed,
             "drop_probability": self.drop_probability,
             "extra_latency": self.extra_latency,
-            "availability": self.availability,
             "crash_probability": self.crash_probability,
             "crash_downtime": self.crash_downtime,
             "stale_ref_probability": self.stale_ref_probability,

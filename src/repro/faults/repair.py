@@ -66,11 +66,11 @@ class RefHealer:
     """Evict a reference after ``evict_after`` consecutive contact failures.
 
     ``refill=False`` degrades to pure eviction (useful to isolate the two
-    effects in experiments).  ``use_replica_directory`` controls whether the
-    refill may fall back on :meth:`repro.core.grid.PGrid.replicas_for_key`
-    — the simulator's global view — when no buddy-list candidate survives;
-    a deployment would instead issue a search, but the candidate *set* is
-    identical, so the resilience curves are unaffected.
+    effects in experiments).  When no buddy-list candidate survives, the
+    refill falls back on :meth:`repro.core.grid.PGrid.replicas_for_key` —
+    the simulator's global view; a deployment would instead issue a
+    search, but the candidate *set* is identical, so the resilience curves
+    are unaffected.
     """
 
     def __init__(
@@ -79,7 +79,6 @@ class RefHealer:
         *,
         evict_after: int = 3,
         refill: bool = True,
-        use_replica_directory: bool = True,
         probe: Probe | None = None,
     ) -> None:
         if evict_after < 1:
@@ -87,7 +86,6 @@ class RefHealer:
         self.grid = grid
         self.evict_after = evict_after
         self.refill = refill
-        self.use_replica_directory = use_replica_directory
         self.probe = probe
         self.stats = HealStats()
         self._failures: dict[tuple[Address, int, Address], int] = {}
@@ -146,7 +144,7 @@ class RefHealer:
             # A stale level deeper than the current path: nothing routes
             # through it, dropping was repair enough.
             return 0, 0
-        target = self._target_prefix(peer, level)
+        target = peer.ref_prefix(level)
         current = set(peer.routing.refs(level))
         probes = 0
         fallback: Address | None = None
@@ -179,12 +177,6 @@ class RefHealer:
         self.stats.refill_failures += 1
         return 0, probes
 
-    @staticmethod
-    def _target_prefix(peer, level: int) -> str:
-        """Path prefix a valid level-*level* reference must carry (§2)."""
-        bit = peer.path[level - 1]
-        return peer.prefix(level - 1) + ("1" if bit == "0" else "0")
-
     def _candidates(self, peer, level: int, dead: Address, target: str):
         """Replacement candidates, cheapest source first, deterministic order.
 
@@ -206,8 +198,7 @@ class RefHealer:
                 if buddy not in seen:
                     seen.add(buddy)
                     yield buddy
-        if self.use_replica_directory:
-            for address in self.grid.replicas_for_key(target):
-                if address not in seen:
-                    seen.add(address)
-                    yield address
+        for address in self.grid.replicas_for_key(target):
+            if address not in seen:
+                seen.add(address)
+                yield address

@@ -304,8 +304,8 @@ class MetricsProbe(Probe):
     exactly — the same invariant the trace recorder is tested for.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
 
     # -- search -----------------------------------------------------------------
 

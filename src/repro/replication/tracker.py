@@ -68,7 +68,7 @@ class LoadTracker:
         self._loads[path] = (value + weight, self._clock)
         self.observed += 1
 
-    def observe(self, path: str | None, weight: float = 1.0) -> None:
+    def observe(self, path: str | None) -> None:
         """One finished query: advance the clock, then credit *path*.
 
         ``path=None`` (the resolver found no responsible group) still
@@ -76,7 +76,7 @@ class LoadTracker:
         """
         self._clock += 1
         if path is not None:
-            self.record(path, weight)
+            self.record(path)
 
     # -- reading -------------------------------------------------------------
 

@@ -345,7 +345,7 @@ def construct_snapshot(
     publish it into a named shared-memory segment, and let every worker
     process attach the segment instead of unpickling its own copy (see
     :mod:`repro.fast.snapshot`).  An object grid exports through
-    :meth:`repro.api.Grid.snapshot` instead.
+    ``GridSnapshot.from_arraygrid(ArrayGrid.from_pgrid(pgrid))`` instead.
 
     Returns ``(snapshot, report)``.  The caller owns the snapshot and
     must ``close()``/``unlink()`` it (or use it as a context manager).

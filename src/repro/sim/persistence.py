@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.config import PGridConfig
-from repro.core.grid import OnlineOracle, PGrid
+from repro.core.grid import PGrid
 from repro.core.storage import DataItem, DataRef
 from repro.errors import SnapshotFormatError
 
@@ -67,7 +67,6 @@ def grid_from_dict(
     data: dict[str, Any],
     *,
     rng: random.Random | None = None,
-    online_oracle: OnlineOracle | None = None,
 ) -> PGrid:
     """Rebuild a grid from :func:`grid_to_dict` output."""
     if not isinstance(data, dict) or data.get("format") != FORMAT_TAG:
@@ -82,7 +81,7 @@ def grid_from_dict(
             if raw.pop(knob, False):
                 raise SnapshotFormatError(f"snapshot built with deleted knob {knob}=true")
         config = PGridConfig.from_dict(raw)
-        grid = PGrid(config, rng=rng, online_oracle=online_oracle)
+        grid = PGrid(config, rng=rng)
         for record in data["peers"]:
             peer = grid.add_peer(int(record["address"]))
             peer.set_path(str(record["path"]))
@@ -129,7 +128,6 @@ def load_grid(
     path: str | Path,
     *,
     rng: random.Random | None = None,
-    online_oracle: OnlineOracle | None = None,
 ) -> PGrid:
     """Load a grid snapshot from *path* (gzip auto-detected by suffix)."""
     source = Path(path)
@@ -143,4 +141,4 @@ def load_grid(
         if isinstance(exc, FileNotFoundError):
             raise
         raise SnapshotFormatError(f"snapshot unreadable: {exc}") from exc
-    return grid_from_dict(data, rng=rng, online_oracle=online_oracle)
+    return grid_from_dict(data, rng=rng)

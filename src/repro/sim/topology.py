@@ -24,12 +24,10 @@ import math
 import random
 from typing import Iterator
 
-from repro.core.config import PGridConfig, SearchConfig
 from repro.core.exchange import ExchangeEngine
 from repro.core.grid import PGrid
 from repro.core.peer import Address, Peer
 from repro.core.search import SearchEngine
-from repro.obs.probe import Probe
 
 __all__ = [
     "Topology",
@@ -92,11 +90,8 @@ class ProximitySearchEngine(SearchEngine):
         self,
         grid: PGrid,
         topology: Topology,
-        *,
-        config: SearchConfig | None = None,
-        probe: Probe | None = None,
     ) -> None:
-        super().__init__(grid, config=config, probe=probe, topology=topology)
+        super().__init__(grid, topology=topology)
 
     def _attempt_order(
         self, peer: Peer, refs: list[Address]
@@ -119,11 +114,8 @@ class ProximityExchangeEngine(ExchangeEngine):
         self,
         grid: PGrid,
         topology: Topology,
-        *,
-        config: PGridConfig | None = None,
-        probe: Probe | None = None,
     ) -> None:
-        super().__init__(grid, config=config, probe=probe)
+        super().__init__(grid)
         self.topology = topology
 
     def _exchange_refs(self, a1: Peer, a2: Peer, lc: int) -> None:

@@ -19,7 +19,7 @@ from repro.core.grid import PGrid
 from repro.core.peer import Address
 from repro.core.search import SearchEngine
 from repro.core.storage import DataItem
-from repro.core.updates import UpdateEngine, UpdateStrategy
+from repro.core.updates import UpdateEngine
 from repro.text.encoding import TextEncoder
 
 
@@ -40,13 +40,11 @@ class PrefixTextIndex:
         self,
         grid: PGrid,
         *,
-        encoder: TextEncoder | None = None,
-        search: SearchEngine | None = None,
         key_bits: int | None = None,
     ) -> None:
         self.grid = grid
-        self.encoder = encoder or TextEncoder()
-        self.search = search or SearchEngine(grid)
+        self.encoder = TextEncoder()
+        self.search = SearchEngine(grid)
         self.updates = UpdateEngine(grid, search=self.search)
         # Keys longer than the deepest peer path are fine (prefix relation
         # still holds), but very long keys waste work; default to a couple
@@ -73,10 +71,10 @@ class PrefixTextIndex:
         word: str,
         holder: Address,
         *,
-        start: Address | None = None,
         recbreadth: int = 2,
     ) -> int:
-        """Index *word* as provided by *holder*; returns messages spent.
+        """Index *word* as provided by *holder*, propagating from the
+        holder itself; returns messages spent.
 
         The word itself travels as the item payload so that truncated keys
         can still be filtered exactly at the leaves.
@@ -88,14 +86,7 @@ class PrefixTextIndex:
         words = set(existing.value) if existing is not None else set()
         words.add(word.lower())
         item = DataItem(key=key, value=tuple(sorted(words)))
-        result = self.updates.publish(
-            start if start is not None else holder,
-            item,
-            holder,
-            strategy=UpdateStrategy.BFS,
-            recbreadth=recbreadth,
-        )
-        return result.messages
+        return self.updates.publish(holder, item, holder, recbreadth=recbreadth).messages
 
     def publish_corpus(
         self, words_by_holder: dict[Address, list[str]], *, recbreadth: int = 2

@@ -22,6 +22,8 @@ from repro.net.message import MessageKind
 from repro.net.node import attach_nodes
 from repro.net.transport import LocalTransport
 from repro.protocol.search import repeated_queries
+from repro.sim import rng as rngmod
+from repro.sim.churn import BernoulliChurn
 from tests.conftest import build_grid
 
 from repro.aio.node import attach_async_nodes
@@ -45,7 +47,10 @@ def populate(grid, items):
 
 def install_faults(grid, seed: int, *, availability=0.85):
     """Same fault world on any substrate, expressed through the oracle."""
-    injector = FaultInjector(grid, FaultPlan(seed=seed, availability=availability))
+    grid.online_oracle = BernoulliChurn(
+        availability, rngmod.derive(seed, "faults-availability")
+    )
+    injector = FaultInjector(grid, FaultPlan(seed=seed))
     injector.crash_random(0.10, downtime=4)
     injector.inject_stale_refs(0.15)
     injector.install_oracle()

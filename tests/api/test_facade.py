@@ -27,7 +27,9 @@ from repro.core.membership import MembershipEngine
 from repro.core.search import SearchResult
 from repro.core.updates import UpdateResult
 from repro.errors import InvalidConfigError, UnknownPeerError
-from repro.faults import RetryPolicy
+from repro.faults import FaultInjector, FaultPlan, RefHealer, RetryPolicy
+from repro.sim import rng as rngmod
+from repro.sim.churn import BernoulliChurn
 
 
 def build_twins(count: int, *, peers=48, maxl=4, seed=21, **kwargs):
@@ -244,6 +246,35 @@ class TestServe:
             with grid.serve(driver=driver) as svc:
                 outcomes.append(svc.search("1010", start=2))
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_three_drivers_identical_under_the_grids_healer(self):
+        """The grid's own healer is the one a served driver runs: on twin
+        grids with stale references and churn, the same searches give the
+        same results and the same evictions and refills on every driver."""
+        outcomes, heals, states = [], [], []
+        for driver, built in zip(DRIVERS, build_twins(len(DRIVERS))):
+            pgrid = built.pgrid
+            FaultInjector(pgrid, FaultPlan(seed=5)).inject_stale_refs(0.3)
+            pgrid.online_oracle = BernoulliChurn(0.6, rngmod.derive(5, "churn"))
+            healer = RefHealer(pgrid, evict_after=1)
+            grid = Grid(pgrid, healer=healer)
+            picker = random.Random(17)
+            with grid.serve(driver=driver) as svc:
+                outcomes.append(
+                    [
+                        svc.search(
+                            keyspace.random_key(4, picker),
+                            start=picker.choice(grid.addresses()),
+                        )
+                        for _ in range(40)
+                    ]
+                )
+            heals.append(healer.stats.snapshot())
+            states.append(pgrid.rng.getstate())
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert heals[0] == heals[1] == heals[2]
+        assert heals[0]["evictions"] > 0
+        assert states[0] == states[1] == states[2]
 
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_serve_close_allows_reserving(self, driver):

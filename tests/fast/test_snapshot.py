@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Grid
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.core.storage import DataItem
@@ -135,7 +134,8 @@ class TestRoundTrip:
     def test_grid_snapshot_exports_the_packed_layout(self, built_grid):
         agrid = ArrayGrid.from_pgrid(built_grid)
         names = _shm_names()
-        with Grid(built_grid).snapshot(p_online=0.5) as snap:
+        exported = ArrayGrid.from_pgrid(built_grid)
+        with GridSnapshot.from_arraygrid(exported, p_online=0.5) as snap:
             assert snap.owner
             assert snap.n == 60
             assert snap.p_online == 0.5

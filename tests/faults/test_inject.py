@@ -46,11 +46,18 @@ class TestFaultPlan:
     def test_defaults_are_empty(self):
         plan = FaultPlan()
         assert plan.is_empty()
-        assert plan.to_dict()["availability"] is None
+        assert list(plan.to_dict()) == [
+            "seed",
+            "drop_probability",
+            "extra_latency",
+            "crash_probability",
+            "crash_downtime",
+            "stale_ref_probability",
+        ]
 
     def test_nonempty_detection(self):
         assert not FaultPlan(drop_probability=0.1).is_empty()
-        assert not FaultPlan(availability=0.9).is_empty()
+        assert not FaultPlan(extra_latency=0.5).is_empty()
         assert not FaultPlan(crash_probability=0.1).is_empty()
         # A different seed alone still injects nothing.
         assert FaultPlan(seed=99).is_empty()
@@ -62,10 +69,10 @@ class TestFaultPlan:
             {"drop_probability": -0.1},
             {"crash_probability": 1.5},
             {"stale_ref_probability": -0.5},
-            {"availability": 0.0},
-            {"availability": 1.2},
             {"extra_latency": -1.0},
             {"crash_downtime": -1},
+            {"crash_probability": 1.0},
+            {"stale_ref_probability": 1.0},
         ],
     )
     def test_invalid_plans_rejected(self, kwargs):
@@ -244,24 +251,11 @@ class TestFaultOracle:
         assert not grid.is_online(2)
         assert grid.is_online(1)
 
-    def test_availability_coin_composes_over_inner(self):
-        grid = make_grid()
-        injector = FaultInjector(grid, FaultPlan(seed=1, availability=0.5))
-        inner = FixedOnlineSet(grid.addresses())
-        injector.install_oracle(inner)
-        results = [grid.is_online(1) for _ in range(200)]
-        assert any(results) and not all(results)
-        misses = injector.fault_stats.availability_misses
-        assert misses == results.count(False)
-        # The inner oracle has the final word: a peer it marks down stays down.
-        inner.set_online(1, False)
-        assert not any(grid.is_online(1) for _ in range(50))
-
     def test_empty_plan_oracle_is_passthrough(self):
         grid = make_grid()
         injector = FaultInjector(grid, FaultPlan())
-        inner = FixedOnlineSet([1, 2])
-        injector.install_oracle(inner)
+        grid.online_oracle = FixedOnlineSet([1, 2])
+        injector.install_oracle()
         assert grid.is_online(1)
         assert not grid.is_online(3)
-        assert injector.fault_stats.availability_misses == 0
+        assert injector.fault_stats.crashed_contacts == 0

@@ -65,7 +65,6 @@ def test_empty_plan_injector_is_transport_transparent(seed, churn_seed):
         "restarts": 0,
         "stale_refs_injected": 0,
         "crashed_contacts": 0,
-        "availability_misses": 0,
     }
     assert plain_grid.rng.getstate() == faulty_grid.rng.getstate()
 

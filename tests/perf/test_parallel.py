@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import PGridConfig
 from repro.experiments import table1_construction_scaling, table3_recmax
-from repro.experiments.common import run_experiment_points, run_scenario_trials
+from repro.experiments.common import run_scenario_trials
 from repro.obs.metrics import MetricsRegistry
 from repro.perf import parallel
 from repro.perf.parallel import (
@@ -140,9 +140,7 @@ class TestParallelExperimentsBitIdentical:
             for n in (32, 48, 64)
         ]
         fn = table1_construction_scaling.construction_cost
-        assert run_experiment_points(fn, points, jobs=1) == (
-            run_experiment_points(fn, points, jobs=2)
-        )
+        assert parallel_starmap(fn, points, jobs=1) == parallel_starmap(fn, points, jobs=2)
 
 
 class TestScenarioTrialsBitIdentical:

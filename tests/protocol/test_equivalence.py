@@ -9,8 +9,9 @@ identical grid-RNG states after every operation (bit-identical draw
 streams).
 
 Fault worlds are installed through :meth:`FaultInjector.install_oracle`
-on *both* twins (same plan seed -> same availability coins, same crash
-victims, same corrupted references), with the node attached to a bare
+over a seeded :class:`BernoulliChurn` on *both* twins (same seed -> same
+availability coins, same crash victims, same corrupted references), with
+the node attached to a bare
 :class:`LocalTransport`, so the only difference between the two sides is
 the driver.
 """
@@ -30,6 +31,8 @@ from repro.net.message import MessageKind
 from repro.net.node import attach_nodes
 from repro.net.transport import LocalTransport
 from repro.protocol.search import repeated_queries
+from repro.sim import rng as rngmod
+from repro.sim.churn import BernoulliChurn
 from tests.conftest import build_grid
 
 
@@ -57,7 +60,10 @@ def install_faults(grid, seed: int, *, availability=0.85):
     over a bare one, so both drivers see the fault plan only through
     ``grid.is_online`` and the corrupted routing tables.
     """
-    injector = FaultInjector(grid, FaultPlan(seed=seed, availability=availability))
+    grid.online_oracle = BernoulliChurn(
+        availability, rngmod.derive(seed, "faults-availability")
+    )
+    injector = FaultInjector(grid, FaultPlan(seed=seed))
     injector.crash_random(0.10, downtime=4)
     injector.inject_stale_refs(0.15)
     injector.install_oracle()
@@ -210,8 +216,9 @@ def test_property_networked_search_matches_engine(seed):
     """Property form: any build seed, fault world and workload agree."""
     a = build_grid(32, maxl=4, refmax=2, seed=seed % 97)
     b = build_grid(32, maxl=4, refmax=2, seed=seed % 97)
-    FaultInjector(a, FaultPlan(seed=seed, availability=0.9)).install_oracle()
-    FaultInjector(b, FaultPlan(seed=seed, availability=0.9)).install_oracle()
+    for grid in (a, b):
+        grid.online_oracle = BernoulliChurn(0.9, rngmod.derive(seed, "faults-availability"))
+        FaultInjector(grid, FaultPlan(seed=seed)).install_oracle()
     retry = RetryPolicy(attempts=2, base_delay=0.5, deadline=3.0)
     engine = SearchEngine(a, retry=retry)
     nodes = attach_nodes(b, LocalTransport(b), retry=retry)
