@@ -4,7 +4,7 @@ PYTHON ?= python
 # Scale of `make bench`: fig4 (default) or smoke (CI-fast).
 SCALE ?= fig4
 
-.PHONY: install test aio-leakcheck lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-array bench-e2e-smoke bench-e2e-tiny bench-pairs bench-shm-smoke check-parallel protocol-equivalence resilience-smoke replication-smoke swarm-smoke examples clean results
+.PHONY: install test aio-leakcheck lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-array bench-e2e-smoke bench-e2e-tiny bench-pairs bench-shm-smoke check-parallel protocol-equivalence resilience-smoke resilience-full replication-smoke swarm-smoke examples clean results
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -148,6 +148,11 @@ protocol-equivalence:
 resilience-smoke:
 	PYTHONPATH=src $(PYTHON) -c "import sys; from repro.experiments import resilience; \
 	sys.exit(resilience.main(['--scale', 'smoke', '--jobs', '2', '--check']))"
+
+# The same gate on the full p x refmax sweep at its 2% acceptance tolerance.
+resilience-full:
+	PYTHONPATH=src $(PYTHON) -c "import sys; from repro.experiments import resilience; \
+	sys.exit(resilience.main(['--scale', 'full', '--jobs', '2', '--check']))"
 
 # Replication gate: under Zipf traffic with exponent >= 1.0 the adaptive
 # balancer must beat the static §4 baseline on p95 messages-to-hit

@@ -61,7 +61,7 @@ def main() -> None:
     )
     print(f"search success (after joins) : {success_rate(grid, engine, 3):.1%}")
 
-    # --- lazy repair: probe references, refill via search ----------------------
+    # --- lazy repair: drop dead references, refill from buddies or a search ----
     reports = membership.repair_all()
     dropped = sum(r.dead_refs_dropped for r in reports)
     added = sum(r.refs_added for r in reports)

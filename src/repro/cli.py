@@ -81,7 +81,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "replication": replication.run,
     "table6": table6_tradeoff.run,
     "discussion_scaling": scaling_comparison.run,
-    "construction_scale": scaling_comparison.run_construction_scale,
     "analysis_example": analysis_example.run,
     "ablation_online_prob": ablations.run_online_prob,
     "ablation_skew": ablations.run_skew,
@@ -490,7 +489,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         stats = healer.stats
         print(
             f"repair: evictions={stats.evictions} refills={stats.refills} "
-            f"probes={stats.probes_sent}"
+            f"messages={stats.messages}"
         )
     for ref in result.data_refs:
         print(f"  data: key={ref.key} holder={ref.holder} version={ref.version}")

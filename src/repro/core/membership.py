@@ -1,7 +1,7 @@
 """Dynamic membership: joins, departures and reference repair.
 
 The paper constructs the grid from a fixed population, but its §6 agenda —
-"the structures have to continuously adapt" — needs three primitives a
+"the structures have to continuously adapt" — needs primitives a
 deployed P-Grid cannot live without:
 
 :meth:`MembershipEngine.join`
@@ -16,10 +16,13 @@ deployed P-Grid cannot live without:
     failure just disappears.  Either way, references held by other peers
     dangle until repaired.
 :meth:`MembershipEngine.repair`
-    Lazy reference repair: probe the references and buddies of a peer,
-    drop dead ones, and refill each level by *searching* for the
-    complement prefix the level must cover — reusing Fig. 2 as the
-    discovery mechanism.
+    An eager sweep over one peer: drop dead references and buddies, then
+    fill each free slot with :func:`refill_slot`.
+:func:`refill_slot`
+    The one way a slot of a routing table is restored, shared with the
+    contact-driven :class:`repro.faults.RefHealer` and the replica
+    balancer's conversions: buddies first, then a Fig. 2 search for the
+    prefix the level must cover, every probe and search message counted.
 """
 
 from __future__ import annotations
@@ -228,11 +231,8 @@ class MembershipEngine:
     def repair(self, address: Address, *, refill: bool = True) -> RepairReport:
         """Drop dead references and buddies of *address*, refill depleted levels.
 
-        Refill uses the search algorithm itself: level ``i`` must reference
-        peers under ``prefix(i-1) + complement(bit i)``; a Fig. 2 search
-        for that prefix returns exactly such a peer (any responder whose
-        path extends the prefix qualifies).  Search messages are counted
-        as the repair's cost.
+        Each free slot of a level is filled by :func:`refill_slot`, whose
+        liveness probes and Fig. 2 search messages are the repair's cost.
         """
         peer = self.grid.peer(address)
         report = RepairReport(address=address, dead_refs_dropped=0, refs_added=0)
@@ -246,12 +246,11 @@ class MembershipEngine:
                     report.dead_refs_dropped += 1
             if not refill:
                 continue
-            missing = peer.routing.refmax - len(peer.routing.refs(level))
-            if missing <= 0:
-                continue
-            target_prefix = peer.ref_prefix(level)
-            for _ in range(missing):
-                if not self._refill_one(peer, level, target_prefix, report):
+            for _ in range(peer.routing.refmax - len(peer.routing.refs(level))):
+                added, messages = refill_slot(self.grid, self.search, peer, level)
+                report.refs_added += added
+                report.messages += messages
+                if not added:
                     break  # this level cannot be refilled right now
             if not peer.routing.refs(level):
                 report.levels_left_empty.append(level)
@@ -264,46 +263,67 @@ class MembershipEngine:
             )
         return report
 
-    def _refill_one(
-        self, peer: Peer, level: int, target_prefix: str, report: RepairReport
-    ) -> bool:
-        """Acquire one fresh reference for *level* via search.
-
-        A self-search only works while the level still has a live
-        reference to route through; a fully depleted level needs a
-        *delegate* — any still-known peer at another level — to run the
-        search on the peer's behalf (one extra message).
-        """
-        if peer.routing.refs(level):
-            result = self.search.query_from(peer.address, target_prefix)
-            report.messages += result.messages
-        else:
-            delegates = [
-                ref
-                for _lvl, refs in peer.routing.iter_levels()
-                for ref in refs
-                if self.grid.has_peer(ref) and self.grid.is_online(ref)
-            ]
-            if not delegates:
-                return False
-            delegate = self.grid.rng.choice(delegates)
-            report.messages += 1  # delegation request
-            result = self.search.query_from(delegate, target_prefix)
-            report.messages += result.messages
-        if (
-            result.found
-            and result.responder is not None
-            and result.responder != peer.address
-            and self.grid.peer(result.responder).path.startswith(target_prefix)
-            and peer.routing.add_ref(level, result.responder)
-        ):
-            report.refs_added += 1
-            return True
-        return False
-
     def repair_all(self, *, refill: bool = True) -> list[RepairReport]:
         """Run :meth:`repair` over every peer (a maintenance sweep)."""
         return [
             self.repair(address, refill=refill)
             for address in self.grid.addresses()
         ]
+
+
+def refill_slot(
+    grid: PGrid, search: SearchEngine, peer: Peer, level: int, dead: Address | None = None
+) -> tuple[int, int]:
+    """Fill one free slot of *peer*'s *level* with a peer under
+    ``peer.ref_prefix(level)`` (§2); returns ``(added, messages)``.
+
+    The sources, cheapest first: (1) the buddies of the lost reference
+    *dead* and of the level's surviving references, each liveness-probed
+    at one message; (2) a Fig. 2 search for the prefix through *search*,
+    run by *peer* or, when the level is empty, by a live reference of
+    another level on its behalf; (3) the first buddy that did not answer
+    — under §2 "offline" is transient, and a table that shrinks for good
+    would bias search success below eq. (3).
+    """
+    if level > peer.depth:
+        return 0, 0  # a level below the path routes nothing
+    target = peer.ref_prefix(level)
+    current = peer.routing.refs(level)
+    seen = {peer.address, *current}
+    messages = 0
+    offline: Address | None = None
+    for source in current if dead is None else [dead, *current]:
+        if not grid.has_peer(source):
+            continue
+        for candidate in sorted(grid.peer(source).buddies):
+            if candidate in seen or not grid.has_peer(candidate):
+                continue
+            seen.add(candidate)
+            if grid.peer(candidate).path.startswith(target):
+                messages += 1
+                if grid.is_online(candidate):
+                    return int(peer.routing.add_ref(level, candidate)), messages
+                offline = candidate if offline is None else offline
+    origin: Address | None = peer.address
+    if not current:
+        # References of other levels, drawn one at a time and probed at
+        # one message each; the first that answers takes the request.
+        pool = [ref for _level, refs in peer.routing.iter_levels() for ref in refs]
+        origin = None
+        while pool and origin is None:
+            delegate = pool.pop(grid.rng.randrange(len(pool)))
+            messages += 1
+            if grid.has_peer(delegate) and grid.is_online(delegate):
+                origin = delegate
+    if origin is not None:
+        result = search.query_from(origin, target)
+        messages += result.messages
+        if (
+            result.found
+            and grid.peer(result.responder).path.startswith(target)
+            and peer.routing.add_ref(level, result.responder)
+        ):
+            return 1, messages
+    if offline is not None and peer.routing.add_ref(level, offline):
+        return 1, messages
+    return 0, messages

@@ -46,12 +46,11 @@ configuration (``tests/faults/test_transparency.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.core import keys as keyspace
 from repro.core.config import SearchConfig
 from repro.core.grid import PGrid
-from repro.core.peer import Address, Peer
+from repro.core.peer import Address
 from repro.core.results import ContactAccounting
 from repro.core.storage import DataRef
 from repro.obs.probe import Probe
@@ -156,20 +155,11 @@ class SearchEngine:
         self.topology = topology
         self.retry = retry
         self.healer = healer
-        # Subclasses that override _attempt_order (proximity routing)
-        # plug it in as the machine's attempt-order hook; the base engine
-        # leaves it None to select the machine's inline uniform draws.
-        order = (
-            None
-            if type(self)._attempt_order is SearchEngine._attempt_order
-            else self._attempt_order
-        )
         self._ctx = Context(
             grid.rng,
             retry=retry,
             healer=healer,
             topology=topology,
-            order=order,
             observed=probe is not None,
         )
 
@@ -221,23 +211,6 @@ class SearchEngine:
             latency=stats.latency,
             retry_delay=stats.retry_delay,
         )
-
-    def _attempt_order(
-        self, peer: Peer, refs: list[Address]
-    ) -> Iterator[Address]:
-        """Yield forwarding candidates in attempt order.
-
-        The base engine draws uniformly without replacement — *lazily*,
-        so the RNG is consulted only for attempts actually made (this
-        preserves the paper's random-reference semantics and keeps the
-        RNG stream identical whether or not later candidates are
-        needed).  :class:`repro.sim.topology.ProximitySearchEngine`
-        overrides this with a nearest-first ordering, which the machine
-        context picks up as its attempt-order hook.
-        """
-        rng = self.grid.rng
-        while refs:
-            yield refs.pop(rng.randrange(len(refs)))
 
     # -- breadth-first search (§3 update strategy 3) -------------------------------
 

@@ -25,7 +25,6 @@ from repro.sim.builder import GridBuilder
 from repro.sim.workload import UniformKeyWorkload, generate_items
 
 EXPERIMENT_ID = "discussion_scaling"
-CONSTRUCTION_SCALE_EXPERIMENT_ID = "construction_scale"
 
 
 def _build_pgrid(n_peers: int, maxl: int, seed: int) -> PGrid:
@@ -132,107 +131,5 @@ def run(
             "(it must reach most peers); central storage grows linearly "
             "with D and its serving load with the query volume (O(N) for "
             "constant per-node query rate)."
-        ),
-    )
-
-
-def run_construction_scale(
-    *,
-    peer_counts: Sequence[int] = (1_000, 4_000, 20_000, 100_000),
-    refmax: int = 20,
-    seed: int = 14,
-    threshold_fraction: float = 0.985,
-) -> ExperimentResult:
-    """Construction cost and replica balance across engines and scales.
-
-    Small points run both the object core and the vectorized batch
-    engine so their costs can be compared side by side; points beyond
-    the object-core ceiling (4k peers) run batch-only (gridless — the
-    whole construction lives in numpy arrays, which is what makes the
-    100k+ rows feasible at all).  Requires numpy; raises
-    ``RuntimeError`` without it.
-    """
-    import time
-
-    from repro.fast.batch import BatchGridBuilder
-
-    object_ceiling = 4_000  # beyond this the object core dominates runtime
-    rows: list[list[object]] = []
-    for n_peers in peer_counts:
-        # Size the key space so the converged grid keeps a Fig. 4-like
-        # replica distribution (~2-25 peers per leaf path).
-        maxl = max(4, int(math.log2(n_peers)) - 4)
-        run_seed = rngmod.derive_seed(seed, f"construction-scale-{n_peers}")
-        engines = ["object", "batch"] if n_peers <= object_ceiling else ["batch"]
-        for engine in engines:
-            config = PGridConfig(
-                maxl=maxl, refmax=refmax, recmax=2, recursion_fanout=2
-            )
-            start = time.perf_counter()
-            if engine == "object":
-                grid = PGrid(config, rng=rngmod.derive(seed, f"cs-{n_peers}"))
-                grid.add_peers(n_peers)
-                report = GridBuilder(grid).build(
-                    threshold_fraction=threshold_fraction,
-                    max_exchanges=100_000_000,
-                )
-                histogram = grid.replication_histogram()
-                mean_repl = sum(s * c for s, c in histogram.items()) / n_peers
-                max_repl = max(histogram)
-            else:
-                builder = BatchGridBuilder(
-                    n=n_peers, config=config, seed=run_seed
-                )
-                report = builder.build(
-                    threshold_fraction=threshold_fraction,
-                    max_exchanges=100_000_000,
-                )
-                sizes = builder.replication_sizes()
-                mean_repl = float(sizes.mean())
-                max_repl = int(sizes.max())
-            elapsed = time.perf_counter() - start
-            rows.append(
-                [
-                    n_peers,
-                    maxl,
-                    engine,
-                    report.converged,
-                    report.exchanges,
-                    report.exchanges_per_peer,
-                    round(elapsed, 2),
-                    round(report.exchanges / elapsed) if elapsed else None,
-                    round(mean_repl, 2),
-                    max_repl,
-                ]
-            )
-    return ExperimentResult(
-        experiment_id=CONSTRUCTION_SCALE_EXPERIMENT_ID,
-        title="Construction scaling: object core vs. vectorized array core",
-        headers=[
-            "N",
-            "maxl",
-            "engine",
-            "converged",
-            "exchanges",
-            "e/N",
-            "seconds",
-            "exch/s",
-            "mean repl",
-            "max repl",
-        ],
-        rows=rows,
-        config={
-            "peer_counts": list(peer_counts),
-            "refmax": refmax,
-            "seed": seed,
-            "threshold_fraction": threshold_fraction,
-        },
-        notes=(
-            "e/N stays near the paper's O(log N)-flavored growth while "
-            "exch/s shows the array core's headroom: the batch engine "
-            "sustains its throughput to 100k+ peers where the object "
-            "core becomes CPU- and memory-bound.  Engines are not "
-            "bit-comparable (different meeting interleavings); compare "
-            "e/N and the replica balance, not exact exchange counts."
         ),
     )

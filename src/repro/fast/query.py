@@ -649,9 +649,18 @@ class BatchQueryEngine:
                         if fwd.size:
                             budget[fwd] -= 1
                             msgs[fwd] += 1
-                            cur[fwd] = cand[on_mask][within]
-                            consumed[fwd] = st_cons[fwd, sp[fwd]]
-                            status[fwd] = _ARRIVE
+                            nxt = cand[on_mask][within]
+                            cons = st_cons[fwd, sp[fwd]]
+                            cur[fwd] = nxt
+                            consumed[fwd] = cons
+                            # The hop is routed on the key's first cons + 1 bits: a
+                            # receiver not in prefix relation with them refuses
+                            # it, as in dfs_step.
+                            plen = self._pl[nxt]
+                            bits = np.minimum(plen, cons + 1)
+                            head = self._pb[nxt] >> (plen - bits)
+                            under = head == kb[fwd] >> (kl[fwd] - bits)
+                            status[fwd] = np.where(under, _ARRIVE, _SELECT)
             active = active[status[active] < _FOUND]
             self._emit_wave("batch_dfs", wave, int(active.size), contacts, offline)
             wave += 1

@@ -72,11 +72,13 @@ def query_message(
     query: str,
     level: int,
     *,
+    prefix: str = "",
     budget: int | None = None,
     retry_spent: float = 0.0,
 ) -> Message:
     """Fig. 2 forward: ``query(peer(destination), query, level)``.
 
+    ``prefix``: the ``level + 1`` bits the hop was routed on (none at the start).
     ``budget`` is the message budget remaining for the receiver's subtree
     (``None`` lets the receiver apply its own configured limit);
     ``retry_spent`` seeds the receiver's accumulated retry backoff so one
@@ -84,6 +86,8 @@ def query_message(
     operation across hops.
     """
     payload: dict[str, Any] = {"query": query, "level": level}
+    if prefix:
+        payload["prefix"] = prefix
     if budget is not None:
         payload["budget"] = budget
     if retry_spent:
@@ -341,6 +345,7 @@ _FIELD_TYPES: dict[str, type | tuple[type, ...]] = {
     "query": str,
     "key": str,
     "collect": str,
+    "prefix": str,
     "level": int,
     "recbreadth": int,
     "holder": int,
@@ -364,8 +369,8 @@ def validate_request(message: Message, max_budget: int) -> Message:
     (:class:`~repro.errors.InvalidKeyError` for a non-binary key) unless
     *message* is a request kind the nodes serve, addressed between two
     addresses, with every field its handler reads present and of the
-    right type and range.  A ``budget`` above *max_budget* — the
-    server's own limit — is clamped in the returned message.
+    right type and range (a ``prefix``: ``level + 1`` bits).  A ``budget``
+    above *max_budget* — the server's own limit — is clamped in the returned message.
     """
     required = _REQUIRED_FIELDS.get(message.kind)
     if required is None:
@@ -392,6 +397,8 @@ def validate_request(message: Message, max_budget: int) -> Message:
             raise ValueError(f"field {name!r} must be >= {_FIELD_MINIMUM[name]}, got {value}")
     if not all(type(address) is int for address in payload.get("seen", ())):
         raise ValueError("'seen' must list peer addresses")
+    if (prefix := payload.get("prefix")) is not None and len(prefix) != payload.get("level", 0) + 1:
+        raise ValueError(f"'prefix' must hold level + 1 bits, got {prefix!r}")
     if payload.get("budget", 0) > max_budget:
         message = replace(message, payload={**payload, "budget": max_budget})
     return message

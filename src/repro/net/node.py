@@ -189,6 +189,7 @@ class NodeCore:
         operation).
         """
         query, level = payload["query"], payload["level"]
+        prefix = payload.get("prefix", "")
         budget = Budget(payload.get("budget", self.config.max_messages))
         stats = StepStats()
         stats.retry_delay = payload.get("retry_spent", 0.0)
@@ -203,6 +204,7 @@ class NodeCore:
                 effect.target,
                 step.query,
                 step.level,
+                prefix=step.prefix,
                 budget=budget.remaining - 1,
                 retry_spent=stats.retry_delay,
             )
@@ -221,10 +223,10 @@ class NodeCore:
             local = found and remote_refs is None and responder == me
             if local:
                 # Routing consumed the first `level` bits of the original
-                # query; they equal this peer's path prefix (search
-                # invariant), so the full key for the leaf lookup is
-                # prefix + suffix.
-                refs = peer.store.lookup(peer.path[:level] + query)
+                # query: the hop's prefix but its last bit (this peer's
+                # path prefix when the hop names none), so the full key
+                # for the leaf lookup is prefix + suffix.
+                refs = peer.store.lookup((prefix[:-1] if prefix else peer.path[:level]) + query)
             if request is None:
                 return SearchResult(
                     query=query,
@@ -252,7 +254,7 @@ class NodeCore:
                 budget=budget.remaining,
             )
 
-        machine = dfs_step(peer, query, level, self._ctx, budget, stats)
+        machine = dfs_step(peer, query, level, self._ctx, budget, stats, prefix)
         return machine, budget, MessageKind.QUERY, build, resolve, finish
 
     def _walk_op(self, request: Message) -> Operation:

@@ -119,8 +119,9 @@ def contact_step(
     ``retry.attempts`` times — each an independent availability coin
     under the §2 model — accruing the backoff schedule in
     ``stats.retry_delay`` and respecting the policy's deadline.  Every
-    outcome is reported to the healer, which may evict the reference
-    mid-retry (the loop then stops — the slot no longer exists).
+    failure is reported to the healer, which may evict the reference
+    mid-retry (the loop then stops — the slot no longer exists); the
+    caller reports the success (a Fig. 2 hop once the receiver accepts it).
     """
     status = yield Contact(target, ref_level, payload)
     retry = ctx.retry
@@ -128,8 +129,6 @@ def contact_step(
     attempt = 1
     while True:
         if status is OK:
-            if ctx.healer is not None:
-                ctx.healer.record_success(owner, ref_level, target)
             return True
         stats.failed += 1
         if ctx.observed:

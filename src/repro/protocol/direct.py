@@ -101,9 +101,9 @@ def run_dfs(
     """Execute the Fig. 2 machine from *view*; returns (found, responder)."""
 
     def resolve(effect):
-        payload = effect.payload
+        step = effect.payload
         return dfs_step(
-            grid.peer(effect.target), payload.query, payload.level, ctx, budget, stats
+            grid.peer(effect.target), step.query, step.level, ctx, budget, stats, step.prefix
         )
 
     return _run(grid, probe, dfs_step(view, query, level, ctx, budget, stats), resolve)

@@ -129,10 +129,11 @@ class Record:
 
 @dataclass(frozen=True, slots=True)
 class QueryStep:
-    """Fig. 2 recursive call: ``query(peer(r), query, level)``."""
+    """Fig. 2 call ``query(peer(r), query, level)``; ``prefix``: the bits it was routed on."""
 
     query: str
     level: int
+    prefix: str
 
 
 @dataclass(frozen=True, slots=True)

@@ -69,15 +69,22 @@ def dfs_step(
     ctx: Context,
     budget: Budget,
     stats: StepStats,
+    prefix: str = "",
 ):
     """Fig. 2 body at one peer; *level* = bits of ``path(view)`` consumed.
 
     Returns ``(found, responder)``.  Forwards are two effects: a
     :class:`Contact` (liveness + delivery attempt, budget is consumed on
     success) followed by a :class:`Resolve` whose answer is the remote
-    step's ``(found, responder)``.
+    step's ``(found, responder)``.  A receiver whose path is not in prefix
+    relation with the *prefix* the hop was routed on (a stale reference,
+    §2) refuses it with ``(False, itself)``, and the sender tries its next
+    reference.
     """
-    rempath = view.path[level:]
+    path = view.path
+    if not (path.startswith(prefix) or prefix.startswith(path)):
+        return False, view.address
+    rempath = path[level:]
     compath = keyspace.common_prefix(p, rempath)
     lc = len(compath)
     if lc == len(p) or lc == len(rempath):
@@ -87,7 +94,7 @@ def dfs_step(
     # Divergence: forward the unmatched suffix sideways.
     ref_level = level + lc + 1
     refs = list(view.routing.refs(ref_level))
-    payload = QueryStep(p[lc:], level + lc)
+    payload = QueryStep(p[lc:], level + lc, path[: level + lc] + p[lc])
     if ctx.order is not None:
         candidates = ctx.order(view, refs)
     else:
@@ -106,6 +113,10 @@ def dfs_step(
         if ctx.topology is not None:
             stats.latency += ctx.topology.latency(view.address, address)
         found, responder = yield Resolve(address, payload)
+        if ctx.healer is not None:
+            refused = not found and responder == address
+            report = ctx.healer.record_failure if refused else ctx.healer.record_success
+            report(view.address, ref_level, address)
         if found:
             return True, responder
         if ctx.observed:
@@ -205,6 +216,8 @@ def fanout_step(
         )
         if not ok:
             continue
+        if ctx.healer is not None:
+            ctx.healer.record_success(view.address, ref_level, address)
         if not trav.budget.consume():
             return
         trav.stats.messages += 1

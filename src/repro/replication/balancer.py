@@ -37,18 +37,20 @@ The balancer acts only at exchange-protocol meetings
 update propagation (:meth:`after_update` via
 :class:`~repro.core.updates.UpdateEngine`) — it rides interactions the
 protocol performs anyway, as §3 prescribes for everything else.  All of
-its choices are deterministic (max/min with path tie-breaks) and it draws
-**no RNG**, so a balancer that never fires leaves the grid's protocol
-streams untouched.
+its choices are deterministic (max/min with path tie-breaks) and draw
+**no RNG**; only a conversion's reference repair runs searches that do,
+so a balancer that never fires leaves the grid's protocol streams
+untouched.
 
-A conversion leaves stale inbound references to the converted peer —
-exactly the staleness churn already creates, which searches tolerate by
-backtracking and :class:`~repro.faults.RefHealer` can repair.  Stale
-references that used to point *into* the hot region now often land
-directly on a hot replica, short-circuiting the descent — that, plus the
-higher chance a query starts at a responsible peer, is where the
-messages-to-hit win comes from (measured in
-``experiments/replication.py``).
+A conversion would leave every reference to the converted peer that
+pointed into its old subtree stale (§2), and a Fig. 2 hop refuses a stale
+reference.  :meth:`ReplicaBalancer._convert` therefore drops each such
+reference and refills the slot with
+:func:`repro.core.membership.refill_slot`, the refill the healer and the
+repair sweep use; its probes and search messages are counted in
+:attr:`BalanceStats.repair_messages`.  The messages-to-hit win measured in
+``experiments/replication.py`` comes from more queries starting at, or
+routed early onto, a replica of a hot path.
 """
 
 from __future__ import annotations
@@ -59,8 +61,10 @@ from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.grid import PGrid
+from repro.core.membership import refill_slot
 from repro.core.peer import Address, Peer
 from repro.core.routing import RoutingTable
+from repro.core.search import SearchEngine
 from repro.core.storage import DataStore
 from repro.errors import InvalidConfigError
 from repro.obs.probe import Probe
@@ -136,6 +140,9 @@ class BalanceStats:
     retractions: int = 0
     entries_handed_over: int = 0
     entries_lost: int = 0
+    #: References a conversion made stale, dropped and refilled.
+    refs_repaired: int = 0
+    repair_messages: int = 0
 
     def snapshot(self) -> dict[str, int]:
         """Plain-dict copy for experiment records."""
@@ -146,6 +153,8 @@ class BalanceStats:
             "retractions": self.retractions,
             "entries_handed_over": self.entries_handed_over,
             "entries_lost": self.entries_lost,
+            "refs_repaired": self.refs_repaired,
+            "repair_messages": self.repair_messages,
         }
 
 
@@ -172,6 +181,7 @@ class ReplicaBalancer:
         self.config = config or ReplicationConfig()
         self.probe = probe
         self.stats = BalanceStats()
+        self.search = SearchEngine(grid)
         self._conversion_listeners: list[Callable[[Address, str, str], None]] = []
 
     @property
@@ -332,7 +342,9 @@ class ReplicaBalancer:
         replica directory); if none exists they are lost, as in a crash.
         The clone half copies the model's path, routing table (minus any
         reference to the donor itself) and leaf store, then links buddy
-        lists both ways so update strategy 2 sees the new replica.
+        lists both ways so update strategy 2 sees the new replica.  Last,
+        every reference to the donor that its new path no longer
+        satisfies (§2) is dropped and its slot refilled.
         """
         grid = self.grid
         old_path = donor.path
@@ -356,6 +368,15 @@ class ReplicaBalancer:
                 continue
             donor.add_buddy(buddy)
             grid.peer(buddy).add_buddy(donor.address)
+        for peer in grid.peers():
+            for level, refs in peer.routing.iter_levels():
+                if donor.address not in refs or level > peer.depth:
+                    continue
+                if not model.path.startswith(peer.ref_prefix(level)):
+                    peer.routing.remove_ref(level, donor.address)
+                    _, messages = refill_slot(grid, self.search, peer, level, donor.address)
+                    self.stats.refs_repaired += 1
+                    self.stats.repair_messages += messages
         self.stats.conversions += 1
         self.stats.entries_handed_over += handed
         if self.probe is not None:

@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core import keys as keyspace
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
 from repro.core.storage import DataItem
@@ -119,6 +120,8 @@ class ScenarioMetrics:
     read_success_rate: float
     invariant_violations: int
     replica_conversions: int = 0
+    #: Searches found at a peer whose path is not prefix-compatible with the key.
+    misrouted_answers: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         """Flat dict for reports."""
@@ -137,6 +140,7 @@ class ScenarioMetrics:
             "read_success_rate": self.read_success_rate,
             "invariant_violations": self.invariant_violations,
             "replica_conversions": self.replica_conversions,
+            "misrouted_answers": self.misrouted_answers,
         }
 
 
@@ -216,7 +220,7 @@ def run_scenario(
     query_keys = _workload(spec, "scenario-queries")
     addresses = grid.addresses()
 
-    searches = 0
+    searches = misrouted = 0
     search_messages: list[int] = []
     reads_ok = 0
     coverages: list[float] = []
@@ -254,10 +258,13 @@ def run_scenario(
             )
             reads_ok += read.success
         else:
-            result = search.query_from(start, query_keys.next_key())
+            key = query_keys.next_key()
+            result = search.query_from(start, key)
             searches += 1
             if result.found:
                 search_messages.append(result.messages)
+                path = grid.peer(result.responder).path
+                misrouted += not keyspace.in_prefix_relation(path, key)
 
     return ScenarioMetrics(
         spec=spec,
@@ -283,4 +290,5 @@ def run_scenario(
         replica_conversions=(
             facade.balancer.stats.conversions if facade.balancer is not None else 0
         ),
+        misrouted_answers=misrouted,
     )

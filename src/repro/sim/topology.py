@@ -92,11 +92,12 @@ class ProximitySearchEngine(SearchEngine):
         topology: Topology,
     ) -> None:
         super().__init__(grid, topology=topology)
+        self._ctx.order = self._nearest_first
 
-    def _attempt_order(
+    def _nearest_first(
         self, peer: Peer, refs: list[Address]
     ) -> Iterator[Address]:
-        """Nearest-first attempt order (no RNG draw, unlike the base)."""
+        """Nearest-first attempt order (no RNG draw, unlike the paper's)."""
         return iter(self.topology.nearest(peer.address, refs, len(refs)))
 
 

@@ -157,6 +157,8 @@ def _framed_query(**payload) -> Message:
         _framed_query(query="101", level=-1),
         _framed_query(query="101", level="0"),
         _framed_query(query="101", level=0, budget="all"),
+        _framed_query(query="01", level=1, prefix="1"),
+        _framed_query(query="01", level=1, prefix="1x"),
         Message(MessageKind.BREADTH_QUERY, -1, 0, {"query": "1", "level": 0, "recbreadth": 0}),
         Message(MessageKind.UPDATE, -1, 0, {"key": "1", "holder": 0, "version": -1}),
         Message(MessageKind.QUERY, -1, [0], {"query": "101", "level": 0}),
@@ -164,7 +166,8 @@ def _framed_query(**payload) -> Message:
     ],
     ids=[
         "missing-field", "non-binary-key", "negative-level", "mistyped-level",
-        "mistyped-budget", "zero-recbreadth", "negative-version", "bad-destination",
+        "mistyped-budget", "short-prefix", "non-binary-prefix",
+        "zero-recbreadth", "negative-version", "bad-destination",
         "not-a-request",
     ],
 )

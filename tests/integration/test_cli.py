@@ -154,8 +154,7 @@ EXPECTED = {
         "found=False responder=None messages=2 failed_attempts=4", [],
     ),
     ("faults", "0010"): (
-        "found=True responder=16 messages=3 failed_attempts=4",
-        ["  data: key=0010 holder=11 version=0"],
+        "found=False responder=None messages=2 failed_attempts=8", [],
     ),
     ("faults", "1100"): (
         "found=False responder=None messages=2 failed_attempts=8", [],
@@ -219,7 +218,7 @@ class TestSearchServing:
         main(["search", str(seeded_snapshot), "0010", "--start", "3",
               "--driver", driver, *FAULTS])
         out = capsys.readouterr().out
-        assert "retry backoff accrued: 2.00 time units" in out
+        assert "retry backoff accrued: 4.00 time units" in out
         assert "crashed 13 peers" in out
         assert "corrupted 6 routing references" in out
 
@@ -233,7 +232,7 @@ class TestSearchServing:
     def test_repair_line_on_every_driver(self, seeded_snapshot, capsys, driver):
         main(["search", str(seeded_snapshot), "0010", "--start", "3",
               "--driver", driver, *FAULTS])
-        assert "repair: evictions=2 refills=2 probes=3" in capsys.readouterr().out
+        assert "repair: evictions=4 refills=4 messages=7" in capsys.readouterr().out
 
     @pytest.mark.parametrize("driver", DRIVERS)
     def test_trace_dump_on_every_driver(self, seeded_snapshot, capsys, driver):
@@ -332,11 +331,11 @@ SCENARIO_CONFIGS = {
 }
 #: search_success_rate, search_messages_mean, update_coverage_mean,
 #: update_messages_mean, read_success_rate, invariant_violations,
-#: replica_conversions
+#: replica_conversions, misrouted_answers
 SCENARIO_EXPECTED = {
-    "adaptive": ("1.0000", "1.8004", "0.3773", "6.5085", "0.6949", "659", "46"),
-    "sqrt": ("0.8503", "1.7957", "0.1143", "2.3220", "0.5085", "472", "43"),
-    "none": ("1.0000", "2.1183", "0.4180", "7.5085", "0.8644", "0", "0"),
+    "adaptive": ("1.0000", "1.7153", "0.2917", "5.7797", "0.6780", "0", "44", "0"),
+    "sqrt": ("0.8577", "1.7672", "0.1105", "2.3729", "0.4746", "0", "42", "0"),
+    "none": ("1.0000", "2.1183", "0.4180", "7.5085", "0.8644", "0", "0", "0"),
 }
 
 
@@ -349,6 +348,7 @@ def _scenario_text(values: tuple[str, ...]) -> str:
         ("update_coverage_mean", values[2]), ("update_messages_mean", values[3]),
         ("reads_after_update", "59"), ("read_success_rate", values[4]),
         ("invariant_violations", values[5]), ("replica_conversions", values[6]),
+        ("misrouted_answers", values[7]),
     ]
     return "".join(f"{name:<26}: {value}\n" for name, value in rows)
 

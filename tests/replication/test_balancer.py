@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api import Grid
 from repro.core.storage import DataRef
 from repro.errors import InvalidConfigError
 from repro.replication import (
@@ -11,6 +16,7 @@ from repro.replication import (
     ReplicaBalancer,
     ReplicationConfig,
 )
+from repro.sim.workload import ZipfKeyWorkload
 from tests.conftest import build_grid
 
 
@@ -224,6 +230,16 @@ class TestAdaptiveConversion:
             if peer.path == old_path:
                 assert donor not in peer.buddies
 
+    def test_no_reference_into_the_old_subtree_survives(self):
+        grid, groups = _grid_with_groups(seed=9)
+        assert grid.audit_routing() == []
+        grid, balancer, _, donor, old_path, _, _, _ = self._convert_once()
+        # Without the repair, every reference that routed into the donor's
+        # old subtree would still name it: a stale reference (§2).
+        assert grid.audit_routing() == []
+        assert balancer.stats.refs_repaired > 0
+        assert balancer.stats.repair_messages >= balancer.stats.refs_repaired
+
     def test_listeners_fire_on_conversion(self):
         grid, groups = _grid_with_groups(seed=9)
         tracker = LoadTracker()
@@ -291,3 +307,31 @@ class TestSqrtStrategy:
             balancer.after_meeting(address, address)
         after = len(grid.replica_groups()[hot])
         assert after > before
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10**6), strategy=st.sampled_from(["sqrt", "adaptive"]))
+def test_every_conversion_keeps_the_reference_rule(seed, strategy):
+    """The §2 reference rule holds after every balancer step (D3-Tree's
+    acceptance shape): Zipf traffic, rebalancing rounds, an audit per
+    conversion."""
+    grid = Grid.build(
+        peers=48,
+        maxl=4,
+        refmax=2,
+        seed=seed,
+        replication=ReplicationConfig(
+            strategy, replicate_threshold=1.0, retract_floor=0.25, min_observations=0
+        ),
+    )
+    audits = []
+    grid.balancer.subscribe_conversion(lambda *_: audits.append(grid.pgrid.audit_routing()))
+    rng = random.Random(seed)
+    workload = ZipfKeyWorkload(4, rng, exponent=1.2)
+    addresses = grid.addresses()
+    for _ in range(3):
+        for _ in range(40):
+            grid.search(workload.next_key(), start=rng.choice(addresses))
+        grid.rebalance(meetings=32)
+    assert all(audit == [] for audit in audits)
+    assert grid.pgrid.audit_routing() == []

@@ -135,4 +135,5 @@ class TestRunScenario:
             "read_success_rate": 0.7357142857142858,
             "invariant_violations": 0,
             "replica_conversions": 0,
+            "misrouted_answers": 0,
         }
