@@ -4,7 +4,7 @@ PYTHON ?= python
 # Scale of `make bench`: fig4 (default) or smoke (CI-fast).
 SCALE ?= fig4
 
-.PHONY: install test aio-leakcheck lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-array bench-e2e-smoke bench-e2e-tiny bench-pairs bench-shm-smoke check-parallel protocol-equivalence resilience-smoke resilience-full replication-smoke swarm-smoke examples clean results
+.PHONY: install test aio-leakcheck lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-array bench-e2e-smoke bench-e2e-tiny bench-pairs bench-shm-smoke check-parallel protocol-equivalence resilience-smoke resilience-full replication-smoke replication-reproducer swarm-smoke examples clean results
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -160,6 +160,19 @@ resilience-full:
 replication-smoke:
 	PYTHONPATH=src $(PYTHON) -c "import sys; from repro.experiments import replication; \
 	sys.exit(replication.main(['--scale', 'smoke', '--jobs', '2', '--check']))"
+
+# Replica-conversion correctness gate: ROADMAP item 2's reproducer (Zipf
+# traffic, adaptive balancing at threshold 1.0, under a second) must leave
+# no reference that breaks the §2 rule and no search answered by a peer
+# not responsible for its key.
+replication-reproducer:
+	@out=$$(PYTHONPATH=src $(PYTHON) -m repro scenario --peers 200 --maxl 5 \
+		--refmax 3 --operations 1000 --zipf 1.2 --replication adaptive \
+		--replicate-threshold 1.0 --seed 1) || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | grep -Eq '^invariant_violations +: 0$$' && \
+	echo "$$out" | grep -Eq '^misrouted_answers +: 0$$' || \
+	{ echo "replication reproducer: FAILED"; exit 1; }
 
 # Swarm gate: 1000 concurrent asyncio nodes absorb a mixed
 # search/update workload with a perfect found rate inside the time

@@ -286,10 +286,15 @@ class PGrid:
     def audit_routing(self) -> list[str]:
         """Check the §2 reference invariant for every stored reference.
 
-        A reference at level ``i`` of peer ``a`` must point to a registered
-        peer whose path starts with ``prefix(i-1, a)`` followed by the
-        complement of bit ``i`` of ``path(a)``.  Returns human-readable
-        violation descriptions (empty list = consistent grid).
+        The *table rule*, which a refill checks too: a reference at level
+        ``i`` of peer ``a`` must point to a registered peer whose path
+        starts with ``prefix(i-1, a)`` followed by the complement of bit
+        ``i`` of ``path(a)`` (:meth:`Peer.ref_prefix`).  A Fig. 2 hop checks
+        the weaker *responsibility rule* (the receiver's path is in prefix
+        relation with the prefix it was routed on), so a reference to a
+        peer whose path is shorter than that prefix is reported here yet
+        routes to a responsible peer.  Returns human-readable violation
+        descriptions (empty list = consistent grid).
         """
         violations: list[str] = []
         for peer in self.peers():

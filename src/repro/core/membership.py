@@ -11,10 +11,9 @@ deployed P-Grid cannot live without:
     *only* mechanism used, a join is just "more of the same protocol" —
     the self-organization property the paper emphasizes.
 :meth:`MembershipEngine.leave` / :meth:`MembershipEngine.fail`
-    A graceful departure hands the peer's leaf-level index entries to a
-    replica (found with the peer's own routing state) before leaving; a
-    failure just disappears.  Either way, references held by other peers
-    dangle until repaired.
+    A graceful departure leaves the grid, then hands its leaf-level index
+    to a co-replica (:func:`hand_over`); a failure just disappears.
+    Either way, references held by other peers dangle until repaired.
 :meth:`MembershipEngine.repair`
     An eager sweep over one peer: drop dead references and buddies, then
     fill each free slot with :func:`refill_slot`.
@@ -23,16 +22,22 @@ deployed P-Grid cannot live without:
     contact-driven :class:`repro.faults.RefHealer` and the replica
     balancer's conversions: buddies first, then a Fig. 2 search for the
     prefix the level must cover, every probe and search message counted.
+:func:`hand_over`
+    The one hand-over of a leaf index, shared with the replica balancer's
+    conversions: former buddies still on the path, then a delegated Fig. 2
+    search for it, every probe and search message counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.exchange import ExchangeEngine
 from repro.core.grid import PGrid
 from repro.core.peer import Address, Peer
 from repro.core.search import SearchEngine
+from repro.core.storage import DataRef
 from repro.obs.probe import Probe
 
 
@@ -162,57 +167,15 @@ class MembershipEngine:
     # -- departures -------------------------------------------------------------
 
     def leave(self, address: Address) -> LeaveReport:
-        """Graceful departure: hand the leaf index to a replica, then go.
-
-        The departing peer searches for its *own path* (excluding itself as
-        responder by searching from itself through its references): the
-        responder — another peer responsible for the same region — absorbs
-        its index entries.  If no replica is reachable the entries are
-        dropped with the peer, as they would be in a real crash.
-        """
-        peer = self.grid.peer(address)
+        """Graceful departure: leave the grid, then hand the leaf index
+        over with :func:`hand_over` (so no search can answer with the
+        departed peer); unanswered, the entries are lost as in a crash."""
+        peer = self.grid.remove_peer(address)
         entries = list(peer.store.iter_refs())
-        target: Address | None = None
-        messages = 0
-
-        # Buddies are co-replicas by construction — the cheapest target.
-        for buddy in sorted(peer.buddies):
-            if self.grid.has_peer(buddy) and self.grid.is_online(buddy):
-                target = buddy
-                messages += 1
-                break
-
-        # Otherwise delegate the search: a peer cannot find its own
-        # co-replicas through its own references (a search at a responsible
-        # peer terminates immediately at itself), but a *referenced* peer
-        # on the other side routes back into the region and may land on a
-        # different replica.
-        if target is None and entries and peer.path:
-            delegates = [
-                ref
-                for _level, refs in peer.routing.iter_levels()
-                for ref in refs
-                if self.grid.has_peer(ref)
-            ]
-            rng = self.grid.rng
-            for _ in range(min(4, len(delegates)) or 0):
-                delegate = rng.choice(delegates)
-                if not self.grid.is_online(delegate):
-                    continue
-                messages += 1  # the delegation request itself
-                result = self.search.query_from(delegate, peer.path)
-                messages += result.messages
-                if result.found and result.responder not in (None, address):
-                    target = result.responder
-                    break
-
-        handed = 0
-        if target is not None:
-            store = self.grid.peer(target).store
-            for ref in entries:
-                store.add_ref(ref)
-                handed += 1
-        self.grid.remove_peer(address)
+        target, messages = hand_over(
+            self.grid, self.search, peer, peer.path, entries, peer.buddies
+        )
+        handed = len(entries) if target is not None else 0
         if self.probe is not None:
             self.probe.on_leave(address, entries_handed_over=handed)
         return LeaveReport(
@@ -228,7 +191,7 @@ class MembershipEngine:
 
     # -- repair ------------------------------------------------------------------
 
-    def repair(self, address: Address, *, refill: bool = True) -> RepairReport:
+    def repair(self, address: Address) -> RepairReport:
         """Drop dead references and buddies of *address*, refill depleted levels.
 
         Each free slot of a level is filled by :func:`refill_slot`, whose
@@ -244,8 +207,6 @@ class MembershipEngine:
                 if not self.grid.has_peer(ref):
                     peer.routing.remove_ref(level, ref)
                     report.dead_refs_dropped += 1
-            if not refill:
-                continue
             for _ in range(peer.routing.refmax - len(peer.routing.refs(level))):
                 added, messages = refill_slot(self.grid, self.search, peer, level)
                 report.refs_added += added
@@ -263,12 +224,9 @@ class MembershipEngine:
             )
         return report
 
-    def repair_all(self, *, refill: bool = True) -> list[RepairReport]:
+    def repair_all(self) -> list[RepairReport]:
         """Run :meth:`repair` over every peer (a maintenance sweep)."""
-        return [
-            self.repair(address, refill=refill)
-            for address in self.grid.addresses()
-        ]
+        return [self.repair(address) for address in self.grid.addresses()]
 
 
 def refill_slot(
@@ -306,15 +264,8 @@ def refill_slot(
                 offline = candidate if offline is None else offline
     origin: Address | None = peer.address
     if not current:
-        # References of other levels, drawn one at a time and probed at
-        # one message each; the first that answers takes the request.
-        pool = [ref for _level, refs in peer.routing.iter_levels() for ref in refs]
-        origin = None
-        while pool and origin is None:
-            delegate = pool.pop(grid.rng.randrange(len(pool)))
-            messages += 1
-            if grid.has_peer(delegate) and grid.is_online(delegate):
-                origin = delegate
+        origin, probes = _delegate(grid, peer)
+        messages += probes
     if origin is not None:
         result = search.query_from(origin, target)
         messages += result.messages
@@ -327,3 +278,57 @@ def refill_slot(
     if offline is not None and peer.routing.add_ref(level, offline):
         return 1, messages
     return 0, messages
+
+
+def hand_over(
+    grid: PGrid, search: SearchEngine, peer: Peer, path: str,
+    entries: list[DataRef], buddies: Iterable[Address],
+) -> tuple[Address | None, int]:
+    """Give *entries*, the leaf index *peer* held for *path*, to a peer
+    still responsible for *path*, once *peer* has left that group;
+    returns ``(target, messages)``.
+
+    The sources, cheapest first: (1) the former *buddies* still on *path*,
+    each liveness-probed at one message; (2) a Fig. 2 search for *path*
+    run by a delegate of *peer*, whose responder (not *peer*) is in prefix
+    relation with *path*.  No entries: nothing is probed.  No target: the
+    entries are lost, as in a crash.
+    """
+    if not entries:
+        return None, 0
+    target: Address | None = None
+    messages = 0
+    for buddy in sorted(buddies):
+        if not grid.has_peer(buddy) or grid.peer(buddy).path != path:
+            continue
+        messages += 1
+        if grid.is_online(buddy):
+            target = buddy
+            break
+    else:
+        delegate, probes = _delegate(grid, peer)
+        messages += probes
+        if delegate is not None:
+            result = search.query_from(delegate, path)
+            messages += result.messages
+            if result.found and result.responder != peer.address:
+                target = result.responder
+    if target is not None:
+        store = grid.peer(target).store
+        for ref in entries:
+            store.add_ref(ref)
+    return target, messages
+
+
+def _delegate(grid: PGrid, peer: Peer) -> tuple[Address | None, int]:
+    """A live reference of *peer* to search on its behalf: references of
+    every level drawn one at a time, one message per probe, until one
+    answers; returns ``(delegate, messages)``."""
+    pool = [ref for _level, refs in peer.routing.iter_levels() for ref in refs]
+    messages = 0
+    while pool:
+        delegate = pool.pop(grid.rng.randrange(len(pool)))
+        messages += 1
+        if grid.has_peer(delegate) and grid.is_online(delegate):
+            return delegate, messages
+    return None, messages

@@ -16,8 +16,10 @@ point:
     tight tolerance.  The ``repair`` variant feeds every contact outcome
     to a :class:`repro.faults.RefHealer` (evictions must be repaired back
     to the analytic curve); the ``retry`` variant re-contacts each
-    reference ``attempts`` times, which eq. (3) absorbs as
-    ``refmax -> attempts * refmax``.
+    reference under a :class:`repro.faults.RetryPolicy` of ``attempts``
+    tries, which eq. (3) absorbs as ``refmax -> attempts * refmax``.
+    Every contact runs through :func:`repro.protocol.direct.run_contact`,
+    the retry-and-evict rule of the search machines.
 
 ``crash`` / ``crash+repair``
     The same sampler after a :class:`repro.faults.FaultInjector` crashes a
@@ -49,7 +51,10 @@ from repro.experiments.common import ExperimentResult
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.repair import RefHealer
+from repro.faults.retry import RetryPolicy
 from repro.perf.parallel import parallel_starmap
+from repro.protocol.contact import Context
+from repro.protocol.direct import run_contact
 from repro.sim import rng as rngmod
 from repro.sim.builder import GridBuilder
 from repro.sim.churn import BernoulliChurn
@@ -203,8 +208,8 @@ def _measure_level_model(
     One trial draws, for each level ``1..k``, a random requester and asks
     whether any of its ``refmax`` references at that level answers a
     contact (each contact an independent availability coin, re-tried
-    ``attempts`` times).  This samples exactly the product eq. (3)
-    computes, over the real routing tables.
+    ``attempts`` times by a :class:`RetryPolicy`).  This samples exactly
+    the product eq. (3) computes, over the real routing tables.
     """
     grid = grid_from_dict(grid_data, rng=rngmod.derive(seed, f"{stream}-grid"))
     grid.online_oracle = BernoulliChurn(p_online, rngmod.derive(seed, f"{stream}-churn"))
@@ -217,6 +222,8 @@ def _measure_level_model(
         injector.install_oracle()
         crashed = injector.crashed
     healer = RefHealer(grid, evict_after=evict_after) if repair else None
+    retry = RetryPolicy(attempts=attempts) if attempts > 1 else None
+    ctx = Context(grid.rng, retry=retry, healer=healer)
     rng = rngmod.derive(seed, f"{stream}-trials")
     eligible = [
         address
@@ -233,16 +240,7 @@ def _measure_level_model(
             rng.shuffle(refs)
             level_ok = False
             for ref in refs:
-                answered = False
-                for _ in range(attempts):
-                    if grid.has_peer(ref) and grid.is_online(ref):
-                        answered = True
-                        break
-                    if healer is not None and healer.record_failure(
-                        owner, level, ref
-                    ):
-                        break  # evicted mid-retry: the slot is gone
-                if answered:
+                if run_contact(grid, ctx, owner, ref, level):
                     if healer is not None:
                         healer.record_success(owner, level, ref)
                     level_ok = True

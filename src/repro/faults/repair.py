@@ -66,25 +66,20 @@ class HealStats:
 
 
 class RefHealer:
-    """Evict a reference after ``evict_after`` consecutive contact failures.
-
-    ``refill=False`` degrades to pure eviction (useful to isolate the two
-    effects in experiments).
-    """
+    """Evict a reference after ``evict_after`` consecutive contact failures
+    and refill its slot."""
 
     def __init__(
         self,
         grid: "PGrid",
         *,
         evict_after: int = 3,
-        refill: bool = True,
         probe: Probe | None = None,
     ) -> None:
         if evict_after < 1:
             raise ValueError(f"evict_after must be >= 1, got {evict_after}")
         self.grid = grid
         self.evict_after = evict_after
-        self.refill = refill
         self.probe = probe
         self.stats = HealStats()
         self.search = SearchEngine(grid)
@@ -126,14 +121,12 @@ class RefHealer:
         if not peer.routing.remove_ref(level, dead):
             return  # already gone (e.g. evicted via another owner's sweep)
         self.stats.evictions += 1
-        added = messages = 0
-        if self.refill:
-            added, messages = membership.refill_slot(self.grid, self.search, peer, level, dead)
-            self.stats.messages += messages
-            if added:
-                self.stats.refills += 1
-            else:
-                self.stats.refill_failures += 1
+        added, messages = membership.refill_slot(self.grid, self.search, peer, level, dead)
+        self.stats.messages += messages
+        if added:
+            self.stats.refills += 1
+        else:
+            self.stats.refill_failures += 1
         if self.probe is not None:
             self.probe.on_repair(
                 owner, dead_refs_dropped=1, refs_added=added, messages=messages

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.protocol.contact import Budget, Context, StepStats
+from repro.protocol.contact import Budget, Context, StepStats, contact_step
 from repro.protocol.effects import (
     GONE,
     OFFLINE,
@@ -39,7 +39,9 @@ from repro.protocol.exchange import ExchangeContext, exchange_step
 from repro.protocol.search import Traversal, breadth_step, dfs_step
 from repro.protocol.update import buddy_forward_step
 
-__all__ = ["contact_status", "run_dfs", "run_breadth", "run_exchange", "run_buddies"]
+__all__ = [
+    "contact_status", "run_contact", "run_dfs", "run_breadth", "run_exchange", "run_buddies"
+]
 
 
 def contact_status(grid, target):
@@ -86,6 +88,13 @@ def _run(grid: Any, probe: Any, machine, resolve=None):
             response = sorted(grid.peer(effect.target).buddies)
         else:
             raise TypeError(f"unexpected effect: {effect!r}")
+
+
+def run_contact(grid: Any, ctx: Context, owner: Any, target: Any, level: int) -> bool:
+    """Contact *owner*'s level-*level* reference *target* under
+    :func:`contact_step`'s retry and eviction rule; returns whether it
+    answered (the caller reports a success to the healer)."""
+    return _run(grid, None, contact_step(ctx, StepStats(), owner, target, level, None))
 
 
 def run_dfs(

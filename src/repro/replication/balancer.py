@@ -27,9 +27,11 @@ strategies:
     path is replicated onto peers contacted during exchanges — provided
     the contacted peer's own group is *cold* (per-replica load below
     ``retract_floor``) and can spare it.  The cold replica retracts from
-    its group exactly like a graceful membership departure: it hands its
-    leaf-level index entries to a surviving co-replica (buddies first,
-    then the replica directory) before taking over the hot path.
+    its group exactly like a graceful membership departure: once it has
+    taken over the hot path, it hands its old leaf-level index entries to
+    a peer still responsible for the old path with
+    :func:`repro.core.membership.hand_over`, the hand-over
+    :meth:`~repro.core.membership.MembershipEngine.leave` uses.
 
 The balancer acts only at exchange-protocol meetings
 (:meth:`after_meeting`, invoked by
@@ -38,30 +40,29 @@ update propagation (:meth:`after_update` via
 :class:`~repro.core.updates.UpdateEngine`) — it rides interactions the
 protocol performs anyway, as §3 prescribes for everything else.  All of
 its choices are deterministic (max/min with path tie-breaks) and draw
-**no RNG**; only a conversion's reference repair runs searches that do,
-so a balancer that never fires leaves the grid's protocol streams
-untouched.
+**no RNG**; only a conversion's hand-over and reference repair probe
+peers and run searches that do, so a balancer that never fires leaves
+the grid's protocol streams untouched.
 
 A conversion would leave every reference to the converted peer that
 pointed into its old subtree stale (§2), and a Fig. 2 hop refuses a stale
 reference.  :meth:`ReplicaBalancer._convert` therefore drops each such
 reference and refills the slot with
 :func:`repro.core.membership.refill_slot`, the refill the healer and the
-repair sweep use; its probes and search messages are counted in
-:attr:`BalanceStats.repair_messages`.  The messages-to-hit win measured in
-``experiments/replication.py`` comes from more queries starting at, or
-routed early onto, a replica of a hot path.
+repair sweep use.  The hand-over's and the repair's probes and search
+messages are counted in :attr:`BalanceStats.messages`.  The
+messages-to-hit win measured in ``experiments/replication.py`` comes from
+more queries starting at, or routed early onto, a replica of a hot path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.grid import PGrid
-from repro.core.membership import refill_slot
+from repro.core.membership import hand_over, refill_slot
 from repro.core.peer import Address, Peer
 from repro.core.routing import RoutingTable
 from repro.core.search import SearchEngine
@@ -142,7 +143,8 @@ class BalanceStats:
     entries_lost: int = 0
     #: References a conversion made stale, dropped and refilled.
     refs_repaired: int = 0
-    repair_messages: int = 0
+    #: Probes and search messages of the hand-overs and the repairs.
+    messages: int = 0
 
     def snapshot(self) -> dict[str, int]:
         """Plain-dict copy for experiment records."""
@@ -154,7 +156,7 @@ class BalanceStats:
             "entries_handed_over": self.entries_handed_over,
             "entries_lost": self.entries_lost,
             "refs_repaired": self.refs_repaired,
-            "repair_messages": self.repair_messages,
+            "messages": self.messages,
         }
 
 
@@ -337,19 +339,22 @@ class ReplicaBalancer:
     def _convert(self, donor: Peer, model: Peer) -> None:
         """Retract *donor* from its group and clone *model*'s position.
 
-        The donation half mirrors :meth:`MembershipEngine.leave`: leaf
-        entries go to a surviving co-replica (buddies first, then the
-        replica directory); if none exists they are lost, as in a crash.
-        The clone half copies the model's path, routing table (minus any
-        reference to the donor itself) and leaf store, then links buddy
-        lists both ways so update strategy 2 sees the new replica.  Last,
-        every reference to the donor that its new path no longer
-        satisfies (§2) is dropped and its slot refilled.
+        The donor unlinks from its buddies and takes the model's path,
+        routing table (minus any reference to the donor itself) and leaf
+        store, then links buddy lists both ways so update strategy 2 sees
+        the new replica.  Every reference to the donor that its new path
+        no longer satisfies (§2) is dropped and its slot refilled.  Last,
+        as in :meth:`MembershipEngine.leave`, :func:`hand_over` gives the
+        donor's old leaf entries to a peer still responsible for the old
+        path: the buddies saved before the move first, then a delegated
+        search, which the repaired tables no longer route to the donor.
+        If none answers, the entries are lost, as in a crash.
         """
         grid = self.grid
         old_path = donor.path
-        handed = self._hand_over(donor)
-        for buddy in sorted(donor.buddies):
+        entries = list(donor.store.iter_refs())
+        buddies = sorted(donor.buddies)
+        for buddy in buddies:
             if grid.has_peer(buddy):
                 grid.peer(buddy).buddies.discard(donor.address)
         donor.set_path(model.path)
@@ -376,41 +381,22 @@ class ReplicaBalancer:
                     peer.routing.remove_ref(level, donor.address)
                     _, messages = refill_slot(grid, self.search, peer, level, donor.address)
                     self.stats.refs_repaired += 1
-                    self.stats.repair_messages += messages
+                    self.stats.messages += messages
+        target, messages = hand_over(
+            grid, self.search, donor, old_path, entries, buddies
+        )
+        self.stats.messages += messages
+        if target is None:
+            self.stats.entries_lost += len(entries)
+        else:
+            self.stats.entries_handed_over += len(entries)
         self.stats.conversions += 1
-        self.stats.entries_handed_over += handed
         if self.probe is not None:
             self.probe.on_replication(
                 "convert", donor.address, old_path, model.path
             )
         for converted in self._conversion_listeners:
             converted(donor.address, old_path, model.path)
-
-    def _hand_over(self, donor: Peer) -> int:
-        """Give the donor's leaf entries to a surviving co-replica."""
-        entries = list(donor.store.iter_refs())
-        if not entries:
-            return 0
-        grid = self.grid
-        target: Address | None = None
-        for buddy in sorted(donor.buddies):
-            if grid.has_peer(buddy) and grid.peer(buddy).path == donor.path:
-                target = buddy
-                break
-        if target is None and donor.path:
-            # An exact co-replica first, else the first responsible peer.
-            survivors = chain(
-                grid.directory().groups[donor.path],
-                grid.replicas_for_key(donor.path),
-            )
-            target = next((a for a in survivors if a != donor.address), None)
-        if target is None:
-            self.stats.entries_lost += len(entries)
-            return 0
-        store = grid.peer(target).store
-        for ref in entries:
-            store.add_ref(ref)
-        return len(entries)
 
     def __repr__(self) -> str:
         return (

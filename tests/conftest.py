@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -107,3 +108,28 @@ def peer_with_path(grid: PGrid, path: str) -> Peer:
         if peer.path == path:
             return peer
     raise AssertionError(f"no peer with path {path!r}")
+
+
+def tally_messages(monkeypatch, grid: PGrid, search) -> SimpleNamespace:
+    """From now on, count the ``grid.is_online`` probes made outside
+    ``search.query_from`` (``probes``) and keep the result of every search
+    it runs (``searches``); the caller may reset both."""
+    tally = SimpleNamespace(probes=0, searches=[], searching=False)
+    is_online, query_from = grid.is_online, search.query_from
+
+    def counted_is_online(address):
+        tally.probes += not tally.searching
+        return is_online(address)
+
+    def logged_query_from(start, query):
+        tally.searching = True
+        try:
+            result = query_from(start, query)
+        finally:
+            tally.searching = False
+        tally.searches.append(result)
+        return result
+
+    monkeypatch.setattr(grid, "is_online", counted_is_online)
+    monkeypatch.setattr(search, "query_from", logged_query_from)
+    return tally

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.membership import MembershipEngine
 from repro.core.search import SearchEngine
 from repro.core.storage import DataRef
 from repro.errors import UnknownPeerError
-from repro.sim.churn import FixedOnlineSet
-from tests.conftest import assert_routing_consistent, build_grid
+from repro.sim.churn import BernoulliChurn, FixedOnlineSet
+from tests.conftest import assert_routing_consistent, build_grid, tally_messages
 
 
 @pytest.fixture
@@ -107,6 +109,28 @@ class TestLeave:
         report = membership.leave(20)
         assert report.handover_target == twin.address
 
+    def test_every_probe_of_a_departure_is_a_message(self, grid, monkeypatch):
+        # At the paper's 30 % availability a departure probes buddies and
+        # delegates until one answers: each probe is a message, and so is
+        # each message of the delegated search.
+        grid.online_oracle = BernoulliChurn(0.3, random.Random(5))
+        membership = MembershipEngine(grid)
+        tally = tally_messages(monkeypatch, grid, membership.search)
+        probes = handed = 0
+        for victim in grid.addresses()[:20]:
+            # Dangling references are dropped first, so every probe is an
+            # availability check of a registered peer.
+            membership.repair_all()
+            peer = grid.peer(victim)
+            peer.store.add_ref(DataRef(key=peer.path, holder=victim, version=1))
+            tally.probes, tally.searches = 0, []
+            report = membership.leave(victim)
+            searched = sum(result.messages for result in tally.searches)
+            assert report.messages == tally.probes + searched
+            probes += tally.probes
+            handed += report.entries_handed_over
+        assert probes > 20 and handed > 0  # probes went unanswered
+
     def test_fail_drops_state(self, grid):
         membership = MembershipEngine(grid)
         peer = membership.fail(7)
@@ -179,12 +203,6 @@ class TestRepair:
             membership.fail(victim)
         membership.repair_all()
         assert_routing_consistent(grid)
-
-    def test_repair_without_refill(self, grid):
-        membership = MembershipEngine(grid)
-        membership.fail(60)
-        reports = membership.repair_all(refill=False)
-        assert all(report.refs_added == 0 for report in reports)
 
     def test_repair_counts_messages(self, grid):
         membership = MembershipEngine(grid)

@@ -341,35 +341,6 @@ class ScanBalancer(ReplicaBalancer):
             return True
         return False
 
-    def _hand_over(self, donor):
-        entries = list(donor.store.iter_refs())
-        if not entries:
-            return 0
-        grid = self.grid
-        target = None
-        for buddy in sorted(donor.buddies):
-            if grid.has_peer(buddy) and grid.peer(buddy).path == donor.path:
-                target = buddy
-                break
-        if target is None and donor.path:
-            exact = responsible = None
-            for address in scan_replicas(grid, donor.path):
-                if address == donor.address:
-                    continue
-                if grid.peer(address).path == donor.path:
-                    exact = address
-                    break
-                if responsible is None:
-                    responsible = address
-            target = exact if exact is not None else responsible
-        if target is None:
-            self.stats.entries_lost += len(entries)
-            return 0
-        store = grid.peer(target).store
-        for ref in entries:
-            store.add_ref(ref)
-        return len(entries)
-
 
 def scan_resolver(grid):
     def resolve(query):

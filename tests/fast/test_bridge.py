@@ -25,7 +25,6 @@ from repro.core.grid import PGrid
 from repro.core.search import SearchEngine
 from repro.core.storage import DataItem, DataRef
 from repro.fast import HAVE_NUMPY, ArrayGrid
-from repro.faults.repair import RefHealer
 from repro.sim.builder import GridBuilder, construct_grid, construct_snapshot
 from repro.sim.churn import BernoulliChurn
 
@@ -190,18 +189,16 @@ class TestBridgeEdgeCases:
         assert original.found
 
     def test_post_churn_evicted_refs_round_trip(self):
-        # Healer evictions leave ragged routing lists (fewer than refmax
+        # Evicted references leave ragged routing lists (fewer than refmax
         # entries, possibly empty levels); the bridge must carry the
         # shrunken lists through exactly, not re-pad or drop levels.
         grid = build_grid(13, 30, 5, 3, with_data=False)
-        healer = RefHealer(grid, evict_after=1, refill=False)
+        evicted = 0
         for peer in grid.peers():
             for level0, level_refs in enumerate(peer.routing.to_lists()):
                 if level_refs:
-                    healer.record_failure(
-                        peer.address, level0 + 1, level_refs[0]
-                    )
-        assert healer.stats.evictions > 0
+                    evicted += peer.routing.remove_ref(level0 + 1, level_refs[0])
+        assert evicted > 0
         _, bridged = bridge(grid, random.Random(0))
         assert routing_state(bridged) == routing_state(grid)
         assert bridged.addresses() == grid.addresses()

@@ -114,17 +114,6 @@ class TestEvictionAndRefill:
         for replacement in refs:
             assert grid.peer(replacement).path.startswith(target)
 
-    def test_refill_false_is_pure_eviction(self):
-        grid = build_grid(48, maxl=4, refmax=2, seed=9)
-        healer = RefHealer(grid, evict_after=1, refill=False)
-        owner, level, ref = first_routed_ref(grid)
-        before = list(grid.peer(owner).routing.refs(level))
-        assert healer.record_failure(owner, level, ref)
-        after = grid.peer(owner).routing.refs(level)
-        assert ref not in after
-        assert len(after) == len(before) - 1
-        assert healer.stats.refills == 0
-
     def test_all_offline_falls_back_rather_than_shrinking(self):
         grid = build_grid(48, maxl=4, refmax=2, seed=9)
         grid.online_oracle = FixedOnlineSet()  # everyone reports offline

@@ -161,6 +161,7 @@ def test_fuzz_then_full_repair_restores_clean_audit(seed):
     script = ["meet"] * 30 + ["fail", "join", "meet", "meet", "fail", "join"]
     for op in script:
         fuzzer.step(op)
-    fuzzer.membership.repair_all(refill=False)
-    # with dead refs dropped, the audit must be fully clean
+    fuzzer.membership.repair_all()
+    # with dead refs dropped and their slots refilled, the audit must be
+    # fully clean
     assert fuzzer.grid.audit_routing() == []

@@ -104,6 +104,20 @@ def test_a_receiver_whose_path_is_a_prefix_of_the_hop_accepts_it():
         assert (result.found, result.responder, result.messages) == (True, short, 1)
 
 
+def test_the_audit_checks_the_table_rule_and_routing_the_responsibility_rule():
+    # The table rule (a level-3 reference lies under ref_prefix(3)) fails
+    # for the shortened peer; the responsibility rule (prefix relation
+    # with the routed-on prefix) holds, so routing through it answers.
+    grid, holder, short, key = shortened_grid()
+    assert (holder, short, key) == (10, 0, "0010")
+    assert grid.pgrid.audit_routing() == [
+        "peer 10: ref 0 at level 3 has path '00', expected prefix '001'"
+    ]
+    result = grid.search(key, start=holder)
+    assert (result.found, result.responder) == (True, short)
+    assert grid.pgrid.peer(short).responsible_for(key)
+
+
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 def test_the_batch_plane_accepts_a_receiver_with_a_shorter_path():
     grid, holder, short, key = shortened_grid()

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import Grid
+from repro.core.grid import PGrid
 from repro.core.storage import DataRef
 from repro.errors import InvalidConfigError
 from repro.replication import (
@@ -16,8 +17,9 @@ from repro.replication import (
     ReplicaBalancer,
     ReplicationConfig,
 )
+from repro.sim.churn import FixedOnlineSet
 from repro.sim.workload import ZipfKeyWorkload
-from tests.conftest import build_grid
+from tests.conftest import build_grid, tally_messages
 
 
 def _grid_with_groups(seed: int = 7):
@@ -221,6 +223,83 @@ class TestAdaptiveConversion:
         for ref in old_refs:
             assert ref.key in held
 
+    def _convert_without_buddy(self, monkeypatch, offline_buddy=False):
+        """Convert a donor whose buddy list is empty (or names one offline
+        co-replica) with the replica directory out of reach; returns the
+        grid, balancer, donor, old path, old entries, the buddy and the
+        tally of the conversion's probes and searches."""
+        grid, groups = _grid_with_groups(seed=9)
+        tracker = LoadTracker()
+        hot, donor = _hot_and_donor(grid, groups, min_donor_size=3)
+        for _ in range(100):
+            tracker.observe(hot)
+        balancer = ReplicaBalancer(
+            grid,
+            tracker,
+            config=ReplicationConfig(
+                replicate_threshold=1.0, retract_floor=0.25, min_observations=0
+            ),
+        )
+        donor_peer = grid.peer(donor)
+        old_path = donor_peer.path
+        buddy = next(a for a in groups[old_path] if a != donor)
+        for peer in grid.peers():
+            peer.buddies.discard(donor)
+        donor_peer.buddies.clear()
+        if offline_buddy:
+            donor_peer.add_buddy(buddy)
+            grid.online_oracle = FixedOnlineSet(set(grid.addresses()) - {buddy})
+        old_refs = [
+            DataRef(key=old_path + "0" * 8, holder=donor, version=1),
+            DataRef(key=old_path + "1" * 8, holder=donor, version=1),
+        ]
+        for ref in old_refs:
+            donor_peer.store.add_ref(ref)
+
+        def no_directory(self, query):
+            raise AssertionError("a hand-over read PGrid.replicas_for_key")
+
+        monkeypatch.setattr(PGrid, "replicas_for_key", no_directory)
+        tally = tally_messages(monkeypatch, grid, balancer.search)
+        assert balancer.after_meeting(donor, groups[hot][0])
+        return grid, balancer, donor, old_path, old_refs, buddy, tally
+
+    def test_entries_without_a_buddy_reach_a_responsible_peer_by_search(
+        self, monkeypatch
+    ):
+        grid, balancer, donor, old_path, old_refs, _, tally = (
+            self._convert_without_buddy(monkeypatch)
+        )
+        assert balancer.stats.entries_handed_over == len(old_refs)
+        assert balancer.stats.entries_lost == 0
+        holders = [
+            peer
+            for peer in grid.peers()
+            if all(
+                peer.store.version_of(ref.key, donor) == 1 for ref in old_refs
+            )
+        ]
+        assert len(holders) == 1
+        assert holders[0].address != donor
+        assert holders[0].responsible_for(old_path)
+        # The delegate's probe and the search for the old path are paid for,
+        # as are the conversion repair's probes and searches.
+        handover = [result for result in tally.searches if result.query == old_path]
+        assert handover and handover[0].found
+        assert tally.probes >= 1
+        assert balancer.stats.messages == tally.probes + sum(
+            result.messages for result in tally.searches
+        )
+
+    def test_an_offline_buddy_is_not_handed_the_entries(self, monkeypatch):
+        grid, balancer, donor, _, old_refs, buddy, _ = (
+            self._convert_without_buddy(monkeypatch, offline_buddy=True)
+        )
+        assert not any(
+            grid.peer(buddy).store.version_of(ref.key, donor) for ref in old_refs
+        )
+        assert balancer.stats.entries_handed_over == len(old_refs)
+
     def test_buddy_links_are_mutual(self):
         grid, _, _, donor, old_path, _, model, _ = self._convert_once()
         donor_peer = grid.peer(donor)
@@ -238,7 +317,7 @@ class TestAdaptiveConversion:
         # old subtree would still name it: a stale reference (§2).
         assert grid.audit_routing() == []
         assert balancer.stats.refs_repaired > 0
-        assert balancer.stats.repair_messages >= balancer.stats.refs_repaired
+        assert balancer.stats.messages >= balancer.stats.refs_repaired
 
     def test_listeners_fire_on_conversion(self):
         grid, groups = _grid_with_groups(seed=9)
