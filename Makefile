@@ -4,7 +4,7 @@ PYTHON ?= python
 # Scale of `make bench`: fig4 (default) or smoke (CI-fast).
 SCALE ?= fig4
 
-.PHONY: install test aio-leakcheck lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-array bench-e2e-smoke bench-e2e-tiny bench-pairs bench-shm-smoke check-parallel protocol-equivalence resilience-smoke resilience-full replication-smoke replication-reproducer swarm-smoke examples clean results
+.PHONY: install test aio-leakcheck lint src-lines check bench bench-experiments bench-paper bench-quick bench-regression bench-array bench-e2e-smoke bench-e2e-tiny bench-pairs bench-shm-smoke check-parallel protocol-equivalence resilience-smoke resilience-full replication-smoke replication-reproducer turnover-smoke swarm-smoke examples clean results
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -173,6 +173,16 @@ replication-reproducer:
 	echo "$$out" | grep -Eq '^invariant_violations +: 0$$' && \
 	echo "$$out" | grep -Eq '^misrouted_answers +: 0$$' || \
 	{ echo "replication reproducer: FAILED"; exit 1; }
+
+# Steady-turnover gate (ROADMAP item 19): four turnovers of a 256-peer
+# grid, joins by the paper's meetings and a repair sweep every 256 events,
+# keep search success >= 0.95, every reference on its §2 prefix and every
+# path at maxl; then AB6 once, untimed, so its shape asserts run (the
+# bench needs pytest-benchmark; each file runs under its own conftest).
+turnover-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest -q tests/core/test_membership.py::TestTurnover
+	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/test_ablation_membership_churn.py \
+		--benchmark-disable
 
 # Swarm gate: 1000 concurrent asyncio nodes absorb a mixed
 # search/update workload with a perfect found rate inside the time

@@ -80,7 +80,6 @@ from repro.errors import (
     DuplicatePeerError,
     InvalidConfigError,
     InvalidKeyError,
-    NotConvergedError,
     PGridError,
     PeerOfflineError,
     RoutingInvariantError,
@@ -126,7 +125,6 @@ __all__ = [
     "LeaveReport",
     "MembershipEngine",
     "NO_RETRY",
-    "NotConvergedError",
     "PAPER_SECTION51_CONFIG",
     "PAPER_SECTION52_CONFIG",
     "PGrid",

@@ -534,7 +534,7 @@ def _print_memory_footprint(config: PGridConfig, n_peers: int, seed: int) -> Non
 
     grid = PGrid(config, rng=rngmod.derive(seed, "stats-memory"))
     grid.add_peers(n_peers)
-    GridBuilder(grid).build(max_exchanges=500 * n_peers, raise_on_budget=False)
+    GridBuilder(grid).build(max_exchanges=500 * n_peers)
     agrid = snapshot = None
     if HAVE_NUMPY:
         from repro.fast import ArrayGrid, GridSnapshot

@@ -5,11 +5,11 @@ The paper constructs the grid from a fixed population, but its §6 agenda —
 deployed P-Grid cannot live without:
 
 :meth:`MembershipEngine.join`
-    A newcomer bootstraps by exchanging with one known peer, then keeps
-    exchanging with peers drawn from the routing references it accumulates
-    (a random walk over the trie).  Because the exchange algorithm is the
-    *only* mechanism used, a join is just "more of the same protocol" —
-    the self-organization property the paper emphasizes.
+    A newcomer meets one known peer, then uniformly drawn ones, exactly as
+    the paper builds the grid (§3, Fig. 3's random meetings) until its path
+    reaches ``maxl``.  Because the exchange algorithm is the *only*
+    mechanism used, a join is just "more of the same protocol" — the
+    self-organization property the paper emphasizes.
 :meth:`MembershipEngine.leave` / :meth:`MembershipEngine.fail`
     A graceful departure leaves the grid, then hands its leaf-level index
     to a co-replica (:func:`hand_over`); a failure just disappears.
@@ -39,6 +39,9 @@ from repro.core.peer import Address, Peer
 from repro.core.search import SearchEngine
 from repro.core.storage import DataRef
 from repro.obs.probe import Probe
+
+#: The most meetings a join runs before it stops short of ``maxl``.
+JOIN_MEETINGS = 64
 
 
 @dataclass
@@ -90,43 +93,24 @@ class MembershipEngine:
 
     # -- join ---------------------------------------------------------------
 
-    def join(
-        self,
-        bootstrap: Address,
-        *,
-        max_meetings: int = 64,
-        target_depth: int | None = None,
-    ) -> JoinReport:
-        """Admit a new peer, bootstrapping through *bootstrap*.
+    def join(self, bootstrap: Address) -> JoinReport:
+        """Admit a new peer through *bootstrap* by the paper's meetings.
 
-        The newcomer first exchanges with the bootstrap peer, then runs a
-        random walk: each further meeting partner is drawn from the
-        routing references the newcomer has accumulated so far (falling
-        back to the bootstrap's references while its own table is empty).
-        The walk stops at *target_depth* (default: the grid's ``maxl``) or
-        after *max_meetings*.
+        The newcomer meets *bootstrap* first; every later partner is one
+        uniform draw from ``grid.rng`` over the other peers (Fig. 3's
+        random meetings).  An offline partner still costs a meeting.  The
+        join stops at the grid's ``maxl`` or after :data:`JOIN_MEETINGS`
+        meetings.
         """
-        if max_meetings < 1:
-            raise ValueError(f"max_meetings must be >= 1, got {max_meetings}")
-        depth_goal = (
-            target_depth if target_depth is not None else self.grid.config.maxl
-        )
-        if depth_goal < 0:
-            raise ValueError(f"target_depth must be >= 0, got {depth_goal}")
-        bootstrap_peer = self.grid.peer(bootstrap)
-
+        self.grid.peer(bootstrap)  # an unknown bootstrap raises
+        others = self.grid.addresses()
         newcomer = self.grid.add_peer()
         before = self.exchange.stats.calls
         meetings = 0
-        rng = self.grid.rng
-        while newcomer.depth < depth_goal and meetings < max_meetings:
-            partner = self._walk_partner(newcomer, bootstrap_peer, rng)
-            if partner is None:
-                break
-            if not self.grid.is_online(partner):
-                meetings += 1
-                continue
-            self.exchange.meet(newcomer.address, partner)
+        while newcomer.depth < self.grid.config.maxl and meetings < JOIN_MEETINGS:
+            partner = self.grid.rng.choice(others) if meetings else bootstrap
+            if self.grid.is_online(partner):
+                self.exchange.meet(newcomer.address, partner)
             meetings += 1
         if self.probe is not None:
             self.probe.on_join(
@@ -140,29 +124,6 @@ class MembershipEngine:
             final_depth=newcomer.depth,
             meetings=meetings,
         )
-
-    def _walk_partner(
-        self, newcomer: Peer, bootstrap: Peer, rng
-    ) -> Address | None:
-        """Next meeting partner: own refs > bootstrap refs > bootstrap."""
-        candidates = [
-            address
-            for _level, refs in newcomer.routing.iter_levels()
-            for address in refs
-            if address != newcomer.address and self.grid.has_peer(address)
-        ]
-        if not candidates:
-            candidates = [
-                address
-                for _level, refs in bootstrap.routing.iter_levels()
-                for address in refs
-                if address != newcomer.address and self.grid.has_peer(address)
-            ]
-        if not candidates:
-            if bootstrap.address == newcomer.address:
-                return None
-            return bootstrap.address
-        return rng.choice(candidates)
 
     # -- departures -------------------------------------------------------------
 

@@ -58,15 +58,6 @@ class RoutingInvariantError(PGridError, AssertionError):
     """
 
 
-class NotConvergedError(PGridError, RuntimeError):
-    """A construction run exhausted its budget before reaching its target."""
-
-    def __init__(self, message: str, *, exchanges: int, average_depth: float) -> None:
-        super().__init__(message)
-        self.exchanges = exchanges
-        self.average_depth = average_depth
-
-
 class SnapshotFormatError(PGridError, ValueError):
     """A persisted grid snapshot could not be decoded."""
 

@@ -22,10 +22,10 @@ count.  The expected shape: for exponents >= 1.0 the adaptive column's
 p95 drops below static's — replicating the hot path turns most hot-key
 queries into 0-message responsible-start hits, pushing the overall 95th
 percentile down into the (cheaper) quantiles of the cold tail.  At
-s = 0.8 the same churn *hurts* the tail: conversions leave stale inbound
-references that cold queries pay for, and with only ~half the mass on
-the hot path there is not enough hot traffic to compensate — the regime
-boundary docs/REPLICATION.md discusses.
+s = 0.8 the hot mass is smaller: adaptive wins the mean (2.41 → 1.78)
+but not the p95 (4 → 4) — the regime boundary docs/REPLICATION.md
+discusses.  Conversions repair the references they make stale, so no
+search pays for one.
 
 Keys are 64-bit (drawn by the sampled inverse-CDF Zipf workload): under
 Zipf the fraction of traffic the single hottest leaf path absorbs is

@@ -42,7 +42,6 @@ from __future__ import annotations
 from itertools import chain
 
 from repro.core.config import PGridConfig
-from repro.errors import NotConvergedError
 from repro.fast.arraygrid import ArrayGrid, buddy_csr
 from repro.sim.builder import ConstructionReport, ConstructionSample
 
@@ -504,7 +503,6 @@ class BatchGridBuilder:
         max_meetings: int | None = None,
         max_exchanges: int | None = None,
         sample_every: int | None = None,
-        raise_on_budget: bool = False,
     ) -> ConstructionReport:
         """Run batched rounds until ``avg depth >= threshold_fraction * maxl``.
 
@@ -600,20 +598,11 @@ class BatchGridBuilder:
             ),
             n,
         )
-        average_depth = self._total_depth / n
-        if not converged and raise_on_budget:
-            raise NotConvergedError(
-                f"construction stopped at average depth {average_depth:.3f} "
-                f"< threshold {threshold:.3f} after "
-                f"{counters[0]} exchanges",
-                exchanges=counters[0],
-                average_depth=average_depth,
-            )
         return ConstructionReport(
             converged=converged,
             exchanges=counters[0],
             meetings=counters[1],
-            average_depth=average_depth,
+            average_depth=self._total_depth / n,
             threshold=threshold,
             exchanges_per_peer=counters[0] / n,
             peer_count=n,

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.core.membership import MembershipEngine
+from repro.core.keys import random_key
+from repro.core.membership import JOIN_MEETINGS, MembershipEngine
 from repro.core.search import SearchEngine
 from repro.core.storage import DataRef
 from repro.errors import UnknownPeerError
@@ -53,24 +54,26 @@ class TestJoin:
             result = engine.query_from(0, newcomer.path)
             assert result.found
 
-    def test_join_respects_meeting_budget(self, grid):
+    def test_every_newcomer_reaches_maxl(self, grid):
         membership = MembershipEngine(grid)
-        report = membership.join(bootstrap=0, max_meetings=1)
-        assert report.meetings <= 1
+        for bootstrap in range(20):
+            report = membership.join(bootstrap)
+            assert report.final_depth == grid.config.maxl
 
     def test_join_validation(self, grid):
         membership = MembershipEngine(grid)
-        with pytest.raises(ValueError):
-            membership.join(bootstrap=0, max_meetings=0)
-        with pytest.raises(ValueError):
-            membership.join(bootstrap=0, target_depth=-1)
         with pytest.raises(UnknownPeerError):
             membership.join(bootstrap=9999)
 
-    def test_join_target_depth(self, grid):
+    def test_join_stops_at_the_meeting_bound_when_no_one_answers(self, grid):
+        # No peer online: each meeting is a miss that still counts, so the
+        # join gives up at the bound with an empty path.
+        grid.online_oracle = FixedOnlineSet()
         membership = MembershipEngine(grid)
-        report = membership.join(bootstrap=0, target_depth=2)
-        assert report.final_depth >= 2 or report.meetings == 64
+        report = membership.join(bootstrap=0)
+        assert report.meetings == JOIN_MEETINGS
+        assert report.exchanges == 0
+        assert report.final_depth == 0
 
 
 class TestLeave:
@@ -240,3 +243,37 @@ class TestChurnCycle:
         )
         assert hits >= 48
         assert len(grid) == 128
+
+
+class TestTurnover:
+    def test_four_turnovers_keep_the_grid_organised(self):
+        # Steady turnover (ROADMAP item 19): every event removes a random
+        # peer, by a graceful leave or a crash with equal odds, and admits
+        # one through a random bootstrap; a repair sweep runs every 256
+        # events.  The grid is built until every path has maxl bits, so
+        # after each of four full turnovers a peer below maxl is a join
+        # that stopped short; the grid must also search as well as a built
+        # one and every reference must meet §2.
+        grid = build_grid(256, maxl=5, refmax=3, seed=1, threshold_fraction=1.0)
+        membership = MembershipEngine(grid)
+        rng = random.Random(1)
+        for event in range(1, 4 * 256 + 1):
+            victim = rng.choice(grid.addresses())
+            if rng.random() < 0.5:
+                membership.leave(victim)
+            else:
+                membership.fail(victim)
+            membership.join(rng.choice(grid.addresses()))
+            if event % 256:
+                continue
+            membership.repair_all()
+            addresses = grid.addresses()
+            found = sum(
+                membership.search.query_from(
+                    rng.choice(addresses), random_key(5, rng)
+                ).found
+                for _ in range(400)
+            )
+            assert found / 400 >= 0.95, (event, found)
+            assert grid.audit_routing() == []
+            assert all(peer.depth == grid.config.maxl for peer in grid.peers())

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.config import PGridConfig
 from repro.core.grid import PGrid
-from repro.errors import NotConvergedError
 from repro.fast import HAVE_NUMPY
 from repro.sim.builder import construct_grid
 
@@ -102,12 +101,6 @@ class TestGridBacked:
         report = builder(3, round_size=128).build(threshold_fraction=1.0, max_meetings=500)
         assert not report.converged
         assert report.meetings <= 500
-
-    def test_raise_on_budget(self):
-        with pytest.raises(NotConvergedError):
-            builder(3).build(
-                threshold_fraction=1.0, max_meetings=100, raise_on_budget=True
-            )
 
 
 class TestGridless:

@@ -69,7 +69,7 @@ class _Fuzzer:
                 self.exchange.meet(a, b)
         elif op == "join":
             if len(self.grid) < 40:
-                self.membership.join(self.random_address(), max_meetings=8)
+                self.membership.join(self.random_address())
         elif op == "fail":
             if len(self.grid) > 4:
                 victim = self.random_address()

@@ -9,7 +9,6 @@ import pytest
 from repro.core.config import PGridConfig
 from repro.core.exchange import ExchangeEngine
 from repro.core.grid import PGrid
-from repro.errors import NotConvergedError
 from repro.sim.builder import GridBuilder
 
 
@@ -84,13 +83,6 @@ class TestBuild:
         report = GridBuilder(grid).build(max_exchanges=10)
         assert not report.converged
         assert report.exchanges >= 10  # the final meeting may overshoot
-
-    def test_budget_raises_when_requested(self):
-        grid = fresh_grid(64, maxl=6)
-        with pytest.raises(NotConvergedError) as excinfo:
-            GridBuilder(grid).build(max_exchanges=5, raise_on_budget=True)
-        assert excinfo.value.exchanges >= 5
-        assert excinfo.value.average_depth < 6
 
     def test_zero_meeting_budget(self):
         grid = fresh_grid()
