@@ -7,9 +7,14 @@ draws, Bernoulli liveness — with per-query message/failed-attempt
 accounting kept exact.  Two wave kernels do all the walking: the
 depth-first one backs searches, repeated DFS, DFS + buddies and the
 repetitive/non-repetitive reads; one breadth kernel backs breadth-first
-search, BFS publish and range queries (the object core's
+replica discovery, BFS publish and range queries (the object core's
 ``breadth_step``, with its ``enumerate_subtree`` range extension).
 That is what lets Fig. 5 and the §6 trade-off sweep run at 100k+ peers.
+
+Depth-first frame ``d`` of query ``i`` is the flat slot ``d * q + i``,
+and a push copies a reference row as one record of a ``np.void`` view of
+``refs``.  ``dfs_step``'s routed-on prefix check runs on arrival: one
+key-versus-path common prefix gives the refusal and Fig. 2's divergence.
 
 Semantics relative to the object core (``SearchEngine`` /
 ``UpdateEngine`` / ``ReadEngine`` over the Fig. 2 machines):
@@ -281,6 +286,10 @@ class BatchQueryEngine:
         self._pb = grid.path_bits
         self._pl = grid.path_len
         self._refs = grid.refs  # (n * maxl, refmax) int32, -1 beyond each row's count
+        # Each reference row as one fixed-width record: a view, no copy.
+        self._ref_rows = np.ascontiguousarray(grid.refs).view(
+            np.dtype((np.void, grid.refs.dtype.itemsize * self.refmax))
+        ).reshape(-1)
         self._rl = grid.ref_len  # (n * maxl,) per-row counts
         self._buddy_off = grid.buddy_offsets
         self._buddy_val = grid.buddy_values
@@ -557,11 +566,12 @@ class BatchQueryEngine:
 
         Each query holds an explicit stack of (consumed-bits, remaining
         candidates) frames — depth is bounded by ``maxl`` because every
-        successful forward consumes at least one query bit.
+        successful forward consumes at least one query bit.  Frames are
+        flat depth-major slots (see the module docstring).
         """
         maxl = self.maxl
         refmax = self.refmax
-        refs = self._refs
+        ref_rows = self._ref_rows
         rl = self._rl
         rng = self._rng
         p = self.p_online
@@ -574,11 +584,11 @@ class BatchQueryEngine:
         msgs = np.zeros(q, dtype=np.int64)
         fails = np.zeros(q, dtype=np.int64)
         budget = np.full(q, max_messages, dtype=np.int64)
-        responder = np.full(q, -1, dtype=np.int64)
         sp = np.full(q, -1, dtype=np.int64)
-        st_cons = np.zeros((q, depth), dtype=np.int64)
-        st_cnt = np.zeros((q, depth), dtype=np.int16)
-        st_cand = np.full((q, depth, refmax), -1, dtype=np.int32)
+        st_cons = np.zeros(depth * q, dtype=np.int64)
+        st_cnt = np.zeros(depth * q, dtype=np.int16)
+        st_rows = np.empty(depth * q, dtype=ref_rows.dtype)
+        st_cand = st_rows.view(self._refs.dtype)  # slot * refmax + j
 
         active = np.arange(q, dtype=np.int64)
         wave = 0
@@ -589,34 +599,44 @@ class BatchQueryEngine:
         while active.size:
             if wave > guard:  # pragma: no cover - invariant violation
                 raise RuntimeError("batch DFS failed to terminate")
-            # Phase 1: arrivals — responsibility check or frame push.
+            # Phase 1: arrivals — routed-on check, responsibility or push.
             arr = active[status[active] == _ARRIVE]
             if arr.size:
                 c = cur[arr]
                 cons = consumed[arr]
-                lc, slen, rlen = self._divergence(kb[arr], kl[arr] - cons, cons, c)
-                term = (lc == slen) | (lc == rlen)
-                hit = arr[term]
-                status[hit] = _FOUND
-                responder[hit] = c[term]
-                div = arr[~term]
+                k, klen, plen = kb[arr], kl[arr], self._pl[c]
+                m = np.minimum(klen, plen)
+                lcf = m - self._bit_length((k >> (klen - m)) ^ (self._pb[c] >> (plen - m)))
+                # A forwarded hop is routed on the key's first cons + 1
+                # bits: a receiver not in prefix relation with them
+                # refuses it, as in dfs_step, and the sender draws again.
+                refused = (sp[arr] >= 0) & (lcf < np.minimum(plen, cons + 1))
+                status[arr[refused]] = _SELECT
+                # Below the consumed bits; a receiver whose path ends
+                # above them has no bit left to diverge on.
+                lc = np.maximum(lcf - cons, 0)
+                term = ~refused & ((lc == klen - cons) | (lc == np.maximum(plen - cons, 0)))
+                status[arr[term]] = _FOUND
+                push = ~(term | refused)
+                div = arr[push]
                 if div.size:
-                    nc = consumed[div] + lc[~term]
+                    nc = cons[push] + lc[push]
                     d = sp[div] + 1
                     if d.max() >= depth:  # pragma: no cover - invariant violation
                         raise RuntimeError("batch DFS stack overflow")
                     sp[div] = d
-                    st_cons[div, d] = nc
-                    row = c[~term] * maxl + nc  # ref level nc+1, 0-based row
-                    st_cnt[div, d] = rl[row]
-                    st_cand[div, d] = refs[row]
+                    slot = d * q + div
+                    st_cons[slot] = nc
+                    row = c[push] * maxl + nc  # ref level nc+1, 0-based row
+                    st_cnt[slot] = rl[row]
+                    st_rows[slot] = ref_rows[row]
                     status[div] = _SELECT
             # Phase 2: selection — candidate draw + contact, or backtrack.
             sel = active[status[active] == _SELECT]
             contacts = offline = 0
             if sel.size:
-                d = sp[sel]
-                cnt = st_cnt[sel, d].astype(np.int64)
+                slot = sp[sel] * q + sel
+                cnt = st_cnt[slot].astype(np.int64)
                 empty = cnt <= 0
                 pop = sel[empty]
                 if pop.size:
@@ -625,14 +645,14 @@ class BatchQueryEngine:
                     status[pop[nd < 0]] = _FAILED
                 have = sel[~empty]
                 if have.size:
-                    dh = d[~empty]
+                    sh = slot[~empty]
                     ch = cnt[~empty]
-                    # Uniform draw without replacement: pick a slot, then
-                    # swap the last live candidate into its place.
-                    j = rng.integers(0, ch)
-                    cand = st_cand[have, dh, j].astype(np.int64)
-                    st_cand[have, dh, j] = st_cand[have, dh, ch - 1]
-                    st_cnt[have, dh] = (ch - 1).astype(np.int16)
+                    # Uniform draw without replacement: pick a candidate,
+                    # then swap the last live one into its place.
+                    at = sh * refmax + rng.integers(0, ch)
+                    cand = st_cand[at].astype(np.int64)
+                    st_cand[at] = st_cand[sh * refmax + ch - 1]
+                    st_cnt[sh] = (ch - 1).astype(np.int16)
                     contacts = int(have.size)
                     if p >= 1.0:
                         on_mask = np.ones(have.size, dtype=bool)
@@ -649,48 +669,16 @@ class BatchQueryEngine:
                         if fwd.size:
                             budget[fwd] -= 1
                             msgs[fwd] += 1
-                            nxt = cand[on_mask][within]
-                            cons = st_cons[fwd, sp[fwd]]
-                            cur[fwd] = nxt
-                            consumed[fwd] = cons
-                            # The hop is routed on the key's first cons + 1 bits: a
-                            # receiver not in prefix relation with them refuses
-                            # it, as in dfs_step.
-                            plen = self._pl[nxt]
-                            bits = np.minimum(plen, cons + 1)
-                            head = self._pb[nxt] >> (plen - bits)
-                            under = head == kb[fwd] >> (kl[fwd] - bits)
-                            status[fwd] = np.where(under, _ARRIVE, _SELECT)
+                            cur[fwd] = cand[on_mask][within]
+                            consumed[fwd] = st_cons[sh[on_mask][within]]
+                            status[fwd] = _ARRIVE
             active = active[status[active] < _FOUND]
             self._emit_wave("batch_dfs", wave, int(active.size), contacts, offline)
             wave += 1
-        return status == _FOUND, responder, msgs, fails
+        found = status == _FOUND
+        return found, np.where(found, cur, -1), msgs, fails
 
     # -- breadth-first walks (§3 strategy 3, §2 range queries) ----------------------
-
-    def breadth_many(
-        self,
-        queries: Sequence[str],
-        starts,
-        *,
-        recbreadth: int,
-    ) -> BatchReachResult:
-        """One §3 breadth-first search per (query, start): fan out to at
-        most *recbreadth* online references per level with a shared
-        per-query visited set; returns all responsible peers reached."""
-        kb, kl = queries if isinstance(queries, tuple) else _pack_keys(queries)
-        starts = self._check(len(kb), starts, recbreadth=recbreadth)
-        offsets, values, messages, failed = self._walk(
-            kb, kl, starts, recbreadth, self.max_messages, enumerate_subtree=False
-        )
-        self._emit_batch(
-            "batch_breadth",
-            int(np.count_nonzero(offsets[1:] > offsets[:-1])),
-            len(kb),
-            int(messages.sum()),
-            int(failed.sum()),
-        )
-        return BatchReachResult(offsets, values, messages, failed)
 
     def search_range_many(
         self,
@@ -861,7 +849,7 @@ class BatchQueryEngine:
         n = self.n
         maxl = self.maxl
         refmax = self.refmax
-        refs = self._refs
+        ref_rows = self._ref_rows
         pl = self._pl
         rng = self._rng
         p = self.p_online
@@ -927,7 +915,7 @@ class BatchQueryEngine:
                 trow = np.concatenate(parts_row)
                 tl = np.concatenate(parts_l)
                 tr = np.concatenate(parts_r)
-                slot = refs[trow].astype(np.int64)
+                slot = ref_rows[trow].view(self._refs.dtype).reshape(-1, refmax).astype(np.int64)
                 valid = slot != -1
                 cnt = valid.sum(axis=1)
                 # Shuffle each row's candidates (random key high bits,
@@ -1019,31 +1007,42 @@ class BatchQueryEngine:
             raise ValueError(f"repetition must be >= 1, got {repetition}")
         kb, kl = keys if isinstance(keys, tuple) else _pack_keys(keys)
         q = len(kb)
-        starts = self._check(q, starts)
+        starts = self._check(q, starts, recbreadth=recbreadth)
         tkb = np.tile(kb, repetition)
         tkl = np.tile(kl, repetition)
         tstarts = np.tile(starts, repetition)
         if strategy is UpdateStrategy.BFS:
-            tiled = self.breadth_many(
-                (tkb, tkl), tstarts, recbreadth=recbreadth
+            # §3 breadth-first search: fan out to at most recbreadth online
+            # references per level, one shared visited set per walk.
+            offsets, values, messages, failed = self._walk(
+                tkb, tkl, tstarts, recbreadth, self.max_messages, enumerate_subtree=False
             )
-            walk = np.repeat(np.arange(len(tiled)), np.diff(tiled.offsets))
-            return self._fold_tiled(tiled, q, repetition, walk, tiled.values)
+            counts = np.diff(offsets)
+            self._emit_batch(
+                "batch_breadth", int(np.count_nonzero(counts)), len(tkb),
+                int(messages.sum()), int(failed.sum()),
+            )
+            walk = np.repeat(np.arange(len(tkb)), counts)
+            return self._fold_tiled(q, repetition, walk, values, messages, failed)
         result = self.search_many((tkb, tkl), tstarts)
         hit = np.flatnonzero(result.found)
-        reach = self._fold_tiled(result, q, repetition, hit, result.responder[hit])
+        reach = self._fold_tiled(
+            q, repetition, hit, result.responder[hit], result.messages, result.failed_attempts
+        )
         if strategy is UpdateStrategy.REPEATED_DFS:
             return reach
         if strategy is UpdateStrategy.DFS_BUDDIES:
             return self._forward_to_buddies(reach)
         raise ValueError(f"unknown strategy: {strategy!r}")
 
-    def _fold_tiled(self, tiled, q: int, repetition: int, walk, peers) -> BatchReachResult:
+    def _fold_tiled(
+        self, q: int, repetition: int, walk, peers, messages, failed
+    ) -> BatchReachResult:
         """Fold a ``repetition``-tiled batch (walk ``r * q + i`` is the
         ``r``-th repetition of query ``i``) into each query's distinct
-        reached peers, ascending, and its summed costs
-        (``repeated_queries`` semantics); ``walk[j]`` is the walk that
-        reached ``peers[j]``."""
+        reached peers, ascending, and its summed per-walk *messages* and
+        *failed* attempts (``repeated_queries`` semantics); ``walk[j]`` is
+        the walk that reached ``peers[j]``."""
         n = self.n
         pairs = np.unique(walk % q * n + peers)
         offsets = np.zeros(q + 1, dtype=np.int64)
@@ -1051,8 +1050,8 @@ class BatchQueryEngine:
         return BatchReachResult(
             offsets,
             pairs % n,
-            tiled.messages.reshape(repetition, q).sum(axis=0),
-            tiled.failed_attempts.reshape(repetition, q).sum(axis=0),
+            messages.reshape(repetition, q).sum(axis=0),
+            failed.reshape(repetition, q).sum(axis=0),
         )
 
     def _forward_to_buddies(self, reach: BatchReachResult) -> BatchReachResult:

@@ -165,7 +165,9 @@ class TestBreadthAndStrategies:
         engine = engine_for(grid, seed=9)
         keys, starts = workload(grid, 53, 100, 4)
         truth = engine.replicas_for_keys(keys)
-        reach = engine.breadth_many(keys, starts, recbreadth=2)
+        reach = engine.find_replicas_many(
+            keys, starts, strategy=UpdateStrategy.BFS, recbreadth=2
+        )
         for i in range(len(keys)):
             reached = reach.reached(i).tolist()
             assert len(set(reached)) == len(reached)  # no peer reached twice
@@ -177,8 +179,8 @@ class TestBreadthAndStrategies:
         truth = engine_for(grid, seed=0).replicas_for_keys(keys)
 
         def coverage(recbreadth: int) -> float:
-            reach = engine_for(grid, seed=10).breadth_many(
-                keys, starts, recbreadth=recbreadth
+            reach = engine_for(grid, seed=10).find_replicas_many(
+                keys, starts, strategy=UpdateStrategy.BFS, recbreadth=recbreadth
             )
             total = count = 0.0
             for i in range(len(keys)):
@@ -272,6 +274,105 @@ class TestReplicaFoldPinned:
             _digest(mt["key"].tolist(), mt["pos"], engine._pyrng.getstate())
             == rng_digest
         )
+
+
+def _kernel_digest(engine, probe, *results) -> str:
+    """One digest of batch outcomes, both engine RNG states after them and
+    every wave's ``(kind, wave, active, contacts, offline)`` and batch
+    summary the probe saw."""
+    mt = engine._rng.bit_generator.state["state"]
+    fields = [getattr(result, name) for result in results for name in result.__slots__]
+    arrays = [field.tolist() if hasattr(field, "tolist") else field for field in fields]
+    return _digest(
+        arrays, mt["key"].tolist(), mt["pos"], engine._pyrng.getstate(),
+        probe.waves, probe.batches,
+    )
+
+
+def _gridless_engine(probe):
+    """An all-online gridless batch build shaped like the snapshot sweeps:
+    keys longer than ``maxl``, many references per level."""
+    config = PGridConfig(maxl=6, refmax=6, recmax=2, recursion_fanout=2)
+    builder = BatchGridBuilder(n=1024, config=config, seed=31)
+    builder.build()
+    return BatchQueryEngine.from_arraygrid(builder.grid, seed=32, chunk=512, probe=probe)
+
+
+def _moved_engine(probe):
+    from tests.protocol.test_routed_prefix import moved_grid
+
+    grid = moved_grid().pgrid
+    return BatchQueryEngine.from_arraygrid(ArrayGrid.from_pgrid(grid), seed=33, probe=probe)
+
+
+def _churned_engine(probe):
+    grid = build_grid(137, n=200, maxl=6, refmax=4)
+    grid.online_oracle = BernoulliChurn(0.3, random.Random(0))
+    return engine_for(grid, seed=34, probe=probe), grid
+
+
+class TestKernelPinned:
+    """The depth-first kernel pinned to the values it produced with frames
+    held as ``(query, depth)`` rows and the routed-on prefix checked at
+    forward time: outcomes, MT19937 state and per-wave counts."""
+
+    @pytest.mark.parametrize(
+        "make, key_bits, count, digest",
+        [
+            (_gridless_engine, 12, 3000, "18b99fb8f17cbd20"),
+            (lambda probe: _churned_engine(probe)[0], 6, 1500, "57d2d292308e330d"),
+            (_moved_engine, 4, 1200, "67af40c070064b5f"),
+        ],
+        ids=["gridless", "churned", "moved"],
+    )
+    def test_search_many(self, make, key_bits, count, digest):
+        probe = _RecordingProbe()
+        engine = make(probe)
+        rng = random.Random(key_bits)
+        keys = [format(rng.getrandbits(key_bits), f"0{key_bits}b") for _ in range(count)]
+        starts = [rng.randrange(engine.n) for _ in range(count)]
+        result = engine.search_many(keys, starts)
+        assert _kernel_digest(engine, probe, result) == digest
+
+    def test_read_many(self):
+        probe = _RecordingProbe()
+        engine, grid = _churned_engine(probe)
+        # Indexed (key, holder) pairs; the odd ones ask for a version
+        # nobody holds, so a repetitive read retries them to the cap.
+        rows = engine._store[:, 1:4].tolist() * 3
+        keys = [format(bits, f"0{length}b") for bits, length, _ in rows]
+        holders = [holder for _, _, holder in rows]
+        versions = [i % 2 for i in range(len(rows))]
+        starts = [random.Random(139 + i).randrange(engine.n) for i in range(len(rows))]
+        single = engine.read_many(keys, holders, versions, starts, repetitive=False)
+        repeated = engine.read_many(
+            keys, holders, versions, starts, repetitive=True, max_repetitions=6
+        )
+        assert _kernel_digest(engine, probe, single, repeated) == "408fb121c5923559"
+
+    @pytest.mark.parametrize(
+        "strategy, digest",
+        [
+            (UpdateStrategy.REPEATED_DFS, "8d98dba36d658c41"),
+            (UpdateStrategy.DFS_BUDDIES, "f73f067466a19a17"),
+            (UpdateStrategy.BFS, "d4a810b706fd9a09"),
+        ],
+    )
+    def test_find_replicas_many(self, strategy, digest):
+        probe = _RecordingProbe()
+        engine, grid = _churned_engine(probe)
+        keys, starts = workload(grid, 149, 500, 5)
+        reach = engine.find_replicas_many(keys, starts, strategy=strategy, repetition=3)
+        assert _kernel_digest(engine, probe, reach) == digest
+
+    def test_search_range_many(self):
+        # The breadth kernel, with subtree enumeration, on the same grid.
+        probe = _RecordingProbe()
+        engine, grid = _churned_engine(probe)
+        lows, starts = workload(grid, 151, 300, 6)
+        highs = [format(min(int(low, 2) + 5, 63), "06b") for low in lows]
+        ranged = engine.search_range_many(lows, highs, starts)
+        assert _kernel_digest(engine, probe, ranged) == "4caabf7561751fea"
 
 
 class TestPublishAndRead:
@@ -412,11 +513,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="out of range"):
             engine.search_many(["01"], [engine.n])
         with pytest.raises(ValueError, match="out of range"):
-            engine.breadth_many(["01"], [-1], recbreadth=2)
+            engine.find_replicas_many(["01"], [-1], strategy=UpdateStrategy.BFS)
 
     def test_bad_parameters_rejected(self, engine):
         with pytest.raises(ValueError, match="recbreadth"):
-            engine.breadth_many(["01"], [0], recbreadth=0)
+            engine.find_replicas_many(
+                ["01"], [0], strategy=UpdateStrategy.BFS, recbreadth=0
+            )
         with pytest.raises(ValueError, match="repetition"):
             engine.find_replicas_many(
                 ["01"], [0], strategy=UpdateStrategy.BFS, repetition=0

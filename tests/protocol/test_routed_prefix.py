@@ -75,9 +75,9 @@ def test_no_driver_answers_from_a_peer_not_responsible():
         assert other_state == state
 
 
-def shortened_grid():
+def shortened_grid(keep: int = 2):
     """A built grid in which one peer has shortened its path to its first
-    two bits, and a peer whose level-3 references pointed into the old,
+    *keep* bits, and a peer whose level-3 references pointed into the old,
     deeper subtree now names only it: ``(grid, holder, shortened, key)``."""
     grid = Grid.build(peers=48, maxl=4, seed=21)
     pgrid = grid.pgrid
@@ -88,8 +88,8 @@ def shortened_grid():
         if peer.path[:2] == short.path[:2] and peer.path[2] != short.path[2]
     )
     key = holder.ref_prefix(3) + short.path[3]
-    short.set_path(short.path[:2])
-    short.routing.truncate(2)
+    short.set_path(short.path[:keep])
+    short.routing.truncate(keep)
     holder.routing.set_refs(3, [short.address])
     return grid, holder.address, short.address, key
 
@@ -125,6 +125,24 @@ def test_the_batch_plane_accepts_a_receiver_with_a_shorter_path():
     addresses = grid.batch_query_engine().addresses
     assert result.found[0] and int(addresses[result.responder[0]]) == short
     assert result.messages[0] == 1
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def test_a_receiver_shorter_than_the_consumed_bits_answers_on_every_plane():
+    # The hop from the holder has consumed two bits and is routed on three;
+    # the receiver keeps one, so no bit of the key is left to compare below
+    # its path: it is responsible and answers.
+    outcomes = []
+    for driver in DRIVERS:
+        grid, holder, short, key = shortened_grid(keep=1)
+        with grid.serve(driver=driver) as service:
+            result = service.search(key, start=holder)
+        outcomes.append((result.found, result.responder, result.messages))
+    grid, holder, short, key = shortened_grid(keep=1)
+    result = grid.search_many([key], [holder])
+    responder = int(grid.batch_query_engine().addresses[result.responder[0]])
+    outcomes.append((bool(result.found[0]), responder, int(result.messages[0])))
+    assert outcomes == [(True, short, 1)] * (len(DRIVERS) + 1)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
